@@ -200,27 +200,44 @@ impl DoParams {
 /// claim-by-CAS visit update; [`advance_adaptive`] owns the heuristic,
 /// the unvisited-candidates mask (masked word-parallel pull), the frontier
 /// recycling, and the `DirectionEvent` emission.
-pub fn bfs_direction_optimizing<P: ExecutionPolicy, W: EdgeValue>(
+pub fn bfs_direction_optimizing<P, W, G>(
     policy: P,
     ctx: &Context,
-    g: &Graph<W>,
+    g: &G,
     source: VertexId,
     params: DoParams,
-) -> BfsResult {
+) -> BfsResult
+where
+    P: ExecutionPolicy,
+    W: EdgeValue,
+    G: OutWeights<W> + InWeights<W> + Sync,
+{
     bfs_with_policy(policy, ctx, g, source, params.to_policy())
 }
 
 /// BFS through the adaptive engine with a fully-specified
 /// [`DirectionPolicy`] (all four knobs, where [`DoParams`] exposes only the
 /// classic α/β pair).
-pub fn bfs_with_policy<P: ExecutionPolicy, W: EdgeValue>(
+///
+/// Runs over any two-sided adjacency — a raw [`Graph`] built `with_csc`, an
+/// in-memory [`CompressedGraph`], or a [`CompressedGraphView`] over an
+/// mmapped container. The claim update is the same CAS and every
+/// representation streams neighbors in the same ascending order, so levels
+/// and direction traces are bit-identical across them
+/// (`tests/differential.rs`).
+pub fn bfs_with_policy<P, W, G>(
     policy: P,
     ctx: &Context,
-    g: &Graph<W>,
+    g: &G,
     source: VertexId,
     dir_policy: DirectionPolicy,
-) -> BfsResult {
-    let n = g.get_num_vertices();
+) -> BfsResult
+where
+    P: ExecutionPolicy,
+    W: EdgeValue,
+    G: OutWeights<W> + InWeights<W> + Sync,
+{
+    let n = g.num_vertices();
     let levels = init_levels(n, source);
     let mut engine = AdaptiveAdvance::new(
         g,
@@ -274,84 +291,18 @@ pub fn bfs_with_policy<P: ExecutionPolicy, W: EdgeValue>(
 
 /// [`bfs_direction_optimizing`] with the default policy — the "just give me
 /// the adaptive traversal" entry point matching `sssp_adaptive`/`cc_adaptive`.
-pub fn bfs_adaptive<P: ExecutionPolicy, W: EdgeValue>(
-    policy: P,
-    ctx: &Context,
-    g: &Graph<W>,
-    source: VertexId,
-) -> BfsResult {
-    bfs_direction_optimizing(policy, ctx, g, source, DoParams::default())
-}
-
-/// Adaptive BFS over byte-coded compressed adjacency: identical structure
-/// to [`bfs_with_policy`], dispatched through
-/// [`advance_adaptive_compressed`] so every iteration streams
-/// [`NeighborDecoder`]s instead of raw CSR slices. Works for any graph
-/// exposing the decode traits — an in-memory [`CompressedGraph`] or a
-/// borrowed [`CompressedGraphView`] over an mmapped container. The claim
-/// update is the same CAS, so levels are bit-identical to the raw variants
-/// (`tests/differential.rs`).
-pub fn bfs_adaptive_compressed<P, W, G>(
-    policy: P,
-    ctx: &Context,
-    g: &G,
-    source: VertexId,
-    dir_policy: DirectionPolicy,
-) -> BfsResult
+pub fn bfs_adaptive<P, W, G>(policy: P, ctx: &Context, g: &G, source: VertexId) -> BfsResult
 where
     P: ExecutionPolicy,
     W: EdgeValue,
-    G: DecodeEdgeWeights<W> + DecodeInEdgeWeights<W> + Sync,
+    G: OutWeights<W> + InWeights<W> + Sync,
 {
-    let n = g.num_vertices();
-    let levels = init_levels(n, source);
-    let mut engine = AdaptiveAdvance::new(
-        g,
-        AdaptiveConfig {
-            policy: dir_policy,
-            early_exit: true,
-            settle: true,
-            bins: BlockedConfig::default(),
-        },
-    );
-    let mut trace = Vec::new();
-
-    let mut frontier = VertexFrontier::Sparse(SparseFrontier::single(source));
-    while frontier.len() > 0 {
-        let next_level = engine.iterations() as u32 + 1;
-        frontier = advance_adaptive_compressed(
-            policy,
-            ctx,
-            g,
-            &mut engine,
-            frontier,
-            |_src, dst, _e, _w| {
-                levels[dst as usize]
-                    .compare_exchange(UNVISITED, next_level, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-            },
-            |dst| levels[dst as usize].load(Ordering::Acquire) == UNVISITED,
-            |_src, dst, _w| {
-                levels[dst as usize]
-                    .compare_exchange(UNVISITED, next_level, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-            },
-        );
-        trace.push(frontier.len());
-    }
-    engine.finish(ctx);
-
-    BfsResult {
-        level: unwrap_levels(levels),
-        stats: LoopStats {
-            iterations: engine.iterations(),
-            frontier_trace: trace,
-            hit_iteration_cap: false,
-        },
-        edges_inspected: engine.edges_inspected(),
-        directions: engine.directions().to_vec(),
-    }
+    bfs_direction_optimizing(policy, ctx, g, source, DoParams::default())
 }
+
+/// Former name of [`bfs_with_policy`] on compressed adjacency; the frozen
+/// benchmark still calls it.
+pub use self::bfs_with_policy as bfs_adaptive_compressed;
 
 /// BFS with a **dense bitmap** frontier throughout, still traversing in the
 /// push direction: each iteration walks the bitmap's set bits and expands
@@ -409,8 +360,7 @@ pub fn bfs_queue<W: EdgeValue>(ctx: &Context, g: &Graph<W>, source: VertexId) ->
         let current = SparseFrontier::from_vec(queue.drain());
         let next_level = iterations as u32 + 1;
         // Expand; sends go straight into the queue.
-        for_each_edge_balanced(ctx, g, current.as_slice(), |tid, _src, e| {
-            let dst = g.get_dest_vertex(e);
+        for_each_edge_balanced(ctx, g, current.as_slice(), |tid, _src, dst, _e| {
             edges.add(1);
             if levels[dst as usize]
                 .compare_exchange(UNVISITED, next_level, Ordering::AcqRel, Ordering::Relaxed)

@@ -79,16 +79,20 @@ pub fn try_cc_label_propagation<P: ExecutionPolicy, W: EdgeValue>(
 /// with [`advance_adaptive`] picking direction and representation per
 /// iteration. The initial frontier is *every* vertex — density 1 — so the
 /// policy typically opens dense and shifts to sparse push as labels settle.
-/// Requires a symmetric graph (as all CC variants do) built `with_csc`.
+/// Requires a symmetric graph (as all CC variants do) with both adjacency
+/// sides — a raw [`Graph`] built `with_csc`, a [`CompressedGraph`]
+/// compressed from one, or an mmapped view.
 ///
 /// `fetch_min` is monotone and order-independent: the labels reach the same
-/// component-minimum fixpoint whatever direction mix the policy chooses.
-pub fn cc_adaptive<P: ExecutionPolicy, W: EdgeValue>(
-    policy: P,
-    ctx: &Context,
-    g: &Graph<W>,
-) -> CcResult {
-    let n = g.get_num_vertices();
+/// component-minimum fixpoint whatever direction mix the policy chooses, and
+/// bit-for-bit on every representation (`tests/differential.rs`).
+pub fn cc_adaptive<P, W, G>(policy: P, ctx: &Context, g: &G) -> CcResult
+where
+    P: ExecutionPolicy,
+    W: EdgeValue,
+    G: OutWeights<W> + InWeights<W> + Sync,
+{
+    let n = g.num_vertices();
     let labels: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
     let updates = Counter::new();
     let mut engine = AdaptiveAdvance::new(
@@ -135,65 +139,9 @@ pub fn cc_adaptive<P: ExecutionPolicy, W: EdgeValue>(
     }
 }
 
-/// [`cc_adaptive`] over byte-coded compressed adjacency, dispatched
-/// through [`advance_adaptive_compressed`]. Same monotone `fetch_min`
-/// label update, same full-universe initial frontier; labels reach the
-/// same component-minimum fixpoint bit-for-bit
-/// (`tests/differential.rs`). Requires a symmetric graph compressed with
-/// both sides (e.g. [`CompressedGraph::from_graph`] on a `with_csc`
-/// build).
-pub fn cc_adaptive_compressed<P, W, G>(policy: P, ctx: &Context, g: &G) -> CcResult
-where
-    P: ExecutionPolicy,
-    W: EdgeValue,
-    G: DecodeEdgeWeights<W> + DecodeInEdgeWeights<W> + Sync,
-{
-    let n = g.num_vertices();
-    let labels: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-    let updates = Counter::new();
-    let mut engine = AdaptiveAdvance::new(
-        g,
-        AdaptiveConfig {
-            policy: DirectionPolicy::default(),
-            early_exit: false,
-            settle: false,
-            bins: BlockedConfig::default(),
-        },
-    );
-    let mut trace = Vec::new();
-    let mut frontier = VertexFrontier::Sparse(g.vertices().collect());
-    while frontier.len() > 0 {
-        frontier = advance_adaptive_compressed(
-            policy,
-            ctx,
-            g,
-            &mut engine,
-            frontier,
-            |src, dst, _e, _w| {
-                updates.add(1);
-                let l = labels[src as usize].load(Ordering::Acquire);
-                labels[dst as usize].fetch_min(l, Ordering::AcqRel) > l
-            },
-            |_dst| true,
-            |src, dst, _w| {
-                updates.add(1);
-                let l = labels[src as usize].load(Ordering::Acquire);
-                labels[dst as usize].fetch_min(l, Ordering::AcqRel) > l
-            },
-        );
-        trace.push(frontier.len());
-    }
-    engine.finish(ctx);
-    CcResult {
-        comp: labels.into_iter().map(AtomicU32::into_inner).collect(),
-        stats: LoopStats {
-            iterations: engine.iterations(),
-            frontier_trace: trace,
-            hit_iteration_cap: false,
-        },
-        updates: updates.get(),
-    }
-}
+/// Former name of [`cc_adaptive`] on compressed adjacency; the frozen
+/// benchmark still calls it.
+pub use self::cc_adaptive as cc_adaptive_compressed;
 
 /// Hooking + pointer jumping: repeatedly hook the larger root onto the
 /// smaller across every edge, then compress all parent chains, until no

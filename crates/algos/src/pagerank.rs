@@ -92,13 +92,17 @@ impl ResidualWatchdog {
     }
 }
 
-/// Pull (gather) PageRank over the CSC. Requires `with_csc`.
-pub fn pagerank_pull<P: ExecutionPolicy, W: EdgeValue>(
-    policy: P,
-    ctx: &Context,
-    g: &Graph<W>,
-    cfg: PrConfig,
-) -> PageRankResult {
+/// Pull (gather) PageRank over the in-adjacency of any representation — a
+/// raw [`Graph`] built `with_csc`, a [`CompressedGraph`] compressed from
+/// one, or a [`CompressedGraphView`] over an mmapped container. In-neighbors
+/// stream in ascending order everywhere, so the per-vertex f64 gather sums
+/// in the same order and ranks are **bit-identical** across representations
+/// (`tests/differential.rs`).
+pub fn pagerank_pull<P, G>(policy: P, ctx: &Context, g: &G, cfg: PrConfig) -> PageRankResult
+where
+    P: ExecutionPolicy,
+    G: OutAdjacency + InAdjacency + Sync,
+{
     match try_pagerank_pull(policy, ctx, g, cfg) {
         Ok(r) => r,
         Err(e) => panic!("{e}"),
@@ -109,13 +113,17 @@ pub fn pagerank_pull<P: ExecutionPolicy, W: EdgeValue>(
 /// boundaries, and a convergence watchdog turns a non-finite or
 /// persistently rising residual into [`ExecError::Diverged`] instead of
 /// spinning to the iteration cap on garbage.
-pub fn try_pagerank_pull<P: ExecutionPolicy, W: EdgeValue>(
+pub fn try_pagerank_pull<P, G>(
     policy: P,
     ctx: &Context,
-    g: &Graph<W>,
+    g: &G,
     cfg: PrConfig,
-) -> Result<PageRankResult, ExecError> {
-    let n = g.get_num_vertices();
+) -> Result<PageRankResult, ExecError>
+where
+    P: ExecutionPolicy,
+    G: OutAdjacency + InAdjacency + Sync,
+{
+    let n = g.num_vertices();
     if n == 0 {
         return Ok(PageRankResult {
             rank: Vec::new(),
@@ -140,105 +148,10 @@ pub fn try_pagerank_pull<P: ExecutionPolicy, W: EdgeValue>(
             let (r_now, inv) = (&*r, &inv_deg);
             fill_indexed_into(policy, ctx, &mut next, |v| {
                 let v = v as VertexId;
+                // Ascending source order on every representation, so the
+                // f64 sum associates identically.
                 let gathered: f64 = g
-                    .in_neighbors(v)
-                    .iter()
-                    .map(|&u| r_now[u as usize] * inv[u as usize])
-                    .sum();
-                base + cfg.damping * gathered
-            });
-            let err: f64 = l1_diff(policy, ctx, r, &next);
-            std::mem::swap(r, &mut next);
-            final_error = err;
-            watchdog.check(iter, err)?;
-            Ok(err < cfg.tolerance)
-        });
-    ctx.recycle_f64_buffer(next);
-    ctx.recycle_f64_buffer(inv_deg);
-    let (rank, stats) = result?;
-    Ok(PageRankResult {
-        rank,
-        stats,
-        final_error,
-    })
-}
-
-/// Pull (gather) PageRank over byte-coded compressed in-adjacency: the
-/// exact loop of [`try_pagerank_pull`] with the CSC slice scan replaced by
-/// [`NeighborDecoder`] streams. Decoders yield in-neighbors in the same
-/// ascending order as the CSC columns, so the per-vertex f64 gather sums
-/// in the same order and ranks are **bit-identical** to [`pagerank_pull`]
-/// (`tests/differential.rs`). Accepts any graph exposing both decode
-/// sides — an in-memory [`CompressedGraph`] built from a `with_csc`
-/// graph, or a [`CompressedGraphView`] over an mmapped container.
-pub fn pagerank_pull_compressed<P, G>(
-    policy: P,
-    ctx: &Context,
-    g: &G,
-    cfg: PrConfig,
-) -> PageRankResult
-where
-    P: ExecutionPolicy,
-    G: DecodeOutNeighbors + DecodeInNeighbors + Sync,
-{
-    match try_pagerank_pull_compressed(policy, ctx, g, cfg) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`pagerank_pull_compressed`] — same budget/watchdog contract
-/// as [`try_pagerank_pull`].
-pub fn try_pagerank_pull_compressed<P, G>(
-    policy: P,
-    ctx: &Context,
-    g: &G,
-    cfg: PrConfig,
-) -> Result<PageRankResult, ExecError>
-where
-    P: ExecutionPolicy,
-    G: DecodeOutNeighbors + DecodeInNeighbors + Sync,
-{
-    let n = g.num_vertices();
-    if n == 0 {
-        return Ok(PageRankResult {
-            rank: Vec::new(),
-            stats: LoopStats::default(),
-            final_error: 0.0,
-        });
-    }
-    let rank = vec![1.0 / n as f64; n];
-    let mut inv_deg = take_zeroed_f64(ctx, n);
-    fill_indexed_into(policy, ctx, &mut inv_deg, |u| {
-        let d = g.out_degree(u as VertexId);
-        if d == 0 {
-            0.0
-        } else {
-            (d as f64).recip()
-        }
-    });
-    let mut next = take_zeroed_f64(ctx, n);
-    let mut final_error = f64::INFINITY;
-    let mut watchdog = ResidualWatchdog::new();
-    let result = Enactor::for_ctx(ctx)
-        .max_iterations(cfg.max_iterations)
-        .try_run_until(rank, |iter, r, progress| {
-            progress.report_work(n);
-            let dangling: f64 = sum_f64_over(policy, ctx, n, |v| {
-                if g.out_degree(v as VertexId) == 0 {
-                    r[v]
-                } else {
-                    0.0
-                }
-            });
-            let base = (1.0 - cfg.damping) / n as f64 + cfg.damping * dangling / n as f64;
-            let (r_now, inv) = (&*r, &inv_deg);
-            fill_indexed_into(policy, ctx, &mut next, |v| {
-                let v = v as VertexId;
-                // Decode order is ascending — the CSC column order — so the
-                // f64 sum associates identically to the raw pull.
-                let gathered: f64 = g
-                    .in_decoder(v)
+                    .in_neighbors_from(v, 0)
                     .map(|u| r_now[u as usize] * inv[u as usize])
                     .sum();
                 base + cfg.damping * gathered
@@ -258,6 +171,10 @@ where
         final_error,
     })
 }
+
+/// Former name of [`pagerank_pull`] on compressed adjacency; the frozen
+/// benchmark still calls it.
+pub use self::pagerank_pull as pagerank_pull_compressed;
 
 /// Pull PageRank routed through the propagation-blocked gather
 /// ([`BlockedGather`]): contributions are binned by destination cache
@@ -521,12 +438,12 @@ pub fn pagerank_adaptive<P: ExecutionPolicy, W: EdgeValue>(
 /// A pooled buffer holding `1/out_degree(u)` (0 for dangling vertices),
 /// computed once per run so the per-edge divide in every gather becomes a
 /// multiply. Return it with `Context::recycle_f64_buffer`.
-fn take_inv_out_degrees<P: ExecutionPolicy, W: EdgeValue>(
+fn take_inv_out_degrees<P: ExecutionPolicy, G: OutAdjacency + Sync>(
     policy: P,
     ctx: &Context,
-    g: &Graph<W>,
+    g: &G,
 ) -> Vec<f64> {
-    let mut inv = take_zeroed_f64(ctx, g.get_num_vertices());
+    let mut inv = take_zeroed_f64(ctx, g.num_vertices());
     fill_indexed_into(policy, ctx, &mut inv, |u| {
         let d = g.out_degree(u as VertexId);
         if d == 0 {
@@ -545,10 +462,10 @@ pub(crate) fn take_zeroed_f64(ctx: &Context, n: usize) -> Vec<f64> {
     v
 }
 
-fn sum_dangling<P: ExecutionPolicy, W: EdgeValue>(
+fn sum_dangling<P: ExecutionPolicy, G: OutAdjacency + Sync>(
     policy: P,
     ctx: &Context,
-    g: &Graph<W>,
+    g: &G,
     r: &[f64],
 ) -> f64 {
     crate::pagerank::sum_f64_over(policy, ctx, r.len(), |v| {

@@ -45,9 +45,9 @@ fn unwrap_dist(dist: Vec<AtomicF32>) -> Vec<f32> {
     dist.into_iter().map(AtomicF32::into_inner).collect()
 }
 
-fn check_weights(g: &Graph<f32>) {
+fn check_weights<G: OutWeights<f32>>(g: &G) {
     debug_assert!(
-        g.csr().values().iter().all(|&w| w >= 0.0),
+        (0..g.num_edges()).all(|e| g.edge_weight(e) >= 0.0),
         "SSSP requires non-negative weights"
     );
 }
@@ -146,14 +146,18 @@ pub fn try_sssp<P: ExecutionPolicy>(
 /// fixpoint as the fixed-direction variants. No early exit (every in-edge
 /// must be seen), and no settle mask (a vertex re-activates whenever a
 /// shorter path arrives).
-pub fn sssp_adaptive<P: ExecutionPolicy>(
-    policy: P,
-    ctx: &Context,
-    g: &Graph<f32>,
-    source: VertexId,
-) -> SsspResult {
+///
+/// Runs over any two-sided `f32`-weighted adjacency (raw, compressed, or an
+/// mmapped view): neighbors stream in the same ascending order everywhere,
+/// so distances are bit-identical across representations
+/// (`tests/differential.rs`).
+pub fn sssp_adaptive<P, G>(policy: P, ctx: &Context, g: &G, source: VertexId) -> SsspResult
+where
+    P: ExecutionPolicy,
+    G: OutWeights<f32> + InWeights<f32> + Sync,
+{
     check_weights(g);
-    let n = g.get_num_vertices();
+    let n = g.num_vertices();
     let dist = init_dist(n, source);
     let relaxations = Counter::new();
     let mut engine = AdaptiveAdvance::new(
@@ -202,71 +206,9 @@ pub fn sssp_adaptive<P: ExecutionPolicy>(
     }
 }
 
-/// [`sssp_adaptive`] over byte-coded compressed adjacency, dispatched
-/// through [`advance_adaptive_compressed`]. The relaxation is the same
-/// monotone `fetch_min`, and decoders yield destinations in the same
-/// ascending order as the raw slices, so distances are bit-identical to
-/// [`sssp_adaptive`] (`tests/differential.rs`). Accepts any graph exposing
-/// the decode traits with `f32` weights (an in-memory [`CompressedGraph`]
-/// or a view over an mmapped container).
-pub fn sssp_adaptive_compressed<P, G>(
-    policy: P,
-    ctx: &Context,
-    g: &G,
-    source: VertexId,
-) -> SsspResult
-where
-    P: ExecutionPolicy,
-    G: DecodeEdgeWeights<f32> + DecodeInEdgeWeights<f32> + Sync,
-{
-    let n = g.num_vertices();
-    let dist = init_dist(n, source);
-    let relaxations = Counter::new();
-    let mut engine = AdaptiveAdvance::new(
-        g,
-        AdaptiveConfig {
-            policy: DirectionPolicy::default(),
-            early_exit: false,
-            settle: false,
-            bins: BlockedConfig::default(),
-        },
-    );
-    let mut trace = Vec::new();
-    let mut frontier = VertexFrontier::Sparse(SparseFrontier::single(source));
-    while frontier.len() > 0 {
-        frontier = advance_adaptive_compressed(
-            policy,
-            ctx,
-            g,
-            &mut engine,
-            frontier,
-            |src, dst, _e, w: f32| {
-                relaxations.add(1);
-                let new_d = dist[src as usize].load(Ordering::Acquire) + w;
-                let curr_d = dist[dst as usize].fetch_min(new_d, Ordering::AcqRel);
-                new_d < curr_d
-            },
-            |_dst| true,
-            |src, dst, w: f32| {
-                relaxations.add(1);
-                let new_d = dist[src as usize].load(Ordering::Acquire) + w;
-                let curr_d = dist[dst as usize].fetch_min(new_d, Ordering::AcqRel);
-                new_d < curr_d
-            },
-        );
-        trace.push(frontier.len());
-    }
-    engine.finish(ctx);
-    SsspResult {
-        dist: unwrap_dist(dist),
-        stats: LoopStats {
-            iterations: engine.iterations(),
-            frontier_trace: trace,
-            hit_iteration_cap: false,
-        },
-        relaxations: relaxations.get(),
-    }
-}
+/// Former name of [`sssp_adaptive`] on compressed adjacency; the frozen
+/// benchmark still calls it.
+pub use self::sssp_adaptive as sssp_adaptive_compressed;
 
 /// Asynchronous SSSP (§III-A's `par_nosync` timing model applied to the
 /// whole algorithm): active vertices drain through the work-queue engine; a

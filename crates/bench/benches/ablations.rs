@@ -111,8 +111,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function(format!("collect_mutex_collector/{edges_label}"), |b| {
         b.iter(|| {
             let collector = Collector::new(big_ctx.num_threads());
-            for_each_edge_balanced(&big_ctx, &big, all.as_slice(), |tid, _v, e| {
-                let d = big.edge_dest(e);
+            for_each_edge_balanced(&big_ctx, &big, all.as_slice(), |tid, _v, d, _e| {
                 if d % 2 == 0 {
                     collector.push(tid, d);
                 }

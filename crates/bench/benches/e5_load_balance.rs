@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
         group.bench_function(format!("edge_balanced/{}", w.name()), |b| {
             b.iter(|| {
                 let acc = AtomicUsize::new(0);
-                for_each_edge_balanced(&ctx, &g, &frontier, |_, _, _| {
+                for_each_edge_balanced(&ctx, &g, &frontier, |_, _, _, _| {
                     acc.fetch_add(1, Ordering::Relaxed);
                 });
                 acc.into_inner()

@@ -475,8 +475,8 @@ fn json_session(scale: u32, path: &str, budget: Option<RunBudget>, chaos_seed: u
     // extras carry GB/s of adjacency bytes actually touched (the coded
     // stream moves fewer bytes per edge, so equal-MTEPS decode already
     // means less memory traffic). (3) End-to-end: adaptive BFS and pull
-    // PageRank over compressed adjacency vs their raw twins, asserted
-    // bit-identical before timing — the differential suite pins the same
+    // PageRank — the same generic functions — over compressed vs raw
+    // adjacency, asserted bit-identical before timing — the differential suite pins the same
     // equality at small scale, the harness re-checks it at benchmark
     // scale so the committed MTEPS compare like for like.
     {
@@ -516,10 +516,7 @@ fn json_session(scale: u32, path: &str, budget: Option<RunBudget>, chaos_seed: u
                     .filter(|&v| (v.wrapping_mul(2654435761)) % 100 < density_pct)
                     .map(|v| v as VertexId)
                     .collect();
-                let edges: usize = frontier
-                    .iter()
-                    .map(|&v| DecodeOutNeighbors::out_degree(&cg, v))
-                    .sum();
+                let edges: usize = frontier.iter().map(|&v| cg.out_degree(v)).sum();
                 let coded_bytes: usize = frontier
                     .iter()
                     .map(|&v| (byte_offsets[v as usize + 1] - byte_offsets[v as usize]) as usize)
@@ -527,7 +524,7 @@ fn json_session(scale: u32, path: &str, budget: Option<RunBudget>, chaos_seed: u
                 let decode_pass = || {
                     let mut acc = 0usize;
                     for &v in &frontier {
-                        for u in cg.out_decoder(v) {
+                        for u in cg.out_neighbors_from(v, 0) {
                             acc = acc.wrapping_add(u as usize);
                         }
                     }
@@ -578,13 +575,7 @@ fn json_session(scale: u32, path: &str, budget: Option<RunBudget>, chaos_seed: u
 
             let ctx = Context::new(4);
             let raw_bfs = bfs::bfs_adaptive(execution::par, &ctx, &g, 0);
-            let cmp_bfs = bfs::bfs_adaptive_compressed(
-                execution::par,
-                &ctx,
-                &cg,
-                0,
-                DirectionPolicy::default(),
-            );
+            let cmp_bfs = bfs::bfs_adaptive(execution::par, &ctx, &cg, 0);
             assert_eq!(raw_bfs.level, cmp_bfs.level, "compressed BFS diverged");
             let bfs_runs: [(&str, &bfs::BfsResult, Box<dyn Fn()>); 2] = [
                 (
@@ -598,13 +589,7 @@ fn json_session(scale: u32, path: &str, budget: Option<RunBudget>, chaos_seed: u
                     "compressed-adaptive",
                     &cmp_bfs,
                     Box::new(|| {
-                        bfs::bfs_adaptive_compressed(
-                            execution::par,
-                            &ctx,
-                            &cg,
-                            0,
-                            DirectionPolicy::default(),
-                        );
+                        bfs::bfs_adaptive(execution::par, &ctx, &cg, 0);
                     }),
                 ),
             ];
@@ -631,7 +616,7 @@ fn json_session(scale: u32, path: &str, budget: Option<RunBudget>, chaos_seed: u
                 max_iterations: 20,
             };
             let raw_pr = pagerank::pagerank_pull(execution::par, &ctx, &g, cfg);
-            let cmp_pr = pagerank::pagerank_pull_compressed(execution::par, &ctx, &cg, cfg);
+            let cmp_pr = pagerank::pagerank_pull(execution::par, &ctx, &cg, cfg);
             assert_eq!(raw_pr.rank, cmp_pr.rank, "compressed PageRank diverged");
             let pr_runs: [(&str, &pagerank::PageRankResult, Box<dyn Fn()>); 2] = [
                 (
@@ -645,7 +630,7 @@ fn json_session(scale: u32, path: &str, budget: Option<RunBudget>, chaos_seed: u
                     "compressed-pull",
                     &cmp_pr,
                     Box::new(|| {
-                        pagerank::pagerank_pull_compressed(execution::par, &ctx, &cg, cfg);
+                        pagerank::pagerank_pull(execution::par, &ctx, &cg, cfg);
                     }),
                 ),
             ];
@@ -1787,8 +1772,8 @@ fn e5_load_balance(scale: u32) {
                     &ctx,
                     &g,
                     &frontier,
-                    |_, _, e| {
-                        c.add(g.edge_dest(e) as usize & 1);
+                    |_, _, dst, _| {
+                        c.add(dst as usize & 1);
                     },
                 );
             });

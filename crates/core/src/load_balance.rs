@@ -7,8 +7,13 @@
 //! frontier's degrees defines a global edge numbering, equal-size chunks of
 //! which are handed to workers; each chunk locates its starting vertex by
 //! binary search (the CPU analogue of GPU merge-path load balancing).
+//!
+//! The division reads only degrees and edge ranges, so it is the same for
+//! every representation; a chunk that lands mid-row asks the adjacency
+//! stream to start `skip` entries in — an index on raw CSR, a decoded and
+//! discarded prefix (bounded by one row per chunk boundary) on compressed.
 
-use essentials_graph::{EdgeId, OutNeighbors, VertexId};
+use essentials_graph::{EdgeId, OutAdjacency, VertexId};
 use essentials_parallel::{parallel_scan_with, ChunkHooks, ExecError, Schedule};
 
 use crate::context::Context;
@@ -25,7 +30,7 @@ where
         });
 }
 
-/// Edge-balanced iteration: `f(worker, src, edge)` is called once per
+/// Edge-balanced iteration: `f(worker, src, dst, edge)` is called once per
 /// out-edge of every frontier vertex, with edge work divided evenly across
 /// workers regardless of degree skew.
 ///
@@ -34,8 +39,8 @@ where
 /// (the advance operators) use [`for_each_edge_balanced_with`] directly.
 pub fn for_each_edge_balanced<G, F>(ctx: &Context, g: &G, frontier: &[VertexId], f: F)
 where
-    G: OutNeighbors + Sync,
-    F: Fn(usize, VertexId, EdgeId) + Sync,
+    G: OutAdjacency + Sync,
+    F: Fn(usize, VertexId, VertexId, EdgeId) + Sync,
 {
     let mut scratch = ctx.take_scratch();
     let crate::scratch::AdvanceScratch {
@@ -56,8 +61,8 @@ pub(crate) fn for_each_edge_balanced_with<G, F>(
     chunk_sums: &mut Vec<usize>,
     f: F,
 ) where
-    G: OutNeighbors + Sync,
-    F: Fn(usize, VertexId, EdgeId) + Sync,
+    G: OutAdjacency + Sync,
+    F: Fn(usize, VertexId, VertexId, EdgeId) + Sync,
 {
     if let Err(e) = try_for_each_edge_balanced_with(
         ctx,
@@ -86,8 +91,8 @@ pub(crate) fn try_for_each_edge_balanced_with<G, F>(
     f: F,
 ) -> Result<(), ExecError>
 where
-    G: OutNeighbors + Sync,
-    F: Fn(usize, VertexId, EdgeId) + Sync,
+    G: OutAdjacency + Sync,
+    F: Fn(usize, VertexId, VertexId, EdgeId) + Sync,
 {
     // Prefix-sum the degrees in parallel: offsets[i] = first global work
     // item of frontier[i].
@@ -115,12 +120,11 @@ where
             let mut w = work_lo;
             while w < work_hi {
                 let src = frontier[fi];
-                let row = g.out_edges(src);
                 // Position inside src's edge list.
                 let inner = w - offsets[fi];
                 let take = (offsets[fi + 1] - w).min(work_hi - w);
-                for k in 0..take {
-                    f(tid, src, row.start + inner + k);
+                for (e, dst) in g.out_edges_from(src, inner).take(take) {
+                    f(tid, src, dst, e);
                 }
                 w += take;
                 fi += 1;
@@ -131,8 +135,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use essentials_graph::{Coo, Graph, GraphBase};
+    use essentials_graph::{Ccsr, Coo, Graph, GraphBase, OutNeighbors};
     use essentials_parallel::atomics::Counter;
+    use essentials_parallel::ThreadPool;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn skewed() -> Graph<()> {
@@ -147,17 +152,53 @@ mod tests {
         Graph::from_coo(&coo)
     }
 
+    /// Every edge of the frontier is visited exactly once, with the edge id
+    /// and destination the raw CSR assigns it.
+    fn assert_every_edge_once<G: OutAdjacency + Sync>(
+        g: &G,
+        raw: &Graph<()>,
+        frontier: &[VertexId],
+    ) {
+        let ctx = Context::new(4);
+        let hits: Vec<AtomicUsize> = (0..raw.num_edges()).map(|_| AtomicUsize::new(0)).collect();
+        for_each_edge_balanced(&ctx, g, frontier, |_, src, dst, e| {
+            assert!(
+                raw.out_edges(src).contains(&e),
+                "edge id outside source row"
+            );
+            assert_eq!(raw.edge_dest(e), dst, "destination does not match edge id");
+            hits[e].fetch_add(1, Ordering::Relaxed);
+        });
+        let expected: usize = frontier.iter().map(|&v| raw.out_degree(v)).sum();
+        let seen: usize = hits.iter().map(|h| h.load(Ordering::Relaxed)).sum();
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) <= 1));
+        assert_eq!(seen, expected);
+    }
+
     #[test]
     fn edge_balanced_touches_every_edge_exactly_once() {
         let g = skewed();
-        let ctx = Context::new(4);
         let frontier: Vec<VertexId> = (0..9).collect();
-        let hits: Vec<AtomicUsize> = (0..g.num_edges()).map(|_| AtomicUsize::new(0)).collect();
-        for_each_edge_balanced(&ctx, &g, &frontier, |_, src, e| {
-            assert!(g.out_edges(src).contains(&e), "edge id outside source row");
-            hits[e].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        assert_every_edge_once(&g, &g, &frontier);
+    }
+
+    #[test]
+    fn chunks_starting_mid_row_skip_into_the_stream() {
+        // A 1000-edge hub row against the 256-edge minimum grain: chunks 1–3
+        // start 256, 512 and 768 entries into the row — an index on the raw
+        // slice, a decoded-and-discarded prefix on the compressed stream.
+        let mut coo = Coo::new(1200);
+        for d in 0..1000 {
+            coo.push(7, 100 + d as VertexId, ());
+        }
+        for v in 0..50 {
+            coo.push(v, (v * 13 + 1) % 1200, ());
+        }
+        let g = Graph::from_coo(&coo);
+        let compressed = Ccsr::from_csr(&ThreadPool::new(2), g.csr());
+        let frontier: Vec<VertexId> = (0..60).collect();
+        assert_every_edge_once(&g, &g, &frontier);
+        assert_every_edge_once(&compressed, &g, &frontier);
     }
 
     #[test]
@@ -167,7 +208,7 @@ mod tests {
         // Only the degree-1 vertices.
         let frontier: Vec<VertexId> = (1..=8).collect();
         let count = Counter::new();
-        for_each_edge_balanced(&ctx, &g, &frontier, |_, _, _| count.add(1));
+        for_each_edge_balanced(&ctx, &g, &frontier, |_, _, _, _| count.add(1));
         assert_eq!(count.get(), 8);
     }
 
@@ -175,9 +216,11 @@ mod tests {
     fn edge_balanced_empty_and_zero_degree() {
         let g = skewed();
         let ctx = Context::new(2);
-        for_each_edge_balanced(&ctx, &g, &[], |_, _, _| panic!("no work expected"));
+        for_each_edge_balanced(&ctx, &g, &[], |_, _, _, _| panic!("no work expected"));
         // Frontier of sinks only.
-        for_each_edge_balanced(&ctx, &g, &[50, 51], |_, _, _| panic!("sinks have no edges"));
+        for_each_edge_balanced(&ctx, &g, &[50, 51], |_, _, _, _| {
+            panic!("sinks have no edges")
+        });
     }
 
     #[test]

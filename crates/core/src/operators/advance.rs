@@ -12,11 +12,20 @@
 //! version is measured against). [`expand_pull`] is the CSC-based pull
 //! direction of §III-C, and [`expand_push_dense`] emits a bitmap frontier so
 //! direction-optimizing algorithms can switch representations mid-run.
+//!
+//! Every expansion here is written once against the adjacency *stream*
+//! traits ([`OutWeights`] / [`InWeights`]): raw CSR walks slices, compressed
+//! CSR streams [`essentials_graph::NeighborDecoder`]s, and both show a
+//! side-effectful condition exactly the same `(src, dst, e, w)` tuples in
+//! the same ascending order — `tests/differential.rs` pins the results
+//! bit-identical across representations.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use essentials_frontier::{Collector, DenseFrontier, EdgeFrontier, SparseFrontier};
-use essentials_graph::{EdgeId, EdgeValue, EdgeWeights, InEdgeWeights, OutNeighbors, VertexId};
+use essentials_graph::{
+    EdgeId, EdgeValue, EdgeWeights, InWeights, OutAdjacency, OutWeights, VertexId,
+};
 use essentials_obs::{AdvanceEvent, OpKind};
 use essentials_parallel::atomics::Counter;
 use essentials_parallel::{
@@ -36,7 +45,7 @@ const SERIAL_CHUNK: usize = 256;
 
 /// Sum of out-degrees over a frontier — the edges a push expansion
 /// inspects. Only evaluated when a sink wants operator detail.
-fn frontier_out_edges<G: OutNeighbors>(g: &G, f: &SparseFrontier) -> u64 {
+fn frontier_out_edges<G: OutAdjacency>(g: &G, f: &SparseFrontier) -> u64 {
     f.iter().map(|v| g.out_degree(v) as u64).sum()
 }
 
@@ -76,7 +85,7 @@ pub fn neighbors_expand<P, G, W, F>(
 ) -> SparseFrontier
 where
     P: ExecutionPolicy,
-    G: EdgeWeights<W> + Sync,
+    G: OutWeights<W> + Sync,
     W: EdgeValue,
     F: Fn(VertexId, VertexId, EdgeId, W) -> bool + Sync,
 {
@@ -107,7 +116,7 @@ pub fn neighbors_expand_unique<P, G, W, F>(
 ) -> SparseFrontier
 where
     P: ExecutionPolicy,
-    G: EdgeWeights<W> + Sync,
+    G: OutWeights<W> + Sync,
     W: EdgeValue,
     F: Fn(VertexId, VertexId, EdgeId, W) -> bool + Sync,
 {
@@ -131,7 +140,7 @@ pub fn try_neighbors_expand<P, G, W, F>(
 ) -> Result<SparseFrontier, ExecError>
 where
     P: ExecutionPolicy,
-    G: EdgeWeights<W> + Sync,
+    G: OutWeights<W> + Sync,
     W: EdgeValue,
     F: Fn(VertexId, VertexId, EdgeId, W) -> bool + Sync,
 {
@@ -152,7 +161,7 @@ pub fn try_neighbors_expand_unique<P, G, W, F>(
 ) -> Result<SparseFrontier, ExecError>
 where
     P: ExecutionPolicy,
-    G: EdgeWeights<W> + Sync,
+    G: OutWeights<W> + Sync,
     W: EdgeValue,
     F: Fn(VertexId, VertexId, EdgeId, W) -> bool + Sync,
 {
@@ -170,7 +179,7 @@ fn expand_impl<P, G, W, F, const UNIQUE: bool>(
 ) -> SparseFrontier
 where
     P: ExecutionPolicy,
-    G: EdgeWeights<W> + Sync,
+    G: OutWeights<W> + Sync,
     W: EdgeValue,
     F: Fn(VertexId, VertexId, EdgeId, W) -> bool + Sync,
 {
@@ -201,7 +210,7 @@ fn try_expand_impl<P, G, W, F, const UNIQUE: bool>(
 ) -> Result<SparseFrontier, ExecError>
 where
     P: ExecutionPolicy,
-    G: EdgeWeights<W> + Sync,
+    G: OutWeights<W> + Sync,
     W: EdgeValue,
     F: Fn(VertexId, VertexId, EdgeId, W) -> bool + Sync,
 {
@@ -285,8 +294,7 @@ where
             let out_ref = &mut out;
             let body = catch_unwind(AssertUnwindSafe(|| {
                 for &v in &verts[lo..hi] {
-                    for e in g.out_edges(v) {
-                        let n = g.edge_dest(e);
+                    for (e, n) in g.out_edges_from(v, 0) {
                         let w = g.edge_weight(e);
                         // The condition runs for every edge even when the
                         // destination is already marked; the bitmap only
@@ -350,8 +358,7 @@ where
                 offsets,
                 chunk_sums,
                 hooks,
-                |tid, v, e| {
-                    let n = g.edge_dest(e);
+                |tid, v, n, e| {
                     let w = g.edge_weight(e);
                     if condition(v, n, e, w) && (!UNIQUE || seen.set(n as usize)) {
                         // SAFETY: `tid` is this worker's own id; the pool runs
@@ -367,8 +374,7 @@ where
             // loop.
             let seeds: Vec<VertexId> = f.iter().collect(); // alloc-ok: async seed vec
             try_run_async(ctx.pool(), seeds, hooks, |v: VertexId, pusher| {
-                for e in g.out_edges(v) {
-                    let n = g.edge_dest(e);
+                for (e, n) in g.out_edges_from(v, 0) {
                     let w = g.edge_weight(e);
                     if condition(v, n, e, w) && (!UNIQUE || seen.set(n as usize)) {
                         // SAFETY: `pusher.worker()` is the engine worker's
@@ -432,15 +438,14 @@ pub fn neighbors_expand_mutex<P, G, W, F>(
 ) -> SparseFrontier
 where
     P: ExecutionPolicy,
-    G: EdgeWeights<W> + Sync,
+    G: OutWeights<W> + Sync,
     W: EdgeValue,
     F: Fn(VertexId, VertexId, EdgeId, W) -> bool + Sync,
 {
     let m = Mutex::new(SparseFrontier::new());
     let expand = |v: VertexId| {
         // For all edges of vertex v.
-        for e in g.out_edges(v) {
-            let n = g.edge_dest(e);
+        for (e, n) in g.out_edges_from(v, 0) {
             let w = g.edge_weight(e);
             // If expand condition is true, add the neighbor into the
             // output frontier.
@@ -475,7 +480,7 @@ pub fn expand_push_dense<P, G, W, F>(
 ) -> DenseFrontier
 where
     P: ExecutionPolicy,
-    G: EdgeWeights<W> + Sync,
+    G: OutWeights<W> + Sync,
     W: EdgeValue,
     F: Fn(VertexId, VertexId, EdgeId, W) -> bool + Sync,
 {
@@ -485,8 +490,7 @@ where
     let output = ctx.take_dense_frontier(g.num_vertices());
     let detail = ctx.obs_wants_detail();
     let admitted = Counter::new();
-    let body = |v: VertexId, e: EdgeId| {
-        let n = g.edge_dest(e);
+    let body = |v: VertexId, n: VertexId, e: EdgeId| {
         let w = g.edge_weight(e);
         if condition(v, n, e, w) {
             if detail {
@@ -497,12 +501,12 @@ where
     };
     if !P::IS_PARALLEL || ctx.num_threads() == 1 {
         for v in f.iter() {
-            for e in g.out_edges(v) {
-                body(v, e);
+            for (e, n) in g.out_edges_from(v, 0) {
+                body(v, n, e);
             }
         }
     } else {
-        for_each_edge_balanced(ctx, g, f.as_slice(), |_tid, v, e| body(v, e));
+        for_each_edge_balanced(ctx, g, f.as_slice(), |_tid, v, n, e| body(v, n, e));
     }
     if let Some(sink) = ctx.obs() {
         sink.on_advance(&AdvanceEvent {
@@ -528,6 +532,62 @@ pub struct PullConfig {
     pub early_exit: bool,
 }
 
+/// One destination's share of a pull expansion: streams `dst`'s in-edges in
+/// ascending source order, admits `dst` on the first active source whose
+/// condition holds (stopping there under `early_exit`), and returns the
+/// in-edges scanned.
+#[inline]
+fn scan_in_edges<G, W, F>(
+    g: &G,
+    input: &DenseFrontier,
+    output: &DenseFrontier,
+    cfg: &PullConfig,
+    condition: &F,
+    dst: VertexId,
+) -> usize
+where
+    G: InWeights<W>,
+    W: EdgeValue,
+    F: Fn(VertexId, VertexId, W) -> bool,
+{
+    let mut scans = 0usize;
+    for (e, src) in g.in_edges_from(dst, 0) {
+        scans += 1;
+        if input.contains(src) && condition(src, dst, g.in_edge_weight(e)) {
+            output.insert(dst);
+            if cfg.early_exit {
+                break;
+            }
+        }
+    }
+    scans
+}
+
+/// Emits the [`OpKind::Pull`] event both pull expansions share.
+fn emit_pull<P: ExecutionPolicy>(
+    ctx: &Context,
+    input: &DenseFrontier,
+    output: &DenseFrontier,
+    scanned: usize,
+) {
+    if let Some(sink) = ctx.obs() {
+        let out_len = output.len();
+        sink.on_advance(&AdvanceEvent {
+            kind: OpKind::Pull,
+            policy: P::NAME,
+            frontier_in: input.len(),
+            edges_inspected: scanned as u64,
+            // Each output vertex was admitted by at least one scanned edge;
+            // the scan is the honest work measure, so per-edge admission is
+            // not separately counted here.
+            admitted: out_len as u64,
+            output_len: out_len,
+            dedup_hits: 0,
+            per_worker: &[],
+        });
+    }
+}
+
 /// Pull-direction expansion (§III-C): every *candidate* destination scans
 /// its **in**-neighbors for active sources instead of active sources
 /// scattering to destinations.
@@ -537,10 +597,10 @@ pub struct PullConfig {
 /// `condition(src, dst, w)`; if it returns `true`, `dst` enters the output
 /// frontier (and with `early_exit` the scan of `dst` stops).
 ///
-/// Requires the CSC representation (`Graph::with_csc()`); membership tests
-/// against the input are O(1) because the input is dense — this is why
-/// direction-optimizing traversal switches representation when it switches
-/// direction.
+/// Requires the in-adjacency (`Graph::with_csc()`, or a compressed graph
+/// built from one); membership tests against the input are O(1) because the
+/// input is dense — this is why direction-optimizing traversal switches
+/// representation when it switches direction.
 ///
 /// Returns the output frontier and the number of in-edges scanned — the
 /// honest work measure for push-vs-pull comparisons (a pull iteration's
@@ -556,7 +616,7 @@ pub fn expand_pull_counted<P, G, W, C, F>(
 ) -> (DenseFrontier, usize)
 where
     P: ExecutionPolicy,
-    G: InEdgeWeights<W> + Sync,
+    G: InWeights<W> + Sync,
     W: EdgeValue,
     C: Fn(VertexId) -> bool + Sync,
     F: Fn(VertexId, VertexId, W) -> bool + Sync,
@@ -564,24 +624,11 @@ where
     let n = g.num_vertices();
     // Recycled bitmap, same contract as `expand_push_dense`.
     let output = ctx.take_dense_frontier(n);
-    let scanned = essentials_parallel::atomics::Counter::new();
+    let scanned = Counter::new();
     let scan = |dst: VertexId| {
-        if !candidate(dst) {
-            return;
+        if candidate(dst) {
+            scanned.add(scan_in_edges(g, input, &output, &cfg, &condition, dst));
         }
-        let srcs = g.in_neighbors(dst);
-        let ws = g.in_neighbor_weights(dst);
-        let mut local_scans = 0usize;
-        for (k, &src) in srcs.iter().enumerate() {
-            local_scans += 1;
-            if input.contains(src) && condition(src, dst, ws[k]) {
-                output.insert(dst);
-                if cfg.early_exit {
-                    break;
-                }
-            }
-        }
-        scanned.add(local_scans);
     };
     if !P::IS_PARALLEL || ctx.num_threads() == 1 {
         for dst in 0..n as VertexId {
@@ -591,22 +638,7 @@ where
         ctx.pool()
             .parallel_for(0..n, Schedule::Dynamic(256), |i| scan(i as VertexId));
     }
-    if let Some(sink) = ctx.obs() {
-        let out_len = output.len();
-        sink.on_advance(&AdvanceEvent {
-            kind: OpKind::Pull,
-            policy: P::NAME,
-            frontier_in: input.len(),
-            edges_inspected: scanned.get() as u64,
-            // Each output vertex was admitted by at least one scanned edge;
-            // the scan is the honest work measure, so per-edge admission is
-            // not separately counted here.
-            admitted: out_len as u64,
-            output_len: out_len,
-            dedup_hits: 0,
-            per_worker: &[],
-        });
-    }
+    emit_pull::<P>(ctx, input, &output, scanned.get());
     (output, scanned.get())
 }
 
@@ -622,7 +654,7 @@ pub fn expand_pull<P, G, W, C, F>(
 ) -> DenseFrontier
 where
     P: ExecutionPolicy,
-    G: InEdgeWeights<W> + Sync,
+    G: InWeights<W> + Sync,
     W: EdgeValue,
     C: Fn(VertexId) -> bool + Sync,
     F: Fn(VertexId, VertexId, W) -> bool + Sync,
@@ -656,29 +688,15 @@ pub fn expand_pull_masked<P, G, W, F>(
 ) -> (DenseFrontier, usize)
 where
     P: ExecutionPolicy,
-    G: InEdgeWeights<W> + Sync,
+    G: InWeights<W> + Sync,
     W: EdgeValue,
     F: Fn(VertexId, VertexId, W) -> bool + Sync,
 {
     let n = g.num_vertices();
     debug_assert_eq!(candidates.capacity(), n);
     let output = ctx.take_dense_frontier(n);
-    let scanned = essentials_parallel::atomics::Counter::new();
-    let scan = |dst: VertexId| {
-        let srcs = g.in_neighbors(dst);
-        let ws = g.in_neighbor_weights(dst);
-        let mut local_scans = 0usize;
-        for (k, &src) in srcs.iter().enumerate() {
-            local_scans += 1;
-            if input.contains(src) && condition(src, dst, ws[k]) {
-                output.insert(dst);
-                if cfg.early_exit {
-                    break;
-                }
-            }
-        }
-        scanned.add(local_scans);
-    };
+    let scanned = Counter::new();
+    let scan = |dst: VertexId| scanned.add(scan_in_edges(g, input, &output, &cfg, &condition, dst));
     let mask = candidates.bits();
     if !P::IS_PARALLEL || ctx.num_threads() == 1 {
         mask.for_each_set(|i| scan(i as VertexId));
@@ -692,19 +710,7 @@ where
                 mask.for_each_set_in_words(wi, wi + 1, &mut |i| scan(i as VertexId));
             });
     }
-    if let Some(sink) = ctx.obs() {
-        let out_len = output.len();
-        sink.on_advance(&AdvanceEvent {
-            kind: OpKind::Pull,
-            policy: P::NAME,
-            frontier_in: input.len(),
-            edges_inspected: scanned.get() as u64,
-            admitted: out_len as u64,
-            output_len: out_len,
-            dedup_hits: 0,
-            per_worker: &[],
-        });
-    }
+    emit_pull::<P>(ctx, input, &output, scanned.get());
     (output, scanned.get())
 }
 
@@ -767,7 +773,7 @@ where
 pub fn expand_to_edges<P, G>(_policy: P, ctx: &Context, g: &G, f: &SparseFrontier) -> EdgeFrontier
 where
     P: ExecutionPolicy,
-    G: OutNeighbors + Sync,
+    G: OutAdjacency + Sync,
 {
     if !P::IS_PARALLEL || ctx.num_threads() == 1 {
         let mut out = EdgeFrontier::new();
@@ -781,7 +787,7 @@ where
     let buffers: Vec<Mutex<Vec<(VertexId, EdgeId)>>> = (0..ctx.num_threads()) // alloc-ok: edge-frontier materialization is the mutex baseline, not the steady-state pipeline
         .map(|_| Mutex::new(Vec::new())) // alloc-ok: see above
         .collect(); // alloc-ok: see above
-    for_each_edge_balanced(ctx, g, f.as_slice(), |tid, v, e| {
+    for_each_edge_balanced(ctx, g, f.as_slice(), |tid, v, _n, e| {
         buffers[tid].lock().push((v, e)); // alloc-ok: mutex-baseline path, measured against the lock-free pipeline
     });
     let mut out = EdgeFrontier::new();
@@ -796,8 +802,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use essentials_graph::{Coo, Graph, GraphBase};
-    use essentials_parallel::execution;
+    use essentials_graph::{CompressedGraph, Coo, Graph, GraphBase, GraphBuilder};
+    use essentials_parallel::{execution, ThreadPool};
 
     fn weighted_diamond() -> Graph<f32> {
         Graph::from_coo(&Coo::from_edges(
@@ -1080,6 +1086,108 @@ mod tests {
             assert_eq!(out.len(), 3);
             assert_eq!(out.sources(), vec![0, 1]);
         }
+    }
+
+    /// A 450-edge hub row (so edge-balanced chunks start mid-row), a ring
+    /// with chords out of the even vertices (so odd rows are empty), and
+    /// position-dependent weights.
+    fn hub_and_ring(n: usize) -> Graph<f32> {
+        let n32 = n as VertexId;
+        let mut b = GraphBuilder::new(n);
+        for d in 0..450 {
+            b = b.edge(3, (d * 2 + 5) % n32, (d % 11) as f32 * 0.5);
+        }
+        for v in (0..n32).step_by(2) {
+            b = b.edge(v, (v + 1) % n32, (v % 7) as f32 + 0.5);
+            b = b.edge(v, (v * 7 + 3) % n32, (v % 3) as f32 + 1.0);
+        }
+        b.deduplicate().with_csc().build()
+    }
+
+    fn sorted(mut v: Vec<VertexId>) -> Vec<VertexId> {
+        v.sort_unstable();
+        v
+    }
+
+    /// One run of every expansion over `g`, reduced to comparable values:
+    /// sorted output sets (duplicates kept where the operator emits them)
+    /// and pull scan counts. The conditions read source, destination, edge
+    /// id and weight, so a mismatched edge id or weight changes a set.
+    fn every_expansion<G>(ctx: &Context, g: &G) -> (Vec<Vec<VertexId>>, Vec<usize>)
+    where
+        G: OutWeights<f32> + InWeights<f32> + Sync,
+    {
+        let n = g.num_vertices();
+        let par = execution::par;
+        let f: SparseFrontier = (0..n as VertexId).filter(|v| v % 4 != 2).collect();
+        let by_ends =
+            |s: VertexId, d: VertexId, _e: EdgeId, w: f32| !(s + d).is_multiple_of(3) && w < 6.0;
+        let by_edge = |_s: VertexId, _d: VertexId, e: EdgeId, w: f32| {
+            e.is_multiple_of(2) ^ (w as usize).is_multiple_of(2)
+        };
+        let input = DenseFrontier::new(n);
+        let candidates = DenseFrontier::new(n);
+        for v in 0..n as VertexId {
+            if v % 3 == 0 {
+                input.insert(v);
+            }
+            if v % 2 == 1 {
+                candidates.insert(v);
+            }
+        }
+        let pull_cond = |s: VertexId, d: VertexId, w: f32| !(s + d).is_multiple_of(5) && w < 4.0;
+        let all_edges = || PullConfig { early_exit: false };
+        let (masked, masked_scans) =
+            expand_pull_masked(par, ctx, g, &input, &candidates, all_edges(), pull_cond);
+        let (counted, counted_scans) = expand_pull_counted(
+            par,
+            ctx,
+            g,
+            &input,
+            all_edges(),
+            |d| candidates.contains(d),
+            pull_cond,
+        );
+        let sets = vec![
+            sorted(neighbors_expand(par, ctx, g, &f, by_ends).into_vec()),
+            sorted(neighbors_expand(par, ctx, g, &f, by_edge).into_vec()),
+            sorted(neighbors_expand_unique(par, ctx, g, &f, by_ends).into_vec()),
+            sorted(expand_push_dense(par, ctx, g, &f, by_edge).iter().collect()),
+            sorted(masked.iter().collect()),
+            sorted(counted.iter().collect()),
+            neighbors_expand(par, ctx, g, &SparseFrontier::new(), by_ends).into_vec(),
+        ];
+        (sets, vec![masked_scans, counted_scans])
+    }
+
+    #[test]
+    fn compressed_adjacency_expands_exactly_like_raw() {
+        let g = hub_and_ring(700);
+        let cg = CompressedGraph::from_graph(&ThreadPool::new(2), &g);
+        let reference = every_expansion(&Context::new(1), &g);
+        assert!(reference.0[..6].iter().all(|set| !set.is_empty()));
+        assert_eq!(reference.0[4], reference.0[5], "masked vs predicate pull");
+        // Threads = 1 runs the serial chunk loop, 4 the edge-balanced one
+        // (whose chunks start mid-row inside the hub).
+        for threads in [1, 4] {
+            let ctx = Context::new(threads);
+            assert_eq!(every_expansion(&ctx, &g), reference, "raw, {threads}");
+            assert_eq!(
+                every_expansion(&ctx, &cg),
+                reference,
+                "compressed, {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_graph_expands_to_empty_on_every_representation() {
+        let g: Graph<f32> = GraphBuilder::new(0).with_csc().build();
+        let cg = CompressedGraph::from_graph(&ThreadPool::new(1), &g);
+        let ctx = Context::new(2);
+        let f = SparseFrontier::new();
+        assert!(neighbors_expand(execution::par, &ctx, &g, &f, |_, _, _, _| true).is_empty());
+        assert!(neighbors_expand(execution::par, &ctx, &cg, &f, |_, _, _, _| true).is_empty());
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use essentials_frontier::DenseFrontier;
-use essentials_graph::{EdgeValue, EdgeWeights, InNeighbors, OutNeighbors, VertexId};
+use essentials_graph::{EdgeId, EdgeValue, InNeighbors, OutNeighbors, OutWeights, VertexId};
 use essentials_obs::{AdvanceEvent, OpKind};
 use essentials_parallel::{ExecutionPolicy, Schedule};
 
@@ -41,7 +41,7 @@ const SRC_CHUNK: usize = 4096;
 
 /// Bitmap words per fixed chunk on the masked path (64 words = 4096
 /// source slots, mirroring [`SRC_CHUNK`]).
-pub(crate) const WORD_CHUNK: usize = 64;
+const WORD_CHUNK: usize = 64;
 
 /// Most worker segments the chunk scheduler tracks on the stack.
 const MAX_SEGMENTS: usize = 64;
@@ -62,7 +62,7 @@ impl Default for BlockedConfig {
 }
 
 impl BlockedConfig {
-    pub(crate) fn clamped_bits(self) -> u32 {
+    fn clamped_bits(self) -> u32 {
         self.bin_bits.clamp(4, 31)
     }
 }
@@ -82,9 +82,9 @@ pub enum GatherDirection {
 }
 
 /// Shared-pointer shim for disjoint-index writes from a parallel region.
-pub(crate) struct SendPtr<T>(pub(crate) *mut T);
+struct SendPtr<T>(*mut T);
 impl<T> SendPtr<T> {
-    pub(crate) fn get(&self) -> *mut T {
+    fn get(&self) -> *mut T {
         self.0
     }
 }
@@ -103,7 +103,7 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 /// edges of work. Every chunk is executed exactly once regardless of
 /// worker count; `f` must tolerate concurrent invocation on distinct
 /// chunks.
-pub(crate) fn for_each_chunk<F>(ctx: &Context, parallel: bool, nchunks: usize, f: F)
+fn for_each_chunk<F>(ctx: &Context, parallel: bool, nchunks: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
@@ -446,9 +446,11 @@ impl BlockedGather {
 /// [`expand_pull_masked`](crate::operators::advance::expand_pull_masked)
 /// — the output is the set of `dst ∈ candidates` with an edge `src → dst`
 /// from an active `src` whose `condition(src, dst, w)` holds — but driven
-/// from the CSR side: active sources' out-edges are binned by destination
-/// block, then each bin flushes with cache-resident candidate/output
-/// probes. The condition sees exactly the edges whose source is active
+/// from the out-adjacency side: active sources' out-edges are streamed
+/// (twice: count pass, fill pass — sliced on raw CSR, decoded on compressed)
+/// into destination-binned entries, then each bin flushes with
+/// cache-resident candidate/output probes. It needs no in-adjacency at all.
+/// The condition sees exactly the edges whose source is active
 /// (order differs from the CSC scan; side-effectful conditions must be
 /// commutative, as everywhere in the advance family). With
 /// `cfg.early_exit`, at most one admitting edge per destination is
@@ -474,7 +476,7 @@ pub fn expand_blocked_pull<P, G, W, F>(
 ) -> (DenseFrontier, usize)
 where
     P: ExecutionPolicy,
-    G: EdgeWeights<W> + Sync,
+    G: OutWeights<W> + Sync,
     W: EdgeValue,
     F: Fn(VertexId, VertexId, W) -> bool + Sync,
 {
@@ -511,8 +513,8 @@ where
             let w_lo = c * WORD_CHUNK;
             let w_hi = ((c + 1) * WORD_CHUNK).min(words);
             bits.for_each_set_in_words(w_lo, w_hi, &mut |src| {
-                for e in g.out_edges(src as VertexId) {
-                    let cell = ((g.edge_dest(e) as usize) >> bin_bits) * nchunks + c;
+                for d in g.out_neighbors_from(src as VertexId, 0) {
+                    let cell = ((d as usize) >> bin_bits) * nchunks + c;
                     // SAFETY: column `c` of the count matrix is owned by
                     // this chunk invocation (see BlockedGather::build).
                     unsafe { *cptr.get().add(cell) += 1 };
@@ -529,7 +531,9 @@ where
     offsets[cells] = acc;
     let m = acc;
 
-    // Fill pass: stride-3 entries (dst, src, edge) at the cell cursors.
+    // Fill pass: stride-3 entries (dst, src, edge) at the cell cursors. Edge
+    // ids advance with the stream position, so they are the CSR numbering on
+    // every representation.
     entries.resize(3 * m, 0); // alloc-ok: cold growth, pooled across calls
     cursors.copy_from_slice(&offsets[..cells]);
     {
@@ -540,8 +544,7 @@ where
             let w_lo = c * WORD_CHUNK;
             let w_hi = ((c + 1) * WORD_CHUNK).min(words);
             bits.for_each_set_in_words(w_lo, w_hi, &mut |src| {
-                for e in g.out_edges(src as VertexId) {
-                    let d = g.edge_dest(e);
+                for (e, d) in g.out_edges_from(src as VertexId, 0) {
                     let cell = ((d as usize) >> bin_bits) * nchunks + c;
                     // SAFETY: column-disjoint cursors hand out unique
                     // entry slots (see BlockedGather::build).
@@ -575,7 +578,7 @@ where
                     continue;
                 }
                 let src = entries[3 * k + 1];
-                let e = entries[3 * k + 2] as essentials_graph::EdgeId;
+                let e = entries[3 * k + 2] as EdgeId;
                 if condition(src, dst, g.edge_weight(e)) {
                     output.insert(dst);
                 }
@@ -609,8 +612,10 @@ where
 mod tests {
     use super::*;
     use crate::operators::advance::expand_pull_masked;
-    use essentials_graph::{Graph, GraphBase, GraphBuilder};
-    use essentials_parallel::execution;
+    use essentials_graph::{
+        CompressedGraph, Graph, GraphBase, GraphBuilder, InAdjacency, OutAdjacency,
+    };
+    use essentials_parallel::{execution, ThreadPool};
 
     fn ring_with_chords(n: usize) -> Graph<f32> {
         let mut b = GraphBuilder::new(n);
@@ -727,9 +732,38 @@ mod tests {
         bg.finish(&ctx);
     }
 
+    fn cond(src: VertexId, dst: VertexId, _w: f32) -> bool {
+        !(src + dst).is_multiple_of(5)
+    }
+
+    /// Sorted output set and scan count of one blocked pull over `g`.
+    fn blocked_pull_of<G: OutWeights<f32> + Sync>(
+        ctx: &Context,
+        g: &G,
+        input: &DenseFrontier,
+        candidates: &DenseFrontier,
+    ) -> (Vec<VertexId>, usize) {
+        let (out, scanned) = expand_blocked_pull(
+            execution::par,
+            ctx,
+            g,
+            input,
+            candidates,
+            PullConfig { early_exit: false },
+            BlockedConfig { bin_bits: 5 },
+            cond,
+        );
+        let mut set: Vec<VertexId> = out.iter().collect();
+        set.sort_unstable();
+        (set, scanned)
+    }
+
     #[test]
     fn blocked_pull_matches_masked_pull_output_set() {
         let g = ring_with_chords(400);
+        // The same rows decoded from the byte-coded stream must bin and
+        // flush to the same set with the same scan count.
+        let cg = CompressedGraph::from_graph(&ThreadPool::new(2), &g);
         let n = g.num_vertices();
         for threads in [1, 4] {
             let ctx = Context::new(threads);
@@ -741,7 +775,6 @@ mod tests {
             for v in (0..n as VertexId).filter(|v| v % 2 == 0) {
                 candidates.insert(v);
             }
-            let cond = |src: VertexId, dst: VertexId, _w: f32| !(src + dst).is_multiple_of(5);
             let (masked, _) = expand_pull_masked(
                 execution::par,
                 &ctx,
@@ -751,24 +784,14 @@ mod tests {
                 PullConfig { early_exit: false },
                 cond,
             );
-            let (blocked, scanned) = expand_blocked_pull(
-                execution::par,
-                &ctx,
-                &g,
-                &input,
-                &candidates,
-                PullConfig { early_exit: false },
-                BlockedConfig { bin_bits: 5 },
-                cond,
-            );
-            let mut a: Vec<VertexId> = masked.iter().collect();
-            let mut b: Vec<VertexId> = blocked.iter().collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "threads={threads}");
+            let mut expected: Vec<VertexId> = masked.iter().collect();
+            expected.sort_unstable();
             // Scan count is the out-edges of the active set.
-            let expected: usize = input.iter().map(|v| g.out_degree(v)).sum();
-            assert_eq!(scanned, expected);
+            let out_edges: usize = input.iter().map(|v| g.out_degree(v)).sum();
+            let raw = blocked_pull_of(&ctx, &g, &input, &candidates);
+            let compressed = blocked_pull_of(&ctx, &cg, &input, &candidates);
+            assert_eq!(raw, (expected, out_edges), "threads={threads}");
+            assert_eq!(compressed, raw, "threads={threads}");
         }
     }
 

@@ -24,10 +24,7 @@
 //! candidate predicate for all `n` vertices.
 
 use essentials_frontier::{convert, DenseFrontier, Frontier, SparseFrontier, VertexFrontier};
-use essentials_graph::{
-    DecodeEdgeWeights, DecodeInEdgeWeights, EdgeId, EdgeValue, EdgeWeights, GraphBase,
-    InEdgeWeights, VertexId,
-};
+use essentials_graph::{EdgeId, EdgeValue, GraphBase, InWeights, OutWeights, VertexId};
 use essentials_obs::DirectionEvent;
 use essentials_parallel::ExecutionPolicy;
 
@@ -36,10 +33,6 @@ use crate::operators::advance::{
     expand_pull_counted, expand_pull_masked, expand_push_dense, neighbors_expand_unique, PullConfig,
 };
 use crate::operators::blocked::{expand_blocked_pull, BlockedConfig};
-use crate::operators::compressed::{
-    expand_blocked_pull_compressed, expand_pull_counted_compressed, expand_pull_masked_compressed,
-    expand_push_dense_compressed, neighbors_expand_unique_compressed,
-};
 
 /// Traversal direction (and output representation) of one iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -370,7 +363,7 @@ pub fn advance_adaptive<P, G, W, FPush, C, FPull>(
 ) -> VertexFrontier
 where
     P: ExecutionPolicy,
-    G: EdgeWeights<W> + InEdgeWeights<W> + Sync,
+    G: OutWeights<W> + InWeights<W> + Sync,
     W: EdgeValue,
     FPush: Fn(VertexId, VertexId, EdgeId, W) -> bool + Sync,
     C: Fn(VertexId) -> bool + Sync,
@@ -383,7 +376,8 @@ where
 
     // Frontier out-edge mass: the α numerator, and the amount this
     // iteration retires from the unexplored pool. O(len) either way — the
-    // dense side uses the word-parallel scan.
+    // dense side uses the word-parallel scan — and degree lookups only, so
+    // nothing is decoded on compressed adjacency.
     let frontier_edges = match &frontier {
         VertexFrontier::Sparse(s) => s.iter().map(|v| g.out_degree(v)).sum(),
         VertexFrontier::Dense(d) => {
@@ -401,7 +395,7 @@ where
         growing,
         current: engine.current,
         since_switch: engine.since_switch,
-        compressed: false,
+        compressed: G::DECODES,
     });
     // The blocked kernel flushes against a candidate *bitmap*; without
     // settle mode there is none (candidacy is a predicate), so the upgrade
@@ -525,183 +519,6 @@ where
     }
 }
 
-/// [`advance_adaptive`] over byte-coded compressed adjacency: the same
-/// engine state, decision logic, representation conversions, bookkeeping,
-/// and [`DirectionEvent`] emission, dispatching to the decode-aware
-/// kernels ([`neighbors_expand_unique_compressed`],
-/// [`expand_push_dense_compressed`], [`expand_pull_masked_compressed`],
-/// [`expand_pull_counted_compressed`], [`expand_blocked_pull_compressed`])
-/// and consulting the policy with
-/// [`PolicyInputs::compressed`]` = true`, so a configured
-/// [`CompressedPullPolicy`] takes effect. An [`AdaptiveAdvance`] engine
-/// must not be shared between the raw and compressed entry points within
-/// one traversal — the unexplored-edge bookkeeping is identical, but
-/// mixing kernels mid-run would make the decision trace meaningless.
-#[allow(clippy::too_many_arguments)]
-pub fn advance_adaptive_compressed<P, G, W, FPush, C, FPull>(
-    policy: P,
-    ctx: &Context,
-    g: &G,
-    engine: &mut AdaptiveAdvance,
-    frontier: VertexFrontier,
-    push_condition: FPush,
-    pull_candidate: C,
-    pull_condition: FPull,
-) -> VertexFrontier
-where
-    P: ExecutionPolicy,
-    G: DecodeEdgeWeights<W> + DecodeInEdgeWeights<W> + Sync,
-    W: EdgeValue,
-    FPush: Fn(VertexId, VertexId, EdgeId, W) -> bool + Sync,
-    C: Fn(VertexId) -> bool + Sync,
-    FPull: Fn(VertexId, VertexId, W) -> bool + Sync,
-{
-    let n = engine.n;
-    let len = frontier.len();
-    let growing = len > engine.prev_len;
-    engine.prev_len = len;
-
-    // Degree lookups only (offset differences) — no decoding.
-    let frontier_edges = match &frontier {
-        VertexFrontier::Sparse(s) => s.iter().map(|v| g.out_degree(v)).sum(),
-        VertexFrontier::Dense(d) => {
-            let mut total = 0usize;
-            d.for_each_active(|v| total += g.out_degree(v));
-            total
-        }
-    };
-
-    let mut dir = engine.cfg.policy.decide(&PolicyInputs {
-        n,
-        frontier_len: len,
-        frontier_edges,
-        unexplored_edges: engine.unexplored_edges,
-        growing,
-        current: engine.current,
-        since_switch: engine.since_switch,
-        compressed: true,
-    });
-    if dir == Direction::BlockedPull && !engine.cfg.settle {
-        dir = Direction::Pull;
-    }
-    if dir.is_pull() != engine.current.is_pull() {
-        engine.since_switch = 1;
-    } else {
-        engine.since_switch = engine.since_switch.saturating_add(1);
-    }
-    engine.current = dir;
-    engine.directions.push(dir);
-    if let Some(sink) = ctx.obs() {
-        sink.on_direction(&DirectionEvent {
-            iteration: engine.iter,
-            frontier_len: len,
-            frontier_edges: match &frontier {
-                VertexFrontier::Sparse(_) => frontier_edges,
-                VertexFrontier::Dense(_) => 0,
-            },
-            unexplored_edges: engine.unexplored_edges,
-            growing,
-            pull: dir.is_pull(),
-        });
-    }
-    engine.unexplored_edges = engine.unexplored_edges.saturating_sub(frontier_edges);
-    engine.iter += 1;
-
-    match dir {
-        Direction::Push | Direction::DensePush => {
-            let sparse = match frontier {
-                VertexFrontier::Sparse(s) => s,
-                VertexFrontier::Dense(d) => {
-                    let mut scratch = ctx.take_scratch();
-                    let mut v = scratch.take_vec();
-                    ctx.put_scratch(scratch);
-                    convert::dense_to_sparse_into(&d, &mut v);
-                    ctx.recycle_dense_frontier(d);
-                    SparseFrontier::from_vec(v)
-                }
-            };
-            engine.edges += frontier_edges;
-            let out = if dir == Direction::DensePush {
-                let out = expand_push_dense_compressed(policy, ctx, g, &sparse, push_condition);
-                if let Some(mask) = &engine.unvisited {
-                    mask.and_not(&out);
-                }
-                VertexFrontier::Dense(out)
-            } else {
-                let out =
-                    neighbors_expand_unique_compressed(policy, ctx, g, &sparse, push_condition);
-                if let Some(mask) = &engine.unvisited {
-                    for &v in out.as_slice() {
-                        mask.remove(v);
-                    }
-                }
-                VertexFrontier::Sparse(out)
-            };
-            ctx.recycle_frontier(sparse);
-            out
-        }
-        Direction::Pull | Direction::BlockedPull => {
-            let dense = match frontier {
-                VertexFrontier::Sparse(s) => {
-                    let d = ctx.take_dense_frontier(n);
-                    for v in s.iter() {
-                        d.insert(v);
-                    }
-                    ctx.recycle_frontier(s);
-                    d
-                }
-                VertexFrontier::Dense(d) => d,
-            };
-            let pull_cfg = PullConfig {
-                early_exit: engine.cfg.early_exit,
-            };
-            let (out, scanned) = if dir == Direction::BlockedPull {
-                // Settle mode is guaranteed here (see the downgrade above).
-                engine.ensure_unvisited(ctx, &pull_candidate);
-                let mask = engine.unvisited.as_ref().unwrap(); // unwrap-ok: ensure_unvisited filled it
-                expand_blocked_pull_compressed(
-                    policy,
-                    ctx,
-                    g,
-                    &dense,
-                    mask,
-                    pull_cfg,
-                    engine.cfg.bins,
-                    &pull_condition,
-                )
-            } else if engine.cfg.settle {
-                engine.ensure_unvisited(ctx, &pull_candidate);
-                let mask = engine.unvisited.as_ref().unwrap(); // unwrap-ok: ensure_unvisited filled it
-                expand_pull_masked_compressed(
-                    policy,
-                    ctx,
-                    g,
-                    &dense,
-                    mask,
-                    pull_cfg,
-                    &pull_condition,
-                )
-            } else {
-                expand_pull_counted_compressed(
-                    policy,
-                    ctx,
-                    g,
-                    &dense,
-                    pull_cfg,
-                    &pull_candidate,
-                    &pull_condition,
-                )
-            };
-            engine.edges += scanned;
-            if let Some(mask) = &engine.unvisited {
-                mask.and_not(&out);
-            }
-            ctx.recycle_dense_frontier(dense);
-            VertexFrontier::Dense(out)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -788,7 +605,7 @@ mod tests {
     }
 
     #[test]
-    fn compressed_pair_substitutes_only_over_compressed_adjacency() {
+    fn compressed_pair_substitutes_only_when_the_adjacency_decodes() {
         let p = DirectionPolicy {
             // Raw α = 14 would flip at frontier_edges > 10_000/14 ≈ 714; the
             // compressed α = 4 demands > 2500.

@@ -10,7 +10,6 @@
 
 pub mod advance;
 pub mod blocked;
-pub mod compressed;
 pub mod compute;
 pub mod direction;
 pub mod filter;

@@ -84,8 +84,9 @@ proptest! {
         fr.dedup();
         let hits: Vec<AtomicUsize> =
             (0..g.get_num_edges()).map(|_| AtomicUsize::new(0)).collect();
-        for_each_edge_balanced(&ctx, &g, &fr, |_, src, e| {
+        for_each_edge_balanced(&ctx, &g, &fr, |_, src, dst, e| {
             assert!(g.out_edges(src).contains(&e));
+            assert_eq!(g.edge_dest(e), dst);
             hits[e].fetch_add(1, Ordering::Relaxed);
         });
         for v in g.vertices() {

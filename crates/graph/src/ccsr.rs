@@ -34,17 +34,17 @@
 //! **Decoding.** [`NeighborDecoder`] is an allocation-free sequential
 //! cursor over one vertex's run: the advance operators drive it one vertex
 //! at a time, and [`NeighborDecoder::skip_ahead`] lets an edge-balanced chunk
-//! start mid-row. Random access into a row is impossible by design — every
-//! kernel that needs it goes through the decode-capability traits
-//! ([`DecodeOutNeighbors`], [`DecodeInNeighbors`]) instead of the
-//! slice-returning raw traits.
+//! start mid-row. Random access into a row is impossible by design, so the
+//! compressed types implement only the streaming adjacency traits
+//! ([`OutAdjacency`], [`InAdjacency`]) — the ones the advance family is
+//! written against — and not the slice-returning raw traits.
 
 use std::ops::Range;
 
 use essentials_parallel::{parallel_scan_with, Schedule, ThreadPool};
 
 use crate::csr::Csr;
-use crate::traits::GraphBase;
+use crate::traits::{GraphBase, InAdjacency, InWeights, OutAdjacency, OutWeights};
 use crate::types::{EdgeId, EdgeValue, VertexId};
 
 // ---------------------------------------------------------------------------
@@ -296,48 +296,6 @@ impl Iterator for NeighborDecoder<'_> {
 impl ExactSizeIterator for NeighborDecoder<'_> {}
 
 // ---------------------------------------------------------------------------
-// Decode-capability traits
-// ---------------------------------------------------------------------------
-
-/// Forward adjacency that must be *streamed*, not sliced: the compressed
-/// counterpart of [`crate::traits::OutNeighbors`]. Edge ids, degrees, and
-/// edge ranges keep their raw-CSR meaning (the edge-offset array is stored
-/// uncompressed), so edge-balanced load balancing and per-edge weight
-/// lookup work unchanged; only destination access goes through a decoder.
-pub trait DecodeOutNeighbors: GraphBase {
-    /// Out-degree of `v`.
-    fn out_degree(&self, v: VertexId) -> usize;
-    /// Edge-id range of `v`'s out-edges (raw CSR order).
-    fn out_edges(&self, v: VertexId) -> Range<EdgeId>;
-    /// Streaming decoder over `v`'s destinations, ascending.
-    fn out_decoder(&self, v: VertexId) -> NeighborDecoder<'_>;
-}
-
-/// Reverse adjacency in streamed form — the compressed counterpart of
-/// [`crate::traits::InNeighbors`]. In-edge ids index the *transpose's*
-/// edge array (its values array for in-weights), exactly as a raw CSC.
-pub trait DecodeInNeighbors: GraphBase {
-    /// In-degree of `v`.
-    fn in_degree(&self, v: VertexId) -> usize;
-    /// Edge-id range of `v`'s in-edges (transpose CSR order).
-    fn in_edges(&self, v: VertexId) -> Range<EdgeId>;
-    /// Streaming decoder over `v`'s in-neighbors (sources), ascending.
-    fn in_decoder(&self, v: VertexId) -> NeighborDecoder<'_>;
-}
-
-/// Edge values addressable by out-edge id, for compressed adjacencies.
-pub trait DecodeEdgeWeights<W: EdgeValue>: DecodeOutNeighbors {
-    /// Weight of out-edge `e` (raw CSR edge order).
-    fn edge_weight(&self, e: EdgeId) -> W;
-}
-
-/// Edge values addressable by in-edge id (transpose order).
-pub trait DecodeInEdgeWeights<W: EdgeValue>: DecodeInNeighbors {
-    /// Weight of in-edge `e` — entry `e` of the transpose's value array.
-    fn in_edge_weight(&self, e: EdgeId) -> W;
-}
-
-// ---------------------------------------------------------------------------
 // Owned compressed CSR
 // ---------------------------------------------------------------------------
 
@@ -453,6 +411,7 @@ impl<W: EdgeValue> Ccsr<W> {
 }
 
 impl<W: EdgeValue> GraphBase for Ccsr<W> {
+    const DECODES: bool = true;
     fn num_vertices(&self) -> usize {
         self.n
     }
@@ -461,7 +420,8 @@ impl<W: EdgeValue> GraphBase for Ccsr<W> {
     }
 }
 
-impl<W: EdgeValue> DecodeOutNeighbors for Ccsr<W> {
+impl<W: EdgeValue> OutAdjacency for Ccsr<W> {
+    type OutIter<'a> = NeighborDecoder<'a>;
     #[inline]
     fn out_degree(&self, v: VertexId) -> usize {
         self.view().out_degree(v)
@@ -471,12 +431,12 @@ impl<W: EdgeValue> DecodeOutNeighbors for Ccsr<W> {
         self.view().out_edges(v)
     }
     #[inline]
-    fn out_decoder(&self, v: VertexId) -> NeighborDecoder<'_> {
-        self.view().decoder_raw(v)
+    fn out_neighbors_from(&self, v: VertexId, skip: usize) -> NeighborDecoder<'_> {
+        self.view().decoder_from(v, skip)
     }
 }
 
-impl<W: EdgeValue> DecodeEdgeWeights<W> for Ccsr<W> {
+impl<W: EdgeValue> OutWeights<W> for Ccsr<W> {
     #[inline]
     fn edge_weight(&self, e: EdgeId) -> W {
         self.view().weight(e)
@@ -566,13 +526,16 @@ impl<'a, W: EdgeValue> CcsrView<'a, W> {
         self.bytes.len()
     }
 
+    /// Decoder over `v`'s run, positioned `skip` neighbors in.
     #[inline]
-    fn decoder_raw(&self, v: VertexId) -> NeighborDecoder<'a> {
+    fn decoder_from(&self, v: VertexId, skip: usize) -> NeighborDecoder<'a> {
         let vi = v as usize;
         let lo = self.byte_offsets[vi] as usize;
         let hi = self.byte_offsets[vi + 1] as usize;
         let deg = (self.edge_offsets[vi + 1] - self.edge_offsets[vi]) as usize;
-        NeighborDecoder::new(v, &self.bytes[lo..hi], deg)
+        let mut d = NeighborDecoder::new(v, &self.bytes[lo..hi], deg);
+        d.skip_ahead(skip);
+        d
     }
 
     #[inline]
@@ -586,6 +549,7 @@ impl<'a, W: EdgeValue> CcsrView<'a, W> {
 }
 
 impl<W: EdgeValue> GraphBase for CcsrView<'_, W> {
+    const DECODES: bool = true;
     fn num_vertices(&self) -> usize {
         self.n
     }
@@ -594,7 +558,11 @@ impl<W: EdgeValue> GraphBase for CcsrView<'_, W> {
     }
 }
 
-impl<W: EdgeValue> DecodeOutNeighbors for CcsrView<'_, W> {
+impl<W: EdgeValue> OutAdjacency for CcsrView<'_, W> {
+    type OutIter<'a>
+        = NeighborDecoder<'a>
+    where
+        Self: 'a;
     #[inline]
     fn out_degree(&self, v: VertexId) -> usize {
         let vi = v as usize;
@@ -606,12 +574,12 @@ impl<W: EdgeValue> DecodeOutNeighbors for CcsrView<'_, W> {
         self.edge_offsets[vi] as EdgeId..self.edge_offsets[vi + 1] as EdgeId
     }
     #[inline]
-    fn out_decoder(&self, v: VertexId) -> NeighborDecoder<'_> {
-        self.decoder_raw(v)
+    fn out_neighbors_from(&self, v: VertexId, skip: usize) -> NeighborDecoder<'_> {
+        self.decoder_from(v, skip)
     }
 }
 
-impl<W: EdgeValue> DecodeEdgeWeights<W> for CcsrView<'_, W> {
+impl<W: EdgeValue> OutWeights<W> for CcsrView<'_, W> {
     #[inline]
     fn edge_weight(&self, e: EdgeId) -> W {
         self.weight(e)
@@ -672,6 +640,7 @@ impl<W: EdgeValue> CompressedGraph<W> {
 }
 
 impl<W: EdgeValue> GraphBase for CompressedGraph<W> {
+    const DECODES: bool = true;
     fn num_vertices(&self) -> usize {
         self.out.n
     }
@@ -680,7 +649,8 @@ impl<W: EdgeValue> GraphBase for CompressedGraph<W> {
     }
 }
 
-impl<W: EdgeValue> DecodeOutNeighbors for CompressedGraph<W> {
+impl<W: EdgeValue> OutAdjacency for CompressedGraph<W> {
+    type OutIter<'a> = NeighborDecoder<'a>;
     #[inline]
     fn out_degree(&self, v: VertexId) -> usize {
         self.out.out_degree(v)
@@ -690,12 +660,13 @@ impl<W: EdgeValue> DecodeOutNeighbors for CompressedGraph<W> {
         self.out.out_edges(v)
     }
     #[inline]
-    fn out_decoder(&self, v: VertexId) -> NeighborDecoder<'_> {
-        self.out.out_decoder(v)
+    fn out_neighbors_from(&self, v: VertexId, skip: usize) -> NeighborDecoder<'_> {
+        self.out.out_neighbors_from(v, skip)
     }
 }
 
-impl<W: EdgeValue> DecodeInNeighbors for CompressedGraph<W> {
+impl<W: EdgeValue> InAdjacency for CompressedGraph<W> {
+    type InIter<'a> = NeighborDecoder<'a>;
     #[inline]
     fn in_degree(&self, v: VertexId) -> usize {
         self.require_in().out_degree(v)
@@ -705,19 +676,19 @@ impl<W: EdgeValue> DecodeInNeighbors for CompressedGraph<W> {
         self.require_in().out_edges(v)
     }
     #[inline]
-    fn in_decoder(&self, v: VertexId) -> NeighborDecoder<'_> {
-        self.require_in().out_decoder(v)
+    fn in_neighbors_from(&self, v: VertexId, skip: usize) -> NeighborDecoder<'_> {
+        self.require_in().out_neighbors_from(v, skip)
     }
 }
 
-impl<W: EdgeValue> DecodeEdgeWeights<W> for CompressedGraph<W> {
+impl<W: EdgeValue> OutWeights<W> for CompressedGraph<W> {
     #[inline]
     fn edge_weight(&self, e: EdgeId) -> W {
         self.out.edge_weight(e)
     }
 }
 
-impl<W: EdgeValue> DecodeInEdgeWeights<W> for CompressedGraph<W> {
+impl<W: EdgeValue> InWeights<W> for CompressedGraph<W> {
     #[inline]
     fn in_edge_weight(&self, e: EdgeId) -> W {
         self.require_in().edge_weight(e)
@@ -749,6 +720,13 @@ impl<'a, W: EdgeValue> CompressedGraphView<'a, W> {
         Ok(CompressedGraphView { out, in_ })
     }
 
+    /// Streaming decoder over `v`'s destinations — `out_neighbors_from(v,
+    /// 0)` under the name the frozen benchmark's decode probe calls.
+    #[inline]
+    pub fn out_decoder(&self, v: VertexId) -> NeighborDecoder<'a> {
+        self.out.decoder_from(v, 0)
+    }
+
     fn require_in(&self) -> &CcsrView<'a, W> {
         self.in_
             .as_ref()
@@ -757,6 +735,7 @@ impl<'a, W: EdgeValue> CompressedGraphView<'a, W> {
 }
 
 impl<W: EdgeValue> GraphBase for CompressedGraphView<'_, W> {
+    const DECODES: bool = true;
     fn num_vertices(&self) -> usize {
         self.out.n
     }
@@ -765,7 +744,11 @@ impl<W: EdgeValue> GraphBase for CompressedGraphView<'_, W> {
     }
 }
 
-impl<W: EdgeValue> DecodeOutNeighbors for CompressedGraphView<'_, W> {
+impl<W: EdgeValue> OutAdjacency for CompressedGraphView<'_, W> {
+    type OutIter<'a>
+        = NeighborDecoder<'a>
+    where
+        Self: 'a;
     #[inline]
     fn out_degree(&self, v: VertexId) -> usize {
         self.out.out_degree(v)
@@ -775,12 +758,16 @@ impl<W: EdgeValue> DecodeOutNeighbors for CompressedGraphView<'_, W> {
         self.out.out_edges(v)
     }
     #[inline]
-    fn out_decoder(&self, v: VertexId) -> NeighborDecoder<'_> {
-        self.out.decoder_raw(v)
+    fn out_neighbors_from(&self, v: VertexId, skip: usize) -> NeighborDecoder<'_> {
+        self.out.decoder_from(v, skip)
     }
 }
 
-impl<W: EdgeValue> DecodeInNeighbors for CompressedGraphView<'_, W> {
+impl<W: EdgeValue> InAdjacency for CompressedGraphView<'_, W> {
+    type InIter<'a>
+        = NeighborDecoder<'a>
+    where
+        Self: 'a;
     #[inline]
     fn in_degree(&self, v: VertexId) -> usize {
         self.require_in().out_degree(v)
@@ -790,19 +777,19 @@ impl<W: EdgeValue> DecodeInNeighbors for CompressedGraphView<'_, W> {
         self.require_in().out_edges(v)
     }
     #[inline]
-    fn in_decoder(&self, v: VertexId) -> NeighborDecoder<'_> {
-        self.require_in().decoder_raw(v)
+    fn in_neighbors_from(&self, v: VertexId, skip: usize) -> NeighborDecoder<'_> {
+        self.require_in().decoder_from(v, skip)
     }
 }
 
-impl<W: EdgeValue> DecodeEdgeWeights<W> for CompressedGraphView<'_, W> {
+impl<W: EdgeValue> OutWeights<W> for CompressedGraphView<'_, W> {
     #[inline]
     fn edge_weight(&self, e: EdgeId) -> W {
         self.out.weight(e)
     }
 }
 
-impl<W: EdgeValue> DecodeInEdgeWeights<W> for CompressedGraphView<'_, W> {
+impl<W: EdgeValue> InWeights<W> for CompressedGraphView<'_, W> {
     #[inline]
     fn in_edge_weight(&self, e: EdgeId) -> W {
         self.require_in().weight(e)
@@ -835,7 +822,7 @@ mod tests {
 
     fn decode_all<W: EdgeValue>(c: &Ccsr<W>) -> Vec<Vec<VertexId>> {
         (0..c.num_vertices() as VertexId)
-            .map(|v| c.out_decoder(v).collect())
+            .map(|v| c.out_neighbors_from(v, 0).collect())
             .collect()
     }
 
@@ -848,7 +835,7 @@ mod tests {
         assert_eq!(c.num_edges(), 6);
         for v in 0..6u32 {
             let raw: Vec<VertexId> = csr.neighbors(v).to_vec();
-            let dec: Vec<VertexId> = c.out_decoder(v).collect();
+            let dec: Vec<VertexId> = c.out_neighbors_from(v, 0).collect();
             assert_eq!(dec, raw, "vertex {v}");
             assert_eq!(c.out_edges(v), csr.edge_range(v));
         }
@@ -960,14 +947,14 @@ mod tests {
         let edges: Vec<(VertexId, VertexId)> = neigh.iter().map(|&d| (5, d)).collect();
         let c = Ccsr::from_csr(&pool(), &csr_of(600, &edges));
         for start in 0..=neigh.len() {
-            let mut d = c.out_decoder(5);
+            let mut d = c.out_neighbors_from(5, 0);
             d.skip_ahead(start);
             assert_eq!(d.remaining(), neigh.len() - start);
             let rest: Vec<VertexId> = d.collect();
             assert_eq!(rest, &neigh[start..], "skip_ahead({start})");
         }
         // Over-skip is a clean exhaustion, not a panic.
-        let mut d = c.out_decoder(5);
+        let mut d = c.out_neighbors_from(5, 0);
         d.skip_ahead(neigh.len() + 10);
         assert_eq!(d.next(), None);
     }
@@ -997,9 +984,9 @@ mod tests {
         let cg = CompressedGraph::from_graph(&pool(), &g);
         use crate::traits::{InNeighbors, OutNeighbors};
         for v in 0..50u32 {
-            let out: Vec<VertexId> = cg.out_decoder(v).collect();
+            let out: Vec<VertexId> = cg.out_neighbors_from(v, 0).collect();
             assert_eq!(out, g.out_neighbors(v));
-            let inn: Vec<VertexId> = cg.in_decoder(v).collect();
+            let inn: Vec<VertexId> = cg.in_neighbors_from(v, 0).collect();
             assert_eq!(inn, g.in_neighbors(v));
         }
         let view = cg.view();
@@ -1030,7 +1017,7 @@ mod tests {
             let c = Ccsr::from_csr(&pool(), &csr);
             prop_assert_eq!(c.num_edges(), csr.num_edges());
             for v in 0..300u32 {
-                let dec: Vec<VertexId> = c.out_decoder(v).collect();
+                let dec: Vec<VertexId> = c.out_neighbors_from(v, 0).collect();
                 prop_assert_eq!(dec.as_slice(), csr.neighbors(v));
             }
         }
@@ -1062,9 +1049,9 @@ mod tests {
             let csr = csr_of(100, &edges);
             let c = Ccsr::from_csr(&pool(), &csr);
             for v in 0..100u32 {
-                let mut a = c.out_decoder(v);
+                let mut a = c.out_neighbors_from(v, 0);
                 a.skip_ahead(k);
-                let mut b = c.out_decoder(v);
+                let mut b = c.out_neighbors_from(v, 0);
                 for _ in 0..k { b.next(); }
                 prop_assert_eq!(a.collect::<Vec<_>>(), b.collect::<Vec<_>>());
             }

@@ -7,9 +7,15 @@
 //! use the paper's names (`get_num_vertices`, `get_edges`,
 //! `get_dest_vertex`, `get_edge_weight`) alongside idiomatic trait impls.
 
+use std::iter::Copied;
+use std::slice;
+
 use crate::coo::Coo;
 use crate::csr::Csr;
-use crate::traits::{EdgeWeights, GraphBase, InEdgeWeights, InNeighbors, OutNeighbors};
+use crate::traits::{
+    EdgeWeights, GraphBase, InAdjacency, InEdgeWeights, InNeighbors, InWeights, OutAdjacency,
+    OutNeighbors, OutWeights,
+};
 use crate::types::{EdgeId, EdgeValue, VertexId};
 
 /// A graph holding one or more simultaneous underlying representations.
@@ -139,7 +145,8 @@ impl<W: EdgeValue> GraphBase for Graph<W> {
     }
 }
 
-impl<W: EdgeValue> OutNeighbors for Graph<W> {
+impl<W: EdgeValue> OutAdjacency for Graph<W> {
+    type OutIter<'a> = Copied<slice::Iter<'a, VertexId>>;
     #[inline]
     fn out_degree(&self, v: VertexId) -> usize {
         self.csr.degree(v)
@@ -148,6 +155,50 @@ impl<W: EdgeValue> OutNeighbors for Graph<W> {
     fn out_edges(&self, v: VertexId) -> std::ops::Range<EdgeId> {
         self.csr.edge_range(v)
     }
+    #[inline]
+    fn out_neighbors_from(&self, v: VertexId, skip: usize) -> Self::OutIter<'_> {
+        row_from(self.csr.neighbors(v), skip)
+    }
+}
+
+impl<W: EdgeValue> InAdjacency for Graph<W> {
+    type InIter<'a> = Copied<slice::Iter<'a, VertexId>>;
+    #[inline]
+    fn in_degree(&self, v: VertexId) -> usize {
+        self.require_csc().degree(v)
+    }
+    #[inline]
+    fn in_edges(&self, v: VertexId) -> std::ops::Range<EdgeId> {
+        self.require_csc().edge_range(v)
+    }
+    #[inline]
+    fn in_neighbors_from(&self, v: VertexId, skip: usize) -> Self::InIter<'_> {
+        row_from(self.require_csc().neighbors(v), skip)
+    }
+}
+
+/// A row slice as a neighbor stream starting `skip` entries in (empty when
+/// `skip` runs past the row).
+#[inline]
+fn row_from(row: &[VertexId], skip: usize) -> Copied<slice::Iter<'_, VertexId>> {
+    row.get(skip..).unwrap_or_default().iter().copied()
+}
+
+impl<W: EdgeValue> OutWeights<W> for Graph<W> {
+    #[inline]
+    fn edge_weight(&self, e: EdgeId) -> W {
+        self.csr.edge_value(e)
+    }
+}
+
+impl<W: EdgeValue> InWeights<W> for Graph<W> {
+    #[inline]
+    fn in_edge_weight(&self, e: EdgeId) -> W {
+        self.require_csc().edge_value(e)
+    }
+}
+
+impl<W: EdgeValue> OutNeighbors for Graph<W> {
     #[inline]
     fn edge_dest(&self, e: EdgeId) -> VertexId {
         self.csr.edge_dest(e)
@@ -160,20 +211,12 @@ impl<W: EdgeValue> OutNeighbors for Graph<W> {
 
 impl<W: EdgeValue> InNeighbors for Graph<W> {
     #[inline]
-    fn in_degree(&self, v: VertexId) -> usize {
-        self.require_csc().degree(v)
-    }
-    #[inline]
     fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
         self.require_csc().neighbors(v)
     }
 }
 
 impl<W: EdgeValue> EdgeWeights<W> for Graph<W> {
-    #[inline]
-    fn edge_weight(&self, e: EdgeId) -> W {
-        self.csr.edge_value(e)
-    }
     #[inline]
     fn out_neighbor_weights(&self, v: VertexId) -> &[W] {
         self.csr.neighbor_values(v)

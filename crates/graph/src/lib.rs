@@ -21,8 +21,8 @@
 //! * [`builder`] — edge-list ingestion: dedup, self-loop removal,
 //!   symmetrization, validation.
 //! * [`traits`] — capability traits ([`traits::GraphBase`],
-//!   [`traits::OutNeighbors`], [`traits::InNeighbors`], …) so operators,
-//!   partitioned graphs, and subgraphs interoperate.
+//!   [`traits::OutAdjacency`], [`traits::InAdjacency`], …) so operators run
+//!   once over raw, compressed, partitioned, and subgraph representations.
 //! * [`properties`] — derived structural properties (degree statistics,
 //!   symmetry checks).
 
@@ -40,14 +40,14 @@ pub mod traits;
 pub mod types;
 
 pub use builder::GraphBuilder;
-pub use ccsr::{
-    Ccsr, CcsrView, CompressedGraph, CompressedGraphView, DecodeEdgeWeights, DecodeInEdgeWeights,
-    DecodeInNeighbors, DecodeOutNeighbors, NeighborDecoder,
-};
+pub use ccsr::{Ccsr, CcsrView, CompressedGraph, CompressedGraphView, NeighborDecoder};
 pub use coo::Coo;
 pub use csr::Csr;
 pub use graph::Graph;
 pub use relabel::{relabel_by_degree, Relabeling};
 pub use subgraph::{ego_network, induced_subgraph, Subgraph};
-pub use traits::{EdgeWeights, GraphBase, InEdgeWeights, InNeighbors, OutNeighbors};
+pub use traits::{
+    EdgeWeights, GraphBase, InAdjacency, InEdgeWeights, InNeighbors, InWeights, OutAdjacency,
+    OutNeighbors, OutWeights,
+};
 pub use types::{EdgeId, EdgeValue, VertexId, INVALID_VERTEX};

@@ -590,7 +590,7 @@ impl<W: ContainerWeight> CompressedContainer<W> {
 mod tests {
     use super::*;
     use crate::binary::write_compressed_binary;
-    use essentials_graph::{CompressedGraph, Coo, DecodeInNeighbors, DecodeOutNeighbors, Graph};
+    use essentials_graph::{CompressedGraph, Coo, Graph, InAdjacency, OutAdjacency};
     use essentials_parallel::ThreadPool;
 
     fn sample() -> Graph<f32> {
@@ -609,9 +609,9 @@ mod tests {
         .with_csc()
     }
 
-    fn adjacency<G: DecodeOutNeighbors>(g: &G) -> Vec<Vec<u32>> {
+    fn adjacency<G: OutAdjacency>(g: &G) -> Vec<Vec<u32>> {
         (0..g.num_vertices() as u32)
-            .map(|v| g.out_decoder(v).collect())
+            .map(|v| g.out_neighbors_from(v, 0).collect())
             .collect()
     }
 
@@ -626,8 +626,8 @@ mod tests {
         let view = back.view().unwrap();
         assert_eq!(adjacency(&view), adjacency(&cg.view()));
         for v in 0..6u32 {
-            let a: Vec<u32> = view.in_decoder(v).collect();
-            let b: Vec<u32> = cg.view().in_decoder(v).collect();
+            let a: Vec<u32> = view.in_neighbors_from(v, 0).collect();
+            let b: Vec<u32> = cg.view().in_neighbors_from(v, 0).collect();
             assert_eq!(a, b, "in-neighbors of {v}");
         }
     }

@@ -52,10 +52,8 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     // in chunk order after the join.
     "crates/core/src/operators/reduce.rs",
     // Compressed adjacency: the parallel encoder's disjoint byte-range
-    // writes, and the decode-aware operators' per-worker buffer pushes
-    // (DESIGN.md §14).
+    // writes (DESIGN.md §14).
     "crates/graph/src/ccsr.rs",
-    "crates/core/src/operators/compressed.rs",
     // The mmap loader: read-only page mappings reinterpreted as the
     // aligned sections a CcsrView borrows (DESIGN.md §14).
     "crates/io/src/mmap.rs",
@@ -66,9 +64,6 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
 pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/core/src/operators/advance.rs",
     "crates/core/src/operators/blocked.rs",
-    // Byte-coded expansion: decoders are stack values over borrowed
-    // slices, so the compressed paths inherit the full contract.
-    "crates/core/src/operators/compressed.rs",
     "crates/core/src/load_balance.rs",
     "crates/core/src/scratch.rs",
     "crates/parallel/src/scan.rs",

@@ -8,7 +8,9 @@
 //! ownership table to the sub-graph, exactly the delegation the paper
 //! describes. `essentials-mp` builds its ranks from the same parts.
 
-use essentials_graph::{EdgeId, EdgeValue, EdgeWeights, GraphBase, OutNeighbors, VertexId};
+use essentials_graph::{
+    EdgeId, EdgeValue, EdgeWeights, GraphBase, OutAdjacency, OutNeighbors, OutWeights, VertexId,
+};
 
 use crate::Partitioning;
 
@@ -142,7 +144,8 @@ impl<W: EdgeValue> GraphBase for PartitionedGraph<W> {
     }
 }
 
-impl<W: EdgeValue> OutNeighbors for PartitionedGraph<W> {
+impl<W: EdgeValue> OutAdjacency for PartitionedGraph<W> {
+    type OutIter<'a> = std::iter::Copied<std::slice::Iter<'a, VertexId>>;
     fn out_degree(&self, v: VertexId) -> usize {
         let (part, i) = self.locate(v);
         part.offsets[i + 1] - part.offsets[i]
@@ -151,6 +154,13 @@ impl<W: EdgeValue> OutNeighbors for PartitionedGraph<W> {
         let (part, i) = self.locate(v);
         part.edge_base + part.offsets[i]..part.edge_base + part.offsets[i + 1]
     }
+    fn out_neighbors_from(&self, v: VertexId, skip: usize) -> Self::OutIter<'_> {
+        let row = self.out_neighbors(v);
+        row.get(skip..).unwrap_or_default().iter().copied()
+    }
+}
+
+impl<W: EdgeValue> OutNeighbors for PartitionedGraph<W> {
     fn edge_dest(&self, e: EdgeId) -> VertexId {
         let (part, off) = self.locate_edge(e);
         part.cols[off]
@@ -161,11 +171,14 @@ impl<W: EdgeValue> OutNeighbors for PartitionedGraph<W> {
     }
 }
 
-impl<W: EdgeValue> EdgeWeights<W> for PartitionedGraph<W> {
+impl<W: EdgeValue> OutWeights<W> for PartitionedGraph<W> {
     fn edge_weight(&self, e: EdgeId) -> W {
         let (part, off) = self.locate_edge(e);
         part.vals[off]
     }
+}
+
+impl<W: EdgeValue> EdgeWeights<W> for PartitionedGraph<W> {
     fn out_neighbor_weights(&self, v: VertexId) -> &[W] {
         let (part, i) = self.locate(v);
         &part.vals[part.offsets[i]..part.offsets[i + 1]]

@@ -8,7 +8,7 @@
 //! lives. This module derives that map from graph structure (or from an
 //! existing [`Partitioning`]); `essentials-parallel` consumes it.
 
-use essentials_graph::{EdgeValue, Graph, GraphBase, OutNeighbors};
+use essentials_graph::{EdgeValue, Graph, GraphBase, OutAdjacency};
 use essentials_parallel::Placement;
 
 use crate::Partitioning;

@@ -2,7 +2,9 @@
 //! partitioned graph answers exactly the same queries as the flat graph;
 //! metrics are internally consistent.
 
-use essentials_graph::{Coo, EdgeWeights, Graph, GraphBase, OutNeighbors, VertexId};
+use essentials_graph::{
+    Coo, EdgeWeights, Graph, GraphBase, OutAdjacency, OutNeighbors, OutWeights, VertexId,
+};
 use essentials_partition::{
     balance, contiguous_partition, edge_cut, multilevel_partition, random_partition,
     MultilevelConfig, PartitionedGraph, Partitioning,

@@ -307,6 +307,13 @@ impl<W: EdgeValue> Engine<W> {
         &self.graph
     }
 
+    /// The worker pool every request's parallel regions run on. Exposed so
+    /// an instrument can address the engine's workers (the allocation audit
+    /// arms per-thread counting on them); requests never need it.
+    pub fn pool(&self) -> &ThreadPool {
+        &self.pool
+    }
+
     /// The per-class service-time estimator feeding the feasibility gate.
     /// Exposed so harnesses can pre-warm predictions or inspect them; the
     /// engine feeds it automatically from every completed request.

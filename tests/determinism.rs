@@ -33,6 +33,10 @@ use essentials_algos::{bfs, hits, pagerank, sssp};
 use essentials_gen as gen;
 use std::sync::Arc;
 
+#[path = "common/reps.rs"]
+mod reps;
+use reps::Reps;
+
 const THREADS: [usize; 3] = [1, 2, 8];
 
 fn sym(coo: Coo<()>) -> Graph<()> {
@@ -53,53 +57,90 @@ fn weighted(mut coo: Coo<()>) -> Graph<f32> {
     g
 }
 
+/// The adaptive engine's direction choices depend only on frontier sizes
+/// and edge mass — both independent of thread count and of how the
+/// adjacency is stored — so its levels, and even its per-iteration
+/// direction trace, are too.
+fn assert_adaptive_bfs_is_deterministic<G>(rep: &str, g: &G, levels: &[u32])
+where
+    G: OutWeights<()> + InWeights<()> + Sync,
+{
+    let trace = bfs::bfs_adaptive(execution::par, &Context::new(1), g, 0).directions;
+    for &t in &THREADS {
+        let a = bfs::bfs_adaptive(execution::par, &Context::new(t), g, 0);
+        assert_eq!(
+            a.level, levels,
+            "adaptive levels diverged on {rep} at {t} threads"
+        );
+        assert_eq!(
+            a.directions, trace,
+            "direction trace diverged on {rep} at {t} threads"
+        );
+    }
+}
+
 #[test]
 fn bfs_levels_bit_identical_across_thread_counts() {
-    let g = sym(gen::rmat(8, 8, gen::RmatParams::default(), 11));
-    let reference = bfs::bfs(execution::seq, &Context::sequential(), &g, 0).level;
+    let reps = Reps::new(sym(gen::rmat(8, 8, gen::RmatParams::default(), 11)));
+    let g = &reps.raw;
+    let reference = bfs::bfs(execution::seq, &Context::sequential(), g, 0).level;
     for &t in &THREADS {
-        let ctx = Context::new(t);
-        let r = bfs::bfs(execution::par, &ctx, &g, 0);
+        let r = bfs::bfs(execution::par, &Context::new(t), g, 0);
         assert_eq!(r.level, reference, "levels diverged at {t} threads");
-        // The adaptive engine's direction choices depend only on frontier
-        // sizes and edge mass — both thread-count independent — so its
-        // levels (and even its per-iteration direction trace) are too.
-        let a = bfs::bfs_adaptive(execution::par, &ctx, &g, 0);
+    }
+    assert_adaptive_bfs_is_deterministic("raw", g, &reference);
+    assert_adaptive_bfs_is_deterministic("compressed", &reps.compressed, &reference);
+    assert_adaptive_bfs_is_deterministic("mmapped", &reps.mapped(), &reference);
+}
+
+/// Direction independent as well as schedule independent: whatever mix of
+/// push and pull the adaptive engine chooses, monotone relaxation lands on
+/// the same least fixpoint.
+fn assert_adaptive_sssp_is_deterministic<G>(rep: &str, g: &G, dist: &[f32])
+where
+    G: OutWeights<f32> + InWeights<f32> + Sync,
+{
+    for &t in &THREADS {
+        let a = sssp::sssp_adaptive(execution::par, &Context::new(t), g, 0);
         assert_eq!(
-            a.level, reference,
-            "adaptive levels diverged at {t} threads"
-        );
-        let a1 = bfs::bfs_adaptive(execution::par, &Context::new(1), &g, 0);
-        assert_eq!(
-            a.directions, a1.directions,
-            "direction trace diverged at {t} threads"
+            a.dist, dist,
+            "adaptive distances diverged on {rep} at {t} threads"
         );
     }
 }
 
 #[test]
 fn sssp_distances_bit_identical_across_thread_counts() {
-    let g = weighted(gen::rmat(8, 8, gen::RmatParams::default(), 11));
-    let reference = sssp::sssp(execution::seq, &Context::sequential(), &g, 0).dist;
+    let reps = Reps::new(weighted(gen::rmat(8, 8, gen::RmatParams::default(), 11)));
+    let g = &reps.raw;
+    let reference = sssp::sssp(execution::seq, &Context::sequential(), g, 0).dist;
     for &t in &THREADS {
-        let ctx = Context::new(t);
-        let r = sssp::sssp(execution::par, &ctx, &g, 0);
+        let r = sssp::sssp(execution::par, &Context::new(t), g, 0);
         // Exact f32 equality — the least fixpoint is schedule independent.
         assert_eq!(r.dist, reference, "distances diverged at {t} threads");
-        // And direction independent: whatever mix of push and pull the
-        // adaptive engine chooses, monotone relaxation lands on the same
-        // least fixpoint.
-        let a = sssp::sssp_adaptive(execution::par, &ctx, &g, 0);
-        assert_eq!(
-            a.dist, reference,
-            "adaptive distances diverged at {t} threads"
-        );
+    }
+    assert_adaptive_sssp_is_deterministic("raw", g, &reference);
+    assert_adaptive_sssp_is_deterministic("compressed", &reps.compressed, &reference);
+    assert_adaptive_sssp_is_deterministic("mmapped", &reps.mapped(), &reference);
+}
+
+/// Each vertex's gather is a sequential sum over its ascending in-neighbor
+/// stream, so neither thread count nor representation reassociates it.
+fn assert_pagerank_pull_is_deterministic<G>(rep: &str, g: &G, cfg: pagerank::PrConfig, rank: &[f64])
+where
+    G: OutAdjacency + InAdjacency + Sync,
+{
+    for &t in &THREADS {
+        let r = pagerank::pagerank_pull(execution::par, &Context::new(t), g, cfg);
+        assert_eq!(r.stats.iterations, cfg.max_iterations);
+        assert_eq!(r.rank, rank, "ranks diverged on {rep} at {t} threads");
     }
 }
 
 #[test]
 fn pagerank_pull_bit_identical_at_fixed_iteration_count() {
-    let g = sym(gen::gnm(400, 2400, 5));
+    let reps = Reps::new(sym(gen::gnm(400, 2400, 5)));
+    let g = &reps.raw;
     // Dangling mass feeds into every rank via the teleport base; an
     // all-zero dangling sum is the one f64 reduction whose value no
     // reassociation can change, so the guarantee needs this guard.
@@ -112,15 +153,15 @@ fn pagerank_pull_bit_identical_at_fixed_iteration_count() {
         tolerance: 0.0, // never trips: exactly max_iterations run
         max_iterations: 25,
     };
-    let reference = pagerank::pagerank_pull(execution::seq, &Context::sequential(), &g, cfg).rank;
+    let reference = pagerank::pagerank_pull(execution::seq, &Context::sequential(), g, cfg).rank;
+    assert_pagerank_pull_is_deterministic("raw", g, cfg, &reference);
+    assert_pagerank_pull_is_deterministic("compressed", &reps.compressed, cfg, &reference);
+    assert_pagerank_pull_is_deterministic("mmapped", &reps.mapped(), cfg, &reference);
     for &t in &THREADS {
-        let ctx = Context::new(t);
-        let r = pagerank::pagerank_pull(execution::par, &ctx, &g, cfg);
-        assert_eq!(r.stats.iterations, 25);
-        assert_eq!(r.rank, reference, "ranks diverged at {t} threads");
         // The adaptive variant's default policy gathers every iteration —
         // identical float operations in identical order.
-        let a = pagerank::pagerank_adaptive(execution::par, &ctx, &g, cfg, Default::default());
+        let ctx = Context::new(t);
+        let a = pagerank::pagerank_adaptive(execution::par, &ctx, g, cfg, Default::default());
         assert_eq!(a.rank, reference, "adaptive ranks diverged at {t} threads");
     }
 }

@@ -14,6 +14,10 @@ use essentials_mp::algorithms::{mp_bfs, mp_pagerank, mp_sssp};
 use essentials_partition::{random_partition, PartitionedGraph};
 use std::sync::atomic::{AtomicU32, Ordering};
 
+#[path = "common/reps.rs"]
+mod reps;
+use reps::Reps;
+
 const SHM_THREADS: [usize; 3] = [1, 2, 8];
 const MP_PARTITIONS: [usize; 3] = [1, 2, 8];
 
@@ -221,129 +225,108 @@ fn blocked_gather_is_exact_on_integer_payloads() {
     }
 }
 
-#[test]
-fn compressed_adjacency_agrees_bit_for_bit_with_raw() {
-    // The byte-coded adjacency is a representation change, not an
-    // algorithm change: decoders stream neighbors in the same ascending
-    // order the raw arrays store, so every fixpoint (BFS levels, SSSP
-    // distances, CC labels) and every floating-point accumulation
-    // (PageRank's gather sums) must equal the raw-CSR run bit for bit —
-    // not within tolerance — across thread counts.
+/// What the adaptive suite computes over one unweighted representation.
+#[derive(Debug, PartialEq)]
+struct AdaptiveAnswers {
+    levels: Vec<u32>,
+    directions: Vec<Direction>,
+    comp: Vec<VertexId>,
+    rank: Vec<f64>,
+}
+
+/// Adaptive BFS and CC plus fixed-iteration pull PageRank — the same generic
+/// functions whatever `G` is.
+fn adaptive_answers<G>(ctx: &Context, g: &G, pr_iterations: usize) -> AdaptiveAnswers
+where
+    G: OutWeights<()> + InWeights<()> + Sync,
+{
     let cfg = pagerank::PrConfig {
         damping: 0.85,
         tolerance: 0.0,
-        max_iterations: 30,
+        max_iterations: pr_iterations,
     };
+    let b = bfs::bfs_adaptive(execution::par, ctx, g, 0);
+    AdaptiveAnswers {
+        levels: b.level,
+        directions: b.directions,
+        comp: cc::cc_adaptive(execution::par, ctx, g).comp,
+        rank: pagerank::pagerank_pull(execution::par, ctx, g, cfg).rank,
+    }
+}
+
+fn adaptive_dist<G>(ctx: &Context, g: &G) -> Vec<f32>
+where
+    G: OutWeights<f32> + InWeights<f32> + Sync,
+{
+    sssp::sssp_adaptive(execution::par, ctx, g, 0).dist
+}
+
+#[test]
+fn every_representation_agrees_bit_for_bit_across_thread_counts() {
+    // Byte-coding the adjacency, or mapping it from the on-disk container,
+    // is a representation change, not an algorithm change: every
+    // representation streams neighbors in the same ascending order, so
+    // every fixpoint (BFS levels, SSSP distances, CC labels), every
+    // direction decision, and every floating-point accumulation (PageRank's
+    // gather sums) must equal the raw single-thread run bit for bit — not
+    // within tolerance — on raw / compressed / mmapped × 1 / 2 / 8 threads.
     for (name, coo) in topologies() {
-        let g = sym(coo.clone());
-        let gw = weighted(coo);
-        let build = Context::new(2);
-        let cg = CompressedGraph::from_graph(build.pool(), &g);
-        let cgw = CompressedGraph::from_graph(build.pool(), &gw);
+        let reps = Reps::new(sym(coo.clone()));
+        let repsw = Reps::new(weighted(coo));
+        let one = Context::new(1);
+        let reference = adaptive_answers(&one, &reps.raw, 30);
+        let reference_dist = adaptive_dist(&one, &repsw.raw);
+        assert_eq!(reference.levels, bfs::bfs_sequential(&reps.raw, 0).level);
+        assert_eq!(reference.comp, cc::cc_union_find(&reps.raw).comp);
+        let (mapped, mappedw) = (reps.mapped(), repsw.mapped());
         for &t in &SHM_THREADS {
             let ctx = Context::new(t);
-            let raw_bfs = bfs::bfs_adaptive(execution::par, &ctx, &g, 0);
-            let c_bfs = bfs::bfs_adaptive_compressed(
-                execution::par,
-                &ctx,
-                &cg,
-                0,
-                DirectionPolicy::default(),
-            );
-            assert_eq!(
-                c_bfs.level, raw_bfs.level,
-                "compressed bfs diverged on {name} at {t} threads"
-            );
-
-            let raw_sssp = sssp::sssp_adaptive(execution::par, &ctx, &gw, 0);
-            let c_sssp = sssp::sssp_adaptive_compressed(execution::par, &ctx, &cgw, 0);
-            assert_eq!(
-                c_sssp.dist, raw_sssp.dist,
-                "compressed sssp diverged on {name} at {t} threads"
-            );
-
-            let raw_cc = cc::cc_adaptive(execution::par, &ctx, &g);
-            let c_cc = cc::cc_adaptive_compressed(execution::par, &ctx, &cg);
-            assert_eq!(
-                c_cc.comp, raw_cc.comp,
-                "compressed cc diverged on {name} at {t} threads"
-            );
-
-            let raw_pr = pagerank::pagerank_pull(execution::par, &ctx, &g, cfg);
-            let c_pr = pagerank::pagerank_pull_compressed(execution::par, &ctx, &cg, cfg);
-            assert_eq!(
-                c_pr.rank, raw_pr.rank,
-                "compressed pagerank diverged on {name} at {t} threads"
-            );
+            let answers = [
+                ("raw", adaptive_answers(&ctx, &reps.raw, 30)),
+                ("compressed", adaptive_answers(&ctx, &reps.compressed, 30)),
+                ("mmapped", adaptive_answers(&ctx, &mapped, 30)),
+            ];
+            let dists = [
+                ("raw", adaptive_dist(&ctx, &repsw.raw)),
+                ("compressed", adaptive_dist(&ctx, &repsw.compressed)),
+                ("mmapped", adaptive_dist(&ctx, &mappedw)),
+            ];
+            for (rep, a) in &answers {
+                assert_eq!(a, &reference, "{rep} diverged on {name} at {t} threads");
+            }
+            for (rep, d) in &dists {
+                assert_eq!(
+                    d, &reference_dist,
+                    "{rep} sssp diverged on {name} at {t} threads"
+                );
+            }
         }
     }
 }
 
 #[test]
-fn compressed_pagerank_stays_bit_identical_past_the_parallel_sum_cutoff() {
+fn pagerank_stays_bit_identical_past_the_parallel_sum_cutoff() {
     // The scale-8 topologies above sit below the schedule's sequential
     // cutoff, so their dangling-mass and residual sums take the exact
     // sequential loop and never exercise sum_f64's parallel path. This
     // graph is large enough that the chunked path runs. The regression it
     // guards: a merge-order-dependent parallel sum shifts every rank by an
     // ulp at benchmark scale while every small-graph test stays green.
-    let g = sym(gen::rmat(12, 8, gen::RmatParams::default(), 19));
-    assert!(g.get_num_vertices() >= 4096);
+    let reps = Reps::new(sym(gen::rmat(12, 8, gen::RmatParams::default(), 19)));
+    assert!(reps.raw.get_num_vertices() >= 4096);
     let cfg = pagerank::PrConfig {
         damping: 0.85,
         tolerance: 0.0,
         max_iterations: 10,
     };
-    let build = Context::new(2);
-    let cg = CompressedGraph::from_graph(build.pool(), &g);
     let ctx = Context::new(4);
-    let raw = pagerank::pagerank_pull(execution::par, &ctx, &g, cfg);
-    let again = pagerank::pagerank_pull(execution::par, &ctx, &g, cfg);
-    assert_eq!(
-        raw.rank, again.rank,
-        "raw pull is not run-to-run deterministic"
-    );
-    let c = pagerank::pagerank_pull_compressed(execution::par, &ctx, &cg, cfg);
-    assert_eq!(c.rank, raw.rank, "compressed pull diverged past the cutoff");
-}
-
-#[test]
-fn mmap_backed_container_drives_the_same_traversals() {
-    // Out-of-core path end to end: serialize the compressed graph to the
-    // ESNC container, reopen it (memory-mapped where the platform
-    // allows), and run the adaptive traversals on the borrowed view. The
-    // answers must match the raw in-memory run exactly — the view is the
-    // same decode surface the owned structure exposes.
-    let (name, coo) = ("rmat", gen::rmat(8, 8, gen::RmatParams::default(), 11));
-    let g = sym(coo);
-    let build = Context::new(2);
-    let cg = CompressedGraph::from_graph(build.pool(), &g);
-    let bytes = essentials_io::write_compressed_binary(&cg);
-    let dir = std::env::temp_dir().join(format!("essentials-diff-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("graph.esnc");
-    std::fs::write(&path, &bytes).unwrap();
-    let container = essentials_io::CompressedContainer::<()>::open(&path).unwrap();
-    let view = container.view().unwrap();
-
-    let bfs_oracle = bfs::bfs_sequential(&g, 0).level;
-    let cc_oracle = cc::cc_union_find(&g).comp;
-    for &t in &SHM_THREADS {
-        let ctx = Context::new(t);
-        let b = bfs::bfs_adaptive_compressed(
-            execution::par,
-            &ctx,
-            &view,
-            0,
-            DirectionPolicy::default(),
-        );
-        assert_eq!(b.level, bfs_oracle, "mapped bfs diverged on {name} at {t}");
-        let c = cc::cc_adaptive_compressed(execution::par, &ctx, &view);
-        assert_eq!(c.comp, cc_oracle, "mapped cc diverged on {name} at {t}");
-    }
-    let _ = view;
-    drop(container);
-    std::fs::remove_dir_all(&dir).unwrap();
+    let raw = pagerank::pagerank_pull(execution::par, &ctx, &reps.raw, cfg).rank;
+    let again = pagerank::pagerank_pull(execution::par, &ctx, &reps.raw, cfg).rank;
+    assert_eq!(raw, again, "raw pull is not run-to-run deterministic");
+    let c = pagerank::pagerank_pull(execution::par, &ctx, &reps.compressed, cfg).rank;
+    assert_eq!(c, raw, "compressed pull diverged past the cutoff");
+    let m = pagerank::pagerank_pull(execution::par, &ctx, &reps.mapped(), cfg).rank;
+    assert_eq!(m, raw, "mmapped pull diverged past the cutoff");
 }
 
 #[test]

@@ -11,11 +11,11 @@
 //! goes through the *real* `catch_unwind` capture path — these tests
 //! exercise production recovery code, not a parallel test-only path.
 //!
-//! This file is its own test binary with a counting `#[global_allocator]`
-//! so the post-recovery allocation audit is not polluted by other tests.
+//! The post-recovery allocation audit counts through
+//! `common/counting_alloc.rs`, scoped to the measuring thread and its pool,
+//! so the sibling tests of this binary do not pollute it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -23,51 +23,12 @@ use essentials::prelude::*;
 use essentials_algos::{bfs, pagerank, sssp};
 use essentials_gen as gen;
 
-struct CountingAlloc;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+#[path = "common/reps.rs"]
+mod reps;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: defers every allocator duty to `System` verbatim; the only
-// addition is a Relaxed counter bump, which cannot violate GlobalAlloc's
-// contract.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: `System` upholds the layout contract; counting is side-effect-free.
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: forwarding the caller's layout unchanged to System.
-        unsafe { System.alloc(l) }
-    }
-
-    // SAFETY: `System` upholds the layout contract; counting is side-effect-free.
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: forwarding the caller's pointer and layouts unchanged.
-        unsafe { System.realloc(p, l, new_size) }
-    }
-
-    // SAFETY: `System` upholds the layout contract.
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        // SAFETY: forwarding the caller's pointer and layout unchanged.
-        unsafe { System.dealloc(p, l) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Runs `iteration` once with allocation counting on; returns the count.
-fn count_allocs(iteration: impl FnOnce()) -> usize {
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    iteration();
-    COUNTING.store(false, Ordering::Relaxed);
-    ALLOCS.load(Ordering::Relaxed)
-}
+use counting_alloc::count_allocs;
 
 /// Silences the default panic hook for *injected* panics only, so the test
 /// log is not flooded by the fault plan doing its job. Installed once per
@@ -135,6 +96,97 @@ fn worker_panic_mid_advance_is_isolated_and_the_context_recovers() {
     let r = bfs::bfs(execution::par, &ctx, &g, 0);
     assert_eq!(r.level, oracle, "post-panic run diverged from the oracle");
     assert!(bfs::verify_bfs(&g, 0, &r.level));
+}
+
+/// The three ways an advance can fail — a budget stop, an injected
+/// `(iteration, chunk)` fault, a panicking condition — each surface as the
+/// matching typed error from `try_neighbors_expand_unique`, leave the dedup
+/// bitmap clear, and leave the context able to re-run BFS bit for bit. One
+/// body for every representation: the push expansion is one generic path,
+/// so chunk hooks and panic capture apply to compressed input too.
+fn advance_faults_are_typed_and_recoverable<G>(rep: &str, g: &G, oracle: &[u32])
+where
+    G: OutWeights<()> + InWeights<()> + Sync,
+{
+    let n = g.num_vertices();
+    let all: SparseFrontier = (0..n as VertexId).collect();
+    let mut reachable: Vec<VertexId> = (0..n as VertexId)
+        .flat_map(|v| g.out_neighbors_from(v, 0))
+        .collect();
+    reachable.sort_unstable();
+    reachable.dedup();
+    // Threads = 1 takes the hook-checked serial chunk loop, 4 the
+    // edge-balanced parallel one.
+    for threads in [1, 4] {
+        let ctx = Context::new(threads);
+        let expand = |ctx: &Context, poison: Option<VertexId>| {
+            try_neighbors_expand_unique(execution::par, ctx, g, &all, |_s, d, _e, _w| {
+                assert!(
+                    Some(d) != poison,
+                    "injected fault: condition poisoned at {d}"
+                );
+                true
+            })
+        };
+        let at = format!("on {rep} at {threads} threads");
+
+        let token = CancelToken::new();
+        token.cancel();
+        let stopped = ctx
+            .clone()
+            .with_budget(RunBudget::unlimited().with_cancel(token));
+        let injected = ctx
+            .clone()
+            .with_fault_plan(Arc::new(FaultPlan::new().panic_at(0, 0)));
+        let poisoned = reachable[reachable.len() / 2];
+        let is_cancel = |e: &ExecError| matches!(e, ExecError::Budget { reason, .. } if *reason == BudgetReason::Cancelled);
+        let is_injected_panic = |e: &ExecError| matches!(e, ExecError::WorkerPanic { payload, .. } if payload.contains("injected fault"));
+        type Fault<'a> = (
+            &'a str,
+            &'a dyn Fn() -> Result<SparseFrontier, ExecError>,
+            &'a dyn Fn(&ExecError) -> bool,
+        );
+        let faults: [Fault<'_>; 3] = [
+            ("budget stop", &|| expand(&stopped, None), &is_cancel),
+            (
+                "injected fault",
+                &|| expand(&injected, None),
+                &is_injected_panic,
+            ),
+            (
+                "panicking condition",
+                &|| expand(&ctx, Some(poisoned)),
+                &is_injected_panic,
+            ),
+        ];
+        for (fault, run, is_expected) in faults {
+            let err = run().expect_err("the fault must surface as an error");
+            assert!(is_expected(&err), "{fault} {at}: got {err:?}");
+            // A leaked dedup bit would swallow its vertex here.
+            let mut out = expand(&ctx, None).unwrap().into_vec();
+            out.sort_unstable();
+            assert_eq!(out, reachable, "dedup bitmap dirty after {fault} {at}");
+            let r = bfs::bfs_adaptive(execution::par, &ctx, g, 0);
+            assert_eq!(r.level, oracle, "post-{fault} BFS diverged {at}");
+        }
+    }
+}
+
+#[test]
+fn advance_fault_semantics_hold_on_every_representation() {
+    quiet_injected_panics();
+    let reps = reps::Reps::new(
+        GraphBuilder::from_coo(gen::rmat(10, 8, gen::RmatParams::default(), 14))
+            .remove_self_loops()
+            .symmetrize()
+            .deduplicate()
+            .with_csc()
+            .build(),
+    );
+    let oracle = bfs::bfs_sequential(&reps.raw, 0).level;
+    advance_faults_are_typed_and_recoverable("raw", &reps.raw, &oracle);
+    advance_faults_are_typed_and_recoverable("compressed", &reps.compressed, &oracle);
+    advance_faults_are_typed_and_recoverable("mmapped", &reps.mapped(), &oracle);
 }
 
 // ---- fault class 2: cancellation mid-iteration --------------------------
@@ -292,7 +344,7 @@ fn recovered_context_keeps_the_zero_allocation_steady_state() {
 
     // The error path must have returned every pooled buffer: the very next
     // steady-state iteration allocates nothing.
-    let allocs = count_allocs(iteration);
+    let allocs = count_allocs(ctx.pool(), iteration);
     assert_eq!(
         allocs, 0,
         "steady-state advance hit the allocator {allocs} times after a recovered panic"

@@ -1,143 +1,81 @@
 //! Steady-state allocation audit for the frontier pipeline.
 //!
 //! After warm-up (scratch buffers grown, frontier pool primed), one full
-//! BFS-style advance iteration — degree scan, edge-balanced expansion,
-//! lock-free collection, output assembly, frontier recycling — must touch
-//! the allocator **zero** times. Same for the fused-dedup SSSP-style
-//! iteration. Verified with a counting `#[global_allocator]`; this file is
-//! its own test binary so no other test's allocations pollute the count.
+//! advance iteration — degree scan, edge-balanced expansion, lock-free
+//! collection, output assembly, frontier recycling — must touch the
+//! allocator **zero** times, in every direction (sparse push, fused-dedup
+//! push, dense push, masked / predicate / blocked pull) and over every
+//! representation (raw CSR, byte-coded compressed, mmapped container): the
+//! same generic audit runs on each.
+//!
+//! The count comes from `common/counting_alloc.rs`, which charges a
+//! measurement only with the allocations of its own thread and of the pool
+//! it names. libtest runs the tests below on parallel threads and allocates
+//! on its own main thread between them; none of that reaches a count
+//! (`a_concurrently_allocating_sibling_does_not_move_the_count` pins it).
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use essentials::prelude::*;
 use essentials_gen as gen;
 use essentials_parallel::atomics::AtomicF32;
 
-struct CountingAlloc;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+#[path = "common/reps.rs"]
+mod reps;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+use counting_alloc::count_allocs;
+use reps::Reps;
 
-// SAFETY: defers every allocator duty to `System` verbatim; the only
-// addition is a Relaxed counter bump, which cannot violate GlobalAlloc's
-// contract.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: `System` upholds the layout contract; counting is side-effect-free.
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: forwarding the caller's layout unchanged to System.
-        unsafe { System.alloc(l) }
-    }
+const THREADS: [usize; 3] = [1, 2, 8];
 
-    // SAFETY: `System` upholds the layout contract; counting is side-effect-free.
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: forwarding the caller's pointer and layouts unchanged.
-        unsafe { System.realloc(p, l, new_size) }
-    }
-
-    // SAFETY: `System` upholds the layout contract.
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        // SAFETY: forwarding the caller's pointer and layout unchanged.
-        unsafe { System.dealloc(p, l) }
-    }
+/// Power-law graph big enough that every parallel path (scan, chunked edge
+/// balancing, per-worker buffers) actually engages, in all representations.
+fn rmat_reps() -> Reps<()> {
+    Reps::new(Graph::from_coo(&gen::rmat(12, 8, gen::RmatParams::default(), 7)).with_csc())
 }
 
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Runs `iteration` once with allocation counting on; returns the count.
-///
-/// Relaxed is enough here: the counter is only read from this thread, and
-/// the pool's region barriers (worker join points inside `iteration`) give
-/// the happens-before edge for any worker-side increments.
-fn count_allocs(iteration: impl FnOnce()) -> usize {
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    iteration();
-    COUNTING.store(false, Ordering::Relaxed);
-    ALLOCS.load(Ordering::Relaxed)
+/// Calls `audit(representation, threads, graph, ctx)` — one generic body —
+/// for raw / compressed / mmapped × 1 / 2 / 8 threads. `ctx_for` builds the
+/// context under audit.
+macro_rules! for_each_rep_and_thread_count {
+    ($reps:expr, $ctx_for:expr, $audit:ident) => {{
+        let reps = $reps;
+        let mapped = reps.mapped();
+        for t in THREADS {
+            $audit("raw", t, &reps.raw, &$ctx_for(t));
+            $audit("compressed", t, &reps.compressed, &$ctx_for(t));
+            $audit("mmapped", t, &mapped, &$ctx_for(t));
+        }
+    }};
 }
 
-#[test]
-fn steady_state_advance_iterations_do_not_allocate() {
-    // Power-law graph big enough that every parallel path (scan, chunked
-    // edge balancing, per-worker buffers) actually engages.
-    let g: Graph<()> = Graph::from_coo(&gen::rmat(12, 8, gen::RmatParams::default(), 7));
+/// Warms `iteration` up, then asserts one more run allocates nothing.
+fn assert_warm_iteration_is_alloc_free(ctx: &Context, what: &str, mut iteration: impl FnMut()) {
+    // Warm-up: grows the scan buffers, the per-worker buffers, the dedup
+    // bitmap, and primes the frontier / bitmap pools.
+    for _ in 0..3 {
+        iteration();
+    }
+    let allocs = count_allocs(ctx.pool(), &mut iteration);
+    assert_eq!(
+        allocs, 0,
+        "steady-state {what} hit the allocator {allocs} times"
+    );
+}
+
+/// Every member of the advance family, one warm iteration each.
+fn audit_advance_family<G>(rep: &str, threads: usize, g: &G, ctx: &Context)
+where
+    G: OutWeights<()> + InWeights<()> + Sync,
+{
     let n = g.num_vertices();
-    let ctx = Context::new(4);
     let frontier: SparseFrontier = (0..n as VertexId).step_by(2).collect();
     let levels: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
     let dist: Vec<AtomicF32> = (0..n).map(|_| AtomicF32::new(f32::INFINITY)).collect();
-
-    // One BFS-style advance: claim-by-CAS condition, expand, recycle the
-    // output. Levels are reset (plain stores, no allocation) so every run
-    // does identical work.
-    let bfs_iteration = || {
-        for l in &levels {
-            l.store(u32::MAX, Ordering::Relaxed);
-        }
-        let out = neighbors_expand(execution::par, &ctx, &g, &frontier, |_s, d, _e, _w| {
-            levels[d as usize]
-                .compare_exchange(u32::MAX, 1, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        });
-        ctx.recycle_frontier(out);
-    };
-
-    // One SSSP-style advance: atomic-min relaxation with fused dedup.
-    let sssp_iteration = || {
-        for d in &dist {
-            d.store(f32::INFINITY, Ordering::Relaxed);
-        }
-        let out = neighbors_expand_unique(execution::par, &ctx, &g, &frontier, |s, d, _e, _w| {
-            let nd = s as f32;
-            dist[d as usize].fetch_min(nd, Ordering::AcqRel) > nd
-        });
-        ctx.recycle_frontier(out);
-    };
-
-    // Warm-up: grows the scan buffers, the per-worker buffers, the dedup
-    // bitmap, and primes the frontier pool with a large-enough vector.
-    for _ in 0..3 {
-        bfs_iteration();
-        sssp_iteration();
-    }
-
-    let bfs_allocs = count_allocs(bfs_iteration);
-    assert_eq!(
-        bfs_allocs, 0,
-        "steady-state BFS advance iteration hit the allocator {bfs_allocs} times"
-    );
-
-    let sssp_allocs = count_allocs(sssp_iteration);
-    assert_eq!(
-        sssp_allocs, 0,
-        "steady-state fused-dedup advance iteration hit the allocator {sssp_allocs} times"
-    );
-}
-
-#[test]
-fn steady_state_dense_and_pull_iterations_do_not_allocate() {
-    // The dense side of the contract: dense-push outputs and pull outputs
-    // recycle through the context's bitmap pool, the masked pull decodes a
-    // persistent unvisited bitmap word-at-a-time, and after warm-up none of
-    // it touches the allocator. NullSink attached throughout — the
-    // observability layer must not break the guarantee on these paths
-    // either.
-    let g: Graph<()> = Graph::from_coo(&gen::rmat(12, 8, gen::RmatParams::default(), 7)).with_csc();
-    let n = g.num_vertices();
-    let ctx = Context::new(4).with_obs(Arc::new(NullSink) as Arc<dyn ObsSink>);
-    let frontier: SparseFrontier = (0..n as VertexId).step_by(2).collect();
-    let levels: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
-
     // Persistent pull-side state, as an adaptive loop would hold it: the
     // dense input frontier and the unvisited-candidates mask.
     let dense_in = DenseFrontier::new(n);
@@ -146,162 +84,109 @@ fn steady_state_dense_and_pull_iterations_do_not_allocate() {
     }
     let mask = DenseFrontier::new(n);
 
-    // One dense-push advance: same CAS condition, bitmap output, recycled.
-    let dense_push_iteration = || {
+    // Levels are reset (plain stores, no allocation) so every run does
+    // identical work; the condition is BFS's claim-by-CAS.
+    let reset = || {
         for l in &levels {
             l.store(u32::MAX, Ordering::Relaxed);
         }
-        let out = expand_push_dense(execution::par, &ctx, &g, &frontier, |_s, d, _e, _w| {
-            levels[d as usize]
-                .compare_exchange(u32::MAX, 1, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        });
-        ctx.recycle_dense_frontier(out);
+    };
+    let claim = |d: VertexId| {
+        levels[d as usize]
+            .compare_exchange(u32::MAX, 1, Ordering::AcqRel, Ordering::Relaxed)
+            .is_ok()
+    };
+    let audit = |op: &str, iteration: &mut dyn FnMut()| {
+        assert_warm_iteration_is_alloc_free(
+            ctx,
+            &format!("{op} on {rep} at {threads} threads"),
+            iteration,
+        )
     };
 
-    // One masked pull advance: word-parallel scan of the mask, bitmap
-    // output recycled; mask maintenance (set_all + and_not) is word stores.
-    let pull_iteration = || {
-        for l in &levels {
-            l.store(u32::MAX, Ordering::Relaxed);
+    audit("sparse push", &mut || {
+        reset();
+        let out = neighbors_expand(execution::par, ctx, g, &frontier, |_s, d, _e, _w| claim(d));
+        ctx.recycle_frontier(out);
+    });
+    // SSSP-style: atomic-min relaxation with fused dedup.
+    audit("fused-dedup push", &mut || {
+        for d in &dist {
+            d.store(f32::INFINITY, Ordering::Relaxed);
         }
+        let out = neighbors_expand_unique(execution::par, ctx, g, &frontier, |s, d, _e, _w| {
+            let nd = s as f32;
+            dist[d as usize].fetch_min(nd, Ordering::AcqRel) > nd
+        });
+        ctx.recycle_frontier(out);
+    });
+    // Bitmap output, recycled through the context's dense pool.
+    audit("dense push", &mut || {
+        reset();
+        let out = expand_push_dense(execution::par, ctx, g, &frontier, |_s, d, _e, _w| claim(d));
+        ctx.recycle_dense_frontier(out);
+    });
+    // Word-parallel scan of the mask; mask maintenance (set_all + and_not)
+    // is word stores.
+    audit("masked pull", &mut || {
+        reset();
         mask.set_all();
         let (out, _scanned) = expand_pull_masked(
             execution::par,
-            &ctx,
-            &g,
+            ctx,
+            g,
             &dense_in,
             &mask,
             PullConfig { early_exit: true },
-            |_s, d, _w| {
-                levels[d as usize]
-                    .compare_exchange(u32::MAX, 1, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-            },
+            |_s, d, _w| claim(d),
         );
         mask.and_not(&out);
         ctx.recycle_dense_frontier(out);
-    };
-
-    // One unmasked pull advance (the predicate-candidate form).
-    let pull_counted_iteration = || {
-        for l in &levels {
-            l.store(u32::MAX, Ordering::Relaxed);
-        }
+    });
+    audit("predicate pull", &mut || {
+        reset();
         let (out, _scanned) = expand_pull_counted(
             execution::par,
-            &ctx,
-            &g,
+            ctx,
+            g,
             &dense_in,
             PullConfig { early_exit: true },
             |d| levels[d as usize].load(Ordering::Acquire) == u32::MAX,
-            |_s, d, _w| {
-                levels[d as usize]
-                    .compare_exchange(u32::MAX, 1, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-            },
+            |_s, d, _w| claim(d),
         );
         ctx.recycle_dense_frontier(out);
-    };
-
-    for _ in 0..3 {
-        dense_push_iteration();
-        pull_iteration();
-        pull_counted_iteration();
-    }
-
-    let dense_allocs = count_allocs(dense_push_iteration);
-    assert_eq!(
-        dense_allocs, 0,
-        "steady-state dense-push iteration hit the allocator {dense_allocs} times"
-    );
-    let pull_allocs = count_allocs(pull_iteration);
-    assert_eq!(
-        pull_allocs, 0,
-        "steady-state masked pull iteration hit the allocator {pull_allocs} times"
-    );
-    let pull_counted_allocs = count_allocs(pull_counted_iteration);
-    assert_eq!(
-        pull_counted_allocs, 0,
-        "steady-state pull iteration hit the allocator {pull_counted_allocs} times"
-    );
+    });
+    audit("blocked pull", &mut || {
+        reset();
+        mask.set_all();
+        let (out, _scanned) = expand_blocked_pull(
+            execution::par,
+            ctx,
+            g,
+            &dense_in,
+            &mask,
+            PullConfig { early_exit: true },
+            BlockedConfig::default(),
+            |_s, d, _w| claim(d),
+        );
+        mask.and_not(&out);
+        ctx.recycle_dense_frontier(out);
+    });
 }
 
 #[test]
-fn steady_state_pagerank_pull_and_blocked_gather_do_not_allocate() {
-    // The rank-vector side of the contract: a pull PageRank iteration is a
-    // full-vector gather (`fill_indexed_into` into a pooled double-buffer)
-    // plus a swap, and the propagation-blocked variant streams a fixed
-    // destination-binned layout built once up front. After warm-up, neither
-    // iteration body may touch the allocator.
-    let g: Graph<()> = Graph::from_coo(&gen::rmat(12, 8, gen::RmatParams::default(), 7)).with_csc();
-    let n = g.num_vertices();
-    let ctx = Context::new(4).with_obs(Arc::new(NullSink) as Arc<dyn ObsSink>);
-    let damping = 0.85;
-    let base = (1.0 - damping) / n as f64;
+fn steady_state_advance_iterations_do_not_allocate() {
+    for_each_rep_and_thread_count!(rmat_reps(), Context::new, audit_advance_family);
+}
 
-    // Persistent per-run state, as `pagerank_pull` holds it: the reciprocal
-    // out-degree vector and the two rank buffers that swap each iteration.
-    let mut inv = vec![0.0f64; n];
-    fill_indexed_into(execution::par, &ctx, &mut inv, |v| {
-        let d = g.out_degree(v as VertexId);
-        if d == 0 {
-            0.0
-        } else {
-            (d as f64).recip()
-        }
-    });
-    let mut rank = vec![1.0 / n as f64; n];
-    let mut next = vec![0.0f64; n];
-
-    // One naive pull iteration: indexed gather over in-neighbors, swap.
-    let inv_ref = &inv;
-    let g_ref = &g;
-    let ctx_ref = &ctx;
-    let pull_pr_iteration = |r: &mut Vec<f64>, next: &mut Vec<f64>| {
-        let r_now = &*r;
-        fill_indexed_into(execution::par, ctx_ref, next, |v| {
-            let sum: f64 = g_ref
-                .in_neighbors(v as VertexId)
-                .iter()
-                .map(|&u| r_now[u as usize] * inv_ref[u as usize])
-                .sum();
-            base + damping * sum
-        });
-        std::mem::swap(r, next);
-    };
-
-    // One blocked iteration: value fill + per-bin flush over the layout.
-    let mut gatherer =
-        BlockedGather::over_out_edges(execution::par, &ctx, &g, BlockedConfig::default());
-    let mut blocked_pr_iteration = |r: &mut Vec<f64>, next: &mut Vec<f64>| {
-        let r_now = &*r;
-        gatherer.gather(
-            execution::par,
-            ctx_ref,
-            |u| r_now[u] * inv_ref[u],
-            |_, acc| base + damping * acc,
-            next,
-        );
-        std::mem::swap(r, next);
-    };
-
-    for _ in 0..3 {
-        pull_pr_iteration(&mut rank, &mut next);
-        blocked_pr_iteration(&mut rank, &mut next);
-    }
-
-    let pr_allocs = count_allocs(|| pull_pr_iteration(&mut rank, &mut next));
-    assert_eq!(
-        pr_allocs, 0,
-        "steady-state pull PageRank iteration hit the allocator {pr_allocs} times"
-    );
-    let blocked_allocs = count_allocs(|| blocked_pr_iteration(&mut rank, &mut next));
-    assert_eq!(
-        blocked_allocs, 0,
-        "steady-state blocked gather iteration hit the allocator {blocked_allocs} times"
-    );
-    gatherer.finish(&ctx);
+#[test]
+fn null_sink_preserves_the_zero_allocation_guarantee() {
+    // The observability layer's overhead contract: with a NullSink attached
+    // (wants_op_detail == false) the operators must skip every piece of
+    // detail bookkeeping — admission counters, per-worker tallies, degree
+    // sums, event buffers — and the steady state stays allocation-free.
+    let observed = |t| Context::new(t).with_obs(Arc::new(NullSink) as Arc<dyn ObsSink>);
+    for_each_rep_and_thread_count!(rmat_reps(), observed, audit_advance_family);
 }
 
 #[test]
@@ -311,62 +196,39 @@ fn budget_checks_preserve_the_zero_allocation_guarantee() {
     // operators route through the hooked chunk loops, and those checks are
     // a branch plus a relaxed load each: the steady state must stay
     // allocation-free.
-    let g: Graph<()> = Graph::from_coo(&gen::rmat(12, 8, gen::RmatParams::default(), 7));
-    let n = g.num_vertices();
-    let budget = RunBudget::unlimited()
-        .with_cancel(CancelToken::new())
-        .with_timeout(Duration::from_secs(3600))
-        .with_max_iterations(1_000_000);
-    let ctx = Context::new(4).with_budget(budget);
-    let frontier: SparseFrontier = (0..n as VertexId).step_by(2).collect();
-    let levels: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
-
-    let iteration = || {
-        for l in &levels {
-            l.store(u32::MAX, Ordering::Relaxed);
-        }
-        let out = neighbors_expand(execution::par, &ctx, &g, &frontier, |_s, d, _e, _w| {
-            levels[d as usize]
-                .compare_exchange(u32::MAX, 1, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        });
-        ctx.recycle_frontier(out);
+    let budgeted = |t| {
+        Context::new(t).with_budget(
+            RunBudget::unlimited()
+                .with_cancel(CancelToken::new())
+                .with_timeout(Duration::from_secs(3600))
+                .with_max_iterations(1_000_000),
+        )
     };
-
-    for _ in 0..3 {
-        iteration();
-    }
-
-    let allocs = count_allocs(iteration);
-    assert_eq!(
-        allocs, 0,
-        "budget-checked advance iteration hit the allocator {allocs} times"
-    );
+    for_each_rep_and_thread_count!(rmat_reps(), budgeted, audit_advance_family);
 }
 
-#[test]
-fn cancelled_then_reused_context_stays_allocation_free() {
-    // A cancellation mid-run must hand every pooled buffer back: after the
-    // typed error, steady-state iterations on the shared context still
-    // allocate nothing.
-    let g: Graph<()> = Graph::from_coo(&gen::rmat(12, 8, gen::RmatParams::default(), 7));
+/// A cancellation mid-run must hand every pooled buffer back: after the
+/// typed error, steady-state iterations on the shared context still
+/// allocate nothing.
+fn audit_reuse_after_cancellation<G>(rep: &str, threads: usize, g: &G, ctx: &Context)
+where
+    G: OutWeights<()> + InWeights<()> + Sync,
+{
     let n = g.num_vertices();
-    let ctx = Context::new(4);
     let frontier: SparseFrontier = (0..n as VertexId).step_by(2).collect();
     let levels: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
-
+    let claim = |d: VertexId| {
+        levels[d as usize]
+            .compare_exchange(u32::MAX, 1, Ordering::AcqRel, Ordering::Relaxed)
+            .is_ok()
+    };
     let iteration = || {
         for l in &levels {
             l.store(u32::MAX, Ordering::Relaxed);
         }
-        let out = neighbors_expand(execution::par, &ctx, &g, &frontier, |_s, d, _e, _w| {
-            levels[d as usize]
-                .compare_exchange(u32::MAX, 1, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        });
+        let out = neighbors_expand(execution::par, ctx, g, &frontier, |_s, d, _e, _w| claim(d));
         ctx.recycle_frontier(out);
     };
-
     for _ in 0..3 {
         iteration();
     }
@@ -377,80 +239,95 @@ fn cancelled_then_reused_context_stays_allocation_free() {
     let cancelled = ctx
         .clone()
         .with_budget(RunBudget::unlimited().with_cancel(token));
-    let err = try_neighbors_expand(
-        execution::par,
-        &cancelled,
-        &g,
-        &frontier,
-        |_s, d, _e, _w| {
-            levels[d as usize]
-                .compare_exchange(u32::MAX, 1, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        },
-    )
+    let err = try_neighbors_expand(execution::par, &cancelled, g, &frontier, |_s, d, _e, _w| {
+        claim(d)
+    })
     .unwrap_err();
     assert!(
         matches!(err, ExecError::Budget { .. }),
-        "expected Budget error, got {err:?}"
+        "expected Budget error on {rep} at {threads} threads, got {err:?}"
     );
 
-    let allocs = count_allocs(iteration);
+    let allocs = count_allocs(ctx.pool(), iteration);
     assert_eq!(
         allocs, 0,
-        "steady-state advance hit the allocator {allocs} times after a cancelled run"
+        "advance on {rep} at {threads} threads hit the allocator {allocs} times after a cancelled run"
     );
 }
 
 #[test]
-fn null_sink_preserves_the_zero_allocation_guarantee() {
-    // The observability layer's overhead contract: with a NullSink attached
-    // (wants_op_detail == false) the operators must skip every piece of
-    // detail bookkeeping — admission counters, per-worker tallies, degree
-    // sums, event buffers — and the steady state stays allocation-free.
+fn cancelled_then_reused_context_stays_allocation_free() {
+    for_each_rep_and_thread_count!(rmat_reps(), Context::new, audit_reuse_after_cancellation);
+}
+
+/// One naive pull PageRank iteration: indexed gather over the in-neighbor
+/// stream into a double buffer, then a swap — as `pagerank_pull` runs it.
+fn audit_pagerank_pull_iteration<G>(rep: &str, threads: usize, g: &G, ctx: &Context)
+where
+    G: OutAdjacency + InAdjacency + Sync,
+{
+    let n = g.num_vertices();
+    let damping = 0.85;
+    let base = (1.0 - damping) / n as f64;
+    // Persistent per-run state: the reciprocal out-degree vector and the
+    // two rank buffers that swap each iteration.
+    let mut inv = vec![0.0f64; n];
+    fill_indexed_into(execution::par, ctx, &mut inv, |v| {
+        let d = g.out_degree(v as VertexId);
+        if d == 0 {
+            0.0
+        } else {
+            (d as f64).recip()
+        }
+    });
+    let mut rank = vec![1.0 / n as f64; n];
+    let mut next = vec![0.0f64; n];
+    let what = format!("pull PageRank iteration on {rep} at {threads} threads");
+    assert_warm_iteration_is_alloc_free(ctx, &what, || {
+        let (r_now, inv) = (&rank, &inv);
+        fill_indexed_into(execution::par, ctx, &mut next, |v| {
+            let sum: f64 = g
+                .in_neighbors_from(v as VertexId, 0)
+                .map(|u| r_now[u as usize] * inv[u as usize])
+                .sum();
+            base + damping * sum
+        });
+        std::mem::swap(&mut rank, &mut next);
+    });
+}
+
+#[test]
+fn steady_state_pagerank_pull_and_blocked_gather_do_not_allocate() {
+    // The rank-vector side of the contract, NullSink attached throughout.
+    let observed = |t| Context::new(t).with_obs(Arc::new(NullSink) as Arc<dyn ObsSink>);
+    for_each_rep_and_thread_count!(rmat_reps(), observed, audit_pagerank_pull_iteration);
+
+    // The propagation-blocked variant streams a fixed destination-binned
+    // layout built once up front (from raw out-slices); its iteration body
+    // — value fill + per-bin flush — may not touch the allocator either.
     let g: Graph<()> = Graph::from_coo(&gen::rmat(12, 8, gen::RmatParams::default(), 7));
     let n = g.num_vertices();
-    let ctx = Context::new(4).with_obs(Arc::new(NullSink) as Arc<dyn ObsSink>);
-    let frontier: SparseFrontier = (0..n as VertexId).step_by(2).collect();
-    let levels: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
-    let dist: Vec<AtomicF32> = (0..n).map(|_| AtomicF32::new(f32::INFINITY)).collect();
-
-    let bfs_iteration = || {
-        for l in &levels {
-            l.store(u32::MAX, Ordering::Relaxed);
-        }
-        let out = neighbors_expand(execution::par, &ctx, &g, &frontier, |_s, d, _e, _w| {
-            levels[d as usize]
-                .compare_exchange(u32::MAX, 1, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        });
-        ctx.recycle_frontier(out);
-    };
-    let sssp_iteration = || {
-        for d in &dist {
-            d.store(f32::INFINITY, Ordering::Relaxed);
-        }
-        let out = neighbors_expand_unique(execution::par, &ctx, &g, &frontier, |s, d, _e, _w| {
-            let nd = s as f32;
-            dist[d as usize].fetch_min(nd, Ordering::AcqRel) > nd
-        });
-        ctx.recycle_frontier(out);
-    };
-
-    for _ in 0..3 {
-        bfs_iteration();
-        sssp_iteration();
-    }
-
-    let bfs_allocs = count_allocs(bfs_iteration);
-    assert_eq!(
-        bfs_allocs, 0,
-        "NullSink-observed BFS advance iteration hit the allocator {bfs_allocs} times"
-    );
-    let sssp_allocs = count_allocs(sssp_iteration);
-    assert_eq!(
-        sssp_allocs, 0,
-        "NullSink-observed fused-dedup iteration hit the allocator {sssp_allocs} times"
-    );
+    let ctx = observed(4);
+    let (damping, base) = (0.85, 0.15 / n as f64);
+    let inv: Vec<f64> = (0..n as VertexId)
+        .map(|v| (g.out_degree(v).max(1) as f64).recip())
+        .collect();
+    let mut rank = vec![1.0 / n as f64; n];
+    let mut next = vec![0.0f64; n];
+    let mut gatherer =
+        BlockedGather::over_out_edges(execution::par, &ctx, &g, BlockedConfig::default());
+    assert_warm_iteration_is_alloc_free(&ctx, "blocked gather iteration", || {
+        let (r_now, inv) = (&rank, &inv);
+        gatherer.gather(
+            execution::par,
+            &ctx,
+            |u| r_now[u] * inv[u],
+            |_, acc| base + damping * acc,
+            &mut next,
+        );
+        std::mem::swap(&mut rank, &mut next);
+    });
+    gatherer.finish(&ctx);
 }
 
 #[test]
@@ -526,121 +403,10 @@ fn steady_state_delta_stepping_rounds_do_not_allocate() {
         round();
     }
 
-    let allocs = count_allocs(&mut round);
+    let allocs = count_allocs(ctx.pool(), &mut round);
     assert_eq!(
         allocs, 0,
         "steady-state Δ-stepping round hit the allocator {allocs} times"
-    );
-}
-
-#[test]
-fn steady_state_compressed_decode_iterations_do_not_allocate() {
-    // The compressed-adjacency side of the contract: decoders are stack
-    // values over borrowed byte slices, so the byte-coded expansion paths —
-    // sparse push with fused dedup, dense push, masked pull, blocked pull —
-    // must meet exactly the same steady-state guarantee as their raw
-    // CSR twins.
-    let raw: Graph<()> =
-        Graph::from_coo(&gen::rmat(12, 8, gen::RmatParams::default(), 7)).with_csc();
-    let n = raw.num_vertices();
-    let ctx = Context::new(4).with_obs(Arc::new(NullSink) as Arc<dyn ObsSink>);
-    let g = CompressedGraph::from_graph(ctx.pool(), &raw);
-    let frontier: SparseFrontier = (0..n as VertexId).step_by(2).collect();
-    let levels: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
-    let dense_in = DenseFrontier::new(n);
-    for v in (0..n as VertexId).step_by(2) {
-        dense_in.insert(v);
-    }
-    let mask = DenseFrontier::new(n);
-
-    let reset = || {
-        for l in &levels {
-            l.store(u32::MAX, Ordering::Relaxed);
-        }
-    };
-    let claim = |d: VertexId| {
-        levels[d as usize]
-            .compare_exchange(u32::MAX, 1, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-    };
-
-    let push_iteration = || {
-        reset();
-        let out = neighbors_expand_unique_compressed(
-            execution::par,
-            &ctx,
-            &g,
-            &frontier,
-            |_s, d, _e, _w| claim(d),
-        );
-        ctx.recycle_frontier(out);
-    };
-    let dense_push_iteration = || {
-        reset();
-        let out =
-            expand_push_dense_compressed(execution::par, &ctx, &g, &frontier, |_s, d, _e, _w| {
-                claim(d)
-            });
-        ctx.recycle_dense_frontier(out);
-    };
-    let pull_iteration = || {
-        reset();
-        mask.set_all();
-        let (out, _scanned) = expand_pull_masked_compressed(
-            execution::par,
-            &ctx,
-            &g,
-            &dense_in,
-            &mask,
-            PullConfig { early_exit: true },
-            |_s, d, _w| claim(d),
-        );
-        mask.and_not(&out);
-        ctx.recycle_dense_frontier(out);
-    };
-    let blocked_pull_iteration = || {
-        reset();
-        mask.set_all();
-        let (out, _scanned) = expand_blocked_pull_compressed(
-            execution::par,
-            &ctx,
-            &g,
-            &dense_in,
-            &mask,
-            PullConfig { early_exit: true },
-            BlockedConfig::default(),
-            |_s, d, _w| claim(d),
-        );
-        mask.and_not(&out);
-        ctx.recycle_dense_frontier(out);
-    };
-
-    for _ in 0..3 {
-        push_iteration();
-        dense_push_iteration();
-        pull_iteration();
-        blocked_pull_iteration();
-    }
-
-    let push_allocs = count_allocs(push_iteration);
-    assert_eq!(
-        push_allocs, 0,
-        "steady-state compressed push iteration hit the allocator {push_allocs} times"
-    );
-    let dense_allocs = count_allocs(dense_push_iteration);
-    assert_eq!(
-        dense_allocs, 0,
-        "steady-state compressed dense-push iteration hit the allocator {dense_allocs} times"
-    );
-    let pull_allocs = count_allocs(pull_iteration);
-    assert_eq!(
-        pull_allocs, 0,
-        "steady-state compressed masked-pull iteration hit the allocator {pull_allocs} times"
-    );
-    let blocked_allocs = count_allocs(blocked_pull_iteration);
-    assert_eq!(
-        blocked_allocs, 0,
-        "steady-state compressed blocked-pull iteration hit the allocator {blocked_allocs} times"
     );
 }
 
@@ -686,9 +452,52 @@ fn warm_serving_engine_requests_do_not_allocate() {
         request();
     }
 
-    let allocs = count_allocs(request);
+    let allocs = count_allocs(engine.pool(), request);
     assert_eq!(
         allocs, 0,
         "warm serving-engine request hit the allocator {allocs} times"
     );
+}
+
+#[test]
+fn a_concurrently_allocating_sibling_does_not_move_the_count() {
+    // The instrument's own contract. A sibling thread allocates in a loop
+    // for as long as the measurements below run; a channel (not a sleep)
+    // proves it is allocating *during* each measurement. The count must see
+    // exactly the measuring thread and its pool's workers.
+    let pool = ThreadPool::new(3);
+    let stop = AtomicBool::new(false);
+    let sibling_allocs = AtomicUsize::new(0);
+    let (started_tx, started_rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Acquire) {
+                std::hint::black_box(vec![0u8; 64]);
+                if sibling_allocs.fetch_add(1, Ordering::Release) == 0 {
+                    started_tx.send(()).unwrap();
+                }
+            }
+        });
+        started_rx.recv().unwrap();
+
+        // Nothing of ours allocates, while the sibling provably does.
+        let quiet = count_allocs(&pool, || {
+            let seen = sibling_allocs.load(Ordering::Acquire);
+            while sibling_allocs.load(Ordering::Acquire) < seen + 1000 {
+                std::hint::spin_loop();
+            }
+        });
+        // One allocation on the measuring thread, one on every worker.
+        let ours = count_allocs(&pool, || {
+            std::hint::black_box(vec![0u8; 64]);
+            pool.run(|_| {
+                std::hint::black_box(vec![0u8; 64]);
+            });
+        });
+        stop.store(true, Ordering::Release);
+        assert_eq!(quiet, 0, "the sibling's allocations leaked into the count");
+        assert_eq!(ours, 1 + pool.num_threads(), "own allocations miscounted");
+    });
+    // Disarmed again: this thread's allocations are charged to nobody.
+    assert_eq!(count_allocs(&pool, || {}), 0);
 }
