@@ -7,10 +7,10 @@
 //! * [`bfs_direction_optimizing`] — Beamer-style per-iteration switch
 //!   between push and pull with the classic α/β heuristic, switching the
 //!   frontier representation (sparse↔dense) along with the direction —
-//!   experiment E3's subject;
+//!   the push-vs-pull comparison of §III-C;
 //! * [`bfs_queue`] — the frontier lives in a [`QueueFrontier`]
 //!   (message-passing representation, §III-B) inside an otherwise
-//!   identical BSP loop — experiment E2's subject;
+//!   identical BSP loop;
 //! * [`bfs_async`] — whole-algorithm asynchronous execution with a
 //!   monotone level relaxation (levels may be re-lowered as better paths
 //!   arrive; the fixpoint equals BFS levels);
@@ -307,7 +307,7 @@ pub use self::bfs_with_policy as bfs_adaptive_compressed;
 /// BFS with a **dense bitmap** frontier throughout, still traversing in the
 /// push direction: each iteration walks the bitmap's set bits and expands
 /// into a fresh bitmap. Measures pure representation cost against the
-/// sparse-vector and queue variants (experiment E2) — insertion is
+/// sparse-vector and queue variants — insertion is
 /// idempotent (no uniquify), but iteration pays an O(n/64) scan even when
 /// few bits are set.
 pub fn bfs_dense<P: ExecutionPolicy, W: EdgeValue>(

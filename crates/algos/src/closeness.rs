@@ -4,7 +4,7 @@
 //! source, parallelism inside each traversal (the same structure as
 //! Brandes BC). Harmonic centrality — `h(v) = Σ 1/d(v,u)` — handles
 //! disconnected graphs gracefully (unreachable pairs contribute 0), which
-//! is why it is the default the harness reports.
+//! is why it is reported beside classic closeness.
 
 use essentials_core::prelude::*;
 

@@ -10,7 +10,7 @@
 //!   computed (fixpoint conditions, not output equality, wherever the
 //!   solution is non-unique);
 //! * **work counters** (edges relaxed, iterations) — the machine-
-//!   independent quantities the experiment harness reports alongside time.
+//!   independent quantities `benchmark/` reports alongside time.
 //!
 //! The roster follows the Gunrock essentials suite, CPU edition: traversal
 //! ([`bfs`], [`multi_source`], [`sssp`], [`sswp`]), fixpoint ranking

@@ -3,7 +3,7 @@
 //! The pull formulation gathers `rank[u]/outdeg(u)` over in-edges (CSC);
 //! the push formulation scatters contributions over out-edges with atomic
 //! adds (CSR). Same fixpoint, different memory behaviour — the §III-C
-//! comparison for a full-frontier algorithm, measured in E3. Dangling
+//! comparison for a full-frontier algorithm. Dangling
 //! vertices (out-degree 0) redistribute their mass uniformly, keeping the
 //! rank vector a probability distribution.
 

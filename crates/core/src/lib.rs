@@ -42,8 +42,8 @@ pub mod prelude {
     pub use crate::load_balance::{for_each_edge_balanced, for_each_vertex_balanced};
     pub use crate::operators::advance::{
         advance_edges, expand_pull, expand_pull_counted, expand_pull_masked, expand_push_dense,
-        expand_to_edges, neighbors_expand, neighbors_expand_mutex, neighbors_expand_unique,
-        try_neighbors_expand, try_neighbors_expand_unique, PullConfig,
+        expand_to_edges, neighbors_expand, neighbors_expand_unique, try_neighbors_expand,
+        try_neighbors_expand_unique, PullConfig,
     };
     pub use crate::operators::blocked::{
         expand_blocked_pull, BlockedConfig, BlockedGather, GatherDirection,
@@ -66,8 +66,7 @@ pub mod prelude {
     pub use crate::operators::reduce::{count_if, max_f64, reduce, sum_f64};
     pub use crate::scratch::{AdvanceScratch, ScratchSlot};
     pub use essentials_frontier::{
-        Collector, DenseFrontier, EdgeFrontier, Frontier, QueueFrontier, SparseFrontier,
-        VertexFrontier,
+        DenseFrontier, EdgeFrontier, Frontier, QueueFrontier, SparseFrontier, VertexFrontier,
     };
     pub use essentials_graph::{
         Ccsr, CcsrView, CompressedGraph, CompressedGraphView, Coo, Csr, EdgeId, EdgeValue,

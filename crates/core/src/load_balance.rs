@@ -1,4 +1,4 @@
-//! Work-division strategies for frontier expansion (§IV-C, experiment E5).
+//! Work-division strategies for frontier expansion (§IV-C).
 //!
 //! The naïve division — one task per frontier *vertex* — collapses on
 //! power-law graphs: one hub vertex can own half the edges of an iteration

@@ -7,11 +7,9 @@
 //! buffers ([`essentials_frontier::WorkerBuffers`]), so a steady-state
 //! iteration allocates nothing and takes no lock. [`neighbors_expand_unique`]
 //! fuses duplicate elimination into the push via a reusable atomic bitmap.
-//! [`neighbors_expand_mutex`] keeps the listing's literal mutex-guarded
-//! output for fidelity (and as the contention baseline the lock-free
-//! version is measured against). [`expand_pull`] is the CSC-based pull
-//! direction of §III-C, and [`expand_push_dense`] emits a bitmap frontier so
-//! direction-optimizing algorithms can switch representations mid-run.
+//! [`expand_pull`] is the CSC-based pull direction of §III-C, and
+//! [`expand_push_dense`] emits a bitmap frontier so direction-optimizing
+//! algorithms can switch representations mid-run.
 //!
 //! Every expansion here is written once against the adjacency *stream*
 //! traits ([`OutWeights`] / [`InWeights`]): raw CSR walks slices, compressed
@@ -22,15 +20,15 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use essentials_frontier::{Collector, DenseFrontier, EdgeFrontier, SparseFrontier};
+use essentials_frontier::{DenseFrontier, EdgeFrontier, SparseFrontier};
 use essentials_graph::{
     EdgeId, EdgeValue, EdgeWeights, InWeights, OutAdjacency, OutWeights, VertexId,
 };
 use essentials_obs::{AdvanceEvent, OpKind};
 use essentials_parallel::atomics::Counter;
 use essentials_parallel::{
-    exec::panic_payload_string, try_run_async, ChunkAction, ExecError, ExecutionPolicy, Progress,
-    Schedule,
+    exec::panic_payload_string, try_run_async, ChunkAction, ChunkHooks, ExecError, ExecutionPolicy,
+    Progress, Schedule,
 };
 use parking_lot::Mutex;
 
@@ -426,46 +424,53 @@ where
     }
 }
 
-/// Literal port of Listing 3: a single mutex guards `output.add_vertex`.
-/// Semantically identical to [`neighbors_expand`]; kept as the paper's
-/// exact construction and as the contention baseline for benches.
-pub fn neighbors_expand_mutex<P, G, W, F>(
-    _policy: P,
+/// Parallel index-to-frontier collection shared by the contraction-shaped
+/// operators ([`advance_edges`], [`filter`](crate::operators::filter::filter),
+/// [`uniquify_with_bitmap`](crate::operators::filter::uniquify_with_bitmap)):
+/// `keep(i)` runs for every `i` in `0..len` and each `Some(v)` is pushed
+/// into the context's [`AdvanceScratch`] worker buffers, then drained into
+/// a pooled output vector in worker-id order — the same checkout pattern as
+/// [`try_expand_impl`], so calls take no lock and reuse buffer capacity
+/// (dynamic scheduling can still grow a worker's buffer when its share
+/// shifts). On an error the buffers are drained and discarded and the
+/// scratch goes back to the context, which stays fully reusable.
+pub(crate) fn try_collect_indexed<F>(
     ctx: &Context,
-    g: &G,
-    f: &SparseFrontier,
-    condition: F,
-) -> SparseFrontier
+    len: usize,
+    hooks: ChunkHooks<'_>,
+    keep: F,
+) -> Result<SparseFrontier, ExecError>
 where
-    P: ExecutionPolicy,
-    G: OutWeights<W> + Sync,
-    W: EdgeValue,
-    F: Fn(VertexId, VertexId, EdgeId, W) -> bool + Sync,
+    F: Fn(usize) -> Option<VertexId> + Sync,
 {
-    let m = Mutex::new(SparseFrontier::new());
-    let expand = |v: VertexId| {
-        // For all edges of vertex v.
-        for (e, n) in g.out_edges_from(v, 0) {
-            let w = g.edge_weight(e);
-            // If expand condition is true, add the neighbor into the
-            // output frontier.
-            if condition(v, n, e, w) {
-                m.lock().add_vertex(n);
-            }
-        }
-    };
-    if P::IS_PARALLEL {
+    let mut scratch = ctx.take_scratch();
+    let result = {
+        let buffers = &mut scratch.buffers;
+        buffers.ensure_workers(ctx.num_threads());
+        let view = buffers.view();
         ctx.pool()
-            .parallel_for(0..f.len(), Schedule::Dynamic(16), |i| {
-                expand(f.get_active_vertex(i))
-            });
-    } else {
-        for v in f.iter() {
-            expand(v);
+            .try_parallel_for_with(0..len, Schedule::Dynamic(256), hooks, |tid, i| {
+                if let Some(v) = keep(i) {
+                    // SAFETY: `tid` is this worker's own id; the pool runs
+                    // each worker id on exactly one thread per region.
+                    unsafe { view.push(tid, v) }; // alloc-ok: worker buffer keeps its capacity across calls
+                }
+            })
+    };
+    let mut out = scratch.take_vec();
+    scratch.buffers.drain_into(&mut out);
+    match result {
+        Ok(()) => {
+            ctx.put_scratch(scratch);
+            Ok(SparseFrontier::from_vec(out))
+        }
+        Err(e) => {
+            out.clear();
+            scratch.put_vec(out);
+            ctx.put_scratch(scratch);
+            Err(e)
         }
     }
-    // Synchronized here and return output.
-    m.into_inner()
 }
 
 /// Push expansion into a **dense** output frontier. Insertion is atomic and
@@ -756,14 +761,10 @@ where
         emit(ctx, out.len());
         return out;
     }
-    let collector = Collector::new(ctx.num_threads());
-    ctx.pool()
-        .parallel_for_with(0..f.len(), Schedule::Dynamic(256), |tid, i| {
-            if let Some(dst) = apply(&f.as_slice()[i]) {
-                collector.push(tid, dst); // alloc-ok: collector buffers amortize; transform output is a fresh frontier by contract
-            }
-        });
-    let out = collector.into_frontier();
+    let out = try_collect_indexed(ctx, f.len(), ChunkHooks::none(), |i| {
+        apply(&f.as_slice()[i])
+    })
+    .unwrap_or_else(|e| panic!("{e}"));
     emit(ctx, out.len());
     out
 }
@@ -784,11 +785,11 @@ where
         }
         return out;
     }
-    let buffers: Vec<Mutex<Vec<(VertexId, EdgeId)>>> = (0..ctx.num_threads()) // alloc-ok: edge-frontier materialization is the mutex baseline, not the steady-state pipeline
+    let buffers: Vec<Mutex<Vec<(VertexId, EdgeId)>>> = (0..ctx.num_threads()) // alloc-ok: edge-frontier materialization is off the steady-state pipeline
         .map(|_| Mutex::new(Vec::new())) // alloc-ok: see above
         .collect(); // alloc-ok: see above
     for_each_edge_balanced(ctx, g, f.as_slice(), |tid, v, _n, e| {
-        buffers[tid].lock().push((v, e)); // alloc-ok: mutex-baseline path, measured against the lock-free pipeline
+        buffers[tid].lock().push((v, e)); // alloc-ok: see above; each worker locks only its own buffer
     });
     let mut out = EdgeFrontier::new();
     for b in buffers {
@@ -844,14 +845,11 @@ mod tests {
                 neighbors_expand(execution::par_nosync, &ctx, &g, &frontier, |_, _, _, _| {
                     true
                 });
-            let mut d =
-                neighbors_expand_mutex(execution::par, &ctx, &g, &frontier, |_, _, _, _| true);
-            for f in [&mut a, &mut b, &mut c, &mut d] {
+            for f in [&mut a, &mut b, &mut c] {
                 f.uniquify();
             }
             assert_eq!(a, b);
             assert_eq!(a, c);
-            assert_eq!(a, d);
             a
         };
         let out = run(f);

@@ -6,14 +6,15 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use essentials_frontier::{Collector, DenseFrontier, SparseFrontier};
+use essentials_frontier::{DenseFrontier, SparseFrontier};
 use essentials_graph::VertexId;
 use essentials_obs::{FilterEvent, OpKind};
 use essentials_parallel::{
-    exec::panic_payload_string, ChunkAction, ExecError, ExecutionPolicy, Progress, Schedule,
+    exec::panic_payload_string, ChunkAction, ChunkHooks, ExecError, ExecutionPolicy, Progress,
 };
 
 use crate::context::Context;
+use crate::operators::advance::try_collect_indexed;
 
 /// Emits a [`FilterEvent`] if the context carries a sink. One call per
 /// operator call — the instrumentation never enters the per-vertex loop.
@@ -111,15 +112,10 @@ where
         emit(ctx, OpKind::Filter, P::NAME, f.len(), out.len());
         return Ok(out);
     }
-    let collector = Collector::new(ctx.num_threads());
-    ctx.pool()
-        .try_parallel_for_with(0..f.len(), Schedule::Dynamic(256), hooks, |tid, i| {
-            let v = f.get_active_vertex(i);
-            if pred(v) {
-                collector.push(tid, v);
-            }
-        })?;
-    let out = collector.into_frontier();
+    let out = try_collect_indexed(ctx, f.len(), hooks, |i| {
+        let v = f.get_active_vertex(i);
+        pred(v).then_some(v)
+    })?;
     emit(ctx, OpKind::Filter, P::NAME, f.len(), out.len());
     Ok(out)
 }
@@ -159,15 +155,11 @@ where
         emit(ctx, OpKind::Uniquify, P::NAME, f.len(), out.len());
         return out;
     }
-    let collector = Collector::new(ctx.num_threads());
-    ctx.pool()
-        .parallel_for_with(0..f.len(), Schedule::Dynamic(256), |tid, i| {
-            let v = f.get_active_vertex(i);
-            if seen.insert(v) {
-                collector.push(tid, v);
-            }
-        });
-    let out = collector.into_frontier();
+    let out = try_collect_indexed(ctx, f.len(), ChunkHooks::none(), |i| {
+        let v = f.get_active_vertex(i);
+        seen.insert(v).then_some(v)
+    })
+    .unwrap_or_else(|e| panic!("{e}"));
     emit(ctx, OpKind::Uniquify, P::NAME, f.len(), out.len());
     out
 }
@@ -206,6 +198,24 @@ mod tests {
         b.uniquify(); // canonical order for comparison
         assert_eq!(a, b);
         assert_eq!(a.len(), 97);
+    }
+
+    #[test]
+    fn failed_parallel_filter_returns_drained_scratch() {
+        let ctx = Context::new(2);
+        let f: SparseFrontier = (0..10_000).collect();
+        let err = try_filter(execution::par, &ctx, &f, |v| {
+            assert!(v != 9_999, "boom");
+            true
+        });
+        assert!(matches!(err, Err(ExecError::WorkerPanic { .. })));
+        // The partial output's storage went back to the returned scratch's
+        // pool (a fresh scratch would have none), with the buffers drained.
+        let mut s = ctx.take_scratch();
+        assert!(s.buffers.is_empty());
+        assert!(s.take_vec().capacity() > 0);
+        ctx.put_scratch(s);
+        assert_eq!(filter(execution::par, &ctx, &f, |v| v < 10).len(), 10);
     }
 
     #[test]

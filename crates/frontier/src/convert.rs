@@ -1,6 +1,6 @@
 //! Conversions between frontier representations.
 //!
-//! Direction-optimizing traversal (E3) flips representation per iteration:
+//! Direction-optimizing traversal flips representation per iteration:
 //! sparse→dense when the frontier grows past a density threshold (pull
 //! iterations test membership), dense→sparse when it shrinks again. The
 //! conversions preserve the *set* of active vertices; sparse duplicates

@@ -73,7 +73,7 @@ impl DenseFrontier {
     }
 
     /// Active fraction of the universe — operators use this to pick a
-    /// traversal direction (E3).
+    /// traversal direction.
     pub fn density(&self) -> f64 {
         if self.capacity() == 0 {
             0.0

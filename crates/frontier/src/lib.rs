@@ -18,18 +18,15 @@
 //!   switch representation mid-algorithm (direction-optimizing BFS flips
 //!   sparse↔dense per iteration).
 //! * [`edge::EdgeFrontier`] — active *edges*, for edge-centric programs.
-//! * [`collector::Collector`] — per-thread output buffers for building the
-//!   next frontier from a parallel expansion without a global lock.
-//! * [`worker_buffers::WorkerBuffers`] — the lock-free, cache-line-padded,
-//!   capacity-retaining successor to the collector; the advance operators'
-//!   zero-allocation fast path.
+//! * [`worker_buffers::WorkerBuffers`] — lock-free, cache-line-padded,
+//!   capacity-retaining per-worker output buffers for building the next
+//!   frontier from a parallel expansion without a global lock.
 //! * [`double_buffer::DoubleBuffer`] — ping-pong current/next frontier pair
 //!   for allocation-free BSP loops.
 //! * [`Frontier`] — the representation-independent query interface.
 
 #![warn(missing_docs)]
 
-pub mod collector;
 pub mod convert;
 pub mod dense;
 pub mod double_buffer;
@@ -40,7 +37,6 @@ pub mod worker_buffers;
 
 use essentials_graph::VertexId;
 
-pub use collector::Collector;
 pub use dense::DenseFrontier;
 pub use double_buffer::DoubleBuffer;
 pub use edge::EdgeFrontier;

@@ -9,8 +9,8 @@
 //! * **asynchronous** — workers pop and process continuously
 //!   (`essentials_parallel::run_async` drives this mode);
 //! * **bulk** — a BSP loop drains everything enqueued during an iteration
-//!   ([`QueueFrontier::drain`]) to form the next frontier, which lets E2
-//!   compare the representations inside an otherwise identical loop.
+//!   ([`QueueFrontier::drain`]) to form the next frontier, so the
+//!   representations compare inside an otherwise identical loop.
 
 use essentials_graph::VertexId;
 use parking_lot::Mutex;

@@ -1,14 +1,13 @@
 //! Lock-free per-worker output buffers for frontier expansion.
 //!
-//! [`crate::Collector`] guards each per-worker buffer with a mutex: the lock
-//! is uncontended by convention, but every push still pays an atomic RMW,
-//! and adjacent `Mutex<Vec>` headers share cache lines, so workers false-
-//! share on each other's buffer metadata. `WorkerBuffers` drops both costs:
-//! each worker's `Vec` lives in its own cache-line-aligned slot behind an
-//! `UnsafeCell`, and a push is a plain `Vec::push`. Capacity is retained
-//! across [`WorkerBuffers::drain_into`] calls, so a steady-state BSP
-//! iteration that reuses one `WorkerBuffers` (the advance scratch) performs
-//! no heap allocation.
+//! Listing 3 of the paper guards `output.add_vertex(n)` with a mutex; that
+//! is correct but serializes the hot path, and even per-worker `Mutex<Vec>`
+//! buffers pay an atomic RMW per push and false-share adjacent headers.
+//! `WorkerBuffers` drops both costs: each worker's `Vec` lives in its own
+//! cache-line-aligned slot behind an `UnsafeCell`, and a push is a plain
+//! `Vec::push`. Capacity is retained across [`WorkerBuffers::drain_into`]
+//! calls, so a steady-state BSP iteration that reuses one `WorkerBuffers`
+//! (the advance scratch) performs no heap allocation.
 //!
 //! Safety model: mutation through the shared [`WorkerView`] is `unsafe` with
 //! a single contract — slot `tid` is touched by at most one thread at a time.

@@ -1,8 +1,8 @@
 //! Property-based tests: frontier conversions preserve the active set,
-//! queues preserve multisets, collectors lose nothing.
+//! queues preserve multisets.
 
 use essentials_frontier::{
-    convert, Collector, DenseFrontier, Frontier, QueueFrontier, SparseFrontier, VertexFrontier,
+    convert, DenseFrontier, Frontier, QueueFrontier, SparseFrontier, VertexFrontier,
 };
 use essentials_graph::VertexId;
 use proptest::prelude::*;
@@ -66,20 +66,6 @@ proptest! {
         expected.sort_unstable();
         expected.dedup();
         prop_assert_eq!(f.into_vec(), expected);
-    }
-
-    #[test]
-    fn collector_preserves_all_pushes(ids in arb_ids(1000), buckets in 1usize..6) {
-        let c = Collector::new(buckets);
-        for (i, &v) in ids.iter().enumerate() {
-            c.push(i % buckets, v);
-        }
-        prop_assert_eq!(c.len(), ids.len());
-        let mut got = c.into_frontier().into_vec();
-        got.sort_unstable();
-        let mut expected = ids;
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
     }
 
     #[test]

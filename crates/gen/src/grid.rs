@@ -1,7 +1,7 @@
 //! Lattice meshes: the high-diameter, uniform-degree regime (road-network
 //! proxy). Diameter of `grid2d(k)` is `2(k-1)` — BFS/SSSP run thousands of
 //! sparse iterations, the worst case for per-iteration barrier overhead and
-//! the best case for push traversal (E1/E3).
+//! the best case for push traversal.
 
 use essentials_graph::{Coo, VertexId};
 

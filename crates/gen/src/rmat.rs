@@ -3,8 +3,8 @@
 //! Each edge picks its endpoints by descending a 2×2 probability quadrant
 //! `scale` times. With the classic `(a, b, c, d) = (0.57, 0.19, 0.19, 0.05)`
 //! this yields the skewed, power-law-ish degree distribution that stresses
-//! load balancing (experiment E5) and makes BFS develop the dense middle
-//! phase that direction-optimizing traversal exploits (E3).
+//! load balancing and makes BFS develop the dense middle phase that
+//! direction-optimizing traversal exploits.
 
 use essentials_graph::{Coo, VertexId};
 use rand::rngs::StdRng;

@@ -1,6 +1,6 @@
 //! Watts–Strogatz small-world graphs: a ring lattice with random rewiring —
 //! interpolates between the mesh regime (β = 0) and the random regime
-//! (β = 1), giving the partitioning experiments (E4) a locality knob.
+//! (β = 1), giving partitioning a locality knob.
 
 use essentials_graph::{Coo, VertexId};
 use rand::rngs::StdRng;

@@ -1,7 +1,7 @@
 //! Derived structural properties: degree statistics, symmetry.
 //!
-//! The experiment harness keys its workload characterization on these
-//! (degree skew is what separates the RMAT regime from the mesh regime).
+//! Workload characterization keys on these (degree skew is what
+//! separates the RMAT regime from the mesh regime).
 
 use crate::csr::Csr;
 use crate::types::{EdgeValue, VertexId};

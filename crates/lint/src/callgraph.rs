@@ -185,7 +185,7 @@ fn resolve(
     // give up. Chained receivers (`self.field.len()`) are excluded — the
     // receiver there is a *member's* type, and claiming the impl's own
     // same-named method would invent an edge (e.g. `Vec::len` →
-    // `Collector::len`).
+    // `SparseFrontier::len`).
     if call.is_method && !call.chained_recv {
         if let Some(t) = &caller.self_type {
             if let Some(hits) = by_type_method.get(&(t.as_str(), callee)) {

@@ -1,5 +1,5 @@
 //! Graph algorithms as vertex programs — the Pregel row of Table I,
-//! verified against their shared-memory counterparts in E8.
+//! verified against their shared-memory counterparts.
 
 use essentials_graph::{EdgeValue, VertexId};
 use essentials_partition::PartitionedGraph;
@@ -233,7 +233,7 @@ impl<W: EdgeValue> VertexProgram<W> for PrProgram {
 
 /// Message-passing PageRank run for a fixed number of supersteps on a
 /// dangling-free graph (every vertex needs an out-edge for mass
-/// conservation; callers symmetrize or filter, as E8 does).
+/// conservation; callers symmetrize or filter).
 pub fn mp_pagerank<W: EdgeValue>(
     pg: &PartitionedGraph<W>,
     damping: f64,
@@ -332,23 +332,25 @@ mod tests {
         // destinations, so min-combining must strictly reduce volume.
         let coo = gen::rmat(9, 10, gen::RmatParams::default(), 6);
         let g = Graph::from_coo(&gen::uniform_weights(&coo, 0.1, 2.0, 2));
-        let p = random_partition(g.get_num_vertices(), 2, 4);
-        let pg = essentials_partition::PartitionedGraph::build(&g, &p);
+        for ranks in [1, 2] {
+            let p = random_partition(g.get_num_vertices(), ranks, 4);
+            let pg = essentials_partition::PartitionedGraph::build(&g, &p);
 
-        let (d_plain, s_plain) = mp_sssp(&pg, 0);
-        let (d_comb, s_comb) = mp_sssp_combined(&pg, 0);
-        assert_eq!(d_plain, d_comb);
-        assert!(
-            s_comb.messages_total < s_plain.messages_total,
-            "combined {} !< plain {}",
-            s_comb.messages_total,
-            s_plain.messages_total
-        );
+            let (d_plain, s_plain) = mp_sssp(&pg, 0);
+            let (d_comb, s_comb) = mp_sssp_combined(&pg, 0);
+            assert_eq!(d_plain, d_comb);
+            assert!(
+                s_comb.messages_total < s_plain.messages_total,
+                "{ranks} ranks: combined {} !< plain {}",
+                s_comb.messages_total,
+                s_plain.messages_total
+            );
 
-        let (l_plain, b_plain) = mp_bfs(&pg, 0);
-        let (l_comb, b_comb) = mp_bfs_combined(&pg, 0);
-        assert_eq!(l_plain, l_comb);
-        assert!(b_comb.messages_total <= b_plain.messages_total);
+            let (l_plain, b_plain) = mp_bfs(&pg, 0);
+            let (l_comb, b_comb) = mp_bfs_combined(&pg, 0);
+            assert_eq!(l_plain, l_comb);
+            assert!(b_comb.messages_total <= b_plain.messages_total);
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`pregel`] — the BSP engine: vertex programs, vote-to-halt via
 //!   message quiescence, barrier-synchronized supersteps;
 //! * [`algorithms`] — BFS, SSSP and PageRank as vertex programs, verified
-//!   against their shared-memory counterparts (experiment E8);
+//!   against their shared-memory counterparts;
 //! * [`async_mp`] — the **asynchronous** message-passing mode (Table I's
 //!   fourth timing×communication quadrant): no supersteps, messages
 //!   processed on arrival, termination by global quiescence.

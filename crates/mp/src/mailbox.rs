@@ -67,7 +67,7 @@ impl<M> Mailbox<M> {
     }
 
     /// Cross-rank messages over the lifetime — the quantity edge-cut
-    /// predicts (experiment E4/E8).
+    /// predicts.
     pub fn remote_messages(&self) -> usize {
         self.remote.load(Ordering::Relaxed)
     }

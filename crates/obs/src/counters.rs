@@ -1,6 +1,6 @@
 //! [`CountersSink`] — relaxed atomic work counters.
 //!
-//! The machine-independent "work columns" of the bench harness: how many
+//! The machine-independent work counts `benchmark/` reports: how many
 //! edges an algorithm actually looked at, how many vertices it pushed, how
 //! much the fused dedup saved, and how evenly the pushes spread over the
 //! workers. All counters are relaxed atomics — totals are exact because
@@ -125,7 +125,7 @@ impl CountersSink {
         }
     }
 
-    /// Zeroes every counter (between harness runs).
+    /// Zeroes every counter (between measured runs).
     pub fn reset(&self) {
         self.edges_inspected.store(0, Ordering::Relaxed);
         self.edges_admitted.store(0, Ordering::Relaxed);

@@ -17,7 +17,7 @@
 //! * [`CountersSink`] — relaxed atomic totals: edges inspected, vertices
 //!   pushed, fused-dedup hits, filter drops, and per-worker push counts from
 //!   which load-balance skew is derived. These are the machine-independent
-//!   "work columns" of the bench harness.
+//!   work counts `benchmark/` reports.
 //! * [`TraceSink`] — an append-only log of [`Record`]s: per-iteration spans
 //!   (wall time, frontier in/out sizes), per-operator events, and
 //!   direction-optimizing switch decisions. Exported as JSON lines

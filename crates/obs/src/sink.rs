@@ -79,7 +79,7 @@ impl ObsSink for NullSink {
 }
 
 /// Fans every event out to several sinks (e.g. counters *and* a trace in
-/// one harness run).
+/// one run).
 #[derive(Default)]
 pub struct TeeSink {
     sinks: Vec<Arc<dyn ObsSink>>,

@@ -94,7 +94,7 @@ impl Summary {
         max as f64 / mean
     }
 
-    /// A compact human-readable rendering (used by `harness --obs`).
+    /// A compact human-readable rendering, one line per field.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("iterations        {:>12}\n", self.iterations));

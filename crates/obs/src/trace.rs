@@ -48,7 +48,7 @@ pub enum Record {
     Abort(AbortEvent),
     /// A served request's span (queue wait + service time).
     Request(RequestEvent),
-    /// A user-inserted label (phase boundaries in the harness).
+    /// A user-inserted label (e.g. a phase boundary).
     Mark(String),
 }
 

@@ -95,7 +95,7 @@ impl fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 impl ExecError {
-    /// Short stable label for observability sinks and harness rows.
+    /// Short stable label for observability sinks and error reports.
     pub fn kind(&self) -> &'static str {
         match self {
             ExecError::WorkerPanic { .. } => "worker-panic",
@@ -128,7 +128,7 @@ pub enum BudgetReason {
 }
 
 impl BudgetReason {
-    /// Short stable label for observability sinks and harness rows.
+    /// Short stable label for observability sinks and error reports.
     pub fn name(&self) -> &'static str {
         match self {
             BudgetReason::Cancelled => "cancelled",
@@ -384,7 +384,7 @@ fn splitmix64(seed: u64) -> impl FnMut() -> u64 {
 /// One request-level fault, keyed by the serving engine's request id. The
 /// chunk-level [`FaultPlan`] asks "what breaks at `(iteration, chunk)` of
 /// *this run*"; a [`RequestFaultPlan`] asks "what breaks for *request r* of
-/// a serving workload" — the vocabulary of the chaos soak harness.
+/// a serving workload" — the vocabulary of the chaos soak (`tests/chaos.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestFault {
     /// Inject a worker panic through the pool's real `catch_unwind` path at
@@ -442,7 +442,7 @@ impl RequestFault {
 ///
 /// Every fault has a replayable key `(request, iteration, chunk)` — the
 /// request id plus [`RequestFault::coordinate`] — printed verbatim by the
-/// chaos harness on any assertion failure so the exact failing schedule
+/// chaos soak on any assertion failure so the exact failing schedule
 /// reruns from the seed.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct RequestFaultPlan {
@@ -520,7 +520,7 @@ impl RequestFaultPlan {
     }
 
     /// Every planned fault as `(request, fault)` pairs, in registration
-    /// order — the harness renders these as replay keys.
+    /// order — the chaos soak renders these as replay keys.
     pub fn faults(&self) -> &[(u64, RequestFault)] {
         &self.faults
     }

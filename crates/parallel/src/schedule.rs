@@ -5,7 +5,7 @@
 //! the substrate-level half of that knob: how an iteration space is divided
 //! among workers. Operators choose a schedule per workload shape (uniform
 //! meshes → `Static`, skewed power-law frontiers → `Dynamic`/`Guided`);
-//! experiment E5 measures the difference.
+//! `benchmark/` times both (`parallel.for_{static,dynamic}_ns_per_item`).
 
 /// How a `parallel_for` iteration space is divided among workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -10,8 +10,8 @@
 //! * [`multilevel`] — a from-scratch METIS-family multilevel partitioner
 //!   (heavy-edge-matching coarsening → greedy region growing → boundary
 //!   refinement), standing in for the METIS dependency \[7\];
-//! * [`metrics`] — edge-cut and balance, the quantities experiment E4
-//!   reports;
+//! * [`metrics`] — edge-cut and balance, the quantities `tests/pipeline.rs`
+//!   compares across partitioners;
 //! * [`partitioned_graph`] — the delegating representation of §III-D,
 //!   implementing the same graph traits as `essentials_graph::Graph` and
 //!   feeding `essentials-mp`'s ranks.

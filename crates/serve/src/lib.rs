@@ -22,8 +22,7 @@
 //! Overload resilience — deadline-feasibility shedding, degraded-mode
 //! (brownout) results, scratch quarantine after captured panics, and
 //! request-keyed chaos injection — is specified in DESIGN.md §16 and
-//! exercised by `tests/chaos.rs` plus the bench harness `chaos`
-//! experiment.
+//! exercised by `tests/chaos.rs`.
 
 pub mod admission;
 pub mod engine;

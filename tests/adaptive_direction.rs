@@ -69,6 +69,17 @@ fn adaptive_bfs_inspects_no_more_edges_than_the_better_fixed_direction() {
             auto <= push.min(pull),
             "adaptive inspected {auto} edges on {name}; fixed push {push}, fixed pull {pull}"
         );
+        // The α/β direction-optimizing BFS pulls through R-MAT's dense
+        // middle levels, skipping most of the edges push inspects there.
+        if name == "rmat" {
+            let params = bfs::DoParams::default();
+            let dobfs = bfs::bfs_direction_optimizing(execution::par, &ctx, &g, 0, params);
+            assert!(
+                dobfs.edges_inspected < push,
+                "direction-optimizing inspected {} edges on rmat; push {push}",
+                dobfs.edges_inspected
+            );
+        }
     }
 }
 

@@ -368,14 +368,22 @@ fn chaos_storm(permits: usize, heavy_permits: usize, clients: usize, seed: u64) 
     assert_eq!(engine.load(), (0, 0, 0), "no permit outstanding");
 }
 
+/// The seed the CI chaos soak replays (`0xCAFEBABE`); both engines run it
+/// beside their own.
+const SOAK_SEED: u64 = 3_405_691_582;
+
 #[test]
 fn chaos_storm_on_a_single_permit_engine() {
     // One permit: every fault hits the engine's only slot, so quarantine
     // must rebuild it or the engine is dead — the harshest recovery test.
-    chaos_storm(1, 1, 4, 0xC0FFEE);
+    for seed in [0xC0FFEE, SOAK_SEED] {
+        chaos_storm(1, 1, 4, seed);
+    }
 }
 
 #[test]
 fn chaos_storm_on_an_eight_permit_engine() {
-    chaos_storm(8, 2, 8, 0xDECAF);
+    for seed in [0xDECAF, SOAK_SEED] {
+        chaos_storm(8, 2, 8, seed);
+    }
 }

@@ -29,7 +29,7 @@
 //!   so its ranks are only tolerance-equal, not bit-equal, across runs.
 
 use essentials::prelude::*;
-use essentials_algos::{bfs, hits, pagerank, sssp};
+use essentials_algos::{bfs, cc, hits, pagerank, sssp};
 use essentials_gen as gen;
 use std::sync::Arc;
 
@@ -243,10 +243,12 @@ fn budget_stops_are_thread_count_deterministic_for_bsp_runs() {
     // the wall clock — so a budget stop at iteration k yields bit-identical
     // partial progress at every thread count.
     let g = sym(gen::rmat(8, 8, gen::RmatParams::default(), 11));
+    let wg = weighted(gen::rmat(8, 8, gen::RmatParams::default(), 11));
 
-    let progress_at = |threads: usize| {
+    type Run<'a> = &'a dyn Fn(&Context) -> Result<(), ExecError>;
+    let progress_at = |threads: usize, run: Run| {
         let ctx = Context::new(threads).with_budget(RunBudget::unlimited().with_max_iterations(2));
-        match bfs::try_bfs(execution::par, &ctx, &g, 0) {
+        match run(&ctx) {
             Err(ExecError::Budget { reason, progress }) => {
                 assert_eq!(reason, BudgetReason::IterationCap);
                 progress
@@ -254,15 +256,47 @@ fn budget_stops_are_thread_count_deterministic_for_bsp_runs() {
             other => panic!("expected Budget(IterationCap), got {other:?}"),
         }
     };
-    let reference = progress_at(1);
+    let bfs_run = |ctx: &Context| bfs::try_bfs(execution::par, ctx, &g, 0).map(drop);
+    let reference = progress_at(1, &bfs_run);
     assert_eq!(reference.iterations, 2);
     assert_eq!(reference.work_trace.len(), 2);
     for &t in &THREADS[1..] {
         assert_eq!(
-            progress_at(t),
+            progress_at(t, &bfs_run),
             reference,
             "budget-stop progress diverged at {t} threads"
         );
+    }
+
+    // The other flagship loops stop at the same cap with the same count.
+    // Label propagation reads labels written earlier in the same sweep, so
+    // on the R-MAT it settles within two sweeps; a sparse random graph's
+    // long scrambled-id paths keep it running past the cap.
+    let sparse = sym(gen::gnm(256, 320, 11));
+    let runs: [(&str, Run); 4] = [
+        ("sssp", &|ctx| {
+            sssp::try_sssp(execution::par, ctx, &wg, 0).map(drop)
+        }),
+        ("cc", &|ctx| {
+            cc::try_cc_label_propagation(execution::par, ctx, &sparse).map(drop)
+        }),
+        ("pagerank", &|ctx| {
+            let cfg = pagerank::PrConfig::default();
+            pagerank::try_pagerank_pull(execution::par, ctx, &g, cfg).map(drop)
+        }),
+        ("hits", &|ctx| {
+            let cfg = hits::HitsConfig::default();
+            hits::try_hits(execution::par, ctx, &g, cfg).map(drop)
+        }),
+    ];
+    for (algo, run) in runs {
+        for &t in &THREADS {
+            assert_eq!(
+                progress_at(t, run).iterations,
+                2,
+                "{algo} budget stop at {t} threads"
+            );
+        }
     }
 
     // Same for a fault-plan cancellation at an exact (iteration, chunk)

@@ -29,6 +29,48 @@ fn listing2_sparse_frontier() {
     assert_eq!(f.get_active_vertex(1), 9);
 }
 
+/// Listing 3 verbatim: a single mutex guards `output.add_vertex`. The
+/// library's `neighbors_expand` replaces the lock with per-worker buffers;
+/// this literal stays here to pin that both compute the same frontier.
+fn neighbors_expand_mutex<P, W, F>(
+    _policy: P,
+    ctx: &Context,
+    g: &Graph<W>,
+    f: &SparseFrontier,
+    condition: F,
+) -> SparseFrontier
+where
+    P: ExecutionPolicy,
+    W: EdgeValue,
+    F: Fn(VertexId, VertexId, EdgeId, W) -> bool + Sync,
+{
+    let m = std::sync::Mutex::new(SparseFrontier::new());
+    let expand = |v: VertexId| {
+        // For all edges of vertex v.
+        for e in g.get_edges(v) {
+            let n = g.get_dest_vertex(e);
+            let w = g.get_edge_weight(e);
+            // If expand condition is true, add the neighbor into the
+            // output frontier.
+            if condition(v, n, e, w) {
+                m.lock().unwrap().add_vertex(n);
+            }
+        }
+    };
+    if P::IS_PARALLEL {
+        ctx.pool()
+            .parallel_for(0..f.size(), Schedule::Dynamic(16), |i| {
+                expand(f.get_active_vertex(i))
+            });
+    } else {
+        for i in 0..f.size() {
+            expand(f.get_active_vertex(i));
+        }
+    }
+    // Synchronized here and return output.
+    m.into_inner().unwrap()
+}
+
 /// Listing 3: `neighbors_expand` with execution policies — identical
 /// results, different execution.
 #[test]

@@ -42,6 +42,19 @@ fn sssp_identical_across_policies_and_thread_counts() {
                 assert_eq!(dist, reference, "{name} @ {threads} threads");
             }
         }
+        // Listing 4 trades redundant work for parallel structure: Dijkstra
+        // relaxes each reachable edge once, Δ-stepping re-relaxes only
+        // within a bucket, BSP whenever a shorter path arrives later.
+        if name == "rmat" || name == "grid" {
+            let ctx = Context::new(2);
+            let dijkstra = sssp::dijkstra(&g, 0).relaxations;
+            let delta = sssp::delta_stepping(execution::par, &ctx, &g, 0, 0.5).relaxations;
+            let bsp = sssp::sssp(execution::par, &ctx, &g, 0).relaxations;
+            assert!(
+                dijkstra <= delta && delta <= bsp,
+                "{name}: dijkstra {dijkstra}, delta {delta}, bsp {bsp} relaxations"
+            );
+        }
     }
 }
 
