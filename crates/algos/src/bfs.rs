@@ -1,13 +1,14 @@
 //! Breadth-first search — the traversal that exercises every design axis.
 //!
 //! Variants:
-//! * [`bfs`] — push-direction BSP (Listing-3 style expansion with a
-//!   claim-by-CAS visit condition);
-//! * [`bfs_pull`] — all iterations pull over the CSC (§III-C);
-//! * [`bfs_direction_optimizing`] — Beamer-style per-iteration switch
-//!   between push and pull with the classic α/β heuristic, switching the
-//!   frontier representation (sparse↔dense) along with the direction —
-//!   the push-vs-pull comparison of §III-C;
+//! * [`bfs`] / [`try_bfs`] — the BSP traversal through the direction
+//!   engine ([`try_advance_adaptive`]) with a claim-by-CAS visit condition.
+//!   The plan ([`DirectionPolicy`]) picks push vs. pull and sparse vs.
+//!   bitmap frontiers: `DirectionPolicy::fixed(Direction::Push)` is the
+//!   Listing-3-style push traversal (CSR only), `fixed(Direction::Pull)`
+//!   pulls over the CSC every iteration, `fixed(Direction::DensePush)`
+//!   pushes into bitmap frontiers, and the default plan is Beamer's α/β
+//!   direction-optimizing switch (§III-C);
 //! * [`bfs_queue`] — the frontier lives in a [`QueueFrontier`]
 //!   (message-passing representation, §III-B) inside an otherwise
 //!   identical BSP loop;
@@ -33,16 +34,12 @@ pub struct BfsResult {
     pub level: Vec<u32>,
     /// Loop statistics.
     pub stats: LoopStats,
-    /// Edges inspected (work measure).
+    /// Edges inspected (work measure): out-edges of push iterations plus
+    /// in-edges scanned by pull iterations.
     pub edges_inspected: usize,
-    /// Direction taken each iteration (all `Push` except for the
-    /// direction-optimizing variant).
+    /// Direction taken each iteration.
     pub directions: Vec<Direction>,
 }
-
-// `Direction` now lives in the core operator layer (the adaptive engine
-// decides it); re-exported here so existing `bfs::Direction` users keep
-// compiling. The glob prelude import above already brings it into scope.
 
 fn init_levels(n: usize, source: VertexId) -> Vec<AtomicU32> {
     (0..n)
@@ -54,9 +51,7 @@ fn unwrap_levels(levels: Vec<AtomicU32>) -> Vec<u32> {
     levels.into_iter().map(AtomicU32::into_inner).collect()
 }
 
-/// Push-direction BSP BFS. The expand condition claims the destination with
-/// a CAS on its level, so each vertex enters the output frontier exactly
-/// once and no uniquify pass is needed.
+/// [`try_bfs`], panicking on an error.
 ///
 /// ```
 /// use essentials_core::prelude::*;
@@ -64,285 +59,106 @@ fn unwrap_levels(levels: Vec<AtomicU32>) -> Vec<u32> {
 ///
 /// // 0 → 1 → 2, and 3 unreachable.
 /// let g = Graph::from_coo(&Coo::<()>::from_edges(4, [(0, 1, ()), (1, 2, ())]));
-/// let r = bfs(execution::par, &Context::new(2), &g, 0);
+/// let push = DirectionPolicy::fixed(Direction::Push);
+/// let r = bfs(execution::par, &Context::new(2), &g, 0, push);
 /// assert_eq!(r.level, vec![0, 1, 2, UNVISITED]);
 /// ```
-pub fn bfs<P: ExecutionPolicy, W: EdgeValue>(
-    policy: P,
-    ctx: &Context,
-    g: &Graph<W>,
-    source: VertexId,
-) -> BfsResult {
-    match try_bfs(policy, ctx, g, source) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`bfs`]: the context's [`RunBudget`] is checked at iteration
-/// boundaries (by the enactor) and chunk boundaries (inside the advance),
-/// fault-plan injections fire at their exact `(iteration, chunk)`
-/// coordinates, and a panic in a worker surfaces as
-/// [`ExecError::WorkerPanic`] instead of aborting the process. After any
-/// error the context is fully reusable — the next run on the same context
-/// matches the sequential oracle bit-for-bit (`tests/resilience.rs`).
-pub fn try_bfs<P: ExecutionPolicy, W: EdgeValue>(
-    policy: P,
-    ctx: &Context,
-    g: &Graph<W>,
-    source: VertexId,
-) -> Result<BfsResult, ExecError> {
-    let n = g.get_num_vertices();
-    let levels = init_levels(n, source);
-    let edges = Counter::new();
-    let mut directions = Vec::new();
-    let (_, stats) = Enactor::for_ctx(ctx).try_run(SparseFrontier::single(source), |iter, f| {
-        directions.push(Direction::Push);
-        let next_level = iter as u32 + 1;
-        let out = try_neighbors_expand(policy, ctx, g, &f, |_src, dst, _e, _w| {
-            edges.add(1);
-            levels[dst as usize]
-                .compare_exchange(UNVISITED, next_level, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        })?;
-        // The CAS claim already deduplicates; recycling the spent frontier
-        // keeps the loop allocation-free after warm-up.
-        ctx.recycle_frontier(f);
-        Ok(out)
-    })?;
-    Ok(BfsResult {
-        level: unwrap_levels(levels),
-        stats,
-        edges_inspected: edges.get(),
-        directions,
-    })
-}
-
-/// Pull-direction BSP BFS: every unvisited vertex scans its in-neighbors
-/// for a frontier member. Requires the CSC (`with_csc`). The frontier is
-/// dense throughout.
-pub fn bfs_pull<P: ExecutionPolicy, W: EdgeValue>(
-    policy: P,
-    ctx: &Context,
-    g: &Graph<W>,
-    source: VertexId,
-) -> BfsResult {
-    let n = g.get_num_vertices();
-    let levels = init_levels(n, source);
-    let edges = Counter::new();
-    let mut directions = Vec::new();
-    let init = DenseFrontier::new(n);
-    init.insert(source);
-    let (last, stats) = Enactor::for_ctx(ctx).run(init, |iter, f| {
-        directions.push(Direction::Pull);
-        let next_level = iter as u32 + 1;
-        let (out, scanned) = expand_pull_counted(
-            policy,
-            ctx,
-            g,
-            &f,
-            PullConfig { early_exit: true },
-            |dst| levels[dst as usize].load(Ordering::Acquire) == UNVISITED,
-            |_src, dst, _w| {
-                levels[dst as usize]
-                    .compare_exchange(UNVISITED, next_level, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-            },
-        );
-        edges.add(scanned);
-        // The consumed bitmap goes back to the pool; the next iteration's
-        // expansion draws from it instead of allocating.
-        ctx.recycle_dense_frontier(f);
-        out
-    });
-    ctx.recycle_dense_frontier(last);
-    BfsResult {
-        level: unwrap_levels(levels),
-        stats,
-        edges_inspected: edges.get(),
-        directions,
-    }
-}
-
-/// Heuristic parameters of the direction-optimizing switch (Beamer et al.).
-#[derive(Debug, Clone, Copy)]
-pub struct DoParams {
-    /// Switch push→pull when `frontier_out_edges > remaining_edges / alpha`.
-    pub alpha: usize,
-    /// Switch pull→push when `frontier_size < n / beta`.
-    pub beta: usize,
-}
-
-impl Default for DoParams {
-    fn default() -> Self {
-        DoParams {
-            alpha: 14,
-            beta: 24,
-        }
-    }
-}
-
-impl DoParams {
-    /// The equivalent engine policy (BFS keeps the classic α/β knobs; the
-    /// γ/dwell knobs take their defaults).
-    pub fn to_policy(self) -> DirectionPolicy {
-        DirectionPolicy {
-            alpha: self.alpha,
-            beta: self.beta,
-            ..DirectionPolicy::default()
-        }
-    }
-}
-
-/// Direction-optimizing BFS: delegates the per-iteration push/pull decision
-/// (and the sparse↔dense representation switch that rides along) to the
-/// core adaptive advance engine. BFS supplies only its two views of the
-/// claim-by-CAS visit update; [`advance_adaptive`] owns the heuristic,
-/// the unvisited-candidates mask (masked word-parallel pull), the frontier
-/// recycling, and the `DirectionEvent` emission.
-pub fn bfs_direction_optimizing<P, W, G>(
+pub fn bfs<P, W, G>(
     policy: P,
     ctx: &Context,
     g: &G,
     source: VertexId,
-    params: DoParams,
+    plan: DirectionPolicy,
 ) -> BfsResult
 where
     P: ExecutionPolicy,
     W: EdgeValue,
     G: OutWeights<W> + InWeights<W> + Sync,
 {
-    bfs_with_policy(policy, ctx, g, source, params.to_policy())
+    try_bfs(policy, ctx, g, source, plan).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// BFS through the adaptive engine with a fully-specified
-/// [`DirectionPolicy`] (all four knobs, where [`DoParams`] exposes only the
-/// classic α/β pair).
+/// BSP BFS through the direction engine ([`try_advance_adaptive`]): each
+/// iteration `plan` picks the direction and frontier representation, and
+/// one visit condition — claim the destination's level by CAS, so each
+/// vertex is admitted once — serves push and pull alike. Pull plans need
+/// the in-adjacency (a [`Graph`] built `with_csc`, a [`CompressedGraph`],
+/// an mmapped view); the push plan runs on a CSR-only graph. Levels,
+/// frontier trace and direction trace are bit-identical across
+/// representations and thread counts (`tests/differential.rs`,
+/// `tests/determinism.rs`).
 ///
-/// Runs over any two-sided adjacency — a raw [`Graph`] built `with_csc`, an
-/// in-memory [`CompressedGraph`], or a [`CompressedGraphView`] over an
-/// mmapped container. The claim update is the same CAS and every
-/// representation streams neighbors in the same ascending order, so levels
-/// and direction traces are bit-identical across them
-/// (`tests/differential.rs`).
-pub fn bfs_with_policy<P, W, G>(
+/// The context's [`RunBudget`] is checked at iteration boundaries (by the
+/// enactor) and chunk boundaries (inside every kernel), fault-plan
+/// injections fire at their exact `(iteration, chunk)` coordinates, and a
+/// panic in a worker surfaces as [`ExecError::WorkerPanic`] instead of
+/// aborting the process. After any error the context is fully reusable —
+/// the next run on the same context matches the sequential oracle
+/// bit-for-bit (`tests/resilience.rs`).
+pub fn try_bfs<P, W, G>(
     policy: P,
     ctx: &Context,
     g: &G,
     source: VertexId,
-    dir_policy: DirectionPolicy,
-) -> BfsResult
+    plan: DirectionPolicy,
+) -> Result<BfsResult, ExecError>
 where
     P: ExecutionPolicy,
     W: EdgeValue,
     G: OutWeights<W> + InWeights<W> + Sync,
 {
-    let n = g.num_vertices();
-    let levels = init_levels(n, source);
+    let levels = init_levels(g.num_vertices(), source);
     let mut engine = AdaptiveAdvance::new(
         g,
         AdaptiveConfig {
-            policy: dir_policy,
+            policy: plan,
             // A visited vertex never re-candidates, and one admitting
             // in-edge settles a pull destination.
             early_exit: true,
             settle: true,
-            bins: BlockedConfig::default(),
         },
     );
-    let mut trace = Vec::new();
-
-    let mut frontier = VertexFrontier::Sparse(SparseFrontier::single(source));
-    while frontier.len() > 0 {
-        let next_level = engine.iterations() as u32 + 1;
-        frontier = advance_adaptive(
+    let init = VertexFrontier::Sparse(SparseFrontier::single(source));
+    let run = Enactor::for_ctx(ctx).try_run(init, |iter, f| {
+        let next_level = iter as u32 + 1;
+        try_advance_adaptive(
             policy,
             ctx,
             g,
             &mut engine,
-            frontier,
-            |_src, dst, _e, _w| {
-                levels[dst as usize]
-                    .compare_exchange(UNVISITED, next_level, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-            },
+            f,
             |dst| levels[dst as usize].load(Ordering::Acquire) == UNVISITED,
             |_src, dst, _w| {
                 levels[dst as usize]
                     .compare_exchange(UNVISITED, next_level, Ordering::AcqRel, Ordering::Relaxed)
                     .is_ok()
             },
-        );
-        trace.push(frontier.len());
-    }
-    engine.finish(ctx);
-
-    BfsResult {
+        )
+    });
+    let edges_inspected = engine.edges_inspected();
+    let (stats, directions) = engine.finish(ctx, run)?;
+    Ok(BfsResult {
         level: unwrap_levels(levels),
-        stats: LoopStats {
-            iterations: engine.iterations(),
-            frontier_trace: trace,
-            hit_iteration_cap: false,
-        },
-        edges_inspected: engine.edges_inspected(),
-        directions: engine.directions().to_vec(),
-    }
+        stats,
+        edges_inspected,
+        directions,
+    })
 }
 
-/// [`bfs_direction_optimizing`] with the default policy — the "just give me
-/// the adaptive traversal" entry point matching `sssp_adaptive`/`cc_adaptive`.
+/// [`bfs`] with the default (direction-optimizing) plan. Kept as a name
+/// because the frozen benchmark calls it with this signature.
 pub fn bfs_adaptive<P, W, G>(policy: P, ctx: &Context, g: &G, source: VertexId) -> BfsResult
 where
     P: ExecutionPolicy,
     W: EdgeValue,
     G: OutWeights<W> + InWeights<W> + Sync,
 {
-    bfs_direction_optimizing(policy, ctx, g, source, DoParams::default())
+    bfs(policy, ctx, g, source, DirectionPolicy::default())
 }
 
-/// Former name of [`bfs_with_policy`] on compressed adjacency; the frozen
-/// benchmark still calls it.
-pub use self::bfs_with_policy as bfs_adaptive_compressed;
-
-/// BFS with a **dense bitmap** frontier throughout, still traversing in the
-/// push direction: each iteration walks the bitmap's set bits and expands
-/// into a fresh bitmap. Measures pure representation cost against the
-/// sparse-vector and queue variants — insertion is
-/// idempotent (no uniquify), but iteration pays an O(n/64) scan even when
-/// few bits are set.
-pub fn bfs_dense<P: ExecutionPolicy, W: EdgeValue>(
-    policy: P,
-    ctx: &Context,
-    g: &Graph<W>,
-    source: VertexId,
-) -> BfsResult {
-    let n = g.get_num_vertices();
-    let levels = init_levels(n, source);
-    let edges = Counter::new();
-    let init = DenseFrontier::new(n);
-    init.insert(source);
-    let (last, stats) = Enactor::for_ctx(ctx).run(init, |iter, f| {
-        let next_level = iter as u32 + 1;
-        // Walk the bitmap; expand push-style into the next bitmap.
-        let active: SparseFrontier = f.iter().collect();
-        // The consumed bitmap goes back to the pool before expansion so the
-        // fresh output bitmap can reuse its words.
-        ctx.recycle_dense_frontier(f);
-        expand_push_dense(policy, ctx, g, &active, |_src, dst, _e, _w| {
-            edges.add(1);
-            levels[dst as usize]
-                .compare_exchange(UNVISITED, next_level, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        })
-    });
-    ctx.recycle_dense_frontier(last);
-    BfsResult {
-        level: unwrap_levels(levels),
-        stats,
-        edges_inspected: edges.get(),
-        directions: Vec::new(),
-    }
-}
+/// Former name of [`bfs`] on compressed adjacency; the frozen benchmark
+/// still calls it.
+pub use self::bfs as bfs_adaptive_compressed;
 
 /// BFS with the frontier represented as a message queue (§III-B): each
 /// expansion *sends* newly visited vertices into the queue; each iteration
@@ -448,11 +264,11 @@ pub fn bfs_sequential<W: EdgeValue>(g: &Graph<W>, source: VertexId) -> BfsResult
     }
 }
 
-/// Verifies BFS levels against the definition: `level[source] == 0`; every
-/// edge spans at most one level downward-to-upward
-/// (`level[dst] ≤ level[src] + 1`); every visited vertex at level k > 0 has
-/// an in... (witnessed by a level-(k-1) in-edge, checked via out-edges scan);
-/// unvisited vertices have no visited in-neighbor.
+/// Verifies BFS levels against the definition: `level[source] == 0`; no
+/// edge skips a level (`level[dst] ≤ level[src] + 1`, so a visited vertex
+/// never points at an unvisited one); and every visited vertex at level
+/// k > 0 is witnessed by an in-edge from level k − 1 (found by scanning
+/// out-edges, so no CSC is needed).
 pub fn verify_bfs<W: EdgeValue>(g: &Graph<W>, source: VertexId, level: &[u32]) -> bool {
     if level.len() != g.get_num_vertices() || level[source as usize] != 0 {
         return false;
@@ -494,26 +310,48 @@ mod tests {
         ]
     }
 
+    /// Every plan a BFS can run: the fixed directions, the
+    /// direction-optimizing default, and an eager blocked-pull upgrade.
+    fn plans() -> Vec<(&'static str, DirectionPolicy)> {
+        let eager_blocked = DirectionPolicy {
+            blocked: Some(BlockedPullPolicy {
+                alpha: 1000,
+                beta: 1000,
+            }),
+            ..DirectionPolicy::default()
+        };
+        vec![
+            ("push", DirectionPolicy::fixed(Direction::Push)),
+            ("dense", DirectionPolicy::fixed(Direction::DensePush)),
+            ("pull", DirectionPolicy::fixed(Direction::Pull)),
+            ("blocked", DirectionPolicy::fixed(Direction::BlockedPull)),
+            ("default", DirectionPolicy::default()),
+            ("eager-blocked", eager_blocked),
+        ]
+    }
+
     #[test]
-    fn all_variants_agree_with_sequential() {
+    fn every_plan_and_policy_agrees_with_sequential() {
         let ctx = Context::new(4);
         for (gi, g) in graphs().iter().enumerate() {
             let oracle = bfs_sequential(g, 0);
             assert!(verify_bfs(g, 0, &oracle.level), "oracle invalid on g{gi}");
-            let variants: Vec<(&str, Vec<u32>)> = vec![
-                ("push_seq", bfs(execution::seq, &ctx, g, 0).level),
-                ("push_par", bfs(execution::par, &ctx, g, 0).level),
-                ("push_nosync", bfs(execution::par_nosync, &ctx, g, 0).level),
-                ("pull", bfs_pull(execution::par, &ctx, g, 0).level),
-                (
-                    "do",
-                    bfs_direction_optimizing(execution::par, &ctx, g, 0, DoParams::default()).level,
-                ),
-                ("dense", bfs_dense(execution::par, &ctx, g, 0).level),
+            for (name, plan) in plans() {
+                for r in [
+                    bfs(execution::seq, &ctx, g, 0, plan),
+                    bfs(execution::par, &ctx, g, 0, plan),
+                    bfs(execution::par_nosync, &ctx, g, 0, plan),
+                ] {
+                    assert_eq!(r.level, oracle.level, "{name} diverged on graph {gi}");
+                    if let Some(d) = plan.fixed {
+                        assert!(r.directions.iter().all(|&x| x == d), "{name}: {r:?}");
+                    }
+                }
+            }
+            for (name, level) in [
                 ("queue", bfs_queue(&ctx, g, 0).level),
                 ("async", bfs_async(&ctx, g, 0).level),
-            ];
-            for (name, level) in variants {
+            ] {
                 assert_eq!(level, oracle.level, "{name} diverged on graph {gi}");
             }
         }
@@ -524,16 +362,7 @@ mod tests {
         let ctx = Context::new(2);
         // A star from the hub: frontier covers the whole graph at iter 1.
         let g = Graph::from_coo(&gen::star(1000)).with_csc();
-        let r = bfs_direction_optimizing(
-            execution::par,
-            &ctx,
-            &g,
-            0,
-            DoParams {
-                alpha: 14,
-                beta: 24,
-            },
-        );
+        let r = bfs(execution::par, &ctx, &g, 0, DirectionPolicy::default());
         assert!(
             r.directions.contains(&Direction::Pull),
             "expected at least one pull iteration, got {:?}",
@@ -545,7 +374,7 @@ mod tests {
     fn grid_stays_push_throughout() {
         let ctx = Context::new(2);
         let g = Graph::from_coo(&gen::grid2d(30, 30)).with_csc();
-        let r = bfs_direction_optimizing(execution::par, &ctx, &g, 0, DoParams::default());
+        let r = bfs(execution::par, &ctx, &g, 0, DirectionPolicy::default());
         assert!(
             r.directions.iter().all(|&d| d == Direction::Push),
             "grids never have dense frontiers: {:?}",
@@ -557,22 +386,23 @@ mod tests {
     fn levels_on_path_equal_position() {
         let ctx = Context::sequential();
         let g = Graph::from_coo(&gen::path(30)).with_csc();
-        let r = bfs(execution::par, &ctx, &g, 0);
-        for (v, &l) in r.level.iter().enumerate() {
-            assert_eq!(l, v as u32);
+        for (name, plan) in plans() {
+            let r = bfs(execution::par, &ctx, &g, 0, plan);
+            for (v, &l) in r.level.iter().enumerate() {
+                assert_eq!(l, v as u32, "{name}");
+            }
+            assert_eq!(r.stats.iterations, 30, "{name}");
         }
-        assert_eq!(r.stats.iterations, 30);
     }
 
     #[test]
     fn unreachable_marked_unvisited() {
         let g = Graph::from_coo(&Coo::<()>::from_edges(3, [(0, 1, ())])).with_csc();
         let ctx = Context::sequential();
-        for level in [
-            bfs(execution::par, &ctx, &g, 0).level,
-            bfs_pull(execution::par, &ctx, &g, 0).level,
-            bfs_async(&ctx, &g, 0).level,
-        ] {
+        let levels = plans()
+            .into_iter()
+            .map(|(_, plan)| bfs(execution::par, &ctx, &g, 0, plan).level);
+        for level in levels.chain([bfs_async(&ctx, &g, 0).level]) {
             assert_eq!(level, vec![0, 1, UNVISITED]);
             assert!(verify_bfs(&g, 0, &level));
         }
@@ -591,7 +421,7 @@ mod tests {
     fn source_out_of_nowhere_single_vertex() {
         let g = Graph::from_coo(&Coo::<()>::new(1)).with_csc();
         let ctx = Context::sequential();
-        let r = bfs(execution::par, &ctx, &g, 0);
+        let r = bfs(execution::par, &ctx, &g, 0, DirectionPolicy::default());
         assert_eq!(r.level, vec![0]);
     }
 }

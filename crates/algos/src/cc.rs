@@ -2,7 +2,8 @@
 //!
 //! Three computations of the same partition:
 //! * [`cc_label_propagation`] — frontier-driven min-label propagation built
-//!   entirely from essentials operators (the "abstraction-native" version);
+//!   entirely from essentials operators (the "abstraction-native" version),
+//!   in whichever direction its plan picks;
 //! * [`cc_hooking`] — Shiloach–Vishkin-style hooking + pointer jumping over
 //!   the edge list (no frontier; shows the abstraction also hosts
 //!   non-traversal algorithms via compute operators);
@@ -12,7 +13,7 @@
 //! component, so results compare with `==` across variants.
 
 use essentials_core::prelude::*;
-use essentials_parallel::atomics::Counter;
+use essentials_parallel::atomics::{CachePadded, Counter};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Component labeling plus run metadata.
@@ -24,119 +25,94 @@ pub struct CcResult {
     pub stats: LoopStats,
     /// Label updates attempted (work measure).
     pub updates: usize,
+    /// Direction taken each iteration ([`cc_label_propagation`] only;
+    /// empty otherwise).
+    pub directions: Vec<Direction>,
 }
 
-/// Frontier-driven min-label propagation: every vertex starts labeled with
-/// itself and active; an active vertex pushes its label to neighbors, who
-/// adopt it if smaller and activate in turn. Converges to the component
-/// minimum. Requires a symmetric graph for the labels to mean *connected*
-/// (not merely reachable) components.
-pub fn cc_label_propagation<P: ExecutionPolicy, W: EdgeValue>(
+/// [`try_cc_label_propagation`], panicking on an error.
+pub fn cc_label_propagation<P, W, G>(
     policy: P,
     ctx: &Context,
-    g: &Graph<W>,
-) -> CcResult {
-    match try_cc_label_propagation(policy, ctx, g) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`cc_label_propagation`]: budget and fault hooks fire at
-/// iteration and chunk boundaries; on error the partially-propagated
-/// labels are dropped with the context left fully reusable.
-pub fn try_cc_label_propagation<P: ExecutionPolicy, W: EdgeValue>(
-    policy: P,
-    ctx: &Context,
-    g: &Graph<W>,
-) -> Result<CcResult, ExecError> {
-    let n = g.get_num_vertices();
-    let labels: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-    let updates = Counter::new();
-    let init: SparseFrontier = g.vertices().collect();
-    let (_, stats) = Enactor::for_ctx(ctx).try_run(init, |_, f| {
-        // Dedup is fused into the push; spent frontiers recycle their
-        // storage into the next iteration's output.
-        let out = try_neighbors_expand_unique(policy, ctx, g, &f, |src, dst, _e, _w| {
-            updates.add(1);
-            let l = labels[src as usize].load(Ordering::Acquire);
-            labels[dst as usize].fetch_min(l, Ordering::AcqRel) > l
-        })?;
-        ctx.recycle_frontier(f);
-        Ok(out)
-    })?;
-    Ok(CcResult {
-        comp: labels.into_iter().map(AtomicU32::into_inner).collect(),
-        stats,
-        updates: updates.get(),
-    })
-}
-
-/// Min-label propagation routed through the core adaptive advance engine:
-/// the same `fetch_min` label update as [`cc_label_propagation`], in both
-/// its push view (active vertices scatter labels over out-edges) and its
-/// pull view (vertices gather labels over in-edges from active neighbors),
-/// with [`advance_adaptive`] picking direction and representation per
-/// iteration. The initial frontier is *every* vertex — density 1 — so the
-/// policy typically opens dense and shifts to sparse push as labels settle.
-/// Requires a symmetric graph (as all CC variants do) with both adjacency
-/// sides — a raw [`Graph`] built `with_csc`, a [`CompressedGraph`]
-/// compressed from one, or an mmapped view.
-///
-/// `fetch_min` is monotone and order-independent: the labels reach the same
-/// component-minimum fixpoint whatever direction mix the policy chooses, and
-/// bit-for-bit on every representation (`tests/differential.rs`).
-pub fn cc_adaptive<P, W, G>(policy: P, ctx: &Context, g: &G) -> CcResult
+    g: &G,
+    plan: DirectionPolicy,
+) -> CcResult
 where
     P: ExecutionPolicy,
     W: EdgeValue,
     G: OutWeights<W> + InWeights<W> + Sync,
 {
-    let n = g.num_vertices();
-    let labels: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-    let updates = Counter::new();
+    try_cc_label_propagation(policy, ctx, g, plan).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Frontier-driven min-label propagation: every vertex starts labeled with
+/// itself and active; an active vertex offers its label to its neighbors,
+/// who adopt it if smaller and activate in turn. Converges to the
+/// component minimum. Requires a symmetric graph for the labels to mean
+/// *connected* (not merely reachable) components.
+///
+/// The advance is [`try_advance_adaptive`]: `plan` picks push (CSR only) or
+/// pull (needs the CSC) per iteration. The initial frontier is every vertex,
+/// so the default plan opens dense and shifts to sparse push as labels
+/// settle; `fetch_min` is monotone, so every plan reaches the same labels,
+/// bit-for-bit on every representation (`tests/differential.rs`). Budget
+/// and fault hooks fire at iteration and chunk boundaries; on error the
+/// partial labels are dropped and the context stays reusable.
+pub fn try_cc_label_propagation<P, W, G>(
+    policy: P,
+    ctx: &Context,
+    g: &G,
+    plan: DirectionPolicy,
+) -> Result<CcResult, ExecError>
+where
+    P: ExecutionPolicy,
+    W: EdgeValue,
+    G: OutWeights<W> + InWeights<W> + Sync,
+{
+    let labels: Vec<AtomicU32> = (0..g.num_vertices() as u32).map(AtomicU32::new).collect();
+    let updates = CachePadded(Counter::new());
     let mut engine = AdaptiveAdvance::new(
         g,
         AdaptiveConfig {
-            policy: DirectionPolicy::default(),
-            early_exit: false,
-            settle: false,
-            bins: BlockedConfig::default(),
+            policy: plan,
+            ..AdaptiveConfig::default()
         },
     );
-    let mut trace = Vec::new();
-    let mut frontier = VertexFrontier::Sparse(g.vertices().collect());
-    while frontier.len() > 0 {
-        frontier = advance_adaptive(
+    let init = VertexFrontier::Sparse(g.vertices().collect());
+    let run = Enactor::for_ctx(ctx).try_run(init, |_, f| {
+        try_advance_adaptive(
             policy,
             ctx,
             g,
             &mut engine,
-            frontier,
-            |src, dst, _e, _w| {
-                updates.add(1);
-                let l = labels[src as usize].load(Ordering::Acquire);
-                labels[dst as usize].fetch_min(l, Ordering::AcqRel) > l
-            },
+            f,
             |_dst| true,
             |src, dst, _w| {
                 updates.add(1);
                 let l = labels[src as usize].load(Ordering::Acquire);
                 labels[dst as usize].fetch_min(l, Ordering::AcqRel) > l
             },
-        );
-        trace.push(frontier.len());
-    }
-    engine.finish(ctx);
-    CcResult {
+        )
+    });
+    let (stats, directions) = engine.finish(ctx, run)?;
+    Ok(CcResult {
         comp: labels.into_iter().map(AtomicU32::into_inner).collect(),
-        stats: LoopStats {
-            iterations: engine.iterations(),
-            frontier_trace: trace,
-            hit_iteration_cap: false,
-        },
+        stats,
         updates: updates.get(),
-    }
+        directions,
+    })
+}
+
+/// [`cc_label_propagation`] with the default (direction-optimizing) plan.
+/// Kept as a name because the frozen benchmark calls it with this signature
+/// and generic order.
+pub fn cc_adaptive<P, W, G>(policy: P, ctx: &Context, g: &G) -> CcResult
+where
+    P: ExecutionPolicy,
+    W: EdgeValue,
+    G: OutWeights<W> + InWeights<W> + Sync,
+{
+    cc_label_propagation(policy, ctx, g, DirectionPolicy::default())
 }
 
 /// Former name of [`cc_adaptive`] on compressed adjacency; the frozen
@@ -204,6 +180,7 @@ pub fn cc_hooking<P: ExecutionPolicy, W: EdgeValue>(
         comp: parent.into_iter().map(AtomicU32::into_inner).collect(),
         stats,
         updates: updates.get(),
+        directions: Vec::new(),
     }
 }
 
@@ -240,6 +217,7 @@ pub fn cc_union_find<W: EdgeValue>(g: &Graph<W>) -> CcResult {
         comp: parent,
         stats: LoopStats::default(),
         updates,
+        directions: Vec::new(),
     }
 }
 
@@ -281,6 +259,10 @@ mod tests {
     use super::*;
     use essentials_gen as gen;
 
+    fn push() -> DirectionPolicy {
+        DirectionPolicy::fixed(Direction::Push)
+    }
+
     fn sym(coo: &Coo<()>) -> Graph<()> {
         GraphBuilder::from_coo(coo.clone())
             .symmetrize()
@@ -295,7 +277,7 @@ mod tests {
             let g = sym(&gen::gnm(300, 350, seed)); // sparse => several comps
             let oracle = cc_union_find(&g);
             assert!(verify_cc(&g, &oracle.comp));
-            let lp = cc_label_propagation(execution::par, &ctx, &g);
+            let lp = cc_label_propagation(execution::par, &ctx, &g, push());
             let hook = cc_hooking(execution::par, &ctx, &g);
             assert_eq!(lp.comp, oracle.comp, "label propagation diverged");
             assert_eq!(hook.comp, oracle.comp, "hooking diverged");
@@ -303,7 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_cc_matches_union_find() {
+    fn every_plan_matches_union_find() {
         let ctx = Context::new(4);
         for seed in [1, 2, 3] {
             let g = GraphBuilder::from_coo(gen::gnm(300, 350, seed))
@@ -312,10 +294,18 @@ mod tests {
                 .with_csc()
                 .build();
             let oracle = cc_union_find(&g);
-            // The density-1 initial frontier drives the engine through its
-            // dense kernels; fetch_min still lands on the component minima.
-            let adaptive = cc_adaptive(execution::par, &ctx, &g);
-            assert_eq!(adaptive.comp, oracle.comp);
+            // The density-1 initial frontier drives the default plan
+            // through its dense kernels; fetch_min still lands on the
+            // component minima in every direction.
+            for plan in [
+                push(),
+                DirectionPolicy::fixed(Direction::DensePush),
+                DirectionPolicy::fixed(Direction::Pull),
+                DirectionPolicy::default(),
+            ] {
+                let r = cc_label_propagation(execution::par, &ctx, &g, plan);
+                assert_eq!(r.comp, oracle.comp, "{plan:?}");
+            }
         }
     }
 
@@ -323,9 +313,9 @@ mod tests {
     fn policy_equivalence_for_label_propagation() {
         let ctx = Context::new(4);
         let g = sym(&gen::gnm(200, 220, 9));
-        let seq = cc_label_propagation(execution::seq, &ctx, &g);
-        let par = cc_label_propagation(execution::par, &ctx, &g);
-        let nosync = cc_label_propagation(execution::par_nosync, &ctx, &g);
+        let seq = cc_label_propagation(execution::seq, &ctx, &g, push());
+        let par = cc_label_propagation(execution::par, &ctx, &g, push());
+        let nosync = cc_label_propagation(execution::par_nosync, &ctx, &g, push());
         assert_eq!(seq.comp, par.comp);
         assert_eq!(seq.comp, nosync.comp);
     }
@@ -339,7 +329,7 @@ mod tests {
         }
         let g = sym(&coo);
         let ctx = Context::new(2);
-        let r = cc_label_propagation(execution::par, &ctx, &g);
+        let r = cc_label_propagation(execution::par, &ctx, &g, push());
         assert_eq!(num_components(&r.comp), 3);
         assert_eq!(r.comp, vec![0, 0, 0, 3, 3, 3, 6]);
     }
@@ -357,7 +347,7 @@ mod tests {
     fn empty_and_edgeless_graphs() {
         let ctx = Context::sequential();
         let g0 = Graph::<()>::from_coo(&Coo::new(0));
-        assert!(cc_label_propagation(execution::seq, &ctx, &g0)
+        assert!(cc_label_propagation(execution::seq, &ctx, &g0, push())
             .comp
             .is_empty());
         let g5 = Graph::<()>::from_coo(&Coo::new(5));

@@ -36,7 +36,7 @@ pub fn closeness<P: ExecutionPolicy, W: EdgeValue>(
         sources: sources.to_vec(),
     };
     for &s in sources {
-        let r = bfs(policy, ctx, g, s);
+        let r = bfs(policy, ctx, g, s, DirectionPolicy::fixed(Direction::Push));
         let mut sum = 0u64;
         let mut inv_sum = 0.0f64;
         let mut reachable = 0u64;

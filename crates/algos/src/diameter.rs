@@ -40,7 +40,9 @@ pub fn diameter_double_sweep<P: ExecutionPolicy, W: EdgeValue>(
     g: &Graph<W>,
     start: VertexId,
 ) -> DiameterEstimate {
-    let first = bfs(policy, ctx, g, start);
+    // Push sweeps: they need only the CSR.
+    let push = DirectionPolicy::fixed(Direction::Push);
+    let first = bfs(policy, ctx, g, start, push);
     let Some((a, _)) = farthest(&first.level) else {
         return DiameterEstimate {
             diameter_lower_bound: 0,
@@ -48,7 +50,7 @@ pub fn diameter_double_sweep<P: ExecutionPolicy, W: EdgeValue>(
             sweeps: 1,
         };
     };
-    let second = bfs(policy, ctx, g, a);
+    let second = bfs(policy, ctx, g, a, push);
     let (b, ecc) = farthest(&second.level).unwrap_or((a, 0));
     DiameterEstimate {
         diameter_lower_bound: ecc,
@@ -72,8 +74,9 @@ pub fn diameter_multi_sweep<P: ExecutionPolicy, W: EdgeValue>(
         sweeps: 0,
     };
     let mut from = start;
+    let push = DirectionPolicy::fixed(Direction::Push);
     for sweep in 1..=max_sweeps.max(1) {
-        let r = bfs(policy, ctx, g, from);
+        let r = bfs(policy, ctx, g, from, push);
         let Some((far, ecc)) = farthest(&r.level) else {
             best.sweeps = sweep;
             break;
@@ -98,7 +101,8 @@ pub fn eccentricity<P: ExecutionPolicy, W: EdgeValue>(
     g: &Graph<W>,
     v: VertexId,
 ) -> u32 {
-    farthest(&bfs(policy, ctx, g, v).level).map_or(0, |(_, e)| e)
+    let push = DirectionPolicy::fixed(Direction::Push);
+    farthest(&bfs(policy, ctx, g, v, push).level).map_or(0, |(_, e)| e)
 }
 
 #[cfg(test)]

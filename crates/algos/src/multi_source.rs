@@ -377,10 +377,11 @@ mod tests {
         let ctx = Context::new(4);
         let sources: Vec<u32> = (0..64).map(|i| (i * 3) % 256).collect();
         let r = bfs_multi_source(execution::par, &ctx, &g, &sources);
+        let push = DirectionPolicy::fixed(Direction::Push);
         for (s, &src) in sources.iter().enumerate() {
             assert_eq!(
                 r.source_levels(s),
-                bfs(execution::par, &ctx, &g, src).level,
+                bfs(execution::par, &ctx, &g, src, push).level,
                 "lane {s} (source {src}) diverged"
             );
         }

@@ -321,120 +321,6 @@ pub fn try_pagerank_push<P: ExecutionPolicy, W: EdgeValue>(
     })
 }
 
-/// PageRank with the traversal direction chosen per iteration by a
-/// [`DirectionPolicy`] — the full-frontier fixpoint's form of routing
-/// through the adaptive engine. PageRank has no real frontier (every vertex
-/// updates every iteration), so the policy sees density 1 and picks the
-/// direction alone: the α rule fires immediately (the "frontier's" edge
-/// mass is the whole graph) and the β rule keeps it pulling, so with
-/// default parameters every iteration gathers — making the result
-/// bit-identical to [`pagerank_pull`]. Extreme parameters (e.g. a `beta`
-/// of 0-behavior via huge values) fall back to the push scatter, whose
-/// fixpoint agrees within tolerance. Decisions are emitted as
-/// `DirectionEvent`s. Requires `with_csc`.
-pub fn pagerank_adaptive<P: ExecutionPolicy, W: EdgeValue>(
-    policy: P,
-    ctx: &Context,
-    g: &Graph<W>,
-    cfg: PrConfig,
-    dir_policy: DirectionPolicy,
-) -> PageRankResult {
-    use essentials_core::obs::DirectionEvent;
-    use essentials_core::operators::direction::PolicyInputs;
-
-    let n = g.get_num_vertices();
-    let m = g.get_num_edges();
-    if n == 0 {
-        return PageRankResult {
-            rank: Vec::new(),
-            stats: LoopStats::default(),
-            final_error: 0.0,
-        };
-    }
-    let rank = vec![1.0 / n as f64; n];
-    let inv_deg = take_inv_out_degrees(policy, ctx, g);
-    let mut final_error = f64::INFINITY;
-    let mut current = Direction::Push;
-    let mut since_switch = usize::MAX;
-    let (rank, stats) = Enactor::for_ctx(ctx)
-        .max_iterations(cfg.max_iterations)
-        .run_until(rank, |iter, r, progress| {
-            progress.report_work(n);
-            let dir = dir_policy.decide(&PolicyInputs {
-                n,
-                frontier_len: n,
-                frontier_edges: m,
-                // The full frontier never retires edges; every iteration
-                // re-traverses the whole graph.
-                unexplored_edges: m,
-                growing: iter == 0,
-                current,
-                since_switch,
-                compressed: false,
-            });
-            if dir.is_pull() != current.is_pull() {
-                since_switch = 1;
-            } else {
-                since_switch = since_switch.saturating_add(1);
-            }
-            current = dir;
-            if let Some(sink) = ctx.obs() {
-                sink.on_direction(&DirectionEvent {
-                    iteration: iter,
-                    frontier_len: n,
-                    frontier_edges: m,
-                    unexplored_edges: m,
-                    growing: iter == 0,
-                    pull: dir.is_pull(),
-                });
-            }
-
-            let dangling: f64 = sum_dangling(policy, ctx, g, r);
-            let base = (1.0 - cfg.damping) / n as f64 + cfg.damping * dangling / n as f64;
-            let next: Vec<f64> = if dir.is_pull() {
-                // Gather over in-edges — same arithmetic as
-                // `pagerank_pull` (reciprocal multiply included), so a
-                // pull-deciding policy is bit-identical to the fixed pull.
-                let (r_now, inv) = (&*r, &inv_deg);
-                fill_indexed(policy, ctx, n, |v| {
-                    let v = v as VertexId;
-                    let gathered: f64 = g
-                        .in_neighbors(v)
-                        .iter()
-                        .map(|&u| r_now[u as usize] * inv[u as usize])
-                        .sum();
-                    base + cfg.damping * gathered
-                })
-            } else {
-                // Scatter over out-edges — same body as `pagerank_push`.
-                let acc: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
-                foreach_vertex(policy, ctx, n, |v| {
-                    let deg = g.out_degree(v);
-                    if deg == 0 {
-                        return;
-                    }
-                    let share = r[v as usize] / deg as f64;
-                    for e in g.get_edges(v) {
-                        acc[g.get_dest_vertex(e) as usize].fetch_add(share, Ordering::AcqRel);
-                    }
-                });
-                acc.into_iter()
-                    .map(|a| base + cfg.damping * a.into_inner())
-                    .collect()
-            };
-            let err: f64 = l1_diff(policy, ctx, r, &next);
-            *r = next;
-            final_error = err;
-            err < cfg.tolerance
-        });
-    ctx.recycle_f64_buffer(inv_deg);
-    PageRankResult {
-        rank,
-        stats,
-        final_error,
-    }
-}
-
 /// A pooled buffer holding `1/out_degree(u)` (0 for dangling vertices),
 /// computed once per run so the per-edge divide in every gather becomes a
 /// multiply. Return it with `Context::recycle_f64_buffer`.
@@ -606,22 +492,6 @@ mod tests {
         assert!(close(&pull.rank, &push.rank, 1e-7));
         assert!(verify_pagerank(&g, &pull.rank, cfg.damping, 1e-7));
         assert!(verify_pagerank(&g, &push.rank, cfg.damping, 1e-7));
-    }
-
-    #[test]
-    fn adaptive_pagerank_is_bit_identical_to_pull() {
-        let g = Graph::from_coo(&gen::rmat(8, 8, gen::RmatParams::default(), 2)).with_csc();
-        let ctx = Context::new(4);
-        let cfg = PrConfig {
-            max_iterations: 30,
-            tolerance: 0.0,
-            ..PrConfig::default()
-        };
-        let pull = pagerank_pull(execution::par, &ctx, &g, cfg);
-        let adaptive = pagerank_adaptive(execution::par, &ctx, &g, cfg, DirectionPolicy::default());
-        // Density 1 → the policy pulls every iteration → same float ops in
-        // the same order.
-        assert_eq!(adaptive.rank, pull.rank);
     }
 
     #[test]

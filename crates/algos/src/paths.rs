@@ -201,7 +201,8 @@ mod tests {
             let coo = gen::gnm(200, 1400, seed);
             let g = Graph::from_coo(&gen::uniform_weights(&coo, 0.1, 2.0, seed));
             let tree = sssp_with_parents(execution::par, &ctx, &g, 0);
-            let plain = crate::sssp::sssp(execution::par, &ctx, &g, 0);
+            let push = DirectionPolicy::fixed(Direction::Push);
+            let plain = crate::sssp::sssp(execution::par, &ctx, &g, 0, push);
             assert_eq!(tree.dist, plain.dist, "seed {seed}");
             assert!(verify_sssp_tree(&g, 0, &tree, 1e-4), "seed {seed}");
         }

@@ -1,8 +1,10 @@
 //! Single-source shortest paths — the paper's worked example (Listing 4).
 //!
-//! [`sssp`] is the Rust port of Listing 4: a bulk-synchronous iterative
-//! loop whose body is one `neighbors_expand` with an `atomic::min` distance
-//! relaxation in the user lambda. Beyond the listing, this module provides
+//! [`sssp`] is Listing 4 — a bulk-synchronous loop whose body is one
+//! advance with an `atomic::min` distance relaxation in the user lambda —
+//! run by the direction engine, so its plan may also pull (the push-only
+//! literal lives in `tests/paper_listings.rs`). Beyond the listing, this
+//! module provides
 //! the asynchronous variant the paper's §III-A promises ([`sssp_async`] —
 //! same relaxation, no barriers, queue quiescence as convergence), a
 //! [`delta_stepping`] middle ground, and two sequential baselines
@@ -13,7 +15,7 @@
 //! build time; negative weights are rejected by debug assertion here).
 
 use essentials_core::prelude::*;
-use essentials_parallel::atomics::{AtomicF32, Counter};
+use essentials_parallel::atomics::{AtomicF32, CachePadded, Counter};
 use essentials_parallel::run_async;
 use std::sync::atomic::Ordering;
 
@@ -27,6 +29,8 @@ pub struct SsspResult {
     pub stats: LoopStats,
     /// Edge relaxations attempted (machine-independent work measure).
     pub relaxations: usize,
+    /// Direction taken each iteration ([`sssp`] only; empty otherwise).
+    pub directions: Vec<Direction>,
 }
 
 fn init_dist(n: usize, source: VertexId) -> Vec<AtomicF32> {
@@ -52,18 +56,7 @@ fn check_weights<G: OutWeights<f32>>(g: &G) {
     );
 }
 
-/// Parallel SSSP, structured exactly as the paper's Listing 4:
-/// initialize distances → seed the frontier with the source → iterate
-/// `neighbors_expand` with the atomic-min relaxation lambda until the
-/// frontier is empty.
-///
-/// One addition over the listing: duplicate activations are eliminated as
-/// they are pushed (`neighbors_expand_unique`, Gunrock's filter stage fused
-/// into the advance). Without dedup, duplicate activations compound across
-/// iterations and the frontier can grow combinatorially; with it, results
-/// are identical and work is bounded — and fusing it avoids a second pass
-/// over the output. Spent frontiers are recycled through the context, so
-/// steady-state iterations allocate nothing.
+/// [`try_sssp`], panicking on an error.
 ///
 /// ```
 /// use essentials_core::prelude::*;
@@ -73,49 +66,68 @@ fn check_weights<G: OutWeights<f32>>(g: &G) {
 ///     .edges([(0, 1, 2.0), (1, 2, 2.0), (0, 2, 5.0)])
 ///     .build();
 /// let ctx = Context::new(2);
-/// let r = sssp(execution::par, &ctx, &g, 0);
+/// let push = DirectionPolicy::fixed(Direction::Push);
+/// let r = sssp(execution::par, &ctx, &g, 0, push);
 /// assert_eq!(r.dist, vec![0.0, 2.0, 4.0]); // via 1, not the 5.0 edge
 /// ```
-pub fn sssp<P: ExecutionPolicy>(
+pub fn sssp<P, G>(
     policy: P,
     ctx: &Context,
-    g: &Graph<f32>,
+    g: &G,
     source: VertexId,
-) -> SsspResult {
-    match try_sssp(policy, ctx, g, source) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
+    plan: DirectionPolicy,
+) -> SsspResult
+where
+    P: ExecutionPolicy,
+    G: OutWeights<f32> + InWeights<f32> + Sync,
+{
+    try_sssp(policy, ctx, g, source, plan).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible [`sssp`]: budget/fault hooks at iteration and chunk
-/// boundaries, worker panics captured as [`ExecError::WorkerPanic`], and
-/// full context reusability after any error — including the fused dedup
-/// bitmap, which is swept clean on the error path so the next
-/// `neighbors_expand_unique` on the same context starts pristine.
-pub fn try_sssp<P: ExecutionPolicy>(
+/// Parallel SSSP structured as Listing 4 — initialize distances → seed the
+/// frontier → advance with the atomic-min relaxation until the frontier is
+/// empty — with the advance run by [`try_advance_adaptive`]: `plan` picks
+/// push (CSR only; duplicate activations are dropped as they are pushed)
+/// or pull (needs the CSC) per iteration. Relaxation is monotone, so every
+/// plan reaches the same least fixpoint, bit-for-bit on every
+/// representation (`tests/differential.rs`). Budget and fault hooks fire at
+/// iteration and chunk boundaries, a worker panic becomes
+/// [`ExecError::WorkerPanic`], and the context stays reusable after any
+/// error.
+pub fn try_sssp<P, G>(
     policy: P,
     ctx: &Context,
-    g: &Graph<f32>,
+    g: &G,
     source: VertexId,
-) -> Result<SsspResult, ExecError> {
+    plan: DirectionPolicy,
+) -> Result<SsspResult, ExecError>
+where
+    P: ExecutionPolicy,
+    G: OutWeights<f32> + InWeights<f32> + Sync,
+{
     check_weights(g);
-    let n = g.get_num_vertices();
     // Initialize data.
-    let dist = init_dist(n, source);
-    let relaxations = Counter::new();
-    let mut f = SparseFrontier::new();
-    f.add_vertex(source);
-    // Main-loop.
-    let (_, stats) = Enactor::for_ctx(ctx).try_run(f, |_, f| {
-        // Expand the frontier; duplicates are filtered during the push.
-        let out = try_neighbors_expand_unique(
+    let dist = init_dist(g.num_vertices(), source);
+    let relaxations = CachePadded(Counter::new());
+    let mut engine = AdaptiveAdvance::new(
+        g,
+        AdaptiveConfig {
+            policy: plan,
+            ..AdaptiveConfig::default()
+        },
+    );
+    // Main loop.
+    let init = VertexFrontier::Sparse(SparseFrontier::single(source));
+    let run = Enactor::for_ctx(ctx).try_run(init, |_, f| {
+        try_advance_adaptive(
             policy,
             ctx,
             g,
-            &f,
+            &mut engine,
+            f,
+            |_dst| true,
             // User-defined condition for SSSP.
-            |src: VertexId, dst: VertexId, _edge: EdgeId, weight: f32| {
+            |src: VertexId, dst: VertexId, weight: f32| {
                 relaxations.add(1);
                 let new_d = dist[src as usize].load(Ordering::Acquire) + weight;
                 // atomic::min atomically updates the distances vector at dst
@@ -124,86 +136,25 @@ pub fn try_sssp<P: ExecutionPolicy>(
                 let curr_d = dist[dst as usize].fetch_min(new_d, Ordering::AcqRel);
                 new_d < curr_d
             },
-        )?;
-        ctx.recycle_frontier(f);
-        Ok(out)
-    })?;
+        )
+    });
+    let (stats, directions) = engine.finish(ctx, run)?;
     Ok(SsspResult {
         dist: unwrap_dist(dist),
         stats,
         relaxations: relaxations.get(),
+        directions,
     })
 }
 
-/// SSSP routed through the core adaptive advance engine: the same
-/// `atomic::min` relaxation as [`sssp`], expressed in both its push view
-/// (frontier scatters over out-edges) and its pull view (candidates gather
-/// over in-edges), with [`advance_adaptive`] choosing the direction and
-/// frontier representation per iteration. Requires the CSC (`with_csc`).
-///
-/// Relaxation is monotone and order-independent, so whatever mix of
-/// directions the policy picks, the distances converge to the same least
-/// fixpoint as the fixed-direction variants. No early exit (every in-edge
-/// must be seen), and no settle mask (a vertex re-activates whenever a
-/// shorter path arrives).
-///
-/// Runs over any two-sided `f32`-weighted adjacency (raw, compressed, or an
-/// mmapped view): neighbors stream in the same ascending order everywhere,
-/// so distances are bit-identical across representations
-/// (`tests/differential.rs`).
+/// [`sssp`] with the default (direction-optimizing) plan. Kept as a name
+/// because the frozen benchmark calls it with this signature.
 pub fn sssp_adaptive<P, G>(policy: P, ctx: &Context, g: &G, source: VertexId) -> SsspResult
 where
     P: ExecutionPolicy,
     G: OutWeights<f32> + InWeights<f32> + Sync,
 {
-    check_weights(g);
-    let n = g.num_vertices();
-    let dist = init_dist(n, source);
-    let relaxations = Counter::new();
-    let mut engine = AdaptiveAdvance::new(
-        g,
-        AdaptiveConfig {
-            policy: DirectionPolicy::default(),
-            early_exit: false,
-            settle: false,
-            bins: BlockedConfig::default(),
-        },
-    );
-    let mut trace = Vec::new();
-    let mut frontier = VertexFrontier::Sparse(SparseFrontier::single(source));
-    while frontier.len() > 0 {
-        frontier = advance_adaptive(
-            policy,
-            ctx,
-            g,
-            &mut engine,
-            frontier,
-            |src, dst, _e, w: f32| {
-                relaxations.add(1);
-                let new_d = dist[src as usize].load(Ordering::Acquire) + w;
-                let curr_d = dist[dst as usize].fetch_min(new_d, Ordering::AcqRel);
-                new_d < curr_d
-            },
-            |_dst| true,
-            |src, dst, w: f32| {
-                relaxations.add(1);
-                let new_d = dist[src as usize].load(Ordering::Acquire) + w;
-                let curr_d = dist[dst as usize].fetch_min(new_d, Ordering::AcqRel);
-                new_d < curr_d
-            },
-        );
-        trace.push(frontier.len());
-    }
-    engine.finish(ctx);
-    SsspResult {
-        dist: unwrap_dist(dist),
-        stats: LoopStats {
-            iterations: engine.iterations(),
-            frontier_trace: trace,
-            hit_iteration_cap: false,
-        },
-        relaxations: relaxations.get(),
-    }
+    sssp(policy, ctx, g, source, DirectionPolicy::default())
 }
 
 /// Former name of [`sssp_adaptive`] on compressed adjacency; the frozen
@@ -243,6 +194,7 @@ pub fn sssp_async(ctx: &Context, g: &Graph<f32>, source: VertexId) -> SsspResult
         dist: unwrap_dist(dist),
         stats,
         relaxations: relaxations.get(),
+        directions: Vec::new(),
     }
 }
 
@@ -376,6 +328,7 @@ pub fn delta_stepping<P: ExecutionPolicy>(
             hit_iteration_cap: false,
         },
         relaxations: relaxations.get(),
+        directions: Vec::new(),
     }
 }
 
@@ -411,6 +364,7 @@ pub fn sssp_edge_centric<P: ExecutionPolicy>(
         dist: unwrap_dist(dist),
         stats,
         relaxations: relaxations.get(),
+        directions: Vec::new(),
     }
 }
 
@@ -450,6 +404,7 @@ pub fn dijkstra(g: &Graph<f32>, source: VertexId) -> SsspResult {
             hit_iteration_cap: false,
         },
         relaxations,
+        directions: Vec::new(),
     }
 }
 
@@ -493,6 +448,7 @@ pub fn bellman_ford(g: &Graph<f32>, source: VertexId) -> SsspResult {
             hit_iteration_cap: false,
         },
         relaxations,
+        directions: Vec::new(),
     }
 }
 
@@ -567,6 +523,10 @@ mod tests {
             })
     }
 
+    fn push() -> DirectionPolicy {
+        DirectionPolicy::fixed(Direction::Push)
+    }
+
     fn test_graph() -> Graph<f32> {
         // Weighted RMAT with a grid mixed in via distinct tests.
         let coo = gen::rmat(9, 8, gen::RmatParams::default(), 11);
@@ -574,7 +534,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_sssp_matches_fixed_push_exactly() {
+    fn every_plan_matches_fixed_push_exactly() {
         let ctx = Context::new(4);
         // R-MAT (skewed, where pull may fire) and a grid (stays push).
         let rmat = Graph::from_coo(&gen::uniform_weights(
@@ -587,11 +547,17 @@ mod tests {
         let grid =
             Graph::from_coo(&gen::uniform_weights(&gen::grid2d(20, 20), 0.1, 2.0, 9)).with_csc();
         for g in [&rmat, &grid] {
-            let fixed = sssp(execution::par, &ctx, g, 0);
-            let adaptive = sssp_adaptive(execution::par, &ctx, g, 0);
-            // Monotone fetch_min: bit-identical least fixpoint, any mix of
-            // directions.
-            assert_eq!(adaptive.dist, fixed.dist);
+            let fixed = sssp(execution::par, &ctx, g, 0, push());
+            assert!(fixed.directions.iter().all(|&d| d == Direction::Push));
+            for plan in [
+                DirectionPolicy::fixed(Direction::DensePush),
+                DirectionPolicy::fixed(Direction::Pull),
+                DirectionPolicy::default(),
+            ] {
+                // Monotone fetch_min: bit-identical least fixpoint, any mix
+                // of directions.
+                assert_eq!(sssp(execution::par, &ctx, g, 0, plan).dist, fixed.dist);
+            }
         }
     }
 
@@ -602,7 +568,7 @@ mod tests {
             [(0, 1, 1.0), (0, 2, 4.0), (1, 3, 2.0), (2, 3, 1.0)],
         ));
         let ctx = Context::new(2);
-        let r = sssp(execution::par, &ctx, &g, 0);
+        let r = sssp(execution::par, &ctx, &g, 0, push());
         assert_eq!(r.dist, vec![0.0, 1.0, 4.0, 3.0]);
         assert!(verify_sssp(&g, 0, &r.dist, 1e-6));
     }
@@ -613,9 +579,9 @@ mod tests {
         let ctx = Context::new(4);
         let oracle = dijkstra(&g, 0);
         assert!(verify_sssp(&g, 0, &oracle.dist, 1e-4));
-        let bsp_seq = sssp(execution::seq, &ctx, &g, 0);
-        let bsp_par = sssp(execution::par, &ctx, &g, 0);
-        let bsp_nosync = sssp(execution::par_nosync, &ctx, &g, 0);
+        let bsp_seq = sssp(execution::seq, &ctx, &g, 0, push());
+        let bsp_par = sssp(execution::par, &ctx, &g, 0, push());
+        let bsp_nosync = sssp(execution::par_nosync, &ctx, &g, 0, push());
         let asynch = sssp_async(&ctx, &g, 0);
         let delta = delta_stepping(execution::par, &ctx, &g, 0, 0.5);
         let bf = bellman_ford(&g, 0);
@@ -639,7 +605,7 @@ mod tests {
         // Two disconnected edges: 0->1, 2->3.
         let g = Graph::from_coo(&Coo::from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]));
         let ctx = Context::sequential();
-        let r = sssp(execution::par, &ctx, &g, 0);
+        let r = sssp(execution::par, &ctx, &g, 0, push());
         assert_eq!(r.dist[1], 1.0);
         assert!(r.dist[2].is_infinite());
         assert!(r.dist[3].is_infinite());
@@ -650,7 +616,7 @@ mod tests {
     fn zero_weight_edges_are_fine() {
         let g = Graph::from_coo(&Coo::from_edges(3, [(0, 1, 0.0), (1, 2, 0.0)]));
         let ctx = Context::new(2);
-        let r = sssp(execution::par, &ctx, &g, 0);
+        let r = sssp(execution::par, &ctx, &g, 0, push());
         assert_eq!(r.dist, vec![0.0, 0.0, 0.0]);
     }
 
@@ -658,7 +624,7 @@ mod tests {
     fn single_vertex_graph() {
         let g = Graph::from_coo(&Coo::<f32>::new(1));
         let ctx = Context::sequential();
-        let r = sssp(execution::par, &ctx, &g, 0);
+        let r = sssp(execution::par, &ctx, &g, 0, push());
         assert_eq!(r.dist, vec![0.0]);
         assert_eq!(r.stats.iterations, 1); // one expand of the seed, then empty
     }
@@ -668,7 +634,7 @@ mod tests {
         let coo = gen::grid2d(8, 8);
         let g = Graph::from_coo(&gen::unit_weights(&coo));
         let ctx = Context::new(2);
-        let r = sssp(execution::par, &ctx, &g, 0);
+        let r = sssp(execution::par, &ctx, &g, 0, push());
         // Vertex (r, c) is at Manhattan distance r + c from (0, 0).
         for row in 0..8 {
             for col in 0..8 {
@@ -682,7 +648,7 @@ mod tests {
         let coo = gen::path(50);
         let g = Graph::from_coo(&gen::unit_weights(&coo));
         let ctx = Context::sequential();
-        let r = sssp(execution::seq, &ctx, &g, 0);
+        let r = sssp(execution::seq, &ctx, &g, 0, push());
         // A 50-vertex path needs 50 supersteps (49 hops + final empty check).
         assert_eq!(r.stats.iterations, 50);
     }

@@ -7,6 +7,11 @@ use essentials_core::prelude::*;
 use essentials_gen as gen;
 use essentials_graph::relabel::relabel_by_degree;
 
+/// The fixed-push plan: the traversal of the paper's listings, CSR only.
+fn push() -> DirectionPolicy {
+    DirectionPolicy::fixed(Direction::Push)
+}
+
 fn sym(coo: &Coo<()>) -> Graph<()> {
     GraphBuilder::from_coo(coo.clone())
         .remove_self_loops()
@@ -49,9 +54,9 @@ fn chromatic_number_at_least_three_when_triangles_exist() {
 fn bfs_reachability_equals_component_membership_on_symmetric_graphs() {
     let ctx = Context::new(2);
     let g = sym(&gen::gnm(120, 150, 7)); // sparse => multiple components
-    let comp = cc::cc_label_propagation(execution::par, &ctx, &g).comp;
+    let comp = cc::cc_label_propagation(execution::par, &ctx, &g, push()).comp;
     let source: VertexId = 0;
-    let levels = bfs::bfs(execution::par, &ctx, &g, source).level;
+    let levels = bfs::bfs(execution::par, &ctx, &g, source, push()).level;
     for v in g.vertices() {
         let same_comp = comp[v as usize] == comp[source as usize];
         let reached = levels[v as usize] != bfs::UNVISITED;
@@ -69,8 +74,8 @@ fn sssp_distance_bounds_bfs_hops_times_max_weight() {
         c
     };
     let g = Graph::from_coo(&gen::hash_weights(&coo, 0.5, 2.0, 3));
-    let dist = sssp::sssp(execution::par, &ctx, &g, 0).dist;
-    let hops = bfs::bfs(execution::par, &ctx, &g, 0).level;
+    let dist = sssp::sssp(execution::par, &ctx, &g, 0, push()).dist;
+    let hops = bfs::bfs(execution::par, &ctx, &g, 0, push()).level;
     for v in g.vertices() {
         let (d, h) = (dist[v as usize], hops[v as usize]);
         assert_eq!(d.is_finite(), h != bfs::UNVISITED);
@@ -131,8 +136,8 @@ fn results_are_invariant_under_degree_relabeling() {
     assert_eq!(map.permute(&c1), c2);
 
     // Component *partition* is preserved (labels change, classes don't).
-    let k1 = cc::cc_label_propagation(execution::par, &ctx, &g).comp;
-    let k2 = cc::cc_label_propagation(execution::par, &ctx, &rg).comp;
+    let k1 = cc::cc_label_propagation(execution::par, &ctx, &g, push()).comp;
+    let k2 = cc::cc_label_propagation(execution::par, &ctx, &rg, push()).comp;
     for u in g.vertices() {
         for v in g.vertices() {
             let same_before = k1[u as usize] == k1[v as usize];

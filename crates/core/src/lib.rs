@@ -41,12 +41,12 @@ pub mod prelude {
     pub use crate::enactor::{Enactor, IterProgress, LoopStats, DEFAULT_ITERATION_CAP};
     pub use crate::load_balance::{for_each_edge_balanced, for_each_vertex_balanced};
     pub use crate::operators::advance::{
-        advance_edges, expand_pull, expand_pull_counted, expand_pull_masked, expand_push_dense,
-        expand_to_edges, neighbors_expand, neighbors_expand_unique, try_neighbors_expand,
-        try_neighbors_expand_unique, PullConfig,
+        advance_edges, expand_pull_counted, expand_pull_masked, expand_to_edges, neighbors_expand,
+        neighbors_expand_unique, try_expand_pull_counted, try_expand_pull_masked,
+        try_expand_push_dense, try_neighbors_expand, try_neighbors_expand_unique, PullConfig,
     };
     pub use crate::operators::blocked::{
-        expand_blocked_pull, BlockedConfig, BlockedGather, GatherDirection,
+        try_expand_blocked_pull, BlockedConfig, BlockedGather, GatherDirection,
     };
     // The frozen benchmark calls these two on its mmapped view by their
     // former `_compressed` names; the one generic body serves both.
@@ -58,8 +58,8 @@ pub mod prelude {
         fill_indexed, fill_indexed_into, foreach_active, foreach_vertex, try_foreach_vertex,
     };
     pub use crate::operators::direction::{
-        advance_adaptive, AdaptiveAdvance, AdaptiveConfig, BlockedPullPolicy, CompressedPullPolicy,
-        Direction, DirectionPolicy,
+        try_advance_adaptive, AdaptiveAdvance, AdaptiveConfig, BlockedPullPolicy,
+        CompressedPullPolicy, Direction, DirectionPolicy,
     };
     pub use crate::operators::filter::{filter, try_filter, uniquify, uniquify_with_bitmap};
     pub use crate::operators::intersect::{intersect_count, intersect_count_gallop};

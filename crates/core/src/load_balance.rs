@@ -36,8 +36,26 @@ where
 ///
 /// The degree prefix sum lives in the context's advance scratch, so
 /// steady-state calls allocate nothing; callers already holding the scratch
-/// (the advance operators) use [`for_each_edge_balanced_with`] directly.
+/// (the advance operators) use `try_for_each_edge_balanced_with` directly.
 pub fn for_each_edge_balanced<G, F>(ctx: &Context, g: &G, frontier: &[VertexId], f: F)
+where
+    G: OutAdjacency + Sync,
+    F: Fn(usize, VertexId, VertexId, EdgeId) + Sync,
+{
+    if let Err(e) = try_for_each_edge_balanced(ctx, g, frontier, ChunkHooks::none(), f) {
+        panic!("{e}");
+    }
+}
+
+/// Fallible [`for_each_edge_balanced`]: see
+/// [`try_for_each_edge_balanced_with`] for the hook and panic contract.
+pub(crate) fn try_for_each_edge_balanced<G, F>(
+    ctx: &Context,
+    g: &G,
+    frontier: &[VertexId],
+    hooks: ChunkHooks<'_>,
+    f: F,
+) -> Result<(), ExecError>
 where
     G: OutAdjacency + Sync,
     F: Fn(usize, VertexId, VertexId, EdgeId) + Sync,
@@ -48,33 +66,9 @@ where
         chunk_sums,
         ..
     } = &mut *scratch;
-    for_each_edge_balanced_with(ctx, g, frontier, offsets, chunk_sums, f);
+    let run = try_for_each_edge_balanced_with(ctx, g, frontier, offsets, chunk_sums, hooks, f);
     ctx.put_scratch(scratch);
-}
-
-/// [`for_each_edge_balanced`] with caller-owned scan buffers.
-pub(crate) fn for_each_edge_balanced_with<G, F>(
-    ctx: &Context,
-    g: &G,
-    frontier: &[VertexId],
-    offsets: &mut Vec<usize>,
-    chunk_sums: &mut Vec<usize>,
-    f: F,
-) where
-    G: OutAdjacency + Sync,
-    F: Fn(usize, VertexId, VertexId, EdgeId) + Sync,
-{
-    if let Err(e) = try_for_each_edge_balanced_with(
-        ctx,
-        g,
-        frontier,
-        offsets,
-        chunk_sums,
-        ChunkHooks::none(),
-        f,
-    ) {
-        panic!("{e}");
-    }
+    run
 }
 
 /// Fallible edge-balanced iteration: `hooks` are consulted at every

@@ -7,9 +7,11 @@
 //! buffers ([`essentials_frontier::WorkerBuffers`]), so a steady-state
 //! iteration allocates nothing and takes no lock. [`neighbors_expand_unique`]
 //! fuses duplicate elimination into the push via a reusable atomic bitmap.
-//! [`expand_pull`] is the CSC-based pull direction of §III-C, and
-//! [`expand_push_dense`] emits a bitmap frontier so direction-optimizing
-//! algorithms can switch representations mid-run.
+//! [`try_expand_pull_counted`] / [`try_expand_pull_masked`] are the
+//! CSC-based pull direction of §III-C, and [`try_expand_push_dense`] emits a
+//! bitmap frontier so the direction engine can switch representations
+//! mid-run. Every kernel is fallible — chunk hooks, panic capture, pooled
+//! storage restored on error — and the infallible forms panic on the error.
 //!
 //! Every expansion here is written once against the adjacency *stream*
 //! traits ([`OutWeights`] / [`InWeights`]): raw CSR walks slices, compressed
@@ -18,22 +20,24 @@
 //! the same ascending order — `tests/differential.rs` pins the results
 //! bit-identical across representations.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::cell::RefCell;
 
 use essentials_frontier::{DenseFrontier, EdgeFrontier, SparseFrontier};
 use essentials_graph::{
     EdgeId, EdgeValue, EdgeWeights, InWeights, OutAdjacency, OutWeights, VertexId,
 };
 use essentials_obs::{AdvanceEvent, OpKind};
-use essentials_parallel::atomics::Counter;
+use essentials_parallel::atomics::{CachePadded, Counter};
 use essentials_parallel::{
-    exec::panic_payload_string, try_run_async, ChunkAction, ChunkHooks, ExecError, ExecutionPolicy,
-    Progress, Schedule,
+    try_run_async, try_sequential_for_with, ChunkHooks, ExecError, ExecutionPolicy, Schedule,
 };
 use parking_lot::Mutex;
 
 use crate::context::Context;
-use crate::load_balance::{for_each_edge_balanced, try_for_each_edge_balanced_with};
+use crate::load_balance::{
+    for_each_edge_balanced, try_for_each_edge_balanced, try_for_each_edge_balanced_with,
+};
+use crate::operators::try_for_with;
 use crate::scratch::AdvanceScratch;
 
 /// Vertices per hook-checked chunk on the sequential expansion path. Small
@@ -254,75 +258,38 @@ where
     };
 
     if !P::IS_PARALLEL || ctx.num_threads() == 1 {
-        let hooks = ctx.chunk_hooks();
-        let mut out = scratch.take_vec();
+        let out = RefCell::new(scratch.take_vec());
         let verts = f.as_slice();
         let seen = &scratch.seen;
-        let mut failure: Option<ExecError> = None;
-        let mut lo = 0usize;
-        let mut chunk = 0usize;
-        while lo < verts.len() {
-            let hi = (lo + SERIAL_CHUNK).min(verts.len());
-            match hooks.before_chunk(chunk) {
-                ChunkAction::Run => {}
-                ChunkAction::Stop(reason) => {
-                    failure = Some(ExecError::Budget {
-                        reason,
-                        progress: Progress::default(),
-                    });
-                    break;
-                }
-                ChunkAction::Panic {
-                    iteration,
-                    chunk: at,
-                } => {
-                    // The injected fault takes the same capture path a real
-                    // panic would, so the restore logic below is exercised.
-                    let payload = catch_unwind(AssertUnwindSafe(|| {
-                        panic!("injected fault at (iteration {iteration}, chunk {at})")
-                    }))
-                    .unwrap_err();
-                    failure = Some(ExecError::WorkerPanic {
-                        payload: panic_payload_string(&*payload),
-                        chunk,
-                    });
-                    break;
-                }
-            }
-            let out_ref = &mut out;
-            let body = catch_unwind(AssertUnwindSafe(|| {
-                for &v in &verts[lo..hi] {
-                    for (e, n) in g.out_edges_from(v, 0) {
-                        let w = g.edge_weight(e);
-                        // The condition runs for every edge even when the
-                        // destination is already marked; the bitmap only
-                        // gates output insertion.
-                        if condition(v, n, e, w) && (!UNIQUE || seen.set(n as usize)) {
-                            out_ref.push(n); // alloc-ok: pooled output vec, capacity retained across iterations
-                        }
+        let run = try_sequential_for_with(
+            0..verts.len(),
+            Schedule::Dynamic(SERIAL_CHUNK),
+            ctx.chunk_hooks(),
+            |_, i| {
+                let v = verts[i];
+                let mut out = out.borrow_mut();
+                for (e, n) in g.out_edges_from(v, 0) {
+                    let w = g.edge_weight(e);
+                    // The condition runs for every edge even when the
+                    // destination is already marked; the bitmap only gates
+                    // output insertion.
+                    if condition(v, n, e, w) && (!UNIQUE || seen.set(n as usize)) {
+                        out.push(n); // alloc-ok: pooled output vec, capacity retained across iterations
                     }
                 }
-            }));
-            if let Err(payload) = body {
-                failure = Some(ExecError::WorkerPanic {
-                    payload: panic_payload_string(&*payload),
-                    chunk,
-                });
-                break;
-            }
-            lo = hi;
-            chunk += 1;
-        }
+            },
+        );
+        let mut out = out.into_inner();
         if UNIQUE {
-            // A dedup bit is only ever set after its vertex was pushed into
-            // `out` (the `&&` short-circuits before `seen.set` on a
-            // panicking condition), so walking the partial output restores
-            // full bitmap clearness on the error path too.
+            // A dedup bit is only ever set right before its vertex is
+            // pushed into `out` (the `&&` short-circuits before `seen.set`
+            // on a panicking condition), so walking the partial output
+            // restores full bitmap clearness on the error path too.
             for &v in &out {
                 scratch.seen.clear(v as usize);
             }
         }
-        if let Some(e) = failure {
+        if let Err(e) = run {
             out.clear();
             scratch.put_vec(out);
             ctx.put_scratch(scratch);
@@ -476,13 +443,18 @@ where
 /// Push expansion into a **dense** output frontier. Insertion is atomic and
 /// idempotent, so no uniquify pass is ever needed; the natural output
 /// representation when the next frontier is expected to be large.
-pub fn expand_push_dense<P, G, W, F>(
+///
+/// Fallible like [`try_neighbors_expand`]: hooks at chunk boundaries (256
+/// vertices on the calling thread, edge-balanced chunks on the pool), a
+/// panicking condition captured as [`ExecError::WorkerPanic`], and on any
+/// error the output bitmap goes back to the context's pool.
+pub fn try_expand_push_dense<P, G, W, F>(
     _policy: P,
     ctx: &Context,
     g: &G,
     f: &SparseFrontier,
     condition: F,
-) -> DenseFrontier
+) -> Result<DenseFrontier, ExecError>
 where
     P: ExecutionPolicy,
     G: OutWeights<W> + Sync,
@@ -504,14 +476,25 @@ where
             output.insert(n);
         }
     };
-    if !P::IS_PARALLEL || ctx.num_threads() == 1 {
-        for v in f.iter() {
-            for (e, n) in g.out_edges_from(v, 0) {
-                body(v, n, e);
-            }
-        }
+    let hooks = ctx.chunk_hooks();
+    let run = if !P::IS_PARALLEL || ctx.num_threads() == 1 {
+        let verts = f.as_slice();
+        try_sequential_for_with(
+            0..verts.len(),
+            Schedule::Dynamic(SERIAL_CHUNK),
+            hooks,
+            |_, i| {
+                for (e, n) in g.out_edges_from(verts[i], 0) {
+                    body(verts[i], n, e);
+                }
+            },
+        )
     } else {
-        for_each_edge_balanced(ctx, g, f.as_slice(), |_tid, v, n, e| body(v, n, e));
+        try_for_each_edge_balanced(ctx, g, f.as_slice(), hooks, |_tid, v, n, e| body(v, n, e))
+    };
+    if let Err(e) = run {
+        ctx.recycle_dense_frontier(output);
+        return Err(e);
     }
     if let Some(sink) = ctx.obs() {
         sink.on_advance(&AdvanceEvent {
@@ -525,7 +508,7 @@ where
             per_worker: &[],
         });
     }
-    output
+    Ok(output)
 }
 
 /// Configuration of a pull-direction expansion.
@@ -568,13 +551,20 @@ where
     scans
 }
 
-/// Emits the [`OpKind::Pull`] event both pull expansions share.
-fn emit_pull<P: ExecutionPolicy>(
+/// Ends a pull expansion: on success emits the [`OpKind::Pull`] event and
+/// hands back the output with its scan count; on an error the output
+/// bitmap goes back to the context's pool instead.
+fn finish_pull<P: ExecutionPolicy>(
     ctx: &Context,
     input: &DenseFrontier,
-    output: &DenseFrontier,
+    output: DenseFrontier,
     scanned: usize,
-) {
+    run: Result<(), ExecError>,
+) -> Result<(DenseFrontier, usize), ExecError> {
+    if let Err(e) = run {
+        ctx.recycle_dense_frontier(output);
+        return Err(e);
+    }
     if let Some(sink) = ctx.obs() {
         let out_len = output.len();
         sink.on_advance(&AdvanceEvent {
@@ -591,6 +581,7 @@ fn emit_pull<P: ExecutionPolicy>(
             per_worker: &[],
         });
     }
+    Ok((output, scanned))
 }
 
 /// Pull-direction expansion (§III-C): every *candidate* destination scans
@@ -609,9 +600,41 @@ fn emit_pull<P: ExecutionPolicy>(
 ///
 /// Returns the output frontier and the number of in-edges scanned — the
 /// honest work measure for push-vs-pull comparisons (a pull iteration's
-/// cost is the scan, not just the admitting edges).
-pub fn expand_pull_counted<P, G, W, C, F>(
+/// cost is the scan, not just the admitting edges). Hooks fire every 256
+/// destinations; on an error the output bitmap goes back to the pool.
+pub fn try_expand_pull_counted<P, G, W, C, F>(
     _policy: P,
+    ctx: &Context,
+    g: &G,
+    input: &DenseFrontier,
+    cfg: PullConfig,
+    candidate: C,
+    condition: F,
+) -> Result<(DenseFrontier, usize), ExecError>
+where
+    P: ExecutionPolicy,
+    G: InWeights<W> + Sync,
+    W: EdgeValue,
+    C: Fn(VertexId) -> bool + Sync,
+    F: Fn(VertexId, VertexId, W) -> bool + Sync,
+{
+    let n = g.num_vertices();
+    // Recycled bitmap, same contract as `try_expand_push_dense`.
+    let output = ctx.take_dense_frontier(n);
+    let scanned = CachePadded(Counter::new());
+    let run = try_for_with::<P, _>(ctx, 0..n, Schedule::Dynamic(256), |_, i| {
+        let dst = i as VertexId;
+        if candidate(dst) {
+            scanned.add(scan_in_edges(g, input, &output, &cfg, &condition, dst));
+        }
+    });
+    finish_pull::<P>(ctx, input, output, scanned.get(), run)
+}
+
+/// [`try_expand_pull_counted`] with the error re-raised as a panic (the
+/// frozen benchmark's `core.pull_ns_per_edge` probe calls this form).
+pub fn expand_pull_counted<P, G, W, C, F>(
+    policy: P,
     ctx: &Context,
     g: &G,
     input: &DenseFrontier,
@@ -626,48 +649,11 @@ where
     C: Fn(VertexId) -> bool + Sync,
     F: Fn(VertexId, VertexId, W) -> bool + Sync,
 {
-    let n = g.num_vertices();
-    // Recycled bitmap, same contract as `expand_push_dense`.
-    let output = ctx.take_dense_frontier(n);
-    let scanned = Counter::new();
-    let scan = |dst: VertexId| {
-        if candidate(dst) {
-            scanned.add(scan_in_edges(g, input, &output, &cfg, &condition, dst));
-        }
-    };
-    if !P::IS_PARALLEL || ctx.num_threads() == 1 {
-        for dst in 0..n as VertexId {
-            scan(dst);
-        }
-    } else {
-        ctx.pool()
-            .parallel_for(0..n, Schedule::Dynamic(256), |i| scan(i as VertexId));
-    }
-    emit_pull::<P>(ctx, input, &output, scanned.get());
-    (output, scanned.get())
+    try_expand_pull_counted(policy, ctx, g, input, cfg, candidate, condition)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`expand_pull_counted`] without the work counter.
-pub fn expand_pull<P, G, W, C, F>(
-    policy: P,
-    ctx: &Context,
-    g: &G,
-    input: &DenseFrontier,
-    cfg: PullConfig,
-    candidate: C,
-    condition: F,
-) -> DenseFrontier
-where
-    P: ExecutionPolicy,
-    G: InWeights<W> + Sync,
-    W: EdgeValue,
-    C: Fn(VertexId) -> bool + Sync,
-    F: Fn(VertexId, VertexId, W) -> bool + Sync,
-{
-    expand_pull_counted(policy, ctx, g, input, cfg, candidate, condition).0
-}
-
-/// Masked pull: [`expand_pull_counted`] where the candidate set is a
+/// Masked pull: [`try_expand_pull_counted`] where the candidate set is a
 /// **bitmap**, iterated word-parallel, instead of a predicate probed for all
 /// `n` destinations.
 ///
@@ -681,9 +667,43 @@ where
 /// O(n + in-edges) full scans into O(remaining candidates).
 ///
 /// Returns the output frontier (recycled through the context's dense pool)
-/// and the number of in-edges scanned.
-pub fn expand_pull_masked<P, G, W, F>(
+/// and the number of in-edges scanned. Hooks fire every 4 mask words (256
+/// candidate slots); on an error the output bitmap goes back to the pool.
+pub fn try_expand_pull_masked<P, G, W, F>(
     _policy: P,
+    ctx: &Context,
+    g: &G,
+    input: &DenseFrontier,
+    candidates: &DenseFrontier,
+    cfg: PullConfig,
+    condition: F,
+) -> Result<(DenseFrontier, usize), ExecError>
+where
+    P: ExecutionPolicy,
+    G: InWeights<W> + Sync,
+    W: EdgeValue,
+    F: Fn(VertexId, VertexId, W) -> bool + Sync,
+{
+    let n = g.num_vertices();
+    debug_assert_eq!(candidates.capacity(), n);
+    let output = ctx.take_dense_frontier(n);
+    let scanned = CachePadded(Counter::new());
+    let scan = |dst: VertexId| scanned.add(scan_in_edges(g, input, &output, &cfg, &condition, dst));
+    let mask = candidates.bits();
+    // Workers take disjoint *word* ranges of the mask and decode their own
+    // chunks — the parallel form of the word-at-a-time scan. 4 words per
+    // grab = 256 candidate slots, small enough to balance skewed in-degree,
+    // large enough to amortize the queue.
+    let run = try_for_with::<P, _>(ctx, 0..mask.num_words(), Schedule::Dynamic(4), |_, wi| {
+        mask.for_each_set_in_words(wi, wi + 1, &mut |i| scan(i as VertexId));
+    });
+    finish_pull::<P>(ctx, input, output, scanned.get(), run)
+}
+
+/// [`try_expand_pull_masked`] with the error re-raised as a panic (the
+/// frozen benchmark's `core.pull_masked_ns_per_edge` probe calls this form).
+pub fn expand_pull_masked<P, G, W, F>(
+    policy: P,
     ctx: &Context,
     g: &G,
     input: &DenseFrontier,
@@ -697,26 +717,8 @@ where
     W: EdgeValue,
     F: Fn(VertexId, VertexId, W) -> bool + Sync,
 {
-    let n = g.num_vertices();
-    debug_assert_eq!(candidates.capacity(), n);
-    let output = ctx.take_dense_frontier(n);
-    let scanned = Counter::new();
-    let scan = |dst: VertexId| scanned.add(scan_in_edges(g, input, &output, &cfg, &condition, dst));
-    let mask = candidates.bits();
-    if !P::IS_PARALLEL || ctx.num_threads() == 1 {
-        mask.for_each_set(|i| scan(i as VertexId));
-    } else {
-        // Workers take disjoint *word* ranges of the mask and decode their
-        // own chunks — the parallel form of the word-at-a-time scan. 4 words
-        // per grab = 256 candidate slots, small enough to balance skewed
-        // in-degree, large enough to amortize the queue.
-        ctx.pool()
-            .parallel_for(0..mask.num_words(), Schedule::Dynamic(4), |wi| {
-                mask.for_each_set_in_words(wi, wi + 1, &mut |i| scan(i as VertexId));
-            });
-    }
-    emit_pull::<P>(ctx, input, &output, scanned.get());
-    (output, scanned.get())
+    try_expand_pull_masked(policy, ctx, g, input, candidates, cfg, condition)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Edge-to-vertex advance: applies `condition(src, dst, edge, w)` to every
@@ -922,7 +924,7 @@ mod tests {
         let ctx = Context::new(2);
         // 1 and 2 both point at 3.
         let f = SparseFrontier::from_vec(vec![1, 2]);
-        let out = expand_push_dense(execution::par, &ctx, &g, &f, |_, _, _, _| true);
+        let out = try_expand_push_dense(execution::par, &ctx, &g, &f, |_, _, _, _| true).unwrap();
         assert_eq!(out.len(), 1);
         assert!(out.contains(3));
     }
@@ -936,7 +938,7 @@ mod tests {
 
         let mut push = neighbors_expand(execution::seq, &ctx, &g, &sparse, |_, _, _, _| true);
         push.uniquify();
-        let pull = expand_pull(
+        let pull = expand_pull_counted(
             execution::par,
             &ctx,
             &g,
@@ -944,7 +946,8 @@ mod tests {
             PullConfig::default(),
             |_| true,
             |_, _, _| true,
-        );
+        )
+        .0;
         let pull_sparse = essentials_frontier::convert::dense_to_sparse(&pull);
         assert_eq!(push, pull_sparse);
     }
@@ -955,7 +958,7 @@ mod tests {
         let ctx = Context::new(2);
         let sparse = SparseFrontier::from_vec(vec![1, 2]);
         let dense_in = essentials_frontier::convert::sparse_to_dense(&sparse, g.num_vertices());
-        let pull = expand_pull(
+        let pull = expand_pull_counted(
             execution::seq,
             &ctx,
             &g,
@@ -963,7 +966,8 @@ mod tests {
             PullConfig { early_exit: true },
             |_| true,
             |_, _, _| true,
-        );
+        )
+        .0;
         assert_eq!(pull.len(), 1);
         assert!(pull.contains(3));
     }
@@ -974,7 +978,7 @@ mod tests {
         let ctx = Context::new(2);
         let dense_in = DenseFrontier::new(4);
         dense_in.insert(0);
-        let pull = expand_pull(
+        let pull = expand_pull_counted(
             execution::seq,
             &ctx,
             &g,
@@ -982,7 +986,8 @@ mod tests {
             PullConfig::default(),
             |dst| dst != 1, // pretend 1 is already visited
             |_, _, _| true,
-        );
+        )
+        .0;
         assert_eq!(pull.len(), 1);
         assert!(pull.contains(2));
     }
@@ -1018,7 +1023,7 @@ mod tests {
                 |_, _, _| true,
             ),
         ] {
-            let reference = expand_pull(
+            let reference = expand_pull_counted(
                 execution::seq,
                 &ctx,
                 &g,
@@ -1026,7 +1031,8 @@ mod tests {
                 PullConfig::default(),
                 |dst| mask.contains(dst),
                 |_, _, _| true,
-            );
+            )
+            .0;
             assert_eq!(
                 essentials_frontier::convert::dense_to_sparse(&pull),
                 essentials_frontier::convert::dense_to_sparse(&reference)
@@ -1061,11 +1067,11 @@ mod tests {
         let g = weighted_diamond();
         let ctx = Context::new(1);
         let f = SparseFrontier::single(0);
-        let out = expand_push_dense(execution::seq, &ctx, &g, &f, |_, _, _, _| true);
+        let out = try_expand_push_dense(execution::seq, &ctx, &g, &f, |_, _, _, _| true).unwrap();
         let addr = out.bits().words().as_ptr();
         ctx.recycle_dense_frontier(out);
         // Next dense expansion over the same universe reuses the bitmap.
-        let out2 = expand_push_dense(execution::seq, &ctx, &g, &f, |_, _, _, _| true);
+        let out2 = try_expand_push_dense(execution::seq, &ctx, &g, &f, |_, _, _, _| true).unwrap();
         assert_eq!(out2.bits().words().as_ptr(), addr);
         assert_eq!(out2.len(), 2);
     }
@@ -1150,7 +1156,12 @@ mod tests {
             sorted(neighbors_expand(par, ctx, g, &f, by_ends).into_vec()),
             sorted(neighbors_expand(par, ctx, g, &f, by_edge).into_vec()),
             sorted(neighbors_expand_unique(par, ctx, g, &f, by_ends).into_vec()),
-            sorted(expand_push_dense(par, ctx, g, &f, by_edge).iter().collect()),
+            sorted(
+                try_expand_push_dense(par, ctx, g, &f, by_edge)
+                    .unwrap()
+                    .iter()
+                    .collect(),
+            ),
             sorted(masked.iter().collect()),
             sorted(counted.iter().collect()),
             neighbors_expand(par, ctx, g, &SparseFrontier::new(), by_ends).into_vec(),
@@ -1194,6 +1205,10 @@ mod tests {
         let ctx = Context::new(2);
         let f = SparseFrontier::new();
         assert!(neighbors_expand(execution::par, &ctx, &g, &f, |_, _, _, _| true).is_empty());
-        assert!(expand_push_dense(execution::par, &ctx, &g, &f, |_, _, _, _| true).is_empty());
+        assert!(
+            try_expand_push_dense(execution::par, &ctx, &g, &f, |_, _, _, _| true)
+                .unwrap()
+                .is_empty()
+        );
     }
 }

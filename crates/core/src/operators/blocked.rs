@@ -14,8 +14,8 @@
 //!   gathers. Built once per run (counting sort of the edge list into
 //!   bin-major segments), then [`BlockedGather::gather`] replays it every
 //!   iteration with fresh source values, allocation-free.
-//! * [`expand_blocked_pull`] — a frontier-masked pull with the same
-//!   signature family as `expand_pull_masked`, for direction-optimized
+//! * [`try_expand_blocked_pull`] — a frontier-masked pull with the same
+//!   signature family as `try_expand_pull_masked`, for direction-optimized
 //!   traversals whose dense iterations dominate.
 //!
 //! Determinism: bins are fixed disjoint destination ranges, each flushed
@@ -24,12 +24,12 @@
 //! independent of the worker count. Results are therefore bit-identical
 //! across thread counts, unlike an atomic scatter.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use essentials_frontier::DenseFrontier;
 use essentials_graph::{EdgeId, EdgeValue, InNeighbors, OutNeighbors, OutWeights, VertexId};
 use essentials_obs::{AdvanceEvent, OpKind};
-use essentials_parallel::{ExecutionPolicy, Schedule};
+use essentials_parallel::{
+    try_sequential_for_with, ChunkHooks, ExecError, ExecutionPolicy, Schedule,
+};
 
 use crate::context::Context;
 use crate::operators::advance::PullConfig;
@@ -42,9 +42,6 @@ const SRC_CHUNK: usize = 4096;
 /// Bitmap words per fixed chunk on the masked path (64 words = 4096
 /// source slots, mirroring [`SRC_CHUNK`]).
 const WORD_CHUNK: usize = 64;
-
-/// Most worker segments the chunk scheduler tracks on the stack.
-const MAX_SEGMENTS: usize = 64;
 
 /// Tuning for the blocked operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,79 +89,30 @@ impl<T> SendPtr<T> {
 // parallel region; the underlying borrow outlives the region.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-/// Runs `f(chunk)` for every chunk in `0..nchunks`, claiming chunks from
-/// per-worker segment cursors (preferring each worker's placement segment
-/// before sweeping the rest) so flushes land on the worker that owns the
-/// destination range when the pool carries a [`Placement`].
-///
-/// This exists because `parallel_for` falls back to a sequential loop
-/// below its cutoff (2048 items) — correct for fine-grained loops, wrong
-/// for coarse chunk loops where each of ~dozens of items is thousands of
-/// edges of work. Every chunk is executed exactly once regardless of
-/// worker count; `f` must tolerate concurrent invocation on distinct
+/// Runs `f(chunk)` for every chunk in `0..nchunks` under `hooks` — on the
+/// pool when `parallel` ([`ThreadPool::try_for_each_chunk`], which claims
+/// from each worker's placement segment first and, unlike `parallel_for`,
+/// has no sequential cut-off: each of these few chunks is thousands of
+/// edges of work), in order on the calling thread otherwise. Every chunk
+/// runs exactly once; `f` must tolerate concurrent invocation on distinct
 /// chunks.
-fn for_each_chunk<F>(ctx: &Context, parallel: bool, nchunks: usize, f: F)
+///
+/// [`ThreadPool::try_for_each_chunk`]: essentials_parallel::ThreadPool::try_for_each_chunk
+fn for_each_chunk<F>(
+    ctx: &Context,
+    parallel: bool,
+    nchunks: usize,
+    hooks: ChunkHooks<'_>,
+    f: F,
+) -> Result<(), ExecError>
 where
     F: Fn(usize) + Sync,
 {
-    let workers = ctx.num_threads();
-    if !parallel || workers == 1 || nchunks <= 1 {
-        for c in 0..nchunks {
-            f(c);
-        }
-        return;
+    if parallel {
+        ctx.pool().try_for_each_chunk(nchunks, hooks, |_, c| f(c))
+    } else {
+        try_sequential_for_with(0..nchunks, Schedule::Dynamic(1), hooks, |_, c| f(c))
     }
-    if workers <= MAX_SEGMENTS {
-        // Segment boundaries over the chunk space: the pool's placement
-        // rescaled when present, an even split otherwise.
-        let placement = ctx.pool().placement();
-        let mut bounds = [0usize; MAX_SEGMENTS + 1];
-        match placement.as_deref() {
-            Some(p) if p.workers() == workers && !p.is_empty() => {
-                for (w, b) in bounds.iter_mut().enumerate().take(workers) {
-                    *b = p.scaled_segment(w, nchunks).start;
-                }
-                bounds[workers] = nchunks;
-            }
-            _ => {
-                let seg = nchunks.div_ceil(workers);
-                for (w, b) in bounds.iter_mut().enumerate().take(workers + 1) {
-                    *b = (w * seg).min(nchunks);
-                }
-            }
-        }
-        let cursors: [AtomicUsize; MAX_SEGMENTS] = std::array::from_fn(|w| {
-            AtomicUsize::new(if w < workers { bounds[w] } else { usize::MAX })
-        });
-        let cursors = &cursors;
-        let bounds = &bounds;
-        ctx.pool().run(|tid| {
-            // Own segment first, then sweep the others round-robin: the
-            // cursors are claim tickets, so each chunk runs exactly once
-            // even when several workers sweep the same drained segment.
-            for k in 0..workers {
-                let w = (tid + k) % workers;
-                loop {
-                    let c = cursors[w].fetch_add(1, Ordering::Relaxed);
-                    if c >= bounds[w + 1] {
-                        break;
-                    }
-                    f(c);
-                }
-            }
-        });
-        return;
-    }
-    // Degenerate worker counts: single shared cursor.
-    let next = AtomicUsize::new(0);
-    let next = &next;
-    ctx.pool().run(|_tid| loop {
-        let c = next.fetch_add(1, Ordering::Relaxed);
-        if c >= nchunks {
-            break;
-        }
-        f(c);
-    });
 }
 
 /// A destination-binned edge layout for allocation-free blocked gathers.
@@ -245,7 +193,7 @@ impl BlockedGather {
             let cptr = SendPtr(cursors.as_mut_ptr());
             let cptr = &cptr;
             let targets = &targets;
-            for_each_chunk(ctx, parallel, nchunks, |c| {
+            for_each_chunk(ctx, parallel, nchunks, ChunkHooks::none(), |c| {
                 let lo = c * SRC_CHUNK;
                 let hi = ((c + 1) * SRC_CHUNK).min(n);
                 for u in lo..hi {
@@ -257,7 +205,8 @@ impl BlockedGather {
                         unsafe { *cptr.get().add(cell) += 1 };
                     }
                 }
-            });
+            })
+            .unwrap_or_else(|e| panic!("{e}"));
         }
 
         // Exclusive prefix scan over the ~(nbins * nchunks) cells —
@@ -281,7 +230,7 @@ impl BlockedGather {
             let sptr = SendPtr(srcs.as_mut_ptr());
             let (cptr, dptr, sptr) = (&cptr, &dptr, &sptr);
             let targets = &targets;
-            for_each_chunk(ctx, parallel, nchunks, |c| {
+            for_each_chunk(ctx, parallel, nchunks, ChunkHooks::none(), |c| {
                 let lo = c * SRC_CHUNK;
                 let hi = ((c + 1) * SRC_CHUNK).min(n);
                 for u in lo..hi {
@@ -299,7 +248,8 @@ impl BlockedGather {
                         }
                     }
                 }
-            });
+            })
+            .unwrap_or_else(|e| panic!("{e}"));
         }
 
         let mut s = ctx.take_scratch();
@@ -391,7 +341,7 @@ impl BlockedGather {
         let (n, nchunks) = (self.n, self.nchunks);
         let (offsets, dsts, vals) = (&self.offsets, &self.dsts, &self.vals);
         let finalize = &finalize;
-        for_each_chunk(ctx, parallel, self.nbins, |b| {
+        for_each_chunk(ctx, parallel, self.nbins, ChunkHooks::none(), |b| {
             let v_lo = b * bin_size;
             let v_hi = ((b + 1) * bin_size).min(n);
             let k_lo = offsets[b * nchunks];
@@ -412,7 +362,8 @@ impl BlockedGather {
                     *optr.get().add(v) = finalize(v, acc);
                 }
             }
-        });
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
 
         if let Some(sink) = ctx.obs() {
             sink.on_advance(&AdvanceEvent {
@@ -443,7 +394,7 @@ impl BlockedGather {
 /// Frontier-masked pull expansion through propagation blocking.
 ///
 /// Semantically equivalent to
-/// [`expand_pull_masked`](crate::operators::advance::expand_pull_masked)
+/// [`try_expand_pull_masked`](crate::operators::advance::try_expand_pull_masked)
 /// — the output is the set of `dst ∈ candidates` with an edge `src → dst`
 /// from an active `src` whose `condition(src, dst, w)` holds — but driven
 /// from the out-adjacency side: active sources' out-edges are streamed
@@ -462,9 +413,11 @@ impl BlockedGather {
 ///
 /// Unlike [`BlockedGather`], the bin layout is rebuilt per call (the
 /// active set changes every iteration); all buffers are pooled, so
-/// steady-state calls stay allocation-free.
+/// steady-state calls stay allocation-free. Hooks fire at every chunk of
+/// each pass (count, fill, flush); an error stops before the next pass,
+/// and the pooled buffers and the output bitmap go back to the context.
 #[allow(clippy::too_many_arguments)]
-pub fn expand_blocked_pull<P, G, W, F>(
+pub fn try_expand_blocked_pull<P, G, W, F>(
     _policy: P,
     ctx: &Context,
     g: &G,
@@ -473,7 +426,7 @@ pub fn expand_blocked_pull<P, G, W, F>(
     cfg: PullConfig,
     bcfg: BlockedConfig,
     condition: F,
-) -> (DenseFrontier, usize)
+) -> Result<(DenseFrontier, usize), ExecError>
 where
     P: ExecutionPolicy,
     G: OutWeights<W> + Sync,
@@ -484,7 +437,7 @@ where
     debug_assert_eq!(candidates.capacity(), n);
     assert!(
         g.num_edges() <= u32::MAX as usize,
-        "expand_blocked_pull packs edge ids into u32 entries"
+        "try_expand_blocked_pull packs edge ids into u32 entries"
     );
     let output = ctx.take_dense_frontier(n);
     let parallel = P::IS_PARALLEL && ctx.num_threads() > 1;
@@ -504,71 +457,73 @@ where
     cursors.resize(cells, 0); // alloc-ok: cold growth, pooled across calls
     cursors[..].fill(0);
     let bits = input.bits();
+    let hooks = ctx.chunk_hooks();
 
-    // Count pass over active sources, chunked by bitmap words.
-    {
-        let cptr = SendPtr(cursors.as_mut_ptr());
-        let cptr = &cptr;
-        for_each_chunk(ctx, parallel, nchunks, |c| {
-            let w_lo = c * WORD_CHUNK;
-            let w_hi = ((c + 1) * WORD_CHUNK).min(words);
-            bits.for_each_set_in_words(w_lo, w_hi, &mut |src| {
-                for d in g.out_neighbors_from(src as VertexId, 0) {
-                    let cell = ((d as usize) >> bin_bits) * nchunks + c;
-                    // SAFETY: column `c` of the count matrix is owned by
-                    // this chunk invocation (see BlockedGather::build).
-                    unsafe { *cptr.get().add(cell) += 1 };
-                }
-            });
-        });
-    }
-
-    let mut acc = 0usize;
-    for i in 0..cells {
-        offsets[i] = acc;
-        acc += cursors[i];
-    }
-    offsets[cells] = acc;
-    let m = acc;
-
-    // Fill pass: stride-3 entries (dst, src, edge) at the cell cursors. Edge
-    // ids advance with the stream position, so they are the CSR numbering on
-    // every representation.
-    entries.resize(3 * m, 0); // alloc-ok: cold growth, pooled across calls
-    cursors.copy_from_slice(&offsets[..cells]);
-    {
-        let cptr = SendPtr(cursors.as_mut_ptr());
-        let eptr = SendPtr(entries.as_mut_ptr());
-        let (cptr, eptr) = (&cptr, &eptr);
-        for_each_chunk(ctx, parallel, nchunks, |c| {
-            let w_lo = c * WORD_CHUNK;
-            let w_hi = ((c + 1) * WORD_CHUNK).min(words);
-            bits.for_each_set_in_words(w_lo, w_hi, &mut |src| {
-                for (e, d) in g.out_edges_from(src as VertexId, 0) {
-                    let cell = ((d as usize) >> bin_bits) * nchunks + c;
-                    // SAFETY: column-disjoint cursors hand out unique
-                    // entry slots (see BlockedGather::build).
-                    unsafe {
-                        let k = *cptr.get().add(cell);
-                        *cptr.get().add(cell) = k + 1;
-                        let at = eptr.get().add(3 * k);
-                        *at = d;
-                        *at.add(1) = src as u32;
-                        *at.add(2) = e as u32;
+    let passes = (|| -> Result<usize, ExecError> {
+        // Count pass over active sources, chunked by bitmap words.
+        {
+            let cptr = SendPtr(cursors.as_mut_ptr());
+            let cptr = &cptr;
+            for_each_chunk(ctx, parallel, nchunks, hooks, |c| {
+                let w_lo = c * WORD_CHUNK;
+                let w_hi = ((c + 1) * WORD_CHUNK).min(words);
+                bits.for_each_set_in_words(w_lo, w_hi, &mut |src| {
+                    for d in g.out_neighbors_from(src as VertexId, 0) {
+                        let cell = ((d as usize) >> bin_bits) * nchunks + c;
+                        // SAFETY: column `c` of the count matrix is owned by
+                        // this chunk invocation (see BlockedGather::build).
+                        unsafe { *cptr.get().add(cell) += 1 };
                     }
-                }
-            });
-        });
-    }
+                });
+            })?;
+        }
 
-    // Flush: each bin probes candidates/output within one cache-resident
-    // destination window. `output` insertion is atomic (bitmap), so
-    // cross-bin writes need no coordination.
-    {
+        let mut acc = 0usize;
+        for i in 0..cells {
+            offsets[i] = acc;
+            acc += cursors[i];
+        }
+        offsets[cells] = acc;
+        let m = acc;
+
+        // Fill pass: stride-3 entries (dst, src, edge) at the cell cursors.
+        // Edge ids advance with the stream position, so they are the CSR
+        // numbering on every representation.
+        entries.resize(3 * m, 0); // alloc-ok: cold growth, pooled across calls
+        cursors.copy_from_slice(&offsets[..cells]);
+        {
+            let cptr = SendPtr(cursors.as_mut_ptr());
+            let eptr = SendPtr(entries.as_mut_ptr());
+            let (cptr, eptr) = (&cptr, &eptr);
+            for_each_chunk(ctx, parallel, nchunks, hooks, |c| {
+                let w_lo = c * WORD_CHUNK;
+                let w_hi = ((c + 1) * WORD_CHUNK).min(words);
+                bits.for_each_set_in_words(w_lo, w_hi, &mut |src| {
+                    for (e, d) in g.out_edges_from(src as VertexId, 0) {
+                        let cell = ((d as usize) >> bin_bits) * nchunks + c;
+                        // SAFETY: column-disjoint cursors hand out unique
+                        // entry slots (see BlockedGather::build), and the
+                        // count pass completed, so every slot is in bounds.
+                        unsafe {
+                            let k = *cptr.get().add(cell);
+                            *cptr.get().add(cell) = k + 1;
+                            let at = eptr.get().add(3 * k);
+                            *at = d;
+                            *at.add(1) = src as u32;
+                            *at.add(2) = e as u32;
+                        }
+                    }
+                });
+            })?;
+        }
+
+        // Flush: each bin probes candidates/output within one cache-resident
+        // destination window. `output` insertion is atomic (bitmap), so
+        // cross-bin writes need no coordination.
         let output = &output;
         let (offsets, entries) = (&offsets, &entries);
         let condition = &condition;
-        for_each_chunk(ctx, parallel, nbins, |b| {
+        for_each_chunk(ctx, parallel, nbins, hooks, |b| {
             for k in offsets[b * nchunks]..offsets[(b + 1) * nchunks] {
                 let dst = entries[3 * k];
                 if cfg.early_exit && output.contains(dst) {
@@ -583,8 +538,9 @@ where
                     output.insert(dst);
                 }
             }
-        });
-    }
+        })?;
+        Ok(m)
+    })();
 
     let mut s = ctx.take_scratch();
     s.put_usize(offsets);
@@ -592,6 +548,13 @@ where
     s.put_u32(entries);
     ctx.put_scratch(s);
 
+    let m = match passes {
+        Ok(m) => m,
+        Err(e) => {
+            ctx.recycle_dense_frontier(output);
+            return Err(e);
+        }
+    };
     if let Some(sink) = ctx.obs() {
         let out_len = output.len();
         sink.on_advance(&AdvanceEvent {
@@ -605,7 +568,7 @@ where
             per_worker: &[],
         });
     }
-    (output, m)
+    Ok((output, m))
 }
 
 #[cfg(test)]
@@ -743,7 +706,7 @@ mod tests {
         input: &DenseFrontier,
         candidates: &DenseFrontier,
     ) -> (Vec<VertexId>, usize) {
-        let (out, scanned) = expand_blocked_pull(
+        let (out, scanned) = try_expand_blocked_pull(
             execution::par,
             ctx,
             g,
@@ -752,7 +715,8 @@ mod tests {
             PullConfig { early_exit: false },
             BlockedConfig { bin_bits: 5 },
             cond,
-        );
+        )
+        .unwrap();
         let mut set: Vec<VertexId> = out.iter().collect();
         set.sort_unstable();
         (set, scanned)
@@ -804,7 +768,7 @@ mod tests {
         input.set_all();
         let candidates = DenseFrontier::new(n);
         candidates.set_all();
-        let (out, _) = expand_blocked_pull(
+        let (out, _) = try_expand_blocked_pull(
             execution::par,
             &ctx,
             &g,
@@ -813,7 +777,8 @@ mod tests {
             PullConfig { early_exit: true },
             BlockedConfig { bin_bits: 4 },
             |_, _, _| true,
-        );
+        )
+        .unwrap();
         // Every vertex with an in-edge is admitted exactly once.
         let with_in: usize = (0..n as VertexId).filter(|&v| g.in_degree(v) > 0).count();
         assert_eq!(out.len(), with_in);

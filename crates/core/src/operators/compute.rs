@@ -5,16 +5,13 @@
 //! builds a fresh value per vertex in parallel, the pattern algorithms use
 //! to initialize property arrays.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use essentials_frontier::SparseFrontier;
 use essentials_graph::VertexId;
 use essentials_obs::{ComputeEvent, OpKind};
-use essentials_parallel::{
-    exec::panic_payload_string, ChunkAction, ExecError, ExecutionPolicy, Progress, Schedule,
-};
+use essentials_parallel::{ExecError, ExecutionPolicy, Schedule};
 
 use crate::context::Context;
+use crate::operators::try_for_with;
 
 /// Emits a [`ComputeEvent`] if the context carries a sink. One call per
 /// operator call — the instrumentation never enters the per-item loop.
@@ -49,56 +46,7 @@ where
     P: ExecutionPolicy,
     F: Fn(VertexId) + Sync,
 {
-    let hooks = ctx.chunk_hooks();
-    if !P::IS_PARALLEL || ctx.num_threads() == 1 {
-        if hooks.is_empty() {
-            for v in 0..n as VertexId {
-                f(v);
-            }
-        } else {
-            let mut lo = 0usize;
-            let mut chunk = 0usize;
-            while lo < n {
-                let hi = (lo + 512).min(n);
-                match hooks.before_chunk(chunk) {
-                    ChunkAction::Run => {}
-                    ChunkAction::Stop(reason) => {
-                        return Err(ExecError::Budget {
-                            reason,
-                            progress: Progress::default(),
-                        });
-                    }
-                    ChunkAction::Panic {
-                        iteration,
-                        chunk: at,
-                    } => {
-                        let payload = catch_unwind(AssertUnwindSafe(|| {
-                            panic!("injected fault at (iteration {iteration}, chunk {at})")
-                        }))
-                        .unwrap_err();
-                        return Err(ExecError::WorkerPanic {
-                            payload: panic_payload_string(&*payload),
-                            chunk,
-                        });
-                    }
-                }
-                catch_unwind(AssertUnwindSafe(|| {
-                    for v in lo as VertexId..hi as VertexId {
-                        f(v);
-                    }
-                }))
-                .map_err(|payload| ExecError::WorkerPanic {
-                    payload: panic_payload_string(&*payload),
-                    chunk,
-                })?;
-                lo = hi;
-                chunk += 1;
-            }
-        }
-    } else {
-        ctx.pool()
-            .try_parallel_for(0..n, Schedule::Dynamic(512), hooks, |i| f(i as VertexId))?;
-    }
+    try_for_with::<P, _>(ctx, 0..n, Schedule::Dynamic(512), |_, i| f(i as VertexId))?;
     emit(ctx, OpKind::ForeachVertex, P::NAME, n);
     Ok(())
 }

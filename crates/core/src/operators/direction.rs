@@ -3,36 +3,41 @@
 //!
 //! The paper argues that traversal direction and frontier representation are
 //! choices the operator layer should make per iteration, not per algorithm.
-//! [`DirectionPolicy`] is the reusable form of the Beamer α/β heuristic that
-//! previously lived inside `bfs_direction_optimizing`; [`advance_adaptive`]
-//! is the entry point that consults it each iteration, converts the frontier
+//! A [`DirectionPolicy`] is that choice as a value — a *plan*: the Beamer
+//! α/β heuristic by default, or one direction for every iteration
+//! ([`DirectionPolicy::fixed`]), so fixed push, dense push and pull are plan
+//! values rather than separate algorithms. [`try_advance_adaptive`] is the
+//! entry point that consults it each iteration, converts the frontier
 //! representation to match the chosen kernel, and dispatches to
-//! [`neighbors_expand_unique`](super::advance::neighbors_expand_unique)
-//! (sparse-push), [`expand_push_dense`](super::advance::expand_push_dense)
-//! (dense-push), or the pull expansions. Algorithms supply the same three
-//! ingredients fixed-direction variants do — a push condition, a pull
-//! candidate predicate, a pull condition — and the engine owns everything
-//! else: the decision, the representation switches, the unexplored-edge
-//! bookkeeping, recycling spent frontiers through the [`Context`] pools, and
-//! emitting [`DirectionEvent`]s so switches stay observable.
+//! [`try_neighbors_expand`] / [`try_neighbors_expand_unique`]
+//! (sparse-push), [`try_expand_push_dense`] (dense-push), or the pull
+//! expansions. Algorithms supply one candidate predicate and one
+//! `condition(src, dst, w)` — the push and the pull view of the same
+//! monotone update — and the engine owns everything else: the decision, the
+//! representation switches, the unexplored-edge bookkeeping, recycling spent
+//! frontiers through the [`Context`] pools, emitting [`DirectionEvent`]s so
+//! switches stay observable, and the chunk hooks (budget, fault plan, panic
+//! capture) of whichever kernel runs.
 //!
 //! For settle-style algorithms (BFS: an admitted vertex never becomes a
 //! candidate again), the engine additionally maintains an
 //! *unvisited-candidates* bitmap and routes pull iterations through
-//! [`expand_pull_masked`](super::advance::expand_pull_masked), so late pull
-//! scans skip all-zero words and settled destinations instead of probing the
-//! candidate predicate for all `n` vertices.
+//! [`try_expand_pull_masked`], so late pull scans skip all-zero words and
+//! settled destinations instead of probing the candidate predicate for all
+//! `n` vertices.
 
 use essentials_frontier::{convert, DenseFrontier, Frontier, SparseFrontier, VertexFrontier};
-use essentials_graph::{EdgeId, EdgeValue, GraphBase, InWeights, OutWeights, VertexId};
+use essentials_graph::{EdgeValue, GraphBase, InWeights, OutWeights, VertexId};
 use essentials_obs::DirectionEvent;
-use essentials_parallel::ExecutionPolicy;
+use essentials_parallel::{ExecError, ExecutionPolicy};
 
 use crate::context::Context;
+use crate::enactor::LoopStats;
 use crate::operators::advance::{
-    expand_pull_counted, expand_pull_masked, expand_push_dense, neighbors_expand_unique, PullConfig,
+    try_expand_pull_counted, try_expand_pull_masked, try_expand_push_dense, try_neighbors_expand,
+    try_neighbors_expand_unique, PullConfig,
 };
-use crate::operators::blocked::{expand_blocked_pull, BlockedConfig};
+use crate::operators::blocked::{try_expand_blocked_pull, BlockedConfig};
 
 /// Traversal direction (and output representation) of one iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +51,7 @@ pub enum Direction {
     /// Candidates gather over in-edges (dense input and output).
     Pull,
     /// Pull routed through destination-binned propagation blocking
-    /// ([`expand_blocked_pull`]) — same semantics as [`Direction::Pull`],
+    /// ([`try_expand_blocked_pull`]) — same semantics as [`Direction::Pull`],
     /// chosen when the frontier is dense enough that binning's streaming
     /// passes beat the CSC scan's random candidate probes.
     BlockedPull,
@@ -107,6 +112,9 @@ pub struct PolicyInputs {
 /// push↔pull flip is suppressed until the current direction has run `dwell`
 /// iterations — for workloads where the two rules straddle a boundary and
 /// would otherwise oscillate.
+///
+/// A policy with `fixed` set skips every rule and runs that direction each
+/// iteration ([`DirectionPolicy::fixed`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DirectionPolicy {
     /// Push→pull when `growing && frontier_edges > unexplored_edges / alpha`.
@@ -125,6 +133,9 @@ pub struct DirectionPolicy {
     /// adjacency ([`PolicyInputs::compressed`]). `None` (the default) reuses
     /// the raw thresholds, so existing policies behave identically.
     pub compressed: Option<CompressedPullPolicy>,
+    /// The direction every iteration takes, bypassing the rules above.
+    /// `None` (the default) decides per iteration.
+    pub fixed: Option<Direction>,
 }
 
 /// The blocked-pull upgrade thresholds — a second α/β pair *inside* the
@@ -190,13 +201,28 @@ impl Default for DirectionPolicy {
             dwell: 1,
             blocked: None,
             compressed: None,
+            fixed: None,
         }
     }
 }
 
 impl DirectionPolicy {
+    /// The plan that runs every iteration in direction `d`: fixed push
+    /// (CSR only — the pull side is never touched), fixed dense push, or
+    /// fixed pull. A fixed [`Direction::BlockedPull`] degrades to plain pull
+    /// outside settle mode, exactly as the adaptive upgrade does.
+    pub fn fixed(d: Direction) -> Self {
+        DirectionPolicy {
+            fixed: Some(d),
+            ..DirectionPolicy::default()
+        }
+    }
+
     /// Picks the direction (and push representation) for one iteration.
     pub fn decide(&self, s: &PolicyInputs) -> Direction {
+        if let Some(d) = self.fixed {
+            return d;
+        }
         // Compressed adjacency swaps in its own α/β pair when one is
         // configured; everything else (γ, dwell, blocked upgrade) is a
         // representation question that does not depend on the encoding.
@@ -250,9 +276,6 @@ pub struct AdaptiveConfig {
     /// the masked word-parallel scan, and each iteration's output is retired
     /// from the mask 64 bits at a time.
     pub settle: bool,
-    /// Bin sizing for [`Direction::BlockedPull`] iterations (only consulted
-    /// when the policy's blocked-pull upgrade is enabled).
-    pub bins: BlockedConfig,
 }
 
 /// Cross-iteration state of one adaptive traversal: the policy inputs that
@@ -291,11 +314,6 @@ impl AdaptiveAdvance {
         }
     }
 
-    /// Direction chosen each iteration so far.
-    pub fn directions(&self) -> &[Direction] {
-        &self.directions
-    }
-
     /// Edges inspected so far: out-edges evaluated by push iterations plus
     /// in-edges scanned by pull iterations — the machine-independent work
     /// measure fixed-direction variants report.
@@ -303,17 +321,24 @@ impl AdaptiveAdvance {
         self.edges
     }
 
-    /// Iterations advanced so far.
-    pub fn iterations(&self) -> usize {
-        self.iter
-    }
-
-    /// Returns the engine's pooled memory (the unvisited mask) to the
-    /// context. Call when the traversal's loop exits.
-    pub fn finish(&mut self, ctx: &Context) {
+    /// Ends the traversal on every path: returns the unvisited mask and —
+    /// when the enacted loop finished — its final frontier to the context's
+    /// pools, and hands back the loop statistics with the per-iteration
+    /// direction trace (or the loop's error).
+    pub fn finish(
+        mut self,
+        ctx: &Context,
+        run: Result<(VertexFrontier, LoopStats), ExecError>,
+    ) -> Result<(LoopStats, Vec<Direction>), ExecError> {
         if let Some(mask) = self.unvisited.take() {
             ctx.recycle_dense_frontier(mask);
         }
+        let (last, stats) = run?;
+        match last {
+            VertexFrontier::Sparse(s) => ctx.recycle_frontier(s),
+            VertexFrontier::Dense(d) => ctx.recycle_dense_frontier(d),
+        }
+        Ok((stats, self.directions))
     }
 
     /// The unvisited mask, built from `candidate` on first use (settle mode).
@@ -343,31 +368,33 @@ impl AdaptiveAdvance {
 /// sparse/dense pools, so steady-state iterations of every direction perform
 /// zero heap allocations.
 ///
-/// `push_condition(src, dst, edge, w)` is evaluated once per out-edge of the
-/// frontier on push iterations; `pull_condition(src, dst, w)` once per
-/// scanned in-edge on pull iterations; `pull_candidate(dst)` gates which
-/// destinations a pull scans (and seeds the unvisited mask in settle mode).
-/// For the result to be direction-independent the conditions must be the
-/// push/pull views of the same monotone update — BFS's claim-by-CAS,
-/// SSSP/CC's `fetch_min` — as the fixed-direction variants already require.
-#[allow(clippy::too_many_arguments)]
-pub fn advance_adaptive<P, G, W, FPush, C, FPull>(
+/// `condition(src, dst, w)` is evaluated once per out-edge of the frontier
+/// on push iterations and once per scanned in-edge from an active source on
+/// pull iterations; `candidate(dst)` gates which destinations a pull scans
+/// (and seeds the unvisited mask in settle mode). For the result to be
+/// direction-independent the condition must be a monotone update — BFS's
+/// claim-by-CAS, SSSP/CC's `fetch_min` — whose push and pull views coincide.
+///
+/// Every kernel runs under the context's chunk hooks. On an error — budget
+/// stop, injected fault, panicking condition — the kernel has already
+/// returned its output storage, a dense input goes back to the pool (a
+/// sparse one is dropped), and [`AdaptiveAdvance::finish`] recycles the
+/// unvisited mask, so the context is fully reusable.
+pub fn try_advance_adaptive<P, G, W, C, F>(
     policy: P,
     ctx: &Context,
     g: &G,
     engine: &mut AdaptiveAdvance,
     frontier: VertexFrontier,
-    push_condition: FPush,
-    pull_candidate: C,
-    pull_condition: FPull,
-) -> VertexFrontier
+    candidate: C,
+    condition: F,
+) -> Result<VertexFrontier, ExecError>
 where
     P: ExecutionPolicy,
     G: OutWeights<W> + InWeights<W> + Sync,
     W: EdgeValue,
-    FPush: Fn(VertexId, VertexId, EdgeId, W) -> bool + Sync,
     C: Fn(VertexId) -> bool + Sync,
-    FPull: Fn(VertexId, VertexId, W) -> bool + Sync,
+    F: Fn(VertexId, VertexId, W) -> bool + Sync,
 {
     let n = engine.n;
     let len = frontier.len();
@@ -445,23 +472,33 @@ where
             };
             // Both push kernels evaluate the condition once per out-edge.
             engine.edges += frontier_edges;
+            let push = |src, dst, _e, w| condition(src, dst, w);
             let out = if dir == Direction::DensePush {
-                let out = expand_push_dense(policy, ctx, g, &sparse, push_condition);
-                if let Some(mask) = &engine.unvisited {
-                    mask.and_not(&out);
-                }
-                VertexFrontier::Dense(out)
+                try_expand_push_dense(policy, ctx, g, &sparse, push).map(VertexFrontier::Dense)
+            } else if engine.cfg.settle {
+                // A settling condition admits each vertex once by itself,
+                // so the fused dedup bitmap would never fire.
+                try_neighbors_expand(policy, ctx, g, &sparse, push).map(VertexFrontier::Sparse)
             } else {
-                let out = neighbors_expand_unique(policy, ctx, g, &sparse, push_condition);
-                if let Some(mask) = &engine.unvisited {
-                    for &v in out.as_slice() {
-                        mask.remove(v);
-                    }
-                }
-                VertexFrontier::Sparse(out)
+                try_neighbors_expand_unique(policy, ctx, g, &sparse, push)
+                    .map(VertexFrontier::Sparse)
             };
+            // A failed iteration drops its input instead of parking it: an
+            // undersized vector on top of the pool would become the next
+            // expansion's output and regrow there.
+            let out = out?;
             ctx.recycle_frontier(sparse);
-            out
+            if let Some(mask) = &engine.unvisited {
+                match &out {
+                    VertexFrontier::Sparse(s) => {
+                        for &v in s.as_slice() {
+                            mask.remove(v);
+                        }
+                    }
+                    VertexFrontier::Dense(d) => mask.and_not(d),
+                }
+            }
+            Ok(out)
         }
         Direction::Pull | Direction::BlockedPull => {
             let dense = match frontier {
@@ -478,43 +515,29 @@ where
             let pull_cfg = PullConfig {
                 early_exit: engine.cfg.early_exit,
             };
-            let (out, scanned) = if dir == Direction::BlockedPull {
-                // Settle mode is guaranteed here (see the downgrade above).
-                engine.ensure_unvisited(ctx, &pull_candidate);
-                let mask = engine.unvisited.as_ref().unwrap(); // unwrap-ok: ensure_unvisited filled it
-                expand_blocked_pull(
-                    policy,
-                    ctx,
-                    g,
-                    &dense,
-                    mask,
-                    pull_cfg,
-                    engine.cfg.bins,
-                    &pull_condition,
-                )
-            } else if engine.cfg.settle {
+            let out = if engine.cfg.settle {
                 // The mask reflects candidacy at iteration entry; outputs
-                // retire from it below, keeping it exact.
-                engine.ensure_unvisited(ctx, &pull_candidate);
-                let mask = engine.unvisited.as_ref().unwrap(); // unwrap-ok: ensure_unvisited filled it
-                expand_pull_masked(policy, ctx, g, &dense, mask, pull_cfg, &pull_condition)
+                // retire from it below, keeping it exact. (Blocked pull is
+                // only ever chosen here: see the downgrade above.)
+                let mask = engine.ensure_unvisited(ctx, &candidate);
+                if dir == Direction::BlockedPull {
+                    let bins = BlockedConfig::default();
+                    try_expand_blocked_pull(
+                        policy, ctx, g, &dense, mask, pull_cfg, bins, &condition,
+                    )
+                } else {
+                    try_expand_pull_masked(policy, ctx, g, &dense, mask, pull_cfg, &condition)
+                }
             } else {
-                expand_pull_counted(
-                    policy,
-                    ctx,
-                    g,
-                    &dense,
-                    pull_cfg,
-                    &pull_candidate,
-                    &pull_condition,
-                )
+                try_expand_pull_counted(policy, ctx, g, &dense, pull_cfg, &candidate, &condition)
             };
+            ctx.recycle_dense_frontier(dense);
+            let (out, scanned) = out?;
             engine.edges += scanned;
             if let Some(mask) = &engine.unvisited {
                 mask.and_not(&out);
             }
-            ctx.recycle_dense_frontier(dense);
-            VertexFrontier::Dense(out)
+            Ok(VertexFrontier::Dense(out))
         }
     }
 }
@@ -586,6 +609,24 @@ mod tests {
     }
 
     #[test]
+    fn a_fixed_plan_overrides_every_rule() {
+        let mut eager = inputs(Direction::Push);
+        eager.frontier_edges = 2000; // α enters pull
+        let mut tail = inputs(Direction::Pull);
+        tail.frontier_len = 1; // β leaves pull
+        for d in [
+            Direction::Push,
+            Direction::DensePush,
+            Direction::Pull,
+            Direction::BlockedPull,
+        ] {
+            let p = DirectionPolicy::fixed(d);
+            assert_eq!(p.decide(&eager), d);
+            assert_eq!(p.decide(&tail), d);
+        }
+    }
+
+    #[test]
     fn degenerate_parameters_do_not_divide_by_zero() {
         let p = DirectionPolicy {
             alpha: 0,
@@ -594,6 +635,7 @@ mod tests {
             dwell: 0,
             blocked: Some(BlockedPullPolicy { alpha: 0, beta: 0 }),
             compressed: Some(CompressedPullPolicy { alpha: 0, beta: 0 }),
+            fixed: None,
         };
         let mut s = inputs(Direction::Push);
         s.compressed = true;

@@ -15,3 +15,30 @@ pub mod direction;
 pub mod filter;
 pub mod intersect;
 pub mod reduce;
+
+use std::ops::Range;
+
+use essentials_parallel::{try_sequential_for_with, ExecError, ExecutionPolicy, Schedule};
+
+use crate::context::Context;
+
+/// `f(worker, i)` for every `i` in `range` under the context's chunk hooks:
+/// across the pool for a parallel policy, in order on the calling thread
+/// otherwise — the same chunk numbering either way.
+pub(crate) fn try_for_with<P, F>(
+    ctx: &Context,
+    range: Range<usize>,
+    schedule: Schedule,
+    f: F,
+) -> Result<(), ExecError>
+where
+    P: ExecutionPolicy,
+    F: Fn(usize, usize) + Sync,
+{
+    if P::IS_PARALLEL {
+        ctx.pool()
+            .try_parallel_for_with(range, schedule, ctx.chunk_hooks(), f)
+    } else {
+        try_sequential_for_with(range, schedule, ctx.chunk_hooks(), f)
+    }
+}

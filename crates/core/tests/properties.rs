@@ -4,7 +4,7 @@
 
 use essentials_core::load_balance::for_each_edge_balanced;
 use essentials_core::operators::advance::{
-    expand_pull, expand_push_dense, neighbors_expand, PullConfig,
+    expand_pull_counted, neighbors_expand, try_expand_push_dense, PullConfig,
 };
 use essentials_core::operators::compute::fill_indexed;
 use essentials_core::operators::filter::{filter, uniquify, uniquify_with_bitmap};
@@ -56,8 +56,9 @@ proptest! {
         let sparse = SparseFrontier::from_vec(frontier);
         let dense_in = essentials_frontier::convert::sparse_to_dense(
             &sparse, g.get_num_vertices());
-        let push = expand_push_dense(execution::par, &ctx, &g, &sparse, |_, _, _, _| true);
-        let pull = expand_pull(
+        let push =
+            try_expand_push_dense(execution::par, &ctx, &g, &sparse, |_, _, _, _| true).unwrap();
+        let (pull, _) = expand_pull_counted(
             execution::par,
             &ctx,
             &g,

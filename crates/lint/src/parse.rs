@@ -170,6 +170,9 @@ pub const WORKER_LOOPS: &[&str] = &[
     "parallel_for_with",
     "try_parallel_for",
     "try_parallel_for_with",
+    "try_sequential_for_with",
+    "try_for_each_chunk",
+    "try_for_with",
     "for_each_chunk",
 ];
 

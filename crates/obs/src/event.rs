@@ -11,11 +11,12 @@ pub enum OpKind {
     Advance,
     /// `neighbors_expand_unique` — push expansion with fused dedup.
     AdvanceUnique,
-    /// `expand_push_dense` — push expansion into a dense bitmap frontier.
+    /// `try_expand_push_dense` — push expansion into a dense bitmap frontier.
     AdvanceDense,
-    /// `expand_pull` / `expand_pull_counted` — pull-direction expansion.
+    /// `try_expand_pull_counted` / `try_expand_pull_masked` — pull-direction
+    /// expansion.
     Pull,
-    /// `expand_blocked_pull` — pull expansion routed through
+    /// `try_expand_blocked_pull` — pull expansion routed through
     /// destination-binned propagation blocking.
     PullBlocked,
     /// `BlockedGather` — full-frontier gather with destination-binned

@@ -341,6 +341,23 @@ impl AtomicBitset {
     }
 }
 
+/// `T` on a 128-byte block of its own (a cache line and its prefetch
+/// partner). A counter every worker bumps per edge must not share a line
+/// with data the workers only read — a closure's captures or a `Vec` header
+/// on the caller's stack — or each bump evicts that data from the other
+/// cores; which neighbours a stack slot gets is up to the compiler.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T>(pub T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// A relaxed `usize` counter for statistics (edges relaxed, messages sent…).
 #[derive(Debug, Default)]
 pub struct Counter(AtomicUsize);

@@ -49,7 +49,7 @@ pub use exec::{
 };
 pub use placement::Placement;
 pub use policy::{execution, ExecutionPolicy, Par, ParNosync, Seq};
-pub use pool::ThreadPool;
+pub use pool::{try_sequential_for_with, ThreadPool};
 pub use scan::{parallel_scan, parallel_scan_with, serial_scan};
 pub use schedule::Schedule;
 pub use scope::Scope;

@@ -320,29 +320,45 @@ impl ThreadPool {
     where
         F: Fn(usize, usize) + Sync,
     {
+        self.try_for_with_cutoff(range, schedule, schedule.sequential_cutoff(), hooks, f)
+    }
+
+    /// Runs `f(worker, chunk)` once for every chunk id in `0..nchunks` —
+    /// [`ThreadPool::try_parallel_for_with`] under `Schedule::Dynamic(1)`
+    /// without the sequential cut-off, for loops whose items are already
+    /// coarse chunks of work (a bin flush, a source-window pass) and so pay
+    /// for the pool even when there are only a few of them.
+    pub fn try_for_each_chunk<F>(
+        &self,
+        nchunks: usize,
+        hooks: ChunkHooks<'_>,
+        f: F,
+    ) -> Result<(), ExecError>
+    where
+        F: Fn(usize, usize) + Sync,
+    {
+        self.try_for_with_cutoff(0..nchunks, Schedule::Dynamic(1), 2, hooks, f)
+    }
+
+    /// [`ThreadPool::try_parallel_for_with`] with ranges shorter than
+    /// `cutoff` running on the calling thread.
+    fn try_for_with_cutoff<F>(
+        &self,
+        range: Range<usize>,
+        schedule: Schedule,
+        cutoff: usize,
+        hooks: ChunkHooks<'_>,
+        f: F,
+    ) -> Result<(), ExecError>
+    where
+        F: Fn(usize, usize) + Sync,
+    {
         let len = range.end.saturating_sub(range.start);
-        if len == 0 {
-            return Ok(());
+        if self.num_threads == 1 || len < cutoff {
+            return try_sequential_for_with(range, schedule, hooks, f);
         }
         let outcome = RegionOutcome::default();
         let f = &f;
-        if self.num_threads == 1 || len < schedule.sequential_cutoff() {
-            let grain = match schedule {
-                Schedule::Dynamic(g) | Schedule::Guided(g) => g.max(1),
-                Schedule::Static => len,
-            };
-            let mut lo = range.start;
-            let mut chunk = 0usize;
-            while lo < range.end {
-                let hi = (lo + grain).min(range.end);
-                if !run_chunk(&outcome, &hooks, f, 0, chunk, lo, hi) {
-                    break;
-                }
-                lo = hi;
-                chunk += 1;
-            }
-            return outcome.into_result();
-        }
         let n = self.num_threads;
         match schedule {
             Schedule::Static => {
@@ -368,8 +384,11 @@ impl ThreadPool {
                 // `(lo - start) / grain` numbering of the shared-counter
                 // schedule, so fault-plan coordinates and the determinism
                 // argument are untouched — only the claim order (which the
-                // BSP contract already leaves free) changes.
-                if (2..=MAX_SEGMENTS).contains(&n) && nchunks >= 2 * n {
+                // BSP contract already leaves free) changes. It applies as
+                // soon as every worker has a chunk of its own, so a loop
+                // over a few coarse chunks (bin flushes) runs each chunk on
+                // the same worker, with its cache, call after call.
+                if (2..=MAX_SEGMENTS).contains(&n) && nchunks >= n {
                     let placement = self.placement();
                     let mut bounds = [0usize; MAX_SEGMENTS + 1];
                     match placement.as_deref() {
@@ -564,6 +583,38 @@ impl RegionOutcome {
     }
 }
 
+/// The calling-thread form of [`ThreadPool::try_parallel_for_with`], which
+/// is what a sequential policy runs: `f(0, i)` for every `i` in `range`, in
+/// order, chunked by the dynamic grain (one chunk for `Static`) under the
+/// same hooks, chunk numbering and per-chunk panic capture — so `Dynamic`
+/// fault coordinates mean the same thing at every thread count.
+pub fn try_sequential_for_with<F>(
+    range: Range<usize>,
+    schedule: Schedule,
+    hooks: ChunkHooks<'_>,
+    f: F,
+) -> Result<(), ExecError>
+where
+    F: Fn(usize, usize),
+{
+    let grain = match schedule {
+        Schedule::Dynamic(g) | Schedule::Guided(g) => g.max(1),
+        Schedule::Static => range.len().max(1),
+    };
+    let outcome = RegionOutcome::default();
+    let mut lo = range.start;
+    let mut chunk = 0usize;
+    while lo < range.end {
+        let hi = (lo + grain).min(range.end);
+        if !run_chunk(&outcome, &hooks, &f, 0, chunk, lo, hi) {
+            break;
+        }
+        lo = hi;
+        chunk += 1;
+    }
+    outcome.into_result()
+}
+
 /// Runs one chunk of a fallible loop under its hooks and a per-chunk
 /// `catch_unwind`. Returns `false` when the worker should stop claiming
 /// chunks (budget stop); a *panicking* chunk returns `true` so siblings and
@@ -578,7 +629,7 @@ fn run_chunk<F>(
     hi: usize,
 ) -> bool
 where
-    F: Fn(usize, usize) + Sync,
+    F: Fn(usize, usize),
 {
     match hooks.before_chunk(chunk) {
         ChunkAction::Run => {}

@@ -345,10 +345,12 @@ impl<W: EdgeValue> Engine<W> {
         }
     }
 
-    /// Single-source BFS (light class).
+    /// Single-source BFS (light class), on the push plan: it needs only the
+    /// CSR, so a graph built without `with_csc` is served too.
     pub fn bfs(&self, source: VertexId, budget: RunBudget) -> Result<BfsResult, ServeError> {
+        let push = DirectionPolicy::fixed(Direction::Push);
         self.serve(Class::Light, "bfs", budget, |ctx| {
-            try_bfs(execution::par, ctx, &self.graph, source)
+            try_bfs(execution::par, ctx, &*self.graph, source, push)
         })
     }
 

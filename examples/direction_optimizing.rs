@@ -1,19 +1,18 @@
 //! Push vs. pull vs. adaptive traversal (§III-C).
 //!
-//! Runs BFS three ways on a power-law graph and a mesh, printing the
-//! per-iteration frontier trace and the direction the adaptive engine's
-//! [`DirectionPolicy`] chose. The RMAT run shows the classic pattern: push
+//! Runs one BFS under three plans — fixed push, fixed pull, and the
+//! default direction-optimizing [`DirectionPolicy`] — on a power-law graph
+//! and a mesh, printing the per-iteration frontier trace and the direction
+//! the adaptive plan chose. The RMAT run shows the classic pattern: push
 //! through the sparse early frontiers, pull through the dense middle, push
 //! again on the tail. A second RMAT pass with a deliberately eager policy
-//! (`alpha` high, `gamma` low) shows the knobs changing the decision — the
+//! (`alpha` 1, `gamma` high) shows the knobs changing the decision — the
 //! heuristic is data the algorithm consults, not code baked into BFS.
 //!
 //! Run: `cargo run --release --example direction_optimizing`
 
 use essentials::prelude::*;
-use essentials_algos::bfs::{
-    bfs, bfs_direction_optimizing, bfs_pull, bfs_sequential, bfs_with_policy, DoParams,
-};
+use essentials_algos::bfs::{bfs, bfs_sequential};
 use essentials_gen as gen;
 
 fn print_trace(r: &essentials_algos::bfs::BfsResult, n: usize) {
@@ -32,9 +31,12 @@ fn print_trace(r: &essentials_algos::bfs::BfsResult, n: usize) {
 
 fn trace(name: &str, g: &Graph<()>, ctx: &Context) {
     let oracle = bfs_sequential(g, 0);
-    let push = bfs(execution::par, ctx, g, 0);
-    let pull = bfs_pull(execution::par, ctx, g, 0);
-    let dopt = bfs_direction_optimizing(execution::par, ctx, g, 0, DoParams::default());
+    let [push, pull, dopt] = [
+        DirectionPolicy::fixed(Direction::Push),
+        DirectionPolicy::fixed(Direction::Pull),
+        DirectionPolicy::default(),
+    ]
+    .map(|plan| bfs(execution::par, ctx, g, 0, plan));
     for (vname, r) in [("push", &push), ("pull", &pull), ("adaptive", &dopt)] {
         assert_eq!(r.level, oracle.level, "{vname} diverged on {name}");
     }
@@ -62,15 +64,16 @@ fn main() {
         .build();
     trace("RMAT-13 (social)", &rmat, &ctx);
 
-    // Same graph, a policy that refuses pull (huge alpha) but goes to the
+    // Same graph, a policy that refuses pull (alpha 1: a frontier's edge
+    // mass never exceeds the unexplored pool it is part of) but goes to the
     // bitmap representation early (gamma 64): all push, dense where fat.
     let eager = DirectionPolicy {
-        alpha: usize::MAX,
+        alpha: 1,
         gamma: 64,
         ..DirectionPolicy::default()
     };
-    let r = bfs_with_policy(execution::par, &ctx, &rmat, 0, eager);
-    println!("\n--- same graph, pull disabled (alpha = MAX) ---");
+    let r = bfs(execution::par, &ctx, &rmat, 0, eager);
+    println!("\n--- same graph, pull disabled (alpha = 1) ---");
     println!("edges inspected: {}", r.edges_inspected);
     print_trace(&r, rmat.get_num_vertices());
 

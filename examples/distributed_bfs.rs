@@ -23,7 +23,8 @@ fn main() {
     println!("mesh: {n} vertices, {} edges", g.get_num_edges());
 
     let ctx = Context::default();
-    let oracle = essentials_algos::bfs::bfs(execution::par, &ctx, &g, 0);
+    let push = DirectionPolicy::fixed(Direction::Push);
+    let oracle = essentials_algos::bfs::bfs(execution::par, &ctx, &g, 0, push);
 
     println!(
         "\n{:<14} {:>6} {:>10} {:>12} {:>12}",
@@ -57,7 +58,7 @@ fn main() {
     let p = multilevel_partition(&g, MultilevelConfig::new(4));
     let pg = PartitionedGraph::build(&g, &p);
     let (dist, stats) = mp_sssp(&pg, 0);
-    let shared = essentials_algos::sssp::sssp(execution::par, &ctx, &g, 0);
+    let shared = essentials_algos::sssp::sssp(execution::par, &ctx, &g, 0, push);
     let agree = dist
         .iter()
         .zip(&shared.dist)

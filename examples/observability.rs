@@ -2,9 +2,10 @@
 //!
 //! Attaches a `TeeSink` fanning out to a `CountersSink` (exact work
 //! totals, per-worker load-balance skew) and a `TraceSink` (every
-//! operator call and iteration span, in order) to the `Context`, runs
-//! direction-optimizing BFS and SSSP, and renders what the sinks saw —
-//! including the push→pull switch decisions of the β heuristic.
+//! operator call and iteration span, in order) to the `Context`, runs BFS
+//! on the direction-optimizing plan and SSSP on the fixed-push plan, and
+//! renders what the sinks saw — including the push→pull switch decisions
+//! of the α/β heuristic.
 //!
 //! The same algorithms run unmodified: observability rides on the context,
 //! so no algorithm code knows whether anyone is watching (and with no sink
@@ -53,14 +54,20 @@ fn main() {
     ));
 
     trace.mark("bfs");
-    let r = bfs::bfs_direction_optimizing(execution::par, &ctx, &g, 0, bfs::DoParams::default());
+    let r = bfs::bfs(execution::par, &ctx, &g, 0, DirectionPolicy::default());
     trace.mark("sssp");
-    sssp::sssp(execution::par, &ctx, &wg, 0);
+    let push = DirectionPolicy::fixed(Direction::Push);
+    sssp::sssp(execution::par, &ctx, &wg, 0, push);
 
     // The trace knows *when* things happened: print the direction each BFS
-    // iteration chose and what the β rule saw.
+    // iteration chose and what the β rule saw (the SSSP run after the mark
+    // pushes every iteration by its plan).
     println!("direction decisions (BFS):");
-    for rec in trace.records() {
+    let records = trace.records();
+    let bfs_records = records
+        .iter()
+        .take_while(|rec| **rec != Record::Mark("sssp".into()));
+    for rec in bfs_records {
         if let Record::Direction(d) = rec {
             println!(
                 "  iter {:>2}: frontier {:>5} vertices / {:>6} edges, {:>6} unexplored -> {}",

@@ -40,7 +40,8 @@ fn main() {
 
     // Listing 4: parallel SSSP with the bulk-synchronous policy.
     let ctx = Context::default();
-    let result = sssp(execution::par, &ctx, &g, 0);
+    let push = DirectionPolicy::fixed(Direction::Push);
+    let result = sssp(execution::par, &ctx, &g, 0, push);
     println!(
         "\nSSSP from vertex 0 ({} supersteps):",
         result.stats.iterations
@@ -57,8 +58,8 @@ fn main() {
 
     // The policy is a type: the same call runs sequentially or
     // asynchronously with identical results.
-    let seq = sssp(execution::seq, &ctx, &g, 0);
-    let nosync = sssp(execution::par_nosync, &ctx, &g, 0);
+    let seq = sssp(execution::seq, &ctx, &g, 0, push);
+    let nosync = sssp(execution::par_nosync, &ctx, &g, 0, push);
     assert_eq!(seq.dist, result.dist);
     assert_eq!(nosync.dist, result.dist);
     println!("policy equivalence (seq == par == par_nosync) ✓");

@@ -24,6 +24,7 @@ fn main() {
         g.get_num_edges()
     );
     let ctx = Context::default();
+    let push = DirectionPolicy::fixed(Direction::Push);
     let source: VertexId = 0;
 
     let mut reference: Option<Vec<f32>> = None;
@@ -57,11 +58,11 @@ fn main() {
         (r.dist, r.stats.iterations, r.relaxations)
     });
     report("bsp (listing 4, seq)", &|| {
-        let r = sssp::sssp(execution::seq, &ctx, &g, source);
+        let r = sssp::sssp(execution::seq, &ctx, &g, source, push);
         (r.dist, r.stats.iterations, r.relaxations)
     });
     report("bsp (listing 4, par)", &|| {
-        let r = sssp::sssp(execution::par, &ctx, &g, source);
+        let r = sssp::sssp(execution::par, &ctx, &g, source, push);
         (r.dist, r.stats.iterations, r.relaxations)
     });
     report("async (no barriers)", &|| {
@@ -78,7 +79,7 @@ fn main() {
 
     // The grid's hop diameter shows why BSP pays here: one superstep per
     // wavefront.
-    let bfs = essentials_algos::bfs::bfs(execution::par, &ctx, &g, source);
+    let bfs = essentials_algos::bfs::bfs(execution::par, &ctx, &g, source, push);
     let hops = bfs
         .level
         .iter()

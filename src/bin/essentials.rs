@@ -190,7 +190,9 @@ fn run_bfs(args: &[String]) -> Result<(), String> {
     let g = Graph::from_coo(&load(args.first().ok_or("bfs: missing file")?)?);
     let ctx = Context::default();
     let source = source_of(args)?;
-    let r = bfs::bfs(execution::par, &ctx, &g, source);
+    // The push plan: the file is loaded as a CSR only.
+    let push = DirectionPolicy::fixed(Direction::Push);
+    let r = bfs::bfs(execution::par, &ctx, &g, source, push);
     let reached = r.level.iter().filter(|&&l| l != bfs::UNVISITED).count();
     let depth = r
         .level
@@ -212,8 +214,9 @@ fn run_sssp(args: &[String]) -> Result<(), String> {
     let ctx = Context::default();
     let source = source_of(args)?;
     let mode = flag(args, "--mode").unwrap_or("bsp");
+    let push = DirectionPolicy::fixed(Direction::Push);
     let r = match mode {
-        "bsp" => sssp::sssp(execution::par, &ctx, &g, source),
+        "bsp" => sssp::sssp(execution::par, &ctx, &g, source, push),
         "async" => sssp::sssp_async(&ctx, &g, source),
         "delta" => sssp::delta_stepping(execution::par, &ctx, &g, source, 2.0),
         other => return Err(format!("unknown sssp mode '{other}'")),
@@ -259,7 +262,8 @@ fn run_cc(args: &[String]) -> Result<(), String> {
         .deduplicate()
         .build();
     let ctx = Context::default();
-    let r = cc::cc_label_propagation(execution::par, &ctx, &g);
+    let push = DirectionPolicy::fixed(Direction::Push);
+    let r = cc::cc_label_propagation(execution::par, &ctx, &g, push);
     let mut sizes: std::collections::HashMap<VertexId, usize> = Default::default();
     for &c in &r.comp {
         *sizes.entry(c).or_default() += 1;

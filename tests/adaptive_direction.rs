@@ -40,6 +40,17 @@ fn topologies() -> Vec<(&'static str, Coo<()>)> {
     ]
 }
 
+/// The plans the fixed-direction variants used to be, plus the default
+/// α/β switch.
+fn plans() -> [(&'static str, DirectionPolicy); 4] {
+    [
+        ("push", DirectionPolicy::fixed(Direction::Push)),
+        ("dense push", DirectionPolicy::fixed(Direction::DensePush)),
+        ("pull", DirectionPolicy::fixed(Direction::Pull)),
+        ("adaptive", DirectionPolicy::default()),
+    ]
+}
+
 #[test]
 fn adaptive_bfs_matches_fixed_push_and_pull_bit_for_bit() {
     for (name, coo) in topologies() {
@@ -47,12 +58,15 @@ fn adaptive_bfs_matches_fixed_push_and_pull_bit_for_bit() {
         let oracle = bfs::bfs_sequential(&g, 0).level;
         for threads in [1, 4] {
             let ctx = Context::new(threads);
-            let push = bfs::bfs(execution::par, &ctx, &g, 0);
-            let pull = bfs::bfs_pull(execution::par, &ctx, &g, 0);
-            let auto = bfs::bfs_adaptive(execution::par, &ctx, &g, 0);
-            assert_eq!(push.level, oracle, "push on {name} @ {threads}");
-            assert_eq!(pull.level, oracle, "pull on {name} @ {threads}");
-            assert_eq!(auto.level, oracle, "adaptive on {name} @ {threads}");
+            let push = bfs::bfs(execution::par, &ctx, &g, 0, plans()[0].1);
+            for (plan, policy) in plans() {
+                let r = bfs::bfs(execution::par, &ctx, &g, 0, policy);
+                assert_eq!(r.level, oracle, "{plan} on {name} @ {threads}");
+                assert_eq!(
+                    r.stats.frontier_trace, push.stats.frontier_trace,
+                    "{plan} frontier trace on {name} @ {threads}"
+                );
+            }
         }
     }
 }
@@ -62,9 +76,8 @@ fn adaptive_bfs_inspects_no_more_edges_than_the_better_fixed_direction() {
     for (name, coo) in topologies() {
         let g = sym(coo);
         let ctx = Context::new(4);
-        let push = bfs::bfs(execution::par, &ctx, &g, 0).edges_inspected;
-        let pull = bfs::bfs_pull(execution::par, &ctx, &g, 0).edges_inspected;
-        let auto = bfs::bfs_adaptive(execution::par, &ctx, &g, 0).edges_inspected;
+        let [push, _, pull, auto] =
+            plans().map(|(_, plan)| bfs::bfs(execution::par, &ctx, &g, 0, plan).edges_inspected);
         assert!(
             auto <= push.min(pull),
             "adaptive inspected {auto} edges on {name}; fixed push {push}, fixed pull {pull}"
@@ -72,12 +85,9 @@ fn adaptive_bfs_inspects_no_more_edges_than_the_better_fixed_direction() {
         // The α/β direction-optimizing BFS pulls through R-MAT's dense
         // middle levels, skipping most of the edges push inspects there.
         if name == "rmat" {
-            let params = bfs::DoParams::default();
-            let dobfs = bfs::bfs_direction_optimizing(execution::par, &ctx, &g, 0, params);
             assert!(
-                dobfs.edges_inspected < push,
-                "direction-optimizing inspected {} edges on rmat; push {push}",
-                dobfs.edges_inspected
+                auto < push,
+                "direction-optimizing inspected {auto} edges on rmat; push {push}"
             );
         }
     }
@@ -89,43 +99,52 @@ fn adaptive_sssp_cc_pagerank_match_their_fixed_variants() {
         let g = sym(coo.clone());
         let gw = weighted(coo);
         let ctx = Context::new(4);
-        // SSSP: monotone fetch_min — same least fixpoint, bit for bit.
-        let fixed = sssp::sssp(execution::par, &ctx, &gw, 0);
-        let auto = sssp::sssp_adaptive(execution::par, &ctx, &gw, 0);
-        assert_eq!(auto.dist, fixed.dist, "sssp on {name}");
-        // CC: same argument on labels.
+        let fixed = sssp::sssp(execution::par, &ctx, &gw, 0, plans()[0].1);
         let cc_ref = cc::cc_union_find(&g).comp;
-        assert_eq!(
-            cc::cc_adaptive(execution::par, &ctx, &g).comp,
-            cc_ref,
-            "cc on {name}"
-        );
-        // PageRank: the default policy gathers every iteration, so the
-        // result is bit-identical to the pull variant.
+        for (plan, policy) in plans() {
+            // SSSP: monotone fetch_min — same least fixpoint, bit for bit.
+            let r = sssp::sssp(execution::par, &ctx, &gw, 0, policy);
+            assert_eq!(r.dist, fixed.dist, "{plan} sssp on {name}");
+            // CC: same argument on labels.
+            let r = cc::cc_label_propagation(execution::par, &ctx, &g, policy);
+            assert_eq!(r.comp, cc_ref, "{plan} cc on {name}");
+        }
+        // PageRank has no frontier to switch on; its two fixed directions
+        // — the pull gather and the atomic push scatter — reach the same
+        // fixpoint up to the push side's summation order.
         let cfg = pagerank::PrConfig {
             damping: 0.85,
             tolerance: 0.0,
             max_iterations: 20,
         };
         let pull = pagerank::pagerank_pull(execution::par, &ctx, &g, cfg);
-        let auto =
-            pagerank::pagerank_adaptive(execution::par, &ctx, &g, cfg, DirectionPolicy::default());
-        assert_eq!(auto.rank, pull.rank, "pagerank on {name}");
+        let push = pagerank::pagerank_push(execution::par, &ctx, &g, cfg);
+        for (a, b) in pull.rank.iter().zip(&push.rank) {
+            assert!((a - b).abs() < 1e-12, "pagerank on {name}: {a} vs {b}");
+        }
     }
 }
 
 /// Policies spanning the decision space's corners: always-push, eager-pull,
-/// dense-early, sticky (high dwell), blocked-pull upgrades, and the default.
+/// dense-early, sticky (high dwell), blocked-pull upgrades, every fixed
+/// direction, and the default.
 fn arb_policy() -> impl Strategy<Value = DirectionPolicy> {
+    const FIXED: [Direction; 4] = [
+        Direction::Push,
+        Direction::DensePush,
+        Direction::Pull,
+        Direction::BlockedPull,
+    ];
     (
         1usize..40,
         1usize..40,
         1usize..64,
         1usize..4,
-        (0usize..2, 1usize..16, 1usize..32),
+        // Half the cases pin one of the four directions.
+        (0usize..2, 1usize..16, 1usize..32, 0usize..8),
     )
         .prop_map(
-            |(alpha, beta, gamma, dwell, (on, ba, bb))| DirectionPolicy {
+            |(alpha, beta, gamma, dwell, (on, ba, bb, fixed))| DirectionPolicy {
                 alpha,
                 beta,
                 gamma,
@@ -135,6 +154,7 @@ fn arb_policy() -> impl Strategy<Value = DirectionPolicy> {
                     beta: bb,
                 }),
                 compressed: None,
+                fixed: FIXED.get(fixed).copied(),
             },
         )
 }
@@ -155,11 +175,11 @@ proptest! {
             sym(gen::grid2d(grid_side, grid_side)),
         ] {
             let oracle = bfs::bfs_sequential(&g, 0).level;
-            let r = bfs::bfs_with_policy(execution::par, &ctx, &g, 0, policy);
+            let r = bfs::bfs(execution::par, &ctx, &g, 0, policy);
             prop_assert_eq!(&r.level, &oracle);
             // The trace of frontier sizes is direction independent too:
             // each level set is determined by the graph, not the schedule.
-            let push = bfs::bfs(execution::par, &ctx, &g, 0);
+            let push = bfs::bfs(execution::par, &ctx, &g, 0, plans()[0].1);
             prop_assert_eq!(&r.stats.frontier_trace, &push.stats.frontier_trace);
         }
     }

@@ -37,6 +37,11 @@ use std::sync::Arc;
 mod reps;
 use reps::Reps;
 
+/// The fixed-push plan: the traversal of the paper's listings, CSR only.
+fn push() -> DirectionPolicy {
+    DirectionPolicy::fixed(Direction::Push)
+}
+
 const THREADS: [usize; 3] = [1, 2, 8];
 
 fn sym(coo: Coo<()>) -> Graph<()> {
@@ -83,9 +88,9 @@ where
 fn bfs_levels_bit_identical_across_thread_counts() {
     let reps = Reps::new(sym(gen::rmat(8, 8, gen::RmatParams::default(), 11)));
     let g = &reps.raw;
-    let reference = bfs::bfs(execution::seq, &Context::sequential(), g, 0).level;
+    let reference = bfs::bfs(execution::seq, &Context::sequential(), g, 0, push()).level;
     for &t in &THREADS {
-        let r = bfs::bfs(execution::par, &Context::new(t), g, 0);
+        let r = bfs::bfs(execution::par, &Context::new(t), g, 0, push());
         assert_eq!(r.level, reference, "levels diverged at {t} threads");
     }
     assert_adaptive_bfs_is_deterministic("raw", g, &reference);
@@ -113,9 +118,9 @@ where
 fn sssp_distances_bit_identical_across_thread_counts() {
     let reps = Reps::new(weighted(gen::rmat(8, 8, gen::RmatParams::default(), 11)));
     let g = &reps.raw;
-    let reference = sssp::sssp(execution::seq, &Context::sequential(), g, 0).dist;
+    let reference = sssp::sssp(execution::seq, &Context::sequential(), g, 0, push()).dist;
     for &t in &THREADS {
-        let r = sssp::sssp(execution::par, &Context::new(t), g, 0);
+        let r = sssp::sssp(execution::par, &Context::new(t), g, 0, push());
         // Exact f32 equality — the least fixpoint is schedule independent.
         assert_eq!(r.dist, reference, "distances diverged at {t} threads");
     }
@@ -157,13 +162,6 @@ fn pagerank_pull_bit_identical_at_fixed_iteration_count() {
     assert_pagerank_pull_is_deterministic("raw", g, cfg, &reference);
     assert_pagerank_pull_is_deterministic("compressed", &reps.compressed, cfg, &reference);
     assert_pagerank_pull_is_deterministic("mmapped", &reps.mapped(), cfg, &reference);
-    for &t in &THREADS {
-        // The adaptive variant's default policy gathers every iteration —
-        // identical float operations in identical order.
-        let ctx = Context::new(t);
-        let a = pagerank::pagerank_adaptive(execution::par, &ctx, g, cfg, Default::default());
-        assert_eq!(a.rank, reference, "adaptive ranks diverged at {t} threads");
-    }
 }
 
 #[test]
@@ -208,31 +206,44 @@ fn blocked_gather_results_bit_identical_across_thread_counts() {
         );
     }
 
-    // Through the direction engine: a policy with an eager blocked-pull
-    // upgrade (huge α ⇒ tiny n/α entry threshold, so every pull iteration
-    // upgrades) yields the same levels AND the same per-iteration direction
-    // trace at every thread count (the decision reads only frontier sizes).
-    let policy = DirectionPolicy {
+    // Through the direction engine, every plan — the fixed directions, the
+    // default α/β switch, and a policy with an eager blocked-pull upgrade
+    // (huge α ⇒ tiny n/α entry threshold, so every pull iteration upgrades)
+    // — yields the same levels AND the same per-iteration direction trace
+    // at every thread count (the decision reads only frontier sizes).
+    let eager_blocked = DirectionPolicy {
         blocked: Some(BlockedPullPolicy {
             alpha: 1000,
             beta: 1000,
         }),
         ..DirectionPolicy::default()
     };
-    let b_ref = bfs::bfs_with_policy(execution::par, &Context::new(1), &g, 0, policy);
+    let plans = [
+        push(),
+        DirectionPolicy::fixed(Direction::DensePush),
+        DirectionPolicy::fixed(Direction::Pull),
+        DirectionPolicy::default(),
+        eager_blocked,
+    ];
+    let oracle = bfs::bfs_sequential(&g, 0).level;
+    for plan in plans {
+        let b_ref = bfs::bfs(execution::par, &Context::new(1), &g, 0, plan);
+        assert_eq!(b_ref.level, oracle, "{plan:?}");
+        for &t in &THREADS {
+            let ctx = Context::new(t);
+            let r = bfs::bfs(execution::par, &ctx, &g, 0, plan);
+            assert_eq!(r.level, b_ref.level, "{plan:?} diverged at {t} threads");
+            assert_eq!(
+                r.directions, b_ref.directions,
+                "{plan:?} direction trace diverged at {t} threads"
+            );
+        }
+    }
+    let blocked = bfs::bfs(execution::par, &Context::new(1), &g, 0, eager_blocked);
     assert!(
-        b_ref.directions.contains(&Direction::BlockedPull),
+        blocked.directions.contains(&Direction::BlockedPull),
         "eager policy never took the blocked-pull path; the test is vacuous"
     );
-    for &t in &THREADS {
-        let ctx = Context::new(t);
-        let r = bfs::bfs_with_policy(execution::par, &ctx, &g, 0, policy);
-        assert_eq!(r.level, b_ref.level, "blocked BFS diverged at {t} threads");
-        assert_eq!(
-            r.directions, b_ref.directions,
-            "direction trace diverged at {t} threads"
-        );
-    }
 }
 
 #[test]
@@ -256,7 +267,7 @@ fn budget_stops_are_thread_count_deterministic_for_bsp_runs() {
             other => panic!("expected Budget(IterationCap), got {other:?}"),
         }
     };
-    let bfs_run = |ctx: &Context| bfs::try_bfs(execution::par, ctx, &g, 0).map(drop);
+    let bfs_run = |ctx: &Context| bfs::try_bfs(execution::par, ctx, &g, 0, push()).map(drop);
     let reference = progress_at(1, &bfs_run);
     assert_eq!(reference.iterations, 2);
     assert_eq!(reference.work_trace.len(), 2);
@@ -275,10 +286,10 @@ fn budget_stops_are_thread_count_deterministic_for_bsp_runs() {
     let sparse = sym(gen::gnm(256, 320, 11));
     let runs: [(&str, Run); 4] = [
         ("sssp", &|ctx| {
-            sssp::try_sssp(execution::par, ctx, &wg, 0).map(drop)
+            sssp::try_sssp(execution::par, ctx, &wg, 0, push()).map(drop)
         }),
         ("cc", &|ctx| {
-            cc::try_cc_label_propagation(execution::par, ctx, &sparse).map(drop)
+            cc::try_cc_label_propagation(execution::par, ctx, &sparse, push()).map(drop)
         }),
         ("pagerank", &|ctx| {
             let cfg = pagerank::PrConfig::default();
@@ -299,13 +310,41 @@ fn budget_stops_are_thread_count_deterministic_for_bsp_runs() {
         }
     }
 
+    // The default plan runs the same loop through the direction engine,
+    // pull and dense iterations included: the cap stops it after two
+    // iterations with identical progress at every thread count.
+    let plan = DirectionPolicy::default();
+    let adaptive: [(&str, Run); 3] = [
+        ("bfs", &|ctx| {
+            bfs::try_bfs(execution::par, ctx, &g, 0, plan).map(drop)
+        }),
+        ("sssp", &|ctx| {
+            sssp::try_sssp(execution::par, ctx, &wg, 0, plan).map(drop)
+        }),
+        ("cc", &|ctx| {
+            cc::try_cc_label_propagation(execution::par, ctx, &sparse, plan).map(drop)
+        }),
+    ];
+    for (algo, run) in adaptive {
+        let reference = progress_at(1, run);
+        assert_eq!(reference.iterations, 2, "default-plan {algo}");
+        assert_eq!(reference.work_trace.len(), 2, "default-plan {algo}");
+        for &t in &THREADS[1..] {
+            assert_eq!(
+                progress_at(t, run),
+                reference,
+                "default-plan {algo} budget stop at {t} threads"
+            );
+        }
+    }
+
     // Same for a fault-plan cancellation at an exact (iteration, chunk)
     // coordinate: the BSP edge balancer numbers chunks identically at
     // every thread count.
     let cancel_progress_at = |threads: usize| {
         let plan = Arc::new(FaultPlan::new().cancel_at(1, 0));
         let ctx = Context::new(threads).with_fault_plan(plan);
-        match bfs::try_bfs(execution::par, &ctx, &g, 0) {
+        match bfs::try_bfs(execution::par, &ctx, &g, 0, push()) {
             Err(ExecError::Budget { reason, progress }) => {
                 assert_eq!(reason, BudgetReason::Cancelled);
                 progress
@@ -328,7 +367,7 @@ fn budget_stops_are_thread_count_deterministic_for_bsp_runs() {
 fn async_execution_varies_work_but_not_values() {
     let g = weighted(gen::grid2d(20, 20));
     let ctx = Context::new(4);
-    let bsp = sssp::sssp(execution::par, &ctx, &g, 0);
+    let bsp = sssp::sssp(execution::par, &ctx, &g, 0, push());
     let asy = sssp::sssp_async(&ctx, &g, 0);
     // Same fixpoint, bit for bit.
     assert_eq!(asy.dist, bsp.dist);
@@ -338,7 +377,7 @@ fn async_execution_varies_work_but_not_values() {
     assert_eq!(asy.stats.iterations, 1);
     assert!(asy.relaxations > 0);
 
-    let bfs_bsp = bfs::bfs(execution::par, &ctx, &g, 0);
+    let bfs_bsp = bfs::bfs(execution::par, &ctx, &g, 0, push());
     let bfs_asy = bfs::bfs_async(&ctx, &g, 0);
     assert_eq!(bfs_asy.level, bfs_bsp.level);
 }
@@ -347,8 +386,8 @@ fn async_execution_varies_work_but_not_values() {
 fn par_nosync_reaches_the_same_fixpoint() {
     let g = weighted(gen::rmat(8, 8, gen::RmatParams::default(), 23));
     let ctx = Context::new(4);
-    let sync = sssp::sssp(execution::par, &ctx, &g, 0);
-    let nosync = sssp::sssp(execution::par_nosync, &ctx, &g, 0);
+    let sync = sssp::sssp(execution::par, &ctx, &g, 0, push());
+    let nosync = sssp::sssp(execution::par_nosync, &ctx, &g, 0, push());
     // Relaxed-ordering execution may do a different amount of work per
     // superstep, but the monotone relaxation still lands on the least
     // fixpoint.

@@ -18,6 +18,11 @@ use std::sync::atomic::{AtomicU32, Ordering};
 mod reps;
 use reps::Reps;
 
+/// The fixed-push plan: the traversal of the paper's listings, CSR only.
+fn push() -> DirectionPolicy {
+    DirectionPolicy::fixed(Direction::Push)
+}
+
 const SHM_THREADS: [usize; 3] = [1, 2, 8];
 const MP_PARTITIONS: [usize; 3] = [1, 2, 8];
 
@@ -61,7 +66,7 @@ fn bfs_levels_agree_across_backends() {
         let oracle = bfs::bfs_sequential(&g, 0).level;
         for &t in &SHM_THREADS {
             let ctx = Context::new(t);
-            let r = bfs::bfs(execution::par, &ctx, &g, 0);
+            let r = bfs::bfs(execution::par, &ctx, &g, 0, push());
             assert_eq!(r.level, oracle, "shm bfs diverged on {name} at {t} threads");
             let a = bfs::bfs_adaptive(execution::par, &ctx, &g, 0);
             assert_eq!(
@@ -89,7 +94,7 @@ fn sssp_distances_agree_across_backends() {
         let oracle = sssp::dijkstra(&g, 0).dist;
         for &t in &SHM_THREADS {
             let ctx = Context::new(t);
-            let r = sssp::sssp(execution::par, &ctx, &g, 0);
+            let r = sssp::sssp(execution::par, &ctx, &g, 0, push());
             assert!(
                 close_f32(&r.dist, &oracle),
                 "shm sssp diverged on {name} at {t} threads"
@@ -163,9 +168,10 @@ fn blocked_gather_agrees_with_naive_on_f64_ranks() {
 #[test]
 fn blocked_gather_is_exact_on_integer_payloads() {
     // Integer payloads leave no room for tolerance: BFS levels through the
-    // direction engine's blocked-pull upgrade, and CC labels through a
-    // label-propagation loop driven directly by `expand_blocked_pull`, must
-    // equal the sequential oracles bit for bit.
+    // direction engine under every plan — the fixed directions, the default
+    // α/β switch, and its blocked-pull upgrade — and CC labels through a
+    // label-propagation loop driven directly by `try_expand_blocked_pull`,
+    // must equal the sequential oracles bit for bit.
     let blocked_policy = DirectionPolicy {
         // Huge α ⇒ tiny n/α entry threshold: every pull iteration upgrades.
         blocked: Some(BlockedPullPolicy {
@@ -174,6 +180,14 @@ fn blocked_gather_is_exact_on_integer_payloads() {
         }),
         ..DirectionPolicy::default()
     };
+    let plans = [
+        push(),
+        DirectionPolicy::fixed(Direction::DensePush),
+        DirectionPolicy::fixed(Direction::Pull),
+        DirectionPolicy::fixed(Direction::BlockedPull),
+        DirectionPolicy::default(),
+        blocked_policy,
+    ];
     for (name, coo) in topologies() {
         let g = sym(coo);
         let n = g.get_num_vertices();
@@ -181,11 +195,13 @@ fn blocked_gather_is_exact_on_integer_payloads() {
         let bfs_oracle = bfs::bfs_sequential(&g, 0).level;
         for &t in &SHM_THREADS {
             let ctx = Context::new(t);
-            let r = bfs::bfs_with_policy(execution::par, &ctx, &g, 0, blocked_policy);
-            assert_eq!(
-                r.level, bfs_oracle,
-                "blocked bfs diverged on {name} at {t} threads"
-            );
+            for plan in plans {
+                let r = bfs::bfs(execution::par, &ctx, &g, 0, plan);
+                assert_eq!(
+                    r.level, bfs_oracle,
+                    "{plan:?} bfs diverged on {name} at {t} threads"
+                );
+            }
         }
 
         // CC by min-label propagation, every iteration a blocked pull over
@@ -201,7 +217,7 @@ fn blocked_gather_is_exact_on_integer_payloads() {
             let mut frontier = DenseFrontier::new(n);
             frontier.set_all();
             while !frontier.is_empty() {
-                let (next, _scanned) = expand_blocked_pull(
+                let (next, _scanned) = try_expand_blocked_pull(
                     execution::par,
                     &ctx,
                     &g,
@@ -213,7 +229,8 @@ fn blocked_gather_is_exact_on_integer_payloads() {
                         let l = labels[src as usize].load(Ordering::Acquire);
                         labels[dst as usize].fetch_min(l, Ordering::AcqRel) > l
                     },
-                );
+                )
+                .unwrap();
                 frontier = next;
             }
             let comp: Vec<VertexId> = labels.into_iter().map(AtomicU32::into_inner).collect();
@@ -358,13 +375,6 @@ fn pagerank_agrees_across_backends_at_fixed_iterations() {
                 assert!(
                     (a - b).abs() < 1e-9,
                     "shm pr diverged on {name} at {t} threads"
-                );
-            }
-            let ad = pagerank::pagerank_adaptive(execution::par, &ctx, &g, cfg, Default::default());
-            for (a, b) in ad.rank.iter().zip(&oracle) {
-                assert!(
-                    (a - b).abs() < 1e-9,
-                    "adaptive pr diverged on {name} at {t} threads"
                 );
             }
         }

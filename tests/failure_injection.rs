@@ -121,7 +121,8 @@ fn algorithms_panic_rather_than_wrap_on_bad_source() {
     let g = Graph::from_coo(&Coo::from_edges(2, [(0, 1, 1.0f32)]));
     let ctx = Context::sequential();
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        essentials_algos::sssp::sssp(execution::seq, &ctx, &g, 99)
+        let push = DirectionPolicy::fixed(Direction::Push);
+        essentials_algos::sssp::sssp(execution::seq, &ctx, &g, 99, push)
     }));
     assert!(r.is_err(), "out-of-range source must not return quietly");
 }

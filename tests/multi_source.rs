@@ -16,6 +16,11 @@ use essentials_algos::multi_source::{bfs_multi_source, MAX_BATCH};
 use essentials_gen as gen;
 use proptest::prelude::*;
 
+/// The fixed-push plan: the traversal of the paper's listings, CSR only.
+fn push() -> DirectionPolicy {
+    DirectionPolicy::fixed(Direction::Push)
+}
+
 /// Batch widths exercising both word edges (bit 0, the full word) and the
 /// interior.
 const WIDTHS: [usize; 4] = [1, 2, 63, 64];
@@ -29,7 +34,7 @@ fn assert_batch_matches(ctx: &Context, g: &Graph<()>, sources: &[VertexId]) {
     let batch = bfs_multi_source(execution::par, ctx, g, sources);
     assert_eq!(batch.batch, sources.len());
     for (s, &src) in sources.iter().enumerate() {
-        let single = bfs(execution::par, ctx, g, src);
+        let single = bfs(execution::par, ctx, g, src, push());
         assert_eq!(
             batch.source_levels(s),
             single.level,
@@ -113,7 +118,7 @@ proptest! {
             let ctx = Context::new(threads);
             let batch = bfs_multi_source(execution::par, &ctx, &g, &sources);
             for (s, &src) in sources.iter().enumerate() {
-                let single = bfs(execution::par, &ctx, &g, src);
+                let single = bfs(execution::par, &ctx, &g, src, push());
                 prop_assert_eq!(
                     batch.source_levels(s),
                     single.level,

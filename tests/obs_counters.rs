@@ -18,6 +18,11 @@ use essentials::prelude::*;
 use essentials_algos::{bfs, sssp};
 use essentials_gen as gen;
 
+/// The fixed-push plan: the traversal of the paper's listings, CSR only.
+fn push() -> DirectionPolicy {
+    DirectionPolicy::fixed(Direction::Push)
+}
+
 /// A context with `threads` requested workers and a fresh counters sink
 /// attached. (`ESSENTIALS_THREADS` may override the requested count — the
 /// references below are thread-count independent.)
@@ -32,7 +37,7 @@ fn observed(threads: usize) -> (Context, Arc<CountersSink>) {
 fn bfs_edges_inspected_matches_visited_degree_sum() {
     let g: Graph<()> = Graph::from_coo(&gen::rmat(8, 8, gen::RmatParams::default(), 3));
     let (ctx, sink) = observed(4);
-    let r = bfs::bfs(execution::par, &ctx, &g, 0);
+    let r = bfs::bfs(execution::par, &ctx, &g, 0, push());
 
     // Serial reference: every visited vertex enters the frontier exactly
     // once (the CAS claim) and has all its out-edges inspected there.
@@ -65,7 +70,7 @@ fn sssp_edges_inspected_matches_relaxations() {
     let g: Graph<f32> = Graph::from_coo(&gen::hash_weights(&coo, 0.1, 2.0, 42));
 
     let (ctx, sink) = observed(4);
-    let r = sssp::sssp(execution::par, &ctx, &g, 0);
+    let r = sssp::sssp(execution::par, &ctx, &g, 0, push());
 
     let t = sink.snapshot();
     // The relaxation lambda runs once per inspected edge — the two counts
@@ -81,7 +86,7 @@ fn sssp_edges_inspected_matches_relaxations() {
 fn per_worker_pushes_account_for_every_admitted_edge() {
     let g: Graph<()> = Graph::from_coo(&gen::rmat(9, 8, gen::RmatParams::default(), 5));
     let (ctx, sink) = observed(4);
-    let r = bfs::bfs(execution::par, &ctx, &g, 0);
+    let r = bfs::bfs(execution::par, &ctx, &g, 0, push());
     assert!(r.stats.iterations > 0);
 
     let t = sink.snapshot();
@@ -109,7 +114,7 @@ fn unique_expand_tallies_are_post_dedup() {
     let g: Graph<f32> = Graph::from_coo(&gen::hash_weights(&coo, 0.1, 2.0, 7));
 
     let (ctx, sink) = observed(4);
-    sssp::sssp(execution::par, &ctx, &g, 0);
+    sssp::sssp(execution::par, &ctx, &g, 0, push());
 
     let t = sink.snapshot();
     if ctx.pool().num_threads() > 1 {
@@ -128,10 +133,10 @@ fn reset_supports_back_to_back_measurements() {
     let g: Graph<()> = Graph::from_coo(&gen::rmat(7, 8, gen::RmatParams::default(), 1));
     let (ctx, sink) = observed(2);
 
-    bfs::bfs(execution::par, &ctx, &g, 0);
+    bfs::bfs(execution::par, &ctx, &g, 0, push());
     let first = sink.snapshot();
     sink.reset();
-    bfs::bfs(execution::par, &ctx, &g, 0);
+    bfs::bfs(execution::par, &ctx, &g, 0, push());
     let second = sink.snapshot();
 
     // Identical run on an identical graph: the machine-independent totals

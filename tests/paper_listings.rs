@@ -2,7 +2,11 @@
 //! These tests pin the Rust spelling of each listing so refactors cannot
 //! silently drift from the paper.
 
+use std::sync::atomic::Ordering;
+
 use essentials::prelude::*;
+use essentials_gen as gen;
+use essentials_parallel::atomics::{AtomicF32, Counter};
 
 /// Listing 1: a CSR behind a graph-focused API.
 #[test]
@@ -101,19 +105,87 @@ fn listing3_neighbors_expand_policies() {
     assert_eq!(seq, mux);
 }
 
+/// Listing 4 verbatim: initialize distances → seed the frontier with the
+/// source → while the frontier is not empty, `neighbors_expand` with the
+/// atomic-min relaxation lambda. The library's `sssp` runs the same loop
+/// through the direction engine, where this is the fixed-push plan; the
+/// literal stays here to pin that both compute the same run. Returns the
+/// distances, the relaxation count and the loop statistics.
+fn listing4_sssp<P: ExecutionPolicy>(
+    policy: P,
+    ctx: &Context,
+    g: &Graph<f32>,
+    source: VertexId,
+) -> Result<(Vec<f32>, usize, LoopStats), ExecError> {
+    // Initialize data.
+    let dist: Vec<AtomicF32> = (0..g.get_num_vertices())
+        .map(|v| {
+            AtomicF32::new(if v == source as usize {
+                0.0
+            } else {
+                f32::INFINITY
+            })
+        })
+        .collect();
+    let relaxations = Counter::new();
+    let mut f = SparseFrontier::new();
+    f.add_vertex(source);
+    // Main-loop.
+    let (_, stats) = Enactor::for_ctx(ctx).try_run(f, |_, f| {
+        // Expand the frontier; duplicates are filtered during the push.
+        let out = try_neighbors_expand_unique(
+            policy,
+            ctx,
+            g,
+            &f,
+            // User-defined condition for SSSP.
+            |src: VertexId, dst: VertexId, _edge: EdgeId, weight: f32| {
+                relaxations.add(1);
+                let new_d = dist[src as usize].load(Ordering::Acquire) + weight;
+                // atomic::min atomically updates the distances vector at dst
+                // with the minimum of new_d or its current value, then
+                // returns the old value.
+                let curr_d = dist[dst as usize].fetch_min(new_d, Ordering::AcqRel);
+                new_d < curr_d
+            },
+        )?;
+        ctx.recycle_frontier(f);
+        Ok(out)
+    })?;
+    let dist = dist.into_iter().map(AtomicF32::into_inner).collect();
+    Ok((dist, relaxations.get(), stats))
+}
+
 /// Listing 4: the complete SSSP — init, seed, while-loop with
 /// `neighbors_expand` + atomic-min relaxation, convergence on empty
-/// frontier.
+/// frontier — and the library's push plan computes the same run.
 #[test]
 fn listing4_sssp_structure_and_result() {
     let g: Graph<f32> = GraphBuilder::new(4)
         .edges([(0, 1, 1.0), (0, 2, 4.0), (1, 2, 2.0), (2, 3, 1.0)])
         .build();
-    let ctx = Context::new(2);
-    let r = essentials::algos::sssp::sssp(execution::par, &ctx, &g, 0);
-    assert_eq!(r.dist, vec![0.0, 1.0, 3.0, 4.0]);
-    // The loop ran until the frontier emptied (trace ends at 0) and did not
-    // hit any cap.
-    assert_eq!(*r.stats.frontier_trace.last().unwrap(), 0);
-    assert!(!r.stats.hit_iteration_cap);
+    let rmat = {
+        let mut coo = gen::rmat(9, 8, gen::RmatParams::default(), 5);
+        coo.remove_self_loops();
+        coo.symmetrize();
+        coo.sort_and_dedup();
+        Graph::from_coo(&gen::hash_weights(&coo, 0.1, 2.0, 42))
+    };
+    let push = DirectionPolicy::fixed(Direction::Push);
+    // One worker: the relaxation count is schedule dependent in parallel,
+    // so exact agreement is asserted where the schedule is fixed.
+    let ctx = Context::sequential();
+    for g in [&g, &rmat] {
+        let (dist, relaxations, stats) = listing4_sssp(execution::par, &ctx, g, 0).unwrap();
+        let r = essentials::algos::sssp::sssp(execution::par, &ctx, g, 0, push);
+        assert_eq!(r.dist, dist);
+        assert_eq!(r.relaxations, relaxations);
+        assert_eq!(r.stats.frontier_trace, stats.frontier_trace);
+        // The loop ran until the frontier emptied (trace ends at 0) and did
+        // not hit any cap.
+        assert_eq!(*stats.frontier_trace.last().unwrap(), 0);
+        assert!(!stats.hit_iteration_cap);
+    }
+    let (dist, _, _) = listing4_sssp(execution::par, &Context::new(2), &g, 0).unwrap();
+    assert_eq!(dist, vec![0.0, 1.0, 3.0, 4.0]);
 }

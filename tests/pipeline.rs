@@ -11,6 +11,11 @@ use essentials_partition::{
     edge_cut, multilevel_partition, random_partition, MultilevelConfig, PartitionedGraph,
 };
 
+/// The fixed-push plan: the traversal of the paper's listings, CSR only.
+fn push() -> DirectionPolicy {
+    DirectionPolicy::fixed(Direction::Push)
+}
+
 fn weighted_rmat(scale: u32, seed: u64) -> Graph<f32> {
     let mut coo = gen::rmat(scale, 8, gen::RmatParams::default(), seed);
     coo.remove_self_loops();
@@ -33,8 +38,8 @@ fn generate_save_load_compute() {
     assert_eq!(reloaded2.csr(), g.csr());
     // The reloaded graph computes the same distances.
     let ctx = Context::new(2);
-    let a = sssp::sssp(execution::par, &ctx, &g, 0);
-    let b = sssp::sssp(execution::par, &ctx, &reloaded, 0);
+    let a = sssp::sssp(execution::par, &ctx, &g, 0, push());
+    let b = sssp::sssp(execution::par, &ctx, &reloaded, 0, push());
     assert_eq!(a.dist, b.dist);
 }
 
@@ -46,8 +51,8 @@ fn distributed_equals_shared_equals_sequential() {
 
     // Shared memory, all policies.
     for dist in [
-        sssp::sssp(execution::seq, &ctx, &g, 0).dist,
-        sssp::sssp(execution::par, &ctx, &g, 0).dist,
+        sssp::sssp(execution::seq, &ctx, &g, 0, push()).dist,
+        sssp::sssp(execution::par, &ctx, &g, 0, push()).dist,
         sssp::sssp_async(&ctx, &g, 0).dist,
     ] {
         assert!(dist
@@ -95,14 +100,14 @@ fn undirected_pipeline_cc_and_pagerank() {
     let g = GraphBuilder::from_coo(coo).deduplicate().with_csc().build();
     let ctx = Context::new(2);
 
-    let comp = cc::cc_label_propagation(execution::par, &ctx, &g);
+    let comp = cc::cc_label_propagation(execution::par, &ctx, &g, push());
     assert_eq!(cc::num_components(&comp.comp), 1);
     assert!(cc::verify_cc(&g, &comp.comp));
 
     let pr = pagerank::pagerank_pull(execution::par, &ctx, &g, pagerank::PrConfig::default());
     assert!(pagerank::verify_pagerank(&g, &pr.rank, 0.85, 1e-7));
 
-    let b = bfs::bfs(execution::par, &ctx, &g, 42);
+    let b = bfs::bfs(execution::par, &ctx, &g, 42, push());
     assert!(b.level.iter().all(|&l| l != bfs::UNVISITED));
 }
 

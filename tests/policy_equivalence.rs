@@ -7,6 +7,12 @@ use essentials::prelude::*;
 use essentials_algos::{bfs, cc, color, kcore, sssp, sswp, tc};
 use essentials_gen as gen;
 
+/// The fixed-push plan: Listing 4's traversal, and the BSP baseline the
+/// relaxation-count comparison below is stated against.
+fn push() -> DirectionPolicy {
+    DirectionPolicy::fixed(Direction::Push)
+}
+
 fn workloads() -> Vec<(&'static str, Graph<f32>)> {
     let build = |coo: &Coo<()>, seed: u64| -> Graph<f32> {
         let mut c = coo.clone();
@@ -31,12 +37,12 @@ fn workloads() -> Vec<(&'static str, Graph<f32>)> {
 #[test]
 fn sssp_identical_across_policies_and_thread_counts() {
     for (name, g) in workloads() {
-        let reference = sssp::sssp(execution::seq, &Context::sequential(), &g, 0).dist;
+        let reference = sssp::sssp(execution::seq, &Context::sequential(), &g, 0, push()).dist;
         for threads in [1, 2, 4, 8] {
             let ctx = Context::new(threads);
             for dist in [
-                sssp::sssp(execution::par, &ctx, &g, 0).dist,
-                sssp::sssp(execution::par_nosync, &ctx, &g, 0).dist,
+                sssp::sssp(execution::par, &ctx, &g, 0, push()).dist,
+                sssp::sssp(execution::par_nosync, &ctx, &g, 0, push()).dist,
                 sssp::sssp_async(&ctx, &g, 0).dist,
             ] {
                 assert_eq!(dist, reference, "{name} @ {threads} threads");
@@ -49,7 +55,7 @@ fn sssp_identical_across_policies_and_thread_counts() {
             let ctx = Context::new(2);
             let dijkstra = sssp::dijkstra(&g, 0).relaxations;
             let delta = sssp::delta_stepping(execution::par, &ctx, &g, 0, 0.5).relaxations;
-            let bsp = sssp::sssp(execution::par, &ctx, &g, 0).relaxations;
+            let bsp = sssp::sssp(execution::par, &ctx, &g, 0, push()).relaxations;
             assert!(
                 dijkstra <= delta && delta <= bsp,
                 "{name}: dijkstra {dijkstra}, delta {delta}, bsp {bsp} relaxations"
@@ -60,22 +66,35 @@ fn sssp_identical_across_policies_and_thread_counts() {
 
 #[test]
 fn bfs_identical_across_all_variants() {
+    let eager_blocked = DirectionPolicy {
+        blocked: Some(BlockedPullPolicy {
+            alpha: 1000,
+            beta: 1000,
+        }),
+        ..DirectionPolicy::default()
+    };
+    let plans = [
+        ("push", push()),
+        ("dense", DirectionPolicy::fixed(Direction::DensePush)),
+        ("pull", DirectionPolicy::fixed(Direction::Pull)),
+        ("do", DirectionPolicy::default()),
+        ("blocked", eager_blocked),
+    ];
     for (name, g) in workloads() {
         let reference = bfs::bfs_sequential(&g, 0).level;
         let ctx = Context::new(4);
-        let variants: Vec<(&str, Vec<u32>)> = vec![
-            ("push", bfs::bfs(execution::par, &ctx, &g, 0).level),
-            ("pull", bfs::bfs_pull(execution::par, &ctx, &g, 0).level),
-            ("dense", bfs::bfs_dense(execution::par, &ctx, &g, 0).level),
+        for (vname, plan) in plans {
+            for level in [
+                bfs::bfs(execution::par, &ctx, &g, 0, plan).level,
+                bfs::bfs(execution::par_nosync, &ctx, &g, 0, plan).level,
+            ] {
+                assert_eq!(level, reference, "{vname} on {name}");
+            }
+        }
+        for (vname, level) in [
             ("queue", bfs::bfs_queue(&ctx, &g, 0).level),
             ("async", bfs::bfs_async(&ctx, &g, 0).level),
-            (
-                "do",
-                bfs::bfs_direction_optimizing(execution::par, &ctx, &g, 0, Default::default())
-                    .level,
-            ),
-        ];
-        for (vname, level) in variants {
+        ] {
             assert_eq!(level, reference, "{vname} on {name}");
         }
     }
@@ -89,7 +108,7 @@ fn structural_algorithms_policy_equivalence() {
 
         let cc_ref = cc::cc_union_find(&g).comp;
         assert_eq!(
-            cc::cc_label_propagation(execution::par, &ctx, &g).comp,
+            cc::cc_label_propagation(execution::par, &ctx, &g, push()).comp,
             cc_ref,
             "cc on {name}"
         );
@@ -129,7 +148,7 @@ fn different_sources_and_unreachable_regions() {
     let g = Graph::from_coo(&gen::unit_weights(&coo)).with_csc();
     let ctx = Context::new(2);
     for source in [0u32, 30, 59] {
-        let r = sssp::sssp(execution::par, &ctx, &g, source);
+        let r = sssp::sssp(execution::par, &ctx, &g, source, push());
         for v in 0..60u32 {
             if v < source {
                 assert!(r.dist[v as usize].is_infinite());

@@ -5,6 +5,11 @@ use essentials::prelude::*;
 use essentials_algos::{bfs, cc, mst, sssp, tc};
 use proptest::prelude::*;
 
+/// The fixed-push plan: the traversal of the paper's listings, CSR only.
+fn push() -> DirectionPolicy {
+    DirectionPolicy::fixed(Direction::Push)
+}
+
 /// Random weighted directed graph: n in [1, 60], up to 300 edges,
 /// weights in (0, 4].
 fn arb_graph() -> impl Strategy<Value = Graph<f32>> {
@@ -44,7 +49,7 @@ proptest! {
     #[test]
     fn sssp_fixpoint_and_oracle_agreement(g in arb_graph()) {
         let ctx = Context::new(2);
-        let par = sssp::sssp(execution::par, &ctx, &g, 0);
+        let par = sssp::sssp(execution::par, &ctx, &g, 0, push());
         prop_assert!(sssp::verify_sssp(&g, 0, &par.dist, 1e-3));
         let oracle = sssp::dijkstra(&g, 0);
         for (a, b) in par.dist.iter().zip(&oracle.dist) {
@@ -57,7 +62,7 @@ proptest! {
     #[test]
     fn bfs_levels_are_shortest_hop_counts(g in arb_graph()) {
         let ctx = Context::new(2);
-        let par = bfs::bfs(execution::par, &ctx, &g, 0);
+        let par = bfs::bfs(execution::par, &ctx, &g, 0, push());
         prop_assert!(bfs::verify_bfs(&g, 0, &par.level));
         prop_assert_eq!(&par.level, &bfs::bfs_sequential(&g, 0).level);
         // BFS on unit weights == SSSP distances.
@@ -67,7 +72,7 @@ proptest! {
             for (s, d, _) in coo.iter() { u.push(s, d, 1.0f32); }
             Graph::from_coo(&u)
         };
-        let dist = sssp::sssp(execution::par, &ctx, &unit, 0).dist;
+        let dist = sssp::sssp(execution::par, &ctx, &unit, 0, push()).dist;
         for (l, d) in par.level.iter().zip(&dist) {
             if *l == bfs::UNVISITED {
                 prop_assert!(d.is_infinite());
@@ -80,7 +85,7 @@ proptest! {
     #[test]
     fn cc_is_an_equivalence_respecting_edges(g in arb_sym_graph()) {
         let ctx = Context::new(2);
-        let lp = cc::cc_label_propagation(execution::par, &ctx, &g);
+        let lp = cc::cc_label_propagation(execution::par, &ctx, &g, push());
         prop_assert!(cc::verify_cc(&g, &lp.comp));
         prop_assert_eq!(&lp.comp, &cc::cc_union_find(&g).comp);
         prop_assert_eq!(&lp.comp, &cc::cc_hooking(execution::par, &ctx, &g).comp);

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use essentials::prelude::*;
-use essentials_algos::{bfs, pagerank, sssp};
+use essentials_algos::{bfs, cc, pagerank, sssp};
 use essentials_gen as gen;
 
 #[path = "common/counting_alloc.rs"]
@@ -29,6 +29,11 @@ mod counting_alloc;
 mod reps;
 
 use counting_alloc::count_allocs;
+
+/// The fixed-push plan: the traversal of the paper's listings, CSR only.
+fn push() -> DirectionPolicy {
+    DirectionPolicy::fixed(Direction::Push)
+}
 
 /// Silences the default panic hook for *injected* panics only, so the test
 /// log is not flooded by the fault plan doing its job. Installed once per
@@ -83,7 +88,7 @@ fn worker_panic_mid_advance_is_isolated_and_the_context_recovers() {
     // Panic inside chunk 0 of BFS iteration 1's edge-balanced advance.
     let plan = Arc::new(FaultPlan::new().panic_at(1, 0));
     let faulty = ctx.clone().with_fault_plan(plan);
-    match bfs::try_bfs(execution::par, &faulty, &g, 0) {
+    match bfs::try_bfs(execution::par, &faulty, &g, 0, push()) {
         Err(ExecError::WorkerPanic { payload, .. }) => {
             assert!(payload.contains("injected fault"), "payload: {payload}");
         }
@@ -93,7 +98,7 @@ fn worker_panic_mid_advance_is_isolated_and_the_context_recovers() {
     // The clone shares pool and scratch with `ctx`: if the panic leaked a
     // scratch buffer, a worker slot, or dirty dedup-bitmap bits, this run
     // would see it. It must match the serial oracle bit for bit.
-    let r = bfs::bfs(execution::par, &ctx, &g, 0);
+    let r = bfs::bfs(execution::par, &ctx, &g, 0, push());
     assert_eq!(r.level, oracle, "post-panic run diverged from the oracle");
     assert!(bfs::verify_bfs(&g, 0, &r.level));
 }
@@ -189,6 +194,151 @@ fn advance_fault_semantics_hold_on_every_representation() {
     advance_faults_are_typed_and_recoverable("mmapped", &reps.mapped(), &oracle);
 }
 
+/// A traversal under a plan, reduced to what the rows below compare: its
+/// answer as `u32`s (levels, distance bits, labels) and its direction trace.
+type Traversal<'a> =
+    &'a dyn Fn(&Context, DirectionPolicy) -> Result<(Vec<u32>, Vec<Direction>), ExecError>;
+
+/// One warm advance in `dir` on `g` — the kernel a pull or dense-push
+/// iteration runs — after three warm-ups; returns the allocations it made.
+fn warm_advance_allocs<G, W>(ctx: &Context, g: &G, dir: Direction) -> usize
+where
+    W: EdgeValue,
+    G: OutWeights<W> + InWeights<W> + Sync,
+{
+    let n = g.num_vertices();
+    let all: SparseFrontier = (0..n as VertexId).collect();
+    let input = DenseFrontier::new(n);
+    input.set_all();
+    let advance = || {
+        let out = if dir == Direction::DensePush {
+            try_expand_push_dense(execution::par, ctx, g, &all, |_, _, _, _| true)
+        } else {
+            let cfg = PullConfig { early_exit: true };
+            try_expand_pull_counted(
+                execution::par,
+                ctx,
+                g,
+                &input,
+                cfg,
+                |_| true,
+                |_, _, _| true,
+            )
+            .map(|(out, _)| out)
+        };
+        ctx.recycle_dense_frontier(out.unwrap());
+    };
+    for _ in 0..3 {
+        advance();
+    }
+    count_allocs(ctx.pool(), advance)
+}
+
+/// Every plan runs through the fallible direction engine: an injected
+/// panic in chunk 0 of the first iteration that leaves the push direction —
+/// a pull or a dense push — surfaces as `WorkerPanic`, and the same context
+/// then reruns bit-identical to the oracle, its warm kernel in that
+/// direction allocating nothing.
+fn plan_faults_are_typed_and_recoverable(
+    what: &str,
+    oracle: &[u32],
+    run: Traversal<'_>,
+    warm_advance: &dyn Fn(&Context, Direction) -> usize,
+) {
+    let plans = [
+        DirectionPolicy::default(),
+        DirectionPolicy::fixed(Direction::Pull),
+        DirectionPolicy::fixed(Direction::DensePush),
+    ];
+    for threads in [1, 4] {
+        let ctx = Context::new(threads);
+        for plan in plans {
+            let at = format!("{what} at {threads} threads under {plan:?}");
+            let (answer, directions) = run(&ctx, plan).unwrap();
+            assert_eq!(answer, oracle, "{at}");
+            let k = directions
+                .iter()
+                .position(|&d| d != Direction::Push)
+                .unwrap_or_else(|| panic!("{at}: every iteration pushed; the row is vacuous"));
+            let fault = Arc::new(FaultPlan::new().panic_at(k as u64, 0));
+            match run(&ctx.clone().with_fault_plan(fault), plan) {
+                Err(ExecError::WorkerPanic { payload, .. }) => {
+                    assert!(payload.contains("injected fault"), "{at}: {payload}");
+                }
+                other => panic!("{at}: expected WorkerPanic at iteration {k}, got {other:?}"),
+            }
+            let (answer, _) = run(&ctx, plan).unwrap();
+            assert_eq!(answer, oracle, "{at}: rerun after the fault diverged");
+            let allocs = warm_advance(&ctx, directions[k]);
+            assert_eq!(
+                allocs, 0,
+                "{at}: warm {:?} advance allocated",
+                directions[k]
+            );
+        }
+    }
+}
+
+/// The BFS, CC and SSSP rows over one representation (`g` unweighted, `wg`
+/// its weighted twin); `oracles` are the levels, labels and distance bits.
+fn traversal_rows<G, H>(rep: &str, g: &G, wg: &H, oracles: [&[u32]; 3])
+where
+    G: OutWeights<()> + InWeights<()> + Sync,
+    H: OutWeights<f32> + InWeights<f32> + Sync,
+{
+    let [levels, labels, dist] = oracles;
+    plan_faults_are_typed_and_recoverable(
+        &format!("bfs on {rep}"),
+        levels,
+        &|ctx, plan| bfs::try_bfs(execution::par, ctx, g, 0, plan).map(|r| (r.level, r.directions)),
+        &|ctx, dir| warm_advance_allocs(ctx, g, dir),
+    );
+    plan_faults_are_typed_and_recoverable(
+        &format!("cc on {rep}"),
+        labels,
+        &|ctx, plan| {
+            cc::try_cc_label_propagation(execution::par, ctx, g, plan)
+                .map(|r| (r.comp, r.directions))
+        },
+        &|ctx, dir| warm_advance_allocs(ctx, g, dir),
+    );
+    plan_faults_are_typed_and_recoverable(
+        &format!("sssp on {rep}"),
+        dist,
+        &|ctx, plan| {
+            sssp::try_sssp(execution::par, ctx, wg, 0, plan).map(|r| (bits(r.dist), r.directions))
+        },
+        &|ctx, dir| warm_advance_allocs(ctx, wg, dir),
+    );
+}
+
+fn bits(dist: Vec<f32>) -> Vec<u32> {
+    dist.into_iter().map(f32::to_bits).collect()
+}
+
+#[test]
+fn direction_engine_faults_are_typed_and_recoverable_on_every_plan() {
+    quiet_injected_panics();
+    let coo = || {
+        let mut coo = gen::rmat(10, 8, gen::RmatParams::default(), 15);
+        coo.remove_self_loops();
+        coo.symmetrize();
+        coo.sort_and_dedup();
+        coo
+    };
+    let reps = reps::Reps::new(Graph::from_coo(&coo()).with_csc());
+    let repsw =
+        reps::Reps::new(Graph::from_coo(&gen::hash_weights(&coo(), 0.1, 2.0, 42)).with_csc());
+    let levels = bfs::bfs_sequential(&reps.raw, 0).level;
+    let labels = cc::cc_union_find(&reps.raw).comp;
+    let seq = Context::sequential();
+    let dist = bits(sssp::sssp(execution::seq, &seq, &repsw.raw, 0, push()).dist);
+    let oracles = [&levels[..], &labels, &dist];
+    traversal_rows("raw", &reps.raw, &repsw.raw, oracles);
+    traversal_rows("compressed", &reps.compressed, &repsw.compressed, oracles);
+    traversal_rows("mmapped", &reps.mapped(), &repsw.mapped(), oracles);
+}
+
 // ---- fault class 2: cancellation mid-iteration --------------------------
 
 #[test]
@@ -201,7 +351,7 @@ fn cancellation_mid_iteration_returns_budget_error_with_progress() {
     // iteration completed, the second stopped at its first chunk.
     let plan = Arc::new(FaultPlan::new().cancel_at(1, 0));
     let cancelled = ctx.clone().with_fault_plan(plan);
-    match bfs::try_bfs(execution::par, &cancelled, &g, 0) {
+    match bfs::try_bfs(execution::par, &cancelled, &g, 0, push()) {
         Err(ExecError::Budget { reason, progress }) => {
             assert_eq!(reason, BudgetReason::Cancelled);
             assert_eq!(progress.iterations, 1, "one iteration completed");
@@ -217,7 +367,7 @@ fn cancellation_mid_iteration_returns_budget_error_with_progress() {
     let budgeted = ctx
         .clone()
         .with_budget(RunBudget::unlimited().with_cancel(token));
-    match bfs::try_bfs(execution::par, &budgeted, &g, 0) {
+    match bfs::try_bfs(execution::par, &budgeted, &g, 0, push()) {
         Err(ExecError::Budget { reason, progress }) => {
             assert_eq!(reason, BudgetReason::Cancelled);
             assert_eq!(progress.iterations, 0);
@@ -225,7 +375,7 @@ fn cancellation_mid_iteration_returns_budget_error_with_progress() {
         other => panic!("expected Budget(Cancelled), got {other:?}"),
     }
 
-    let r = bfs::bfs(execution::par, &ctx, &g, 0);
+    let r = bfs::bfs(execution::par, &ctx, &g, 0, push());
     assert_eq!(r.level, oracle, "post-cancel run diverged from the oracle");
 }
 
@@ -235,12 +385,12 @@ fn cancellation_mid_iteration_returns_budget_error_with_progress() {
 fn deadline_expiry_returns_budget_error_and_the_context_stays_reusable() {
     let g = weighted_graph(13);
     let ctx = Context::new(4);
-    let oracle = sssp::sssp(execution::seq, &Context::sequential(), &g, 0).dist;
+    let oracle = sssp::sssp(execution::seq, &Context::sequential(), &g, 0, push()).dist;
 
     let expired = ctx
         .clone()
         .with_budget(RunBudget::unlimited().with_timeout(Duration::ZERO));
-    match sssp::try_sssp(execution::par, &expired, &g, 0) {
+    match sssp::try_sssp(execution::par, &expired, &g, 0, push()) {
         Err(ExecError::Budget { reason, .. }) => {
             assert_eq!(reason, BudgetReason::DeadlineExpired);
         }
@@ -249,7 +399,7 @@ fn deadline_expiry_returns_budget_error_and_the_context_stays_reusable() {
 
     // Monotone fetch_min relaxation lands on the schedule-independent least
     // fixpoint — bit-identical to the sequential run.
-    let r = sssp::sssp(execution::par, &ctx, &g, 0);
+    let r = sssp::sssp(execution::par, &ctx, &g, 0, push());
     assert_eq!(r.dist, oracle, "post-deadline run diverged from the oracle");
     assert!(sssp::verify_sssp(&g, 0, &r.dist, 1e-4));
 }
@@ -336,7 +486,7 @@ fn recovered_context_keeps_the_zero_allocation_steady_state() {
     // enactor here, so the plan's iteration coordinate stays 0).
     let plan = Arc::new(FaultPlan::new().panic_at(0, 0));
     let faulty = ctx.clone().with_fault_plan(plan);
-    let err = bfs::try_bfs(execution::par, &faulty, &g, 0).unwrap_err();
+    let err = bfs::try_bfs(execution::par, &faulty, &g, 0, push()).unwrap_err();
     assert!(
         matches!(err, ExecError::WorkerPanic { .. }),
         "expected WorkerPanic, got {err:?}"

@@ -123,8 +123,9 @@ where
     // Bitmap output, recycled through the context's dense pool.
     audit("dense push", &mut || {
         reset();
-        let out = expand_push_dense(execution::par, ctx, g, &frontier, |_s, d, _e, _w| claim(d));
-        ctx.recycle_dense_frontier(out);
+        let out =
+            try_expand_push_dense(execution::par, ctx, g, &frontier, |_s, d, _e, _w| claim(d));
+        ctx.recycle_dense_frontier(out.unwrap());
     });
     // Word-parallel scan of the mask; mask maintenance (set_all + and_not)
     // is word stores.
@@ -159,7 +160,7 @@ where
     audit("blocked pull", &mut || {
         reset();
         mask.set_all();
-        let (out, _scanned) = expand_blocked_pull(
+        let (out, _scanned) = try_expand_blocked_pull(
             execution::par,
             ctx,
             g,
@@ -168,7 +169,8 @@ where
             PullConfig { early_exit: true },
             BlockedConfig::default(),
             |_s, d, _w| claim(d),
-        );
+        )
+        .unwrap();
         mask.and_not(&out);
         ctx.recycle_dense_frontier(out);
     });
