@@ -32,6 +32,11 @@ use crate::context::Context;
 /// terminate structurally (the frontier empties) and are not defaulted.
 pub const DEFAULT_ITERATION_CAP: usize = 100_000;
 
+/// Work-trace entries a fixpoint loop without an explicit cap reserves up
+/// front: its first this-many iterations record their work without
+/// touching the allocator.
+const UNCAPPED_TRACE_RESERVE: usize = 64;
+
 /// Statistics recorded by an enacted loop.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LoopStats {
@@ -191,15 +196,16 @@ impl Enactor {
         }
     }
 
-    /// Pre-sizes the work trace for capped fixpoint loops so the
-    /// per-iteration `push` never reallocates mid-run — part of the
-    /// steady-state zero-allocation contract (DESIGN.md §12). Bounded so a
+    /// Pre-sizes the work trace for fixpoint loops so the per-iteration
+    /// `push` never reallocates mid-run — part of the steady-state
+    /// zero-allocation contract (DESIGN.md §12): to the explicit cap, or to
+    /// [`UNCAPPED_TRACE_RESERVE`] entries when the loop runs until its
+    /// condition holds (a Pregel run halts at quiescence). Bounded so a
     /// pathological explicit cap cannot demand an absurd reservation.
     #[inline]
     fn reserve_trace(&self, stats: &mut LoopStats) {
-        if let Some(k) = self.max_iterations {
-            stats.frontier_trace.reserve(k.min(4096)); // alloc-ok: once per run
-        }
+        let k = self.max_iterations.unwrap_or(UNCAPPED_TRACE_RESERVE);
+        stats.frontier_trace.reserve(k.min(4096)); // alloc-ok: once per run
     }
 
     /// Frontier-driven loop: runs `step(iteration, frontier)` until the

@@ -4,13 +4,13 @@
 //! (already-visited, out of scope) and collapse duplicates left behind by a
 //! push expansion.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::cell::RefCell;
 
 use essentials_frontier::{DenseFrontier, SparseFrontier};
 use essentials_graph::VertexId;
 use essentials_obs::{FilterEvent, OpKind};
 use essentials_parallel::{
-    exec::panic_payload_string, ChunkAction, ChunkHooks, ExecError, ExecutionPolicy, Progress,
+    try_sequential_for_with, ChunkHooks, ExecError, ExecutionPolicy, Schedule,
 };
 
 use crate::context::Context;
@@ -45,8 +45,10 @@ where
 
 /// Fallible [`filter`]: the context's budget and fault plan are consulted
 /// at chunk boundaries, and a panicking predicate surfaces as
-/// [`ExecError::WorkerPanic`] with the partial output discarded. The
-/// context stays fully reusable after an error.
+/// [`ExecError::WorkerPanic`] with the partial output discarded — under a
+/// parallel policy at every thread count, one included (its chunks run on
+/// the calling thread, panics still captured per chunk). The context stays
+/// fully reusable after an error.
 pub fn try_filter<P, F>(
     _policy: P,
     ctx: &Context,
@@ -58,7 +60,7 @@ where
     F: Fn(VertexId) -> bool + Sync,
 {
     let hooks = ctx.chunk_hooks();
-    if !P::IS_PARALLEL || ctx.num_threads() == 1 {
+    if !P::IS_PARALLEL {
         if hooks.is_empty() {
             // Fast path: a panic in `pred` unwinds through the caller
             // untouched, exactly as before the fallible layer existed.
@@ -67,48 +69,13 @@ where
             return Ok(out);
         }
         let verts = f.as_slice();
-        let mut out = SparseFrontier::new();
-        let mut lo = 0usize;
-        let mut chunk = 0usize;
-        while lo < verts.len() {
-            let hi = (lo + 256).min(verts.len());
-            match hooks.before_chunk(chunk) {
-                ChunkAction::Run => {}
-                ChunkAction::Stop(reason) => {
-                    return Err(ExecError::Budget {
-                        reason,
-                        progress: Progress::default(),
-                    });
-                }
-                ChunkAction::Panic {
-                    iteration,
-                    chunk: at,
-                } => {
-                    let payload = catch_unwind(AssertUnwindSafe(|| {
-                        panic!("injected fault at (iteration {iteration}, chunk {at})")
-                    }))
-                    .unwrap_err();
-                    return Err(ExecError::WorkerPanic {
-                        payload: panic_payload_string(&*payload),
-                        chunk,
-                    });
-                }
+        let kept = RefCell::new(Vec::new());
+        try_sequential_for_with(0..verts.len(), Schedule::Dynamic(256), hooks, |_, i| {
+            if pred(verts[i]) {
+                kept.borrow_mut().push(verts[i]); // alloc-ok: the one output of a sequential call
             }
-            let out_ref = &mut out;
-            catch_unwind(AssertUnwindSafe(|| {
-                for &v in &verts[lo..hi] {
-                    if pred(v) {
-                        out_ref.add_vertex(v);
-                    }
-                }
-            }))
-            .map_err(|payload| ExecError::WorkerPanic {
-                payload: panic_payload_string(&*payload),
-                chunk,
-            })?;
-            lo = hi;
-            chunk += 1;
-        }
+        })?;
+        let out = SparseFrontier::from_vec(kept.into_inner());
         emit(ctx, OpKind::Filter, P::NAME, f.len(), out.len());
         return Ok(out);
     }

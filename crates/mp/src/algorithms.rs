@@ -1,10 +1,11 @@
 //! Graph algorithms as vertex programs — the Pregel row of Table I,
 //! verified against their shared-memory counterparts.
 
-use essentials_graph::{EdgeValue, VertexId};
+use essentials_core::Context;
+use essentials_graph::{EdgeValue, GraphBase, VertexId};
 use essentials_partition::PartitionedGraph;
 
-use crate::pregel::{run_pregel, ComputeCtx, MpStats, NeighborView, VertexProgram};
+use crate::pregel::{run_pregel, CombinerFn, ComputeCtx, MpStats, NeighborView, VertexProgram};
 
 /// Level marker for unvisited vertices (mirrors `essentials_algos::bfs`).
 pub const UNVISITED: u32 = u32::MAX;
@@ -15,6 +16,8 @@ pub const UNVISITED: u32 = u32::MAX;
 
 struct BfsProgram {
     source: VertexId,
+    /// Min-combine the level proposals a rank sends to one vertex.
+    combine: bool,
 }
 
 impl<W: EdgeValue> VertexProgram<W> for BfsProgram {
@@ -27,6 +30,10 @@ impl<W: EdgeValue> VertexProgram<W> for BfsProgram {
         } else {
             UNVISITED
         }
+    }
+
+    fn combiner(&self) -> Option<CombinerFn<u32>> {
+        self.combine.then_some(u32::min)
     }
 
     fn compute(
@@ -57,51 +64,30 @@ impl<W: EdgeValue> VertexProgram<W> for BfsProgram {
 }
 
 /// Message-passing BFS: levels identical to `essentials_algos::bfs`.
-pub fn mp_bfs<W: EdgeValue>(pg: &PartitionedGraph<W>, source: VertexId) -> (Vec<u32>, MpStats) {
-    run_pregel(pg, &BfsProgram { source }, &[source])
-}
-
-/// Combiner-enabled BFS program: same levels, min-combined messages.
-struct BfsCombined {
+pub fn mp_bfs<W: EdgeValue>(
+    ctx: &Context,
+    pg: &PartitionedGraph<W>,
     source: VertexId,
-}
-
-impl<W: EdgeValue> VertexProgram<W> for BfsCombined {
-    type Value = u32;
-    type Msg = u32;
-    fn init(&self, v: VertexId) -> u32 {
-        <BfsProgram as VertexProgram<W>>::init(
-            &BfsProgram {
-                source: self.source,
-            },
-            v,
-        )
-    }
-    fn combiner(&self) -> Option<fn(u32, u32) -> u32> {
-        Some(u32::min)
-    }
-    fn compute(
-        &self,
-        ctx: &ComputeCtx<'_, u32>,
-        v: VertexId,
-        value: &mut u32,
-        out: NeighborView<'_, W>,
-        msgs: &[u32],
-    ) {
-        BfsProgram {
-            source: self.source,
-        }
-        .compute(ctx, v, value, out, msgs)
-    }
+) -> (Vec<u32>, MpStats) {
+    let program = BfsProgram {
+        source,
+        combine: false,
+    };
+    run_pregel(ctx, pg, &program, &[source])
 }
 
 /// [`mp_bfs`] with sender-side min-combining: identical levels, at most
 /// one message per (rank, destination) per superstep.
 pub fn mp_bfs_combined<W: EdgeValue>(
+    ctx: &Context,
     pg: &PartitionedGraph<W>,
     source: VertexId,
 ) -> (Vec<u32>, MpStats) {
-    run_pregel(pg, &BfsCombined { source }, &[source])
+    let program = BfsProgram {
+        source,
+        combine: true,
+    };
+    run_pregel(ctx, pg, &program, &[source])
 }
 
 // ---------------------------------------------------------------------------
@@ -110,6 +96,8 @@ pub fn mp_bfs_combined<W: EdgeValue>(
 
 struct SsspProgram {
     source: VertexId,
+    /// Min-combine the distance proposals a rank sends to one vertex.
+    combine: bool,
 }
 
 impl VertexProgram<f32> for SsspProgram {
@@ -122,6 +110,10 @@ impl VertexProgram<f32> for SsspProgram {
         } else {
             f32::INFINITY
         }
+    }
+
+    fn combiner(&self) -> Option<CombinerFn<f32>> {
+        self.combine.then_some(f32::min)
     }
 
     fn compute(
@@ -150,45 +142,25 @@ impl VertexProgram<f32> for SsspProgram {
 }
 
 /// Message-passing SSSP: distances identical to `essentials_algos::sssp`.
-pub fn mp_sssp(pg: &PartitionedGraph<f32>, source: VertexId) -> (Vec<f32>, MpStats) {
-    run_pregel(pg, &SsspProgram { source }, &[source])
-}
-
-/// Combiner-enabled SSSP program (min over distance proposals).
-struct SsspCombined {
-    source: VertexId,
-}
-
-impl VertexProgram<f32> for SsspCombined {
-    type Value = f32;
-    type Msg = f32;
-    fn init(&self, v: VertexId) -> f32 {
-        SsspProgram {
-            source: self.source,
-        }
-        .init(v)
-    }
-    fn combiner(&self) -> Option<fn(f32, f32) -> f32> {
-        Some(f32::min)
-    }
-    fn compute(
-        &self,
-        ctx: &ComputeCtx<'_, f32>,
-        v: VertexId,
-        value: &mut f32,
-        out: NeighborView<'_, f32>,
-        msgs: &[f32],
-    ) {
-        SsspProgram {
-            source: self.source,
-        }
-        .compute(ctx, v, value, out, msgs)
-    }
+pub fn mp_sssp(ctx: &Context, pg: &PartitionedGraph<f32>, source: VertexId) -> (Vec<f32>, MpStats) {
+    let program = SsspProgram {
+        source,
+        combine: false,
+    };
+    run_pregel(ctx, pg, &program, &[source])
 }
 
 /// [`mp_sssp`] with sender-side min-combining.
-pub fn mp_sssp_combined(pg: &PartitionedGraph<f32>, source: VertexId) -> (Vec<f32>, MpStats) {
-    run_pregel(pg, &SsspCombined { source }, &[source])
+pub fn mp_sssp_combined(
+    ctx: &Context,
+    pg: &PartitionedGraph<f32>,
+    source: VertexId,
+) -> (Vec<f32>, MpStats) {
+    let program = SsspProgram {
+        source,
+        combine: true,
+    };
+    run_pregel(ctx, pg, &program, &[source])
 }
 
 // ---------------------------------------------------------------------------
@@ -235,34 +207,19 @@ impl<W: EdgeValue> VertexProgram<W> for PrProgram {
 /// dangling-free graph (every vertex needs an out-edge for mass
 /// conservation; callers symmetrize or filter).
 pub fn mp_pagerank<W: EdgeValue>(
+    ctx: &Context,
     pg: &PartitionedGraph<W>,
     damping: f64,
     iterations: usize,
 ) -> (Vec<f64>, MpStats) {
-    let n = pg.num_vertices_global();
+    let n = pg.num_vertices();
     let seeds: Vec<VertexId> = (0..n as VertexId).collect();
-    run_pregel(
-        pg,
-        &PrProgram {
-            n,
-            damping,
-            iterations,
-        },
-        &seeds,
-    )
-}
-
-/// Helper trait shim: `PartitionedGraph` exposes `num_vertices` through the
-/// graph traits; re-export a direct method name for this module.
-trait NumVertices {
-    fn num_vertices_global(&self) -> usize;
-}
-
-impl<W: EdgeValue> NumVertices for PartitionedGraph<W> {
-    fn num_vertices_global(&self) -> usize {
-        use essentials_graph::GraphBase;
-        self.num_vertices()
-    }
+    let program = PrProgram {
+        n,
+        damping,
+        iterations,
+    };
+    run_pregel(ctx, pg, &program, &seeds)
 }
 
 #[cfg(test)]
@@ -274,12 +231,13 @@ mod tests {
 
     #[test]
     fn mp_bfs_matches_shared_memory_bfs() {
+        let ctx = Context::new(2);
         let g = Graph::<()>::from_coo(&gen::rmat(8, 8, gen::RmatParams::default(), 3));
         let oracle = essentials_algos::bfs::bfs_sequential(&g, 0);
         for k in [1, 2, 4] {
             let p = random_partition(g.get_num_vertices(), k, 7);
             let pg = essentials_partition::PartitionedGraph::build(&g, &p);
-            let (levels, stats) = mp_bfs(&pg, 0);
+            let (levels, stats) = mp_bfs(&ctx, &pg, 0);
             assert_eq!(levels, oracle.level, "k={k}");
             assert!(stats.supersteps >= 2);
         }
@@ -287,12 +245,13 @@ mod tests {
 
     #[test]
     fn mp_sssp_matches_dijkstra() {
+        let ctx = Context::new(2);
         let coo = gen::gnm(300, 2400, 5);
         let g = Graph::from_coo(&gen::uniform_weights(&coo, 0.1, 2.0, 9));
         let oracle = essentials_algos::sssp::dijkstra(&g, 0);
         let p = multilevel_partition(&g, MultilevelConfig::new(3));
         let pg = essentials_partition::PartitionedGraph::build(&g, &p);
-        let (dist, _) = mp_sssp(&pg, 0);
+        let (dist, _) = mp_sssp(&ctx, &pg, 0);
         for (a, b) in dist.iter().zip(&oracle.dist) {
             assert!(
                 (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-4,
@@ -303,6 +262,7 @@ mod tests {
 
     #[test]
     fn mp_pagerank_matches_pull_pagerank() {
+        let ctx = Context::new(2);
         // Symmetrized graph => no dangling vertices.
         let g = GraphBuilder::from_coo(gen::gnm(150, 900, 2))
             .symmetrize()
@@ -312,9 +272,8 @@ mod tests {
         let iterations = 30;
         let p = random_partition(g.get_num_vertices(), 4, 3);
         let pg = essentials_partition::PartitionedGraph::build(&g, &p);
-        let (mp_rank, _) = mp_pagerank(&pg, 0.85, iterations);
+        let (mp_rank, _) = mp_pagerank(&ctx, &pg, 0.85, iterations);
 
-        let ctx = Context::new(2);
         let cfg = essentials_algos::pagerank::PrConfig {
             damping: 0.85,
             tolerance: 0.0,
@@ -328,6 +287,7 @@ mod tests {
 
     #[test]
     fn combiners_preserve_results_and_cut_message_volume() {
+        let ctx = Context::new(2);
         // A hub-heavy graph: many frontier vertices propose to the same
         // destinations, so min-combining must strictly reduce volume.
         let coo = gen::rmat(9, 10, gen::RmatParams::default(), 6);
@@ -336,8 +296,8 @@ mod tests {
             let p = random_partition(g.get_num_vertices(), ranks, 4);
             let pg = essentials_partition::PartitionedGraph::build(&g, &p);
 
-            let (d_plain, s_plain) = mp_sssp(&pg, 0);
-            let (d_comb, s_comb) = mp_sssp_combined(&pg, 0);
+            let (d_plain, s_plain) = mp_sssp(&ctx, &pg, 0);
+            let (d_comb, s_comb) = mp_sssp_combined(&ctx, &pg, 0);
             assert_eq!(d_plain, d_comb);
             assert!(
                 s_comb.messages_total < s_plain.messages_total,
@@ -346,8 +306,8 @@ mod tests {
                 s_plain.messages_total
             );
 
-            let (l_plain, b_plain) = mp_bfs(&pg, 0);
-            let (l_comb, b_comb) = mp_bfs_combined(&pg, 0);
+            let (l_plain, b_plain) = mp_bfs(&ctx, &pg, 0);
+            let (l_comb, b_comb) = mp_bfs_combined(&ctx, &pg, 0);
             assert_eq!(l_plain, l_comb);
             assert!(b_comb.messages_total <= b_plain.messages_total);
         }
@@ -355,6 +315,7 @@ mod tests {
 
     #[test]
     fn better_partitions_send_fewer_remote_messages() {
+        let ctx = Context::new(2);
         let g = GraphBuilder::from_coo(gen::grid2d(24, 24))
             .deduplicate()
             .build();
@@ -363,8 +324,8 @@ mod tests {
         let ml = multilevel_partition(&g, MultilevelConfig::new(4));
         let pg_rnd = essentials_partition::PartitionedGraph::build(&g, &rnd);
         let pg_ml = essentials_partition::PartitionedGraph::build(&g, &ml);
-        let (_, s_rnd) = mp_bfs(&pg_rnd, 0);
-        let (_, s_ml) = mp_bfs(&pg_ml, 0);
+        let (_, s_rnd) = mp_bfs(&ctx, &pg_rnd, 0);
+        let (_, s_ml) = mp_bfs(&ctx, &pg_ml, 0);
         assert!(
             s_ml.messages_remote * 2 < s_rnd.messages_remote,
             "multilevel {} vs random {}",

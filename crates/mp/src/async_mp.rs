@@ -3,25 +3,26 @@
 //!
 //! §III-B of the paper: *"depending on the size and workload imbalance of a
 //! frontier, an asynchronous execution model with message-passing to
-//! communicate the active working set can be more efficient."* Here ranks
-//! have **no supersteps and no barriers**: each rank loops *receive →
-//! compute → send* continuously, processing messages the moment they
-//! arrive (possibly one at a time, possibly batched by arrival). The
-//! computation ends at global quiescence, detected with an in-flight
-//! message counter (count up on send, down after the handler returns —
-//! the same scheme as the shared-memory async engine, applied across
-//! ranks).
+//! communicate the active working set can be more efficient."* Here there
+//! are **no supersteps and no barriers**: a message is a work item of the
+//! shared-memory asynchronous engine
+//! ([`try_run_async`](essentials_parallel::try_run_async)) on the context's
+//! pool, handled the moment a worker pops it, on behalf of its destination's
+//! owner rank. The computation ends at global quiescence, detected by the
+//! engine's in-flight count.
 //!
 //! Handlers must therefore be **monotone relaxations**: messages can arrive
 //! in any order and the per-vertex handler may run many times; the fixpoint
 //! is the answer. BFS/SSSP qualify; iteration-numbered algorithms
 //! (PageRank) do not — they belong to the BSP engine.
 
-use essentials_graph::{EdgeValue, GraphBase, VertexId};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+
+use essentials_core::Context;
+use essentials_graph::{EdgeValue, EdgeWeights, GraphBase, OutNeighbors, VertexId};
+use essentials_parallel::atomics::{AtomicF32, CachePadded};
+use essentials_parallel::{try_run_async, ExecError, Pusher};
 use essentials_partition::PartitionedGraph;
-use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Statistics of an asynchronous message-passing run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,38 +31,36 @@ pub struct AsyncMpStats {
     pub messages_processed: usize,
     /// Messages that crossed ranks.
     pub messages_remote: usize,
-    /// Receive-loop polls that found an empty inbox (idle pressure).
-    pub idle_polls: usize,
 }
+
+/// A message in flight: `(destination, payload, sender rank)`.
+type Item<M> = (VertexId, M, u32);
 
 /// Send-side handle given to async handlers.
 pub struct AsyncSender<'a, M> {
-    inboxes: &'a [Mutex<VecDeque<(VertexId, M)>>],
-    in_flight: &'a AtomicUsize,
-    remote: &'a AtomicUsize,
-    owner_of: &'a (dyn Fn(VertexId) -> usize + Sync),
-    rank: usize,
+    pusher: &'a Pusher<'a, Item<M>>,
+    rank: u32,
 }
 
 impl<M> AsyncSender<'_, M> {
     /// Sends `msg` to `dst`'s owner; it may be processed before this call
-    /// returns (by another rank) — there is no superstep boundary.
+    /// returns (by another worker) — there is no superstep boundary.
     pub fn send(&self, dst: VertexId, msg: M) {
-        let to = (self.owner_of)(dst);
-        // Count before publishing so in_flight == 0 implies quiescence.
-        self.in_flight.fetch_add(1, Ordering::AcqRel);
-        if to != self.rank {
-            self.remote.fetch_add(1, Ordering::Relaxed);
-        }
-        self.inboxes[to].lock().push_back((dst, msg));
+        self.pusher.push((dst, msg, self.rank));
     }
 }
 
 /// Runs an asynchronous message-driven computation over the partitioned
 /// graph: `handler(rank, vertex, message, sender)` is invoked for every
-/// delivered message, with no ordering or dedup guarantees. `seeds` are
-/// delivered as initial messages. Returns at global quiescence.
+/// delivered message, on behalf of the vertex's owner rank, with no
+/// ordering or dedup guarantees. `seeds` are delivered as initial messages.
+/// Returns at global quiescence.
+///
+/// # Panics
+///
+/// Panics with the error's message where [`try_run_async_mp`] returns one.
 pub fn run_async_mp<W, M, F>(
+    ctx: &Context,
     pg: &PartitionedGraph<W>,
     seeds: Vec<(VertexId, M)>,
     handler: F,
@@ -71,78 +70,58 @@ where
     M: Send,
     F: Fn(usize, VertexId, M, &AsyncSender<'_, M>) + Sync,
 {
-    let k = pg.num_parts();
-    let inboxes: Vec<Mutex<VecDeque<(VertexId, M)>>> =
-        (0..k).map(|_| Mutex::new(VecDeque::new())).collect();
-    let in_flight = AtomicUsize::new(seeds.len());
-    let processed = AtomicUsize::new(0);
-    let remote = AtomicUsize::new(0);
-    let idle = AtomicUsize::new(0);
-    let owner_of = |v: VertexId| pg.owner_of(v) as usize;
-
-    for (v, m) in seeds {
-        inboxes[owner_of(v)].lock().push_back((v, m));
+    match try_run_async_mp(ctx, pg, seeds, handler) {
+        Ok(stats) => stats,
+        Err(e) => panic!("{e}"),
     }
-    if in_flight.load(Ordering::Relaxed) == 0 {
-        return AsyncMpStats {
-            messages_processed: 0,
-            messages_remote: 0,
-            idle_polls: 0,
-        };
-    }
+}
 
-    std::thread::scope(|scope| {
-        for rank in 0..k {
-            let inboxes = &inboxes;
-            let in_flight = &in_flight;
-            let processed = &processed;
-            let remote = &remote;
-            let idle = &idle;
-            let handler = &handler;
-            let owner_of = &owner_of;
-            scope.spawn(move || {
-                let sender = AsyncSender {
-                    inboxes,
-                    in_flight,
-                    remote,
-                    owner_of,
-                    rank,
-                };
-                loop {
-                    let next = inboxes[rank].lock().pop_front();
-                    match next {
-                        Some((v, m)) => {
-                            handler(rank, v, m, &sender);
-                            processed.fetch_add(1, Ordering::Relaxed);
-                            in_flight.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        None => {
-                            // Quiescent only when no message is queued
-                            // anywhere *and* no handler is running.
-                            if in_flight.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            idle.fetch_add(1, Ordering::Relaxed);
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    AsyncMpStats {
-        messages_processed: processed.into_inner(),
-        messages_remote: remote.into_inner(),
-        idle_polls: idle.into_inner(),
-    }
+/// Fallible form of [`run_async_mp`]: a panicking handler returns
+/// [`ExecError::WorkerPanic`] once every worker has stopped, and the
+/// context's budget is checked before every message.
+pub fn try_run_async_mp<W, M, F>(
+    ctx: &Context,
+    pg: &PartitionedGraph<W>,
+    seeds: Vec<(VertexId, M)>,
+    handler: F,
+) -> Result<AsyncMpStats, ExecError>
+where
+    W: EdgeValue,
+    M: Send,
+    F: Fn(usize, VertexId, M, &AsyncSender<'_, M>) + Sync,
+{
+    let remote = CachePadded(AtomicUsize::new(0));
+    // Seeds come from outside the ranks: they count as local deliveries.
+    let seeds = seeds
+        .into_iter()
+        .map(|(v, m)| (v, m, pg.owner_of(v)))
+        .collect();
+    let stats = try_run_async(
+        ctx.pool(),
+        seeds,
+        ctx.chunk_hooks(),
+        |(v, m, from), pusher| {
+            let rank = pg.owner_of(v);
+            if from != rank {
+                remote.fetch_add(1, Ordering::Relaxed);
+            }
+            handler(rank as usize, v, m, &AsyncSender { pusher, rank });
+        },
+    )?;
+    Ok(AsyncMpStats {
+        messages_processed: stats.processed,
+        messages_remote: remote.0.into_inner(),
+    })
 }
 
 /// Asynchronous message-passing SSSP: each message is a distance proposal;
 /// an improvement relaxes the local vertex and immediately (no superstep)
 /// proposes to its neighbors. Identical fixpoint to every other SSSP.
-pub fn async_mp_sssp(pg: &PartitionedGraph<f32>, source: VertexId) -> (Vec<f32>, AsyncMpStats) {
-    use essentials_parallel::atomics::AtomicF32;
+pub fn async_mp_sssp(
+    ctx: &Context,
+    pg: &PartitionedGraph<f32>,
+    source: VertexId,
+) -> (Vec<f32>, AsyncMpStats) {
     let n = pg.num_vertices();
     let dist: Vec<AtomicF32> = (0..n)
         .map(|i| {
@@ -154,6 +133,7 @@ pub fn async_mp_sssp(pg: &PartitionedGraph<f32>, source: VertexId) -> (Vec<f32>,
         })
         .collect();
     let stats = run_async_mp(
+        ctx,
         pg,
         vec![(source, 0.0f32)],
         |_rank, v, proposal: f32, sender| {
@@ -163,10 +143,7 @@ pub fn async_mp_sssp(pg: &PartitionedGraph<f32>, source: VertexId) -> (Vec<f32>,
             if proposal > cur {
                 return;
             }
-            let part = pg.part(pg.owner_of(v) as usize);
-            let li = part.owned.binary_search(&v).expect("owned vertex");
-            let row = part.offsets[li]..part.offsets[li + 1];
-            for (dst, w) in part.cols[row.clone()].iter().zip(&part.vals[row]) {
+            for (dst, w) in pg.out_neighbors(v).iter().zip(pg.out_neighbor_weights(v)) {
                 let cand = proposal + w;
                 if dist[*dst as usize].fetch_min(cand, Ordering::AcqRel) > cand {
                     sender.send(*dst, cand);
@@ -179,28 +156,31 @@ pub fn async_mp_sssp(pg: &PartitionedGraph<f32>, source: VertexId) -> (Vec<f32>,
 
 /// Asynchronous message-passing BFS (monotone level relaxation).
 pub fn async_mp_bfs<W: EdgeValue>(
+    ctx: &Context,
     pg: &PartitionedGraph<W>,
     source: VertexId,
 ) -> (Vec<u32>, AsyncMpStats) {
-    use std::sync::atomic::AtomicU32;
     const UNVISITED: u32 = u32::MAX;
     let n = pg.num_vertices();
     let level: Vec<AtomicU32> = (0..n)
         .map(|i| AtomicU32::new(if i == source as usize { 0 } else { UNVISITED }))
         .collect();
-    let stats = run_async_mp(pg, vec![(source, 0u32)], |_rank, v, lvl: u32, sender| {
-        if lvl > level[v as usize].load(Ordering::Acquire) {
-            return;
-        }
-        let part = pg.part(pg.owner_of(v) as usize);
-        let li = part.owned.binary_search(&v).expect("owned vertex");
-        for dst in &part.cols[part.offsets[li]..part.offsets[li + 1]] {
-            let cand = lvl + 1;
-            if level[*dst as usize].fetch_min(cand, Ordering::AcqRel) > cand {
-                sender.send(*dst, cand);
+    let stats = run_async_mp(
+        ctx,
+        pg,
+        vec![(source, 0u32)],
+        |_rank, v, lvl: u32, sender| {
+            if lvl > level[v as usize].load(Ordering::Acquire) {
+                return;
             }
-        }
-    });
+            for &dst in pg.out_neighbors(v) {
+                let cand = lvl + 1;
+                if level[dst as usize].fetch_min(cand, Ordering::AcqRel) > cand {
+                    sender.send(dst, cand);
+                }
+            }
+        },
+    );
     (
         level.into_iter().map(AtomicU32::into_inner).collect(),
         stats,
@@ -219,19 +199,25 @@ mod tests {
         let g = Graph::<f32>::from_coo(&essentials_graph::Coo::new(3));
         let p = random_partition(3, 2, 1);
         let pg = PartitionedGraph::build(&g, &p);
-        let stats = run_async_mp(&pg, Vec::<(VertexId, u32)>::new(), |_, _, _, _| {});
+        let stats = run_async_mp(
+            &Context::new(2),
+            &pg,
+            Vec::<(VertexId, u32)>::new(),
+            |_, _, _, _| {},
+        );
         assert_eq!(stats.messages_processed, 0);
     }
 
     #[test]
     fn async_mp_sssp_matches_dijkstra_across_rank_counts() {
+        let ctx = Context::new(2);
         let coo = gen::gnm(250, 1800, 8);
         let g = Graph::from_coo(&gen::uniform_weights(&coo, 0.1, 2.0, 4));
         let oracle = essentials_algos::sssp::dijkstra(&g, 0);
         for k in [1usize, 2, 4] {
             let p = random_partition(g.get_num_vertices(), k, 5);
             let pg = PartitionedGraph::build(&g, &p);
-            let (dist, stats) = async_mp_sssp(&pg, 0);
+            let (dist, stats) = async_mp_sssp(&ctx, &pg, 0);
             for (a, b) in dist.iter().zip(&oracle.dist) {
                 assert!(
                     (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-4,
@@ -244,26 +230,28 @@ mod tests {
 
     #[test]
     fn async_mp_bfs_matches_sequential() {
+        let ctx = Context::new(2);
         let g = GraphBuilder::from_coo(gen::grid2d(20, 20))
             .deduplicate()
             .build();
         let oracle = essentials_algos::bfs::bfs_sequential(&g, 0);
         let p = multilevel_partition(&g, MultilevelConfig::new(3));
         let pg = PartitionedGraph::build(&g, &p);
-        let (levels, _) = async_mp_bfs(&pg, 0);
+        let (levels, _) = async_mp_bfs(&ctx, &pg, 0);
         assert_eq!(levels, oracle.level);
     }
 
     #[test]
     fn async_does_at_least_bsp_message_work() {
+        let ctx = Context::new(2);
         // Asynchrony admits stale propagation: messages >= BSP's (which
         // sends exactly one proposal per improving relaxation round).
         let coo = gen::rmat(8, 8, gen::RmatParams::default(), 2);
         let g = Graph::from_coo(&gen::uniform_weights(&coo, 0.1, 2.0, 1));
         let p = random_partition(g.get_num_vertices(), 2, 1);
         let pg = PartitionedGraph::build(&g, &p);
-        let (d_async, s_async) = async_mp_sssp(&pg, 0);
-        let (d_bsp, _s_bsp) = crate::algorithms::mp_sssp(&pg, 0);
+        let (d_async, s_async) = async_mp_sssp(&ctx, &pg, 0);
+        let (d_bsp, _s_bsp) = crate::algorithms::mp_sssp(&ctx, &pg, 0);
         assert_eq!(d_async, d_bsp);
         assert!(s_async.messages_processed > 0);
     }

@@ -2,6 +2,7 @@
 //! shared-memory/sequential oracles on arbitrary graphs, partitionings,
 //! and rank counts — BSP, combined, and asynchronous modes alike.
 
+use essentials_core::Context;
 use essentials_graph::{Coo, Graph, GraphBase, VertexId};
 use essentials_mp::algorithms::{mp_bfs, mp_bfs_combined, mp_sssp, mp_sssp_combined};
 use essentials_mp::async_mp::{async_mp_bfs, async_mp_sssp};
@@ -32,19 +33,20 @@ proptest! {
         let oracle = essentials_algos::sssp::dijkstra(&g, 0).dist;
         let p = random_partition(g.num_vertices(), ranks, pseed);
         let pg = PartitionedGraph::build(&g, &p);
+        let ctx = Context::new(2);
         let close = |dist: &[f32]| {
             dist.iter().zip(&oracle).all(|(a, b)| {
                 (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-4
             })
         };
-        let (bsp, _) = mp_sssp(&pg, 0);
+        let (bsp, _) = mp_sssp(&ctx, &pg, 0);
         prop_assert!(close(&bsp), "bsp diverged");
-        let (comb, sc) = mp_sssp_combined(&pg, 0);
+        let (comb, sc) = mp_sssp_combined(&ctx, &pg, 0);
         prop_assert!(close(&comb), "combined diverged");
-        let (asy, _) = async_mp_sssp(&pg, 0);
+        let (asy, _) = async_mp_sssp(&ctx, &pg, 0);
         prop_assert!(close(&asy), "async diverged");
         // Combining never increases message volume.
-        let (_, sp) = mp_sssp(&pg, 0);
+        let (_, sp) = mp_sssp(&ctx, &pg, 0);
         prop_assert!(sc.messages_total <= sp.messages_total);
     }
 
@@ -57,11 +59,12 @@ proptest! {
         let oracle = essentials_algos::bfs::bfs_sequential(&g, 0).level;
         let p = random_partition(g.num_vertices(), ranks, pseed);
         let pg = PartitionedGraph::build(&g, &p);
-        let (bsp, _) = mp_bfs(&pg, 0);
+        let ctx = Context::new(2);
+        let (bsp, _) = mp_bfs(&ctx, &pg, 0);
         prop_assert_eq!(&bsp, &oracle);
-        let (comb, _) = mp_bfs_combined(&pg, 0);
+        let (comb, _) = mp_bfs_combined(&ctx, &pg, 0);
         prop_assert_eq!(&comb, &oracle);
-        let (asy, _) = async_mp_bfs(&pg, 0);
+        let (asy, _) = async_mp_bfs(&ctx, &pg, 0);
         prop_assert_eq!(&asy, &oracle);
     }
 
@@ -69,9 +72,10 @@ proptest! {
     fn remote_messages_equal_zero_with_one_rank(g in arb_weighted_graph()) {
         let p = random_partition(g.num_vertices(), 1, 0);
         let pg = PartitionedGraph::build(&g, &p);
-        let (_, stats) = mp_bfs(&pg, 0);
+        let ctx = Context::new(2);
+        let (_, stats) = mp_bfs(&ctx, &pg, 0);
         prop_assert_eq!(stats.messages_remote, 0);
-        let (_, astats) = async_mp_sssp(&pg, 0);
+        let (_, astats) = async_mp_sssp(&ctx, &pg, 0);
         prop_assert_eq!(astats.messages_remote, 0);
     }
 }

@@ -6,7 +6,9 @@
 //! `essentials_graph::Graph`, so every operator and algorithm in the
 //! workspace runs on it unchanged — queries are simply routed through the
 //! ownership table to the sub-graph, exactly the delegation the paper
-//! describes. `essentials-mp` builds its ranks from the same parts.
+//! describes. `essentials-mp` builds its ranks from the same parts: a rank
+//! is a logical partition whose vertex programs run as one chunk of the
+//! context's thread pool, not an OS thread of its own.
 
 use essentials_graph::{
     EdgeId, EdgeValue, EdgeWeights, GraphBase, OutAdjacency, OutNeighbors, OutWeights, VertexId,
@@ -98,6 +100,13 @@ impl<W: EdgeValue> PartitionedGraph<W> {
         self.owner[v as usize]
     }
 
+    /// Index of `v` within its owner's [`Part::owned`] list (the local row
+    /// of its out-edges).
+    #[inline]
+    pub fn local_index(&self, v: VertexId) -> usize {
+        self.local[v as usize] as usize
+    }
+
     /// The sub-graph of one part.
     pub fn part(&self, k: usize) -> &Part<W> {
         &self.parts[k]
@@ -119,8 +128,10 @@ impl<W: EdgeValue> PartitionedGraph<W> {
 
     #[inline]
     fn locate(&self, v: VertexId) -> (&Part<W>, usize) {
-        let part = &self.parts[self.owner[v as usize] as usize];
-        (part, self.local[v as usize] as usize)
+        (
+            &self.parts[self.owner[v as usize] as usize],
+            self.local_index(v),
+        )
     }
 
     /// Resolves a global edge id to its owning part and local offset.

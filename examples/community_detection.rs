@@ -56,8 +56,9 @@ fn main() {
 
     // The cut difference is exactly the message-volume difference for a
     // distributed traversal.
-    let (_, s_ml) = mp_bfs(&PartitionedGraph::build(&g, &ml), 0);
-    let (_, s_rnd) = mp_bfs(&PartitionedGraph::build(&g, &rnd), 0);
+    let ctx = Context::default();
+    let (_, s_ml) = mp_bfs(&ctx, &PartitionedGraph::build(&g, &ml), 0);
+    let (_, s_rnd) = mp_bfs(&ctx, &PartitionedGraph::build(&g, &rnd), 0);
     println!(
         "distributed BFS remote messages: multilevel {}, random {}",
         s_ml.messages_remote, s_rnd.messages_remote

@@ -2,8 +2,9 @@
 //!
 //! Partitions a mesh two ways — random (the baseline heuristic) and
 //! multilevel (the METIS-family heuristic built in `essentials-partition`)
-//! — then runs Pregel-style BFS and SSSP on thread-ranks that communicate
-//! only through mailboxes. Shows the paper's §III-D claim in action (the
+//! — then runs Pregel-style BFS and SSSP on ranks (logical partitions run
+//! on the context's thread pool) that communicate only through messages.
+//! Shows the paper's §III-D claim in action (the
 //! partitioned graph answers the same API) and how edge-cut predicts
 //! message volume.
 //!
@@ -42,7 +43,7 @@ fn main() {
             let pg = PartitionedGraph::build(&g, &partitioning);
             // §III-D: the partitioned graph answers the same queries.
             assert_eq!(pg.out_neighbors(100), g.out_neighbors(100));
-            let (levels, stats) = mp_bfs(&pg, 0);
+            let (levels, stats) = mp_bfs(&ctx, &pg, 0);
             assert_eq!(
                 levels, oracle.level,
                 "distributed BFS must match shared-memory BFS"
@@ -57,7 +58,7 @@ fn main() {
     // Weighted SSSP through the same machinery.
     let p = multilevel_partition(&g, MultilevelConfig::new(4));
     let pg = PartitionedGraph::build(&g, &p);
-    let (dist, stats) = mp_sssp(&pg, 0);
+    let (dist, stats) = mp_sssp(&ctx, &pg, 0);
     let shared = essentials_algos::sssp::sssp(execution::par, &ctx, &g, 0, push);
     let agree = dist
         .iter()

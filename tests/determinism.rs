@@ -11,7 +11,11 @@
 //!   any schedule);
 //! * pull PageRank at a fixed iteration count on dangling-free graphs —
 //!   each vertex's gather is a sequential sum over its in-neighbors, so
-//!   thread count never reassociates it.
+//!   thread count never reassociates it;
+//! * message-passing (Pregel) runs — each rank is one sequential chunk and
+//!   delivery orders a vertex's messages by sender rank and outbox
+//!   position, so values and message counts depend on the partitioning,
+//!   never on the thread count.
 //!
 //! What MAY vary, and is documented rather than promised:
 //!
@@ -31,6 +35,9 @@
 use essentials::prelude::*;
 use essentials_algos::{bfs, cc, hits, pagerank, sssp};
 use essentials_gen as gen;
+use essentials_mp::algorithms::{mp_bfs, mp_bfs_combined, mp_pagerank, mp_sssp, mp_sssp_combined};
+use essentials_mp::MpStats;
+use essentials_partition::{random_partition, PartitionedGraph};
 use std::sync::Arc;
 
 #[path = "common/reps.rs"]
@@ -423,6 +430,50 @@ fn budget_stops_are_thread_count_deterministic_for_bsp_runs() {
             reference,
             "fault-cancel progress diverged at {t} threads"
         );
+    }
+}
+
+/// Every message-passing result of one partitioning, floats as bits.
+type MpRun = Vec<(&'static str, Vec<u64>, MpStats)>;
+
+fn mp_runs(ctx: &Context, pg: &PartitionedGraph<f32>) -> MpRun {
+    let bits32 = |v: Vec<f32>| v.into_iter().map(|x| u64::from(x.to_bits())).collect();
+    let widen = |v: Vec<u32>| v.into_iter().map(u64::from).collect();
+    let (levels, s_bfs) = mp_bfs(ctx, pg, 0);
+    let (levels_c, s_bfs_c) = mp_bfs_combined(ctx, pg, 0);
+    let (dist, s_sssp) = mp_sssp(ctx, pg, 0);
+    let (dist_c, s_sssp_c) = mp_sssp_combined(ctx, pg, 0);
+    let (rank, s_pr) = mp_pagerank(ctx, pg, 0.85, 12);
+    vec![
+        ("bfs", widen(levels), s_bfs),
+        ("bfs combined", widen(levels_c), s_bfs_c),
+        ("sssp", bits32(dist), s_sssp),
+        ("sssp combined", bits32(dist_c), s_sssp_c),
+        (
+            "pagerank",
+            rank.into_iter().map(f64::to_bits).collect(),
+            s_pr,
+        ),
+    ]
+}
+
+#[test]
+fn message_passing_bit_identical_across_thread_counts() {
+    let g = weighted(gen::rmat(9, 8, gen::RmatParams::default(), 21));
+    for k in [1, 3, 8] {
+        let pg = PartitionedGraph::build(&g, &random_partition(g.num_vertices(), k, 5));
+        let reference = mp_runs(&Context::new(1), &pg);
+        for &t in &THREADS {
+            for (got, want) in mp_runs(&Context::new(t), &pg).iter().zip(&reference) {
+                assert!(
+                    got == want,
+                    "mp {} diverged at {k} ranks on {t} threads: {:?} vs {:?}",
+                    want.0,
+                    got.2,
+                    want.2
+                );
+            }
+        }
     }
 }
 

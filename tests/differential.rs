@@ -4,7 +4,7 @@
 //! and partition counts (message passing).
 //!
 //! Shared memory sweeps 1/2/8 worker threads; message passing sweeps
-//! 1/2/8 partitions (its unit of parallelism). Every configuration is
+//! 1/2/8 partitions (its ranks, run on a two-worker pool). Every configuration is
 //! checked against one thread-count-independent oracle per algorithm.
 
 use essentials::prelude::*;
@@ -74,10 +74,11 @@ fn bfs_levels_agree_across_backends() {
                 "adaptive bfs diverged on {name} at {t} threads"
             );
         }
+        let ctx = Context::new(2);
         for &k in &MP_PARTITIONS {
             let p = random_partition(g.get_num_vertices(), k, 13);
             let pg = PartitionedGraph::build(&g, &p);
-            let (levels, stats) = mp_bfs(&pg, 0);
+            let (levels, stats) = mp_bfs(&ctx, &pg, 0);
             assert_eq!(
                 levels, oracle,
                 "mp bfs diverged on {name} at {k} partitions"
@@ -105,10 +106,11 @@ fn sssp_distances_agree_across_backends() {
                 "adaptive sssp diverged on {name} at {t} threads"
             );
         }
+        let ctx = Context::new(2);
         for &k in &MP_PARTITIONS {
             let p = random_partition(g.get_num_vertices(), k, 13);
             let pg = PartitionedGraph::build(&g, &p);
-            let (dist, _) = mp_sssp(&pg, 0);
+            let (dist, _) = mp_sssp(&ctx, &pg, 0);
             assert!(
                 close_f32(&dist, &oracle),
                 "mp sssp diverged on {name} at {k} partitions"
@@ -383,10 +385,11 @@ fn pagerank_agrees_across_backends_at_fixed_iterations() {
                 );
             }
         }
+        let ctx = Context::new(2);
         for &k in &MP_PARTITIONS {
             let p = random_partition(g.get_num_vertices(), k, 13);
             let pg = PartitionedGraph::build(&g, &p);
-            let (rank, stats) = mp_pagerank(&pg, 0.85, iterations);
+            let (rank, stats) = mp_pagerank(&ctx, &pg, 0.85, iterations);
             for (a, b) in rank.iter().zip(&oracle) {
                 assert!(
                     (a - b).abs() < 1e-9,

@@ -68,7 +68,7 @@ fn distributed_equals_shared_equals_sequential() {
         multilevel_partition(&g, MultilevelConfig::new(4)),
     ] {
         let pg = PartitionedGraph::build(&g, &partitioning);
-        let (dist, stats) = mp_sssp(&pg, 0);
+        let (dist, stats) = mp_sssp(&ctx, &pg, 0);
         assert!(dist
             .iter()
             .zip(&oracle.dist)
@@ -85,8 +85,9 @@ fn partition_quality_flows_through_to_message_volume() {
     let ml = multilevel_partition(&g, MultilevelConfig::new(4));
     assert!(edge_cut(&g, &ml) < edge_cut(&g, &rnd) / 3);
 
-    let (lv_rnd, st_rnd) = mp_bfs(&PartitionedGraph::build(&g, &rnd), 0);
-    let (lv_ml, st_ml) = mp_bfs(&PartitionedGraph::build(&g, &ml), 0);
+    let ctx = Context::new(2);
+    let (lv_rnd, st_rnd) = mp_bfs(&ctx, &PartitionedGraph::build(&g, &rnd), 0);
+    let (lv_ml, st_ml) = mp_bfs(&ctx, &PartitionedGraph::build(&g, &ml), 0);
     assert_eq!(lv_rnd, lv_ml);
     assert!(st_ml.messages_remote < st_rnd.messages_remote / 3);
     // Total message volume is partition-independent (one per edge for BFS).

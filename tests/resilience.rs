@@ -22,6 +22,11 @@ use std::time::Duration;
 use essentials::prelude::*;
 use essentials_algos::{bfs, cc, pagerank, sssp};
 use essentials_gen as gen;
+use essentials_mp::algorithms::{mp_bfs, mp_bfs_combined};
+use essentials_mp::{
+    async_mp_bfs, try_run_async_mp, try_run_pregel, ComputeCtx, NeighborView, VertexProgram,
+};
+use essentials_partition::{random_partition, PartitionedGraph};
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
@@ -459,6 +464,147 @@ fn forced_divergence_trips_the_convergence_watchdogs() {
     assert!(r.final_error < pagerank::PrConfig::default().tolerance);
     let mass: f64 = r.rank.iter().sum();
     assert!((mass - 1.0).abs() < 1e-6, "rank mass {mass}");
+}
+
+// ---- message passing rides the same engine ---------------------------
+
+/// BFS as a vertex program whose compute panics on reaching `panic_at`.
+struct PanickyLevels {
+    source: VertexId,
+    panic_at: Option<VertexId>,
+}
+
+impl VertexProgram<()> for PanickyLevels {
+    type Value = u32;
+    type Msg = u32;
+
+    fn init(&self, v: VertexId) -> u32 {
+        if v == self.source {
+            0
+        } else {
+            u32::MAX
+        }
+    }
+
+    fn compute(
+        &self,
+        ctx: &ComputeCtx<'_, u32>,
+        v: VertexId,
+        level: &mut u32,
+        out: NeighborView<'_, ()>,
+        msgs: &[u32],
+    ) {
+        if self.panic_at == Some(v) {
+            panic!("injected fault: vertex program at {v}");
+        }
+        let best = msgs.iter().copied().min().unwrap_or(*level);
+        if ctx.superstep() == 0 || best < *level {
+            *level = best;
+            for &d in out.dsts {
+                ctx.send(d, best + 1);
+            }
+        }
+    }
+}
+
+/// A panicking vertex program, an injected `(superstep, rank)` fault and a
+/// panicking asynchronous handler each return `WorkerPanic` instead of
+/// leaving the other ranks waiting forever; iteration-cap and deadline
+/// budgets stop a Pregel run with a typed `Budget` error and its progress.
+/// After each, the same context reruns every message-passing mode to the
+/// sequential oracle.
+#[test]
+fn message_passing_faults_are_typed_and_the_context_recovers() {
+    quiet_injected_panics();
+    let g = sym_graph(14);
+    let ctx = Context::new(4);
+    let oracle = bfs::bfs_sequential(&g, 0).level;
+    let pg = PartitionedGraph::build(&g, &random_partition(g.num_vertices(), 3, 2));
+    let target = g.out_neighbors(0)[0];
+    let reruns_to_the_oracle = |what: &str| {
+        assert_eq!(mp_bfs(&ctx, &pg, 0).0, oracle, "BSP rerun after {what}");
+        assert_eq!(
+            mp_bfs_combined(&ctx, &pg, 0).0,
+            oracle,
+            "combined rerun after {what}"
+        );
+        assert_eq!(
+            async_mp_bfs(&ctx, &pg, 0).0,
+            oracle,
+            "async rerun after {what}"
+        );
+    };
+
+    let panicky = PanickyLevels {
+        source: 0,
+        panic_at: Some(target),
+    };
+    match try_run_pregel(&ctx, &pg, &panicky, &[0]) {
+        Err(ExecError::WorkerPanic { payload, .. }) => {
+            assert!(payload.contains("vertex program at"), "payload: {payload}");
+        }
+        other => panic!("expected WorkerPanic, got {other:?}"),
+    }
+    reruns_to_the_oracle("a panicking vertex program");
+
+    let healthy = PanickyLevels {
+        source: 0,
+        panic_at: None,
+    };
+    let plan = Arc::new(FaultPlan::new().panic_at(1, 2));
+    let faulty = ctx.clone().with_fault_plan(plan);
+    assert!(
+        matches!(
+            try_run_pregel(&faulty, &pg, &healthy, &[0]),
+            Err(ExecError::WorkerPanic { chunk: 2, .. })
+        ),
+        "the fault at (superstep 1, rank 2) must surface"
+    );
+    reruns_to_the_oracle("an injected fault");
+
+    let err = try_run_async_mp(&ctx, &pg, vec![(0, 0u32)], |_, v, level, sender| {
+        if v == target {
+            panic!("injected fault: async handler at {v}");
+        }
+        for &d in g.out_neighbors(v) {
+            sender.send(d, level + 1);
+        }
+    })
+    .unwrap_err();
+    assert!(
+        matches!(&err, ExecError::WorkerPanic { payload, .. } if payload.contains("async handler")),
+        "expected WorkerPanic, got {err:?}"
+    );
+    reruns_to_the_oracle("a panicking async handler");
+
+    let capped = ctx
+        .clone()
+        .with_budget(RunBudget::unlimited().with_max_iterations(2));
+    match try_run_pregel(&capped, &pg, &healthy, &[0]) {
+        Err(ExecError::Budget { reason, progress }) => {
+            assert_eq!(reason, BudgetReason::IterationCap);
+            assert_eq!(progress.iterations, 2, "two supersteps completed");
+            assert_eq!(progress.work_trace.len(), 2);
+            assert_eq!(
+                progress.work_trace[0],
+                g.out_degree(0),
+                "the source's sends"
+            );
+        }
+        other => panic!("expected Budget(IterationCap), got {other:?}"),
+    }
+    let expired = ctx
+        .clone()
+        .with_budget(RunBudget::unlimited().with_timeout(Duration::ZERO));
+    match try_run_pregel(&expired, &pg, &healthy, &[0]) {
+        Err(ExecError::Budget { reason, progress }) => {
+            assert_eq!(reason, BudgetReason::DeadlineExpired);
+            assert_eq!(progress.iterations, 0);
+        }
+        other => panic!("expected Budget(DeadlineExpired), got {other:?}"),
+    }
+    reruns_to_the_oracle("budget stops");
+    assert_eq!(try_run_pregel(&ctx, &pg, &healthy, &[0]).unwrap().0, oracle);
 }
 
 // ---- recovery keeps the zero-allocation steady state --------------------

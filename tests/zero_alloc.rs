@@ -7,7 +7,8 @@
 //! push, dense push, masked / predicate / blocked pull) and over every
 //! representation (raw CSR, byte-coded compressed, mmapped container): the
 //! same generic audit runs on each. Warm iterations of every PageRank and
-//! HITS plan touch the allocator zero times too.
+//! HITS plan, and warm Pregel supersteps, touch the allocator zero times
+//! too.
 //!
 //! The count comes from `common/counting_alloc.rs`, which charges a
 //! measurement only with the allocations of its own thread and of the pool
@@ -22,7 +23,9 @@ use std::time::Duration;
 use essentials::prelude::*;
 use essentials_algos::{hits, pagerank};
 use essentials_gen as gen;
+use essentials_mp::algorithms::mp_pagerank;
 use essentials_parallel::atomics::AtomicF32;
+use essentials_partition::{random_partition, PartitionedGraph};
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
@@ -331,6 +334,39 @@ fn steady_state_pagerank_pull_and_blocked_gather_do_not_allocate() {
     // them, on every representation.
     let observed = |t| Context::new(t).with_obs(Arc::new(NullSink) as Arc<dyn ObsSink>);
     for_each_rep_and_thread_count!(rmat_reps(), observed, audit_ranking_plans);
+}
+
+/// The Pregel engine's per-rank outboxes and inboxes reach their size in
+/// the first message-bearing superstep and are reused after it: a warm
+/// `mp_pagerank` run of `LONG` supersteps (one fewer iteration, plus the
+/// quiescent superstep) allocates exactly as often as one of `SHORT`.
+#[test]
+fn warm_pregel_supersteps_do_not_allocate() {
+    let g = GraphBuilder::from_coo(gen::rmat(10, 8, gen::RmatParams::default(), 3))
+        .remove_self_loops()
+        .symmetrize()
+        .deduplicate()
+        .build();
+    let pg = PartitionedGraph::build(&g, &random_partition(g.num_vertices(), 3, 5));
+    for t in THREADS {
+        let ctx = Context::new(t);
+        let run = |supersteps: usize| {
+            let (_, stats) = mp_pagerank(&ctx, &pg, 0.85, supersteps - 1);
+            assert_eq!(stats.supersteps, supersteps);
+        };
+        for _ in 0..3 {
+            run(SHORT);
+        }
+        let short = count_allocs(ctx.pool(), || run(SHORT));
+        let long = count_allocs(ctx.pool(), || run(LONG));
+        assert_eq!(
+            long,
+            short,
+            "{} extra warm supersteps at {t} threads hit the allocator {} times",
+            LONG - SHORT,
+            long.saturating_sub(short)
+        );
+    }
 }
 
 #[test]
