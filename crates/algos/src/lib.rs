@@ -13,29 +13,20 @@
 //!   independent quantities `benchmark/` reports alongside time.
 //!
 //! The roster follows the Gunrock essentials suite, CPU edition: traversal
-//! ([`bfs`], [`multi_source`], [`sssp`], [`sswp`]), fixpoint ranking
-//! ([`pagerank`], [`hits`]),
-//! structure ([`cc`], [`kcore`], [`tc`], [`mst`], [`color`], [`bc`],
-//! [`closeness`]), and
-//! the linear-algebra kernel ([`spmv`]).
+//! ([`bfs`], [`multi_source`], [`sssp`], [`sswp`], [`paths`]), fixpoint
+//! ranking ([`pagerank`], [`hits`]), and structure ([`cc`], [`kcore`],
+//! [`tc`], [`color`]).
 
 #![warn(missing_docs)]
 
-pub mod bc;
 pub mod bfs;
 pub mod cc;
-pub mod closeness;
 pub mod color;
-pub mod diameter;
 pub mod hits;
 pub mod kcore;
-pub mod mst;
 pub mod multi_source;
 pub mod pagerank;
 pub mod paths;
-pub mod random_walk;
-pub mod spgemm;
-pub mod spmv;
 pub mod sssp;
 pub mod sswp;
 pub mod tc;

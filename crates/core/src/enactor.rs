@@ -12,7 +12,7 @@
 //!   predicate holds (fixed-point algorithms: PageRank, HITS, coloring).
 //!
 //! An enactor built with [`Enactor::for_ctx`] emits one
-//! [`IterSpan`](essentials_obs::IterSpan) per iteration — wall time and
+//! [`IterSpan`] per iteration — wall time and
 //! frontier in/out sizes — into the context's observability sink.
 
 use std::sync::Arc;

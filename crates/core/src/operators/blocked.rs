@@ -77,7 +77,7 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Runs `f(chunk)` for every chunk in `0..nchunks` under `hooks` — on the
 /// pool when `parallel` ([`ThreadPool::try_for_each_chunk`], which claims
-/// from each worker's placement segment first and, unlike `parallel_for`,
+/// from each worker's own even segment first and, unlike `parallel_for`,
 /// has no sequential cut-off: each of these few chunks is thousands of
 /// edges of work), in order on the calling thread otherwise. Every chunk
 /// runs exactly once; `f` must tolerate concurrent invocation on distinct
@@ -270,7 +270,7 @@ impl BlockedGather {
     ///
     /// Two streaming passes: the *fill* writes `vals[k] =
     /// src_val(srcs[k])` (each layout segment reads sources from one
-    /// [`SRC_CHUNK`] window, so the random reads stay cache-resident),
+    /// `SRC_CHUNK` window, so the random reads stay cache-resident),
     /// then the *flush* accumulates each bin's contiguous entries into
     /// its destination window and finalizes it. Every `out` slot is
     /// overwritten; slots with no incoming entries get `finalize(v, 0.0)`.

@@ -21,15 +21,12 @@
 //! * [`worker_buffers::WorkerBuffers`] — lock-free, cache-line-padded,
 //!   capacity-retaining per-worker output buffers for building the next
 //!   frontier from a parallel expansion without a global lock.
-//! * [`double_buffer::DoubleBuffer`] — ping-pong current/next frontier pair
-//!   for allocation-free BSP loops.
 //! * [`Frontier`] — the representation-independent query interface.
 
 #![warn(missing_docs)]
 
 pub mod convert;
 pub mod dense;
-pub mod double_buffer;
 pub mod edge;
 pub mod queue;
 pub mod sparse;
@@ -38,7 +35,6 @@ pub mod worker_buffers;
 use essentials_graph::VertexId;
 
 pub use dense::DenseFrontier;
-pub use double_buffer::DoubleBuffer;
 pub use edge::EdgeFrontier;
 pub use queue::QueueFrontier;
 pub use sparse::SparseFrontier;

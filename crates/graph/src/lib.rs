@@ -22,7 +22,7 @@
 //!   symmetrization, validation.
 //! * [`traits`] — capability traits ([`traits::GraphBase`],
 //!   [`traits::OutAdjacency`], [`traits::InAdjacency`], …) so operators run
-//!   once over raw, compressed, partitioned, and subgraph representations.
+//!   once over raw, compressed, and partitioned representations.
 //! * [`properties`] — derived structural properties (degree statistics,
 //!   symmetry checks).
 
@@ -35,7 +35,6 @@ pub mod csr;
 pub mod graph;
 pub mod properties;
 pub mod relabel;
-pub mod subgraph;
 pub mod traits;
 pub mod types;
 
@@ -45,7 +44,6 @@ pub use coo::Coo;
 pub use csr::Csr;
 pub use graph::Graph;
 pub use relabel::{relabel_by_degree, Relabeling};
-pub use subgraph::{ego_network, induced_subgraph, Subgraph};
 pub use traits::{
     EdgeWeights, GraphBase, InAdjacency, InEdgeWeights, InNeighbors, InWeights, OutAdjacency,
     OutNeighbors, OutWeights,

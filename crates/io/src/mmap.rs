@@ -1,8 +1,9 @@
 //! mmap-backed loading of compressed-adjacency containers.
 //!
-//! The `ESNC` container holds the sections of a [`Ccsr`] (per direction:
-//! edge offsets, byte offsets, coded byte stream, optional `f32` weights)
-//! at 8-byte-aligned offsets, so a read-only memory map of the file can be
+//! The `ESNC` container holds the sections of a
+//! [`Ccsr`](essentials_graph::Ccsr) (per direction: edge offsets, byte
+//! offsets, coded byte stream, optional `f32` weights) at 8-byte-aligned
+//! offsets, so a read-only memory map of the file can be
 //! reinterpreted as the `&[u64]`/`&[u8]` slices a [`CcsrView`] borrows —
 //! no materialization, no copy, and a scale-26 graph starts traversing as
 //! fast as the page cache can fault. Layout:

@@ -76,7 +76,7 @@ pub const HOT_PATH_MODULES: &[&str] = &[
 
 /// Crates whose *library* code must not `unwrap()`/`expect()` a fallible
 /// value without a same-line waiver (EL040). With the resilient execution
-/// layer turning worker panics into typed [`ExecError`]s, an unwrap on
+/// layer turning worker panics into typed `ExecError`s, an unwrap on
 /// these paths is a latent panic that bypasses the error taxonomy: the
 /// hot-path crates sit inside `catch_unwind` regions, and the io readers
 /// return line-numbered errors instead of panicking on malformed input.

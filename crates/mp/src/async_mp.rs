@@ -5,8 +5,7 @@
 //! frontier, an asynchronous execution model with message-passing to
 //! communicate the active working set can be more efficient."* Here there
 //! are **no supersteps and no barriers**: a message is a work item of the
-//! shared-memory asynchronous engine
-//! ([`try_run_async`](essentials_parallel::try_run_async)) on the context's
+//! shared-memory asynchronous engine ([`try_run_async`]) on the context's
 //! pool, handled the moment a worker pops it, on behalf of its destination's
 //! owner rank. The computation ends at global quiescence, detected by the
 //! engine's in-flight count.

@@ -555,8 +555,8 @@ pub enum ChunkAction {
 
 /// The chunk-boundary view of a budget + fault plan, threaded into the
 /// pool's fallible loops. Checks are one branch per `Option` plus a
-/// relaxed load; the deadline probe is amortized to every
-/// [`DEADLINE_CHECK_STRIDE`]th chunk.
+/// relaxed load; the deadline probe is amortized to every 16th chunk
+/// (`DEADLINE_CHECK_STRIDE`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChunkHooks<'a> {
     cancel: Option<&'a CancelToken>,

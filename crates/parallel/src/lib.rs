@@ -12,8 +12,6 @@
 //!   the load-balancing knob of §IV-C.
 //! * [`scan`] — parallel exclusive prefix sum; degree offsets for the
 //!   edge-balanced work division.
-//! * [`barrier::SpinBarrier`] — sense-reversing barrier for supersteps.
-//! * [`scope`] — structured fork-join task spawning.
 //! * [`async_engine`] — a work-queue engine with quiescence-based
 //!   termination detection; the asynchronous substrate (the CPU equivalent
 //!   of the Atos-style GPU queue the paper cites).
@@ -28,28 +26,20 @@
 
 #![warn(missing_docs)]
 
-pub mod affinity;
 pub mod async_engine;
 pub mod atomics;
-pub mod barrier;
 pub mod exec;
-pub mod placement;
 pub mod policy;
 pub mod pool;
 pub mod scan;
 pub mod schedule;
-pub mod scope;
 
-pub use affinity::pin_current_thread;
 pub use async_engine::{run_async, run_async_seq, try_run_async, AsyncStats, Pusher};
-pub use barrier::SpinBarrier;
 pub use exec::{
     panic_payload_string, BudgetReason, CancelToken, ChunkAction, ChunkHooks, ExecError, FaultPlan,
     Progress, RequestFault, RequestFaultPlan, RunBudget,
 };
-pub use placement::Placement;
 pub use policy::{execution, ExecutionPolicy, Par, ParNosync, Seq};
 pub use pool::{try_sequential_for_with, ThreadPool};
 pub use scan::{parallel_scan, parallel_scan_with, serial_scan};
 pub use schedule::Schedule;
-pub use scope::Scope;

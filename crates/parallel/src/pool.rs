@@ -29,7 +29,6 @@ use parking_lot::{Condvar, Mutex};
 use crate::exec::{
     panic_payload_string, BudgetReason, ChunkAction, ChunkHooks, ExecError, Progress,
 };
-use crate::placement::Placement;
 use crate::schedule::Schedule;
 
 /// A region closure as seen by the workers: called with the worker id.
@@ -88,9 +87,6 @@ pub struct ThreadPool {
     num_threads: usize,
     /// Serializes regions: one region at a time per pool.
     region_guard: Mutex<()>,
-    /// Optional locality hint consumed by `Schedule::Dynamic` loops: each
-    /// worker drains its own segment of the chunk space before stealing.
-    placement: Mutex<Option<Arc<Placement>>>,
 }
 
 thread_local! {
@@ -100,28 +96,9 @@ thread_local! {
 }
 
 impl ThreadPool {
-    /// Creates a pool with `num_threads` workers (minimum 1). Workers are
-    /// additionally pinned to cores when `ESSENTIALS_PIN=1` is set.
+    /// Creates a pool with `num_threads` workers (minimum 1).
     pub fn new(num_threads: usize) -> Self {
-        let pin = std::env::var("ESSENTIALS_PIN")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false);
-        Self::with_options(num_threads, pin)
-    }
-
-    /// Creates a pool whose workers are pinned to cores (worker `tid` →
-    /// core `tid mod hardware_parallelism`, best effort). Stable worker
-    /// ids then correspond to stable cache domains, which is what the
-    /// placement-aware schedule assumes (DESIGN.md §12).
-    pub fn new_pinned(num_threads: usize) -> Self {
-        Self::with_options(num_threads, true)
-    }
-
-    fn with_options(num_threads: usize, pin: bool) -> Self {
         let num_threads = num_threads.max(1);
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         let shared = Arc::new(Shared {
             slot: Mutex::new(RegionSlot {
                 epoch: 0,
@@ -138,14 +115,7 @@ impl ThreadPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("essentials-worker-{tid}"))
-                    .spawn(move || {
-                        if pin {
-                            // Best effort: a refused mask (cpuset limits,
-                            // non-Linux host) leaves the worker unpinned.
-                            let _ = crate::affinity::pin_current_thread(tid % cores);
-                        }
-                        worker_loop(&shared, tid)
-                    })
+                    .spawn(move || worker_loop(&shared, tid))
                     .expect("failed to spawn pool worker") // unwrap-ok: startup resource failure, no run to fail
             })
             .collect();
@@ -154,20 +124,7 @@ impl ThreadPool {
             handles,
             num_threads,
             region_guard: Mutex::new(()),
-            placement: Mutex::new(None),
         }
-    }
-
-    /// Installs (or clears) the locality hint consumed by dynamic loops.
-    /// The placement's segments are rescaled onto each loop's chunk space;
-    /// a placement whose worker count differs from the pool's is ignored.
-    pub fn set_placement(&self, placement: Option<Arc<Placement>>) {
-        *self.placement.lock() = placement;
-    }
-
-    /// The currently installed locality hint, if any.
-    pub fn placement(&self) -> Option<Arc<Placement>> {
-        self.placement.lock().clone()
     }
 
     /// A process-wide pool sized to the available hardware parallelism.
@@ -377,34 +334,21 @@ impl ThreadPool {
             Schedule::Dynamic(grain) => {
                 let grain = grain.max(1);
                 let nchunks = len.div_ceil(grain);
-                // Segmented claiming: each worker owns a contiguous slice
-                // of the *chunk id space* (its placement segment, or an
-                // even split), drains it through a private cursor, then
-                // steals from other segments. Chunk ids keep the exact
-                // `(lo - start) / grain` numbering of the shared-counter
-                // schedule, so fault-plan coordinates and the determinism
-                // argument are untouched — only the claim order (which the
-                // BSP contract already leaves free) changes. It applies as
-                // soon as every worker has a chunk of its own, so a loop
-                // over a few coarse chunks (bin flushes) runs each chunk on
-                // the same worker, with its cache, call after call.
+                // Segmented claiming: each worker owns an even, contiguous
+                // slice of the *chunk id space*, drains it through a
+                // private cursor, then steals from other segments. Chunk
+                // ids keep the exact `(lo - start) / grain` numbering of
+                // the shared-counter schedule, so fault-plan coordinates
+                // and the determinism argument are untouched — only the
+                // claim order (which the BSP contract already leaves free)
+                // changes. It applies as soon as every worker has a chunk
+                // of its own, so a loop over a few coarse chunks (bin
+                // flushes) runs each chunk on the same worker, with its
+                // cache, call after call.
                 if (2..=MAX_SEGMENTS).contains(&n) && nchunks >= n {
-                    let placement = self.placement();
-                    let mut bounds = [0usize; MAX_SEGMENTS + 1];
-                    match placement.as_deref() {
-                        Some(p) if p.workers() == n && !p.is_empty() => {
-                            for (w, b) in bounds.iter_mut().enumerate().take(n) {
-                                *b = p.scaled_segment(w, nchunks).start;
-                            }
-                            bounds[n] = nchunks;
-                        }
-                        _ => {
-                            let seg = nchunks.div_ceil(n);
-                            for (w, b) in bounds.iter_mut().enumerate().take(n + 1) {
-                                *b = (w * seg).min(nchunks);
-                            }
-                        }
-                    }
+                    let seg = nchunks.div_ceil(n);
+                    let bounds: [usize; MAX_SEGMENTS + 1] =
+                        std::array::from_fn(|w| (w * seg).min(nchunks));
                     let cursors: [PaddedCursor; MAX_SEGMENTS] =
                         std::array::from_fn(|w| PaddedCursor(AtomicUsize::new(bounds[w])));
                     self.try_run(|tid| {
@@ -882,33 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_fault_panics_at_exact_chunk() {
-        let pool = ThreadPool::new(4);
-        let plan = crate::exec::FaultPlan::new().panic_at(0, 5);
-        let budget = crate::exec::RunBudget::unlimited();
-        let hooks = budget.chunk_hooks(Some(&plan));
-        let n = 64 * 100;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let err = pool
-            .try_parallel_for_with(0..n, Schedule::Dynamic(64), hooks, |_, i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap_err();
-        match &err {
-            ExecError::WorkerPanic { payload, chunk } => {
-                assert!(payload.contains("injected fault"), "payload: {payload}");
-                assert_eq!(*chunk, 5);
-            }
-            other => panic!("expected WorkerPanic, got {other:?}"),
-        }
-        // Every chunk except the injected one ran exactly once.
-        for (i, h) in hits.iter().enumerate() {
-            let expected = usize::from(i / 64 != 5);
-            assert_eq!(h.load(Ordering::Relaxed), expected, "index {i}");
-        }
-    }
-
-    #[test]
     fn expired_deadline_surfaces_as_budget_error() {
         let pool = ThreadPool::new(2);
         let budget = crate::exec::RunBudget::unlimited()
@@ -993,56 +910,56 @@ mod tests {
     }
 
     #[test]
-    fn segmented_dynamic_covers_range_with_and_without_placement() {
+    fn segmented_dynamic_covers_range() {
         let pool = ThreadPool::new(4);
         let n = 50_000;
-        for placement in [
-            None,
-            Some(Arc::new(Placement::even(n, 4))),
-            Some(Arc::new(Placement::from_boundaries(vec![
-                0, 40_000, 45_000, 48_000, 50_000,
-            ]))),
-            // Mismatched worker count: ignored, even split used.
-            Some(Arc::new(Placement::even(n, 3))),
-        ] {
-            pool.set_placement(placement);
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            pool.parallel_for(0..n, Schedule::Dynamic(64), |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        }
-        pool.set_placement(None);
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        pool.parallel_for(0..n, Schedule::Dynamic(64), |i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn segmented_dynamic_keeps_chunk_ids_stable() {
-        // Fault coordinates name chunks by `(lo - start) / grain`; the
-        // segmented schedule must report the same ids as the shared
-        // counter did.
+        // Fault coordinates name chunks by `(lo - start) / grain` on both
+        // dynamic claim paths: the segmented cursors (at least one chunk
+        // per worker) and the shared counter (fewer chunks than workers),
+        // and the calling-thread fallback agrees with both.
         let pool = ThreadPool::new(4);
-        pool.set_placement(Some(Arc::new(Placement::even(6400, 4))));
-        let plan = crate::exec::FaultPlan::new().panic_at(0, 5);
-        let budget = crate::exec::RunBudget::unlimited();
-        let hooks = budget.chunk_hooks(Some(&plan));
-        let err = pool
-            .try_parallel_for_with(0..6400, Schedule::Dynamic(64), hooks, |_, _| {})
-            .unwrap_err();
-        match &err {
-            ExecError::WorkerPanic { chunk, .. } => assert_eq!(*chunk, 5),
-            other => panic!("expected WorkerPanic, got {other:?}"),
+        let inline = ThreadPool::new(1);
+        // (range, grain, faulty chunk): 100 chunks, then 2 chunks on 4
+        // workers; the offset start pins ids relative to `range.start`.
+        for (range, grain, bad) in [(0..6400, 64, 5), (3000..7096, 2048, 1)] {
+            for pool in [&pool, &inline] {
+                let plan = crate::exec::FaultPlan::new().panic_at(0, bad as u64);
+                let budget = crate::exec::RunBudget::unlimited();
+                let hits: Vec<AtomicUsize> = (0..range.end).map(|_| AtomicUsize::new(0)).collect();
+                let err = pool
+                    .try_parallel_for_with(
+                        range.clone(),
+                        Schedule::Dynamic(grain),
+                        budget.chunk_hooks(Some(&plan)),
+                        |_, i| {
+                            hits[i].fetch_add(1, Ordering::Relaxed);
+                        },
+                    )
+                    .unwrap_err();
+                match &err {
+                    ExecError::WorkerPanic { payload, chunk } => {
+                        assert!(payload.contains("injected fault"), "payload: {payload}");
+                        assert_eq!(*chunk, bad);
+                    }
+                    other => panic!("expected WorkerPanic, got {other:?}"),
+                }
+                // Every chunk except the injected one ran exactly once.
+                for (i, h) in hits.iter().enumerate() {
+                    let expected =
+                        usize::from(range.contains(&i) && (i - range.start) / grain != bad);
+                    assert_eq!(h.load(Ordering::Relaxed), expected, "index {i}");
+                }
+            }
         }
-        pool.set_placement(None);
-    }
-
-    #[test]
-    fn pinned_pool_still_runs_regions() {
-        let pool = ThreadPool::new_pinned(2);
-        let count = AtomicUsize::new(0);
-        pool.parallel_for(0..10_000, Schedule::Dynamic(64), |_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.into_inner(), 10_000);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! iteration, reduction correctness, async-engine conservation, across
 //! arbitrary range lengths, grain sizes, and thread counts.
 
-use essentials_parallel::{run_async, run_async_seq, Schedule, SpinBarrier, ThreadPool};
+use essentials_parallel::{run_async, run_async_seq, Schedule, ThreadPool};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -92,49 +92,6 @@ proptest! {
             }
         });
         prop_assert_eq!(seq.processed, stats.processed);
-    }
-
-    #[test]
-    fn barrier_keeps_phase_counters_in_lockstep(
-        threads in 2usize..5,
-        phases in 1usize..20,
-    ) {
-        let pool = ThreadPool::new(threads);
-        let barrier = SpinBarrier::new(threads);
-        let counter = AtomicUsize::new(0);
-        let violations = AtomicUsize::new(0);
-        pool.run(|_| {
-            for p in 0..phases {
-                counter.fetch_add(1, Ordering::Relaxed);
-                barrier.wait();
-                let c = counter.load(Ordering::Relaxed);
-                // After the barrier everyone must see all increments of
-                // phases 0..=p.
-                if c < (p + 1) * threads {
-                    violations.fetch_add(1, Ordering::Relaxed);
-                }
-                barrier.wait();
-            }
-        });
-        prop_assert_eq!(violations.into_inner(), 0);
-        prop_assert_eq!(counter.into_inner(), phases * threads);
-    }
-
-    #[test]
-    fn scope_runs_every_spawned_task(
-        tasks in 0usize..200,
-        threads in 1usize..5,
-    ) {
-        let pool = ThreadPool::new(threads);
-        let count = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..tasks {
-                s.spawn(|_| {
-                    count.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        prop_assert_eq!(count.into_inner(), tasks);
     }
 
     #[test]

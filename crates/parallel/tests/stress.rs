@@ -3,7 +3,7 @@
 //! These are the failure modes a work-sharing runtime actually exhibits
 //! (lost wakeups, double-dispatch, premature quiescence).
 
-use essentials_parallel::{run_async, Schedule, SpinBarrier, ThreadPool};
+use essentials_parallel::{run_async, Schedule, ThreadPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -33,17 +33,21 @@ fn thousands_of_tiny_regions_do_not_lose_wakeups() {
 #[test]
 fn oversubscribed_pool_still_completes() {
     // Far more workers than cores: forces heavy time-slicing through every
-    // code path (barrier spins, queue steals).
+    // code path (region wake-ups and joins, segmented claims and steals).
     let pool = ThreadPool::new(16);
-    let barrier = SpinBarrier::new(16);
     let count = AtomicUsize::new(0);
-    pool.run(|_| {
-        for _ in 0..25 {
+    for _ in 0..25 {
+        pool.run(|_| {
             count.fetch_add(1, Ordering::Relaxed);
-            barrier.wait();
-        }
+        });
+    }
+    assert_eq!(count.load(Ordering::Relaxed), 16 * 25);
+    let n = 100_000;
+    let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+    pool.parallel_for(0..n, Schedule::Dynamic(64), |i| {
+        hits[i].fetch_add(1, Ordering::Relaxed);
     });
-    assert_eq!(count.into_inner(), 16 * 25);
+    assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
 }
 
 #[test]

@@ -21,13 +21,11 @@
 pub mod metrics;
 pub mod multilevel;
 pub mod partitioned_graph;
-pub mod placement;
 pub mod random;
 
 pub use metrics::{balance, edge_cut};
 pub use multilevel::{multilevel_partition, MultilevelConfig};
 pub use partitioned_graph::PartitionedGraph;
-pub use placement::{contiguous_placement, degree_balanced_placement, placement_from_partitioning};
 pub use random::{contiguous_partition, random_partition};
 
 /// A k-way assignment of vertices to parts.

@@ -18,7 +18,8 @@
 //!    permit its cap allows (heavies never starve behind a light flood
 //!    of later arrivals).
 //!
-//! The queue honors each request's [`RunBudget`] wall-clock deadline: a
+//! The queue honors each request's
+//! [`RunBudget`](essentials_parallel::RunBudget) wall-clock deadline: a
 //! request still waiting at its deadline gives up its place and fails with
 //! [`AdmissionError::QueueDeadline`] — the same deadline the operators
 //! would enforce mid-run, applied to the wait as well. A cancelled token

@@ -13,7 +13,7 @@
 //!   after warm-up.
 //!
 //! Every request flows through the same private pipeline
-//! ([`Engine::serve_with`]): feasibility gate → acquire permit → lease
+//! (`Engine::serve_with`): feasibility gate → acquire permit → lease
 //! scratch → build a request-scoped [`Context`] (shared pool + leased
 //! scratch + the request's own [`RunBudget`]) → run the algorithm → emit
 //! one [`RequestEvent`] with queue/service split. Deadlines and

@@ -95,13 +95,6 @@ fn delta_stepping_rejects_nonpositive_delta() {
 }
 
 #[test]
-#[should_panic(expected = "dimension mismatch")]
-fn spmv_rejects_wrong_vector_length() {
-    let g = Graph::<f32>::from_coo(&Coo::new(3));
-    essentials_algos::spmv::spmv(execution::seq, &Context::sequential(), &g, &[1.0]);
-}
-
-#[test]
 #[should_panic(expected = "at least one seed")]
 fn ppr_rejects_empty_seed_set() {
     use essentials_algos::pagerank::{personalized_pagerank, try_personalized_pagerank, PrConfig};

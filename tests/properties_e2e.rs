@@ -2,7 +2,7 @@
 //! agreement and solution invariants out.
 
 use essentials::prelude::*;
-use essentials_algos::{bfs, cc, mst, sssp, tc};
+use essentials_algos::{bfs, cc, sssp, tc};
 use proptest::prelude::*;
 
 /// The fixed-push plan: the traversal of the paper's listings, CSR only.
@@ -92,21 +92,6 @@ proptest! {
         // Component count + edges is consistent with forests: each component
         // of size s needs >= s-1 undirected edges... (only check count > 0).
         prop_assert!(cc::num_components(&lp.comp) >= 1);
-    }
-
-    #[test]
-    fn mst_weight_is_minimal_among_variants(g in arb_sym_graph()) {
-        // Attach symmetric hash weights.
-        let coo = g.csr().to_coo();
-        let mut unweighted = Coo::new(coo.num_vertices());
-        for (s, d, _) in coo.iter() { unweighted.push(s, d, ()); }
-        let wg = Graph::from_coo(&essentials_gen::hash_weights(&unweighted, 0.1, 5.0, 9));
-        let ctx = Context::new(2);
-        let b = mst::boruvka(execution::par, &ctx, &wg);
-        let k = mst::kruskal(&wg);
-        prop_assert!((b.total_weight - k.total_weight).abs() < 1e-3);
-        prop_assert!(mst::verify_forest(&wg, &b));
-        prop_assert_eq!(b.edges.len(), k.edges.len());
     }
 
     #[test]
