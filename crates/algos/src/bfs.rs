@@ -167,7 +167,7 @@ pub use self::bfs as bfs_adaptive_compressed;
 pub fn bfs_queue<W: EdgeValue>(ctx: &Context, g: &Graph<W>, source: VertexId) -> BfsResult {
     let n = g.get_num_vertices();
     let levels = init_levels(n, source);
-    let edges = Counter::new();
+    let mut edges = 0usize;
     let queue = QueueFrontier::new(ctx.num_threads());
     queue.push(0, source);
     let mut iterations = 0usize;
@@ -175,9 +175,10 @@ pub fn bfs_queue<W: EdgeValue>(ctx: &Context, g: &Graph<W>, source: VertexId) ->
     while !queue.is_empty() {
         let current = SparseFrontier::from_vec(queue.drain());
         let next_level = iterations as u32 + 1;
+        // Every out-edge of the frontier is inspected once.
+        edges += current.iter().map(|v| g.out_degree(v)).sum::<usize>();
         // Expand; sends go straight into the queue.
         for_each_edge_balanced(ctx, g, current.as_slice(), |tid, _src, dst, _e| {
-            edges.add(1);
             if levels[dst as usize]
                 .compare_exchange(UNVISITED, next_level, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
@@ -195,7 +196,7 @@ pub fn bfs_queue<W: EdgeValue>(ctx: &Context, g: &Graph<W>, source: VertexId) ->
             frontier_trace: trace,
             hit_iteration_cap: false,
         },
-        edges_inspected: edges.get(),
+        edges_inspected: edges,
         directions: vec![Direction::Push; iterations],
     }
 }
@@ -211,10 +212,16 @@ pub fn bfs_async<W: EdgeValue>(ctx: &Context, g: &Graph<W>, source: VertexId) ->
     let stats = run_async(ctx.pool(), vec![source], |v: VertexId, pusher| {
         let lv = levels[v as usize].load(Ordering::Acquire);
         let cand = lv.saturating_add(1);
+        // One add per popped vertex: every out-edge below is inspected.
+        edges.add(g.out_degree(v));
         for e in g.get_edges(v) {
             let dst = g.get_dest_vertex(e);
-            edges.add(1);
-            if levels[dst as usize].fetch_min(cand, Ordering::AcqRel) > cand {
+            let d = dst as usize;
+            // Levels only fall, so a stale Relaxed load can only overstate
+            // the cell: the RMW is skipped only when it could not lower it.
+            if levels[d].load(Ordering::Relaxed) > cand
+                && levels[d].fetch_min(cand, Ordering::AcqRel) > cand
+            {
                 pusher.push(dst);
             }
         }

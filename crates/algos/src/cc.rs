@@ -13,7 +13,6 @@
 //! component, so results compare with `==` across variants.
 
 use essentials_core::prelude::*;
-use essentials_parallel::atomics::{CachePadded, Counter};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Component labeling plus run metadata.
@@ -23,7 +22,11 @@ pub struct CcResult {
     pub comp: Vec<VertexId>,
     /// Loop statistics.
     pub stats: LoopStats,
-    /// Label updates attempted (work measure).
+    /// Work measure. [`cc_label_propagation`]: edges the direction engine
+    /// inspected — out-edges of push iterations plus in-edges scanned by
+    /// pull iterations, as [`crate::bfs::BfsResult::edges_inspected`].
+    /// [`cc_hooking`]: edges whose endpoints had distinct roots when
+    /// visited. [`cc_union_find`]: unions performed.
     pub updates: usize,
     /// Direction taken each iteration ([`cc_label_propagation`] only;
     /// empty otherwise).
@@ -70,7 +73,6 @@ where
     G: OutWeights<W> + InWeights<W> + Sync,
 {
     let labels: Vec<AtomicU32> = (0..g.num_vertices() as u32).map(AtomicU32::new).collect();
-    let updates = CachePadded(Counter::new());
     let mut engine = AdaptiveAdvance::new(
         g,
         AdaptiveConfig {
@@ -88,17 +90,21 @@ where
             f,
             |_dst| true,
             |src, dst, _w| {
-                updates.add(1);
-                let l = labels[src as usize].load(Ordering::Acquire);
-                labels[dst as usize].fetch_min(l, Ordering::AcqRel) > l
+                let (l, d) = (labels[src as usize].load(Ordering::Acquire), dst as usize);
+                // Labels only fall, so a stale load can only overstate the
+                // cell: the RMW is skipped exactly when it could not lower
+                // it, and admission is what the bare `fetch_min` decided.
+                labels[d].load(Ordering::Relaxed) > l
+                    && labels[d].fetch_min(l, Ordering::AcqRel) > l
             },
         )
     });
+    let updates = engine.edges_inspected();
     let (stats, directions) = engine.finish(ctx, run)?;
     Ok(CcResult {
         comp: labels.into_iter().map(AtomicU32::into_inner).collect(),
         stats,
-        updates: updates.get(),
+        updates,
         directions,
     })
 }
@@ -131,7 +137,7 @@ pub fn cc_hooking<P: ExecutionPolicy, W: EdgeValue>(
     let n = g.get_num_vertices();
     let m = g.get_num_edges();
     let parent: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-    let updates = Counter::new();
+    let mut updates = 0usize;
 
     let find = |mut v: u32| -> u32 {
         loop {
@@ -146,40 +152,45 @@ pub fn cc_hooking<P: ExecutionPolicy, W: EdgeValue>(
     let (_, stats) = Enactor::for_ctx(ctx)
         .max_iterations(64)
         .run_until((), |_, (), progress| {
-            let changed = Counter::new();
-            // Hook phase: for every edge, point the larger root at the smaller.
-            foreach_vertex(policy, ctx, m, |e| {
-                let e = e as usize;
-                let u = g.get_source_vertex(e);
-                let v = g.get_dest_vertex(e);
-                let (ru, rv) = (find(u), find(v));
-                if ru == rv {
-                    return;
-                }
-                updates.add(1);
-                let (hi, lo) = if ru > rv { (ru, rv) } else { (rv, ru) };
-                // CAS so only roots are re-pointed; a failed CAS means someone
-                // else hooked hi first — the next round will see it.
-                if parent[hi as usize]
-                    .compare_exchange(hi, lo, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    changed.add(1);
-                }
-            });
+            // Hook phase: for every edge, point the larger root at the
+            // smaller. Each edge maps to its (attempted, fired) tallies and
+            // the reduction folds them, so no counter is shared per edge.
+            let (attempted, hooked) = reduce(
+                policy,
+                ctx,
+                m,
+                (0usize, 0usize),
+                |e| {
+                    let u = g.get_source_vertex(e);
+                    let v = g.get_dest_vertex(e);
+                    let (ru, rv) = (find(u), find(v));
+                    if ru == rv {
+                        return (0, 0);
+                    }
+                    let (hi, lo) = if ru > rv { (ru, rv) } else { (rv, ru) };
+                    // CAS so only roots are re-pointed; a failed CAS means
+                    // someone else hooked hi first — the next round sees it.
+                    let fired = parent[hi as usize]
+                        .compare_exchange(hi, lo, Ordering::AcqRel, Ordering::Relaxed)
+                        .is_ok();
+                    (1, usize::from(fired))
+                },
+                |a, b| (a.0 + b.0, a.1 + b.1),
+            );
+            updates += attempted;
             // Jump phase: full path compression.
             foreach_vertex(policy, ctx, n, |v| {
                 let root = find(v);
                 parent[v as usize].store(root, Ordering::Release);
             });
             // Hooks that fired this round are the loop's work measure.
-            progress.report_work(changed.get());
-            changed.get() == 0
+            progress.report_work(hooked);
+            hooked == 0
         });
     CcResult {
         comp: parent.into_iter().map(AtomicU32::into_inner).collect(),
         stats,
-        updates: updates.get(),
+        updates,
         directions: Vec::new(),
     }
 }

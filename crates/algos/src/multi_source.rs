@@ -54,8 +54,10 @@ pub struct MsBfsResult {
     /// BSP iterations executed (the maximum BFS depth reached plus one
     /// frontier-emptying check).
     pub iterations: usize,
-    /// Edges inspected across the whole batch (each inspection serves up
-    /// to `batch` sources — the amortization this kernel exists for).
+    /// Edges inspected across the whole batch: Σ over iterations of the
+    /// out-degrees of the vertices with some lane in that iteration's
+    /// frontier. Each inspection serves up to `batch` sources — the
+    /// amortization this kernel exists for. Independent of thread count.
     pub edges_inspected: usize,
 }
 
@@ -206,11 +208,20 @@ pub fn try_bfs_multi_source<P: ExecutionPolicy, W: EdgeValue>(
             let next_active_ref = &next_active;
             let edges_ref = &edges;
             let body = move |w: usize| {
+                // The word's inspected edges, added to the shared total once.
+                let mut inspected = 0usize;
                 active_ref.bits().for_each_set_in_words(w, w + 1, &mut |v| {
                     let fmask = frontier_ref[v];
+                    inspected += g.out_degree(v as VertexId);
                     for e in g.get_edges(v as VertexId) {
                         let dst = g.get_dest_vertex(e) as usize;
-                        edges_ref.add(1);
+                        // Visited bits are only ever set, so a stale Relaxed
+                        // load can only understate them: when it already
+                        // shows every lane of `fmask`, the claim would win
+                        // nothing and is skipped.
+                        if fmask & !visited_at[dst].load(Ordering::Relaxed) == 0 {
+                            continue;
+                        }
                         // One RMW claims all still-unvisited source bits at
                         // once; the winner of each bit is unique, so every
                         // level cell is written exactly once — by the
@@ -229,6 +240,9 @@ pub fn try_bfs_multi_source<P: ExecutionPolicy, W: EdgeValue>(
                         }
                     }
                 });
+                if inspected > 0 {
+                    edges_ref.add(inspected);
+                }
             };
             if P::IS_PARALLEL && ctx.num_threads() > 1 {
                 ctx.pool().try_parallel_for(

@@ -46,11 +46,14 @@ pub fn sssp_with_parents<P: ExecutionPolicy>(
     let (_, _stats) = Enactor::for_ctx(ctx).run(SparseFrontier::single(source), |_, f| {
         let out = neighbors_expand(policy, ctx, g, &f, |src, dst, _e, w| {
             let new_d = dist_of(state[src as usize].load(Ordering::Acquire)) + w;
-            let candidate = pack(new_d, src);
+            let (candidate, d) = (pack(new_d, src), dst as usize);
             // fetch_min on the packed value: distance dominates the order;
             // among equal distances the smaller parent id wins (harmless —
-            // still a valid shortest-path predecessor).
-            state[dst as usize].fetch_min(candidate, Ordering::AcqRel) > candidate
+            // still a valid shortest-path predecessor). The packed value
+            // only falls, so the Relaxed probe skips exactly the RMWs that
+            // could not lower it.
+            state[d].load(Ordering::Relaxed) > candidate
+                && state[d].fetch_min(candidate, Ordering::AcqRel) > candidate
         });
         uniquify_with_bitmap(policy, ctx, &out, n)
     });

@@ -15,7 +15,7 @@
 //! build time; negative weights are rejected by debug assertion here).
 
 use essentials_core::prelude::*;
-use essentials_parallel::atomics::{AtomicF32, CachePadded, Counter};
+use essentials_parallel::atomics::{AtomicF32, Counter};
 use essentials_parallel::run_async;
 use std::sync::atomic::Ordering;
 
@@ -27,7 +27,10 @@ pub struct SsspResult {
     pub dist: Vec<f32>,
     /// Loop statistics (iterations = supersteps for BSP; 1 for async).
     pub stats: LoopStats,
-    /// Edge relaxations attempted (machine-independent work measure).
+    /// Edge relaxations attempted (machine-independent work measure). For
+    /// [`sssp`]: edges the direction engine inspected — out-edges of push
+    /// iterations plus in-edges scanned by pull iterations, as
+    /// [`crate::bfs::BfsResult::edges_inspected`].
     pub relaxations: usize,
     /// Direction taken each iteration ([`sssp`] only; empty otherwise).
     pub directions: Vec<Direction>,
@@ -108,7 +111,6 @@ where
     check_weights(g);
     // Initialize data.
     let dist = init_dist(g.num_vertices(), source);
-    let relaxations = CachePadded(Counter::new());
     let mut engine = AdaptiveAdvance::new(
         g,
         AdaptiveConfig {
@@ -128,7 +130,6 @@ where
             |_dst| true,
             // User-defined condition for SSSP.
             |src: VertexId, dst: VertexId, weight: f32| {
-                relaxations.add(1);
                 let new_d = dist[src as usize].load(Ordering::Acquire) + weight;
                 // atomic::min atomically updates the distances vector at dst
                 // with the minimum of new_d or its current value, then
@@ -138,11 +139,12 @@ where
             },
         )
     });
+    let relaxations = engine.edges_inspected();
     let (stats, directions) = engine.finish(ctx, run)?;
     Ok(SsspResult {
         dist: unwrap_dist(dist),
         stats,
-        relaxations: relaxations.get(),
+        relaxations,
         directions,
     })
 }
@@ -174,10 +176,11 @@ pub fn sssp_async(ctx: &Context, g: &Graph<f32>, source: VertexId) -> SsspResult
     let relaxations = Counter::new();
     let async_stats = run_async(ctx.pool(), vec![source], |v: VertexId, pusher| {
         let dv = dist[v as usize].load(Ordering::Acquire);
+        // One add per popped vertex: every out-edge below is relaxed.
+        relaxations.add(g.out_degree(v));
         for e in g.get_edges(v) {
             let dst = g.get_dest_vertex(e);
             let w = g.get_edge_weight(e);
-            relaxations.add(1);
             let new_d = dv + w;
             let curr_d = dist[dst as usize].fetch_min(new_d, Ordering::AcqRel);
             if new_d < curr_d {
@@ -215,7 +218,14 @@ pub fn delta_stepping<P: ExecutionPolicy>(
     assert!(delta > 0.0 && delta.is_finite(), "delta must be positive");
     let n = g.get_num_vertices();
     let dist = init_dist(n, source);
-    let relaxations = Counter::new();
+    // Light out-degree per vertex: a round's relaxation count is a sum over
+    // its input frontier, so no counter is shared inside the edge closure.
+    let light_degree: Vec<usize> = fill_indexed(policy, ctx, n, |v| {
+        g.get_edges(v as VertexId)
+            .filter(|&e| g.get_edge_weight(e) < delta)
+            .count()
+    });
+    let mut relaxations = 0usize;
     let mut iterations = 0usize;
     let mut trace = Vec::new();
 
@@ -242,12 +252,22 @@ pub fn delta_stepping<P: ExecutionPolicy>(
 
     // Relax only edges on the requested side of the light/heavy split;
     // dedup is fused into the push.
-    let relax = |f: SparseFrontier, light: bool| -> SparseFrontier {
+    let mut relax = |f: SparseFrontier, light: bool| -> SparseFrontier {
+        relaxations += f
+            .iter()
+            .map(|v| {
+                let l = light_degree[v as usize];
+                if light {
+                    l
+                } else {
+                    g.out_degree(v) - l
+                }
+            })
+            .sum::<usize>();
         let out = neighbors_expand_unique(policy, ctx, g, &f, |src, dst, _e, w| {
             if (w < delta) != light {
                 return false;
             }
-            relaxations.add(1);
             let new_d = dist[src as usize].load(Ordering::Acquire) + w;
             let curr_d = dist[dst as usize].fetch_min(new_d, Ordering::AcqRel);
             new_d < curr_d
@@ -327,7 +347,7 @@ pub fn delta_stepping<P: ExecutionPolicy>(
             frontier_trace: trace,
             hit_iteration_cap: false,
         },
-        relaxations: relaxations.get(),
+        relaxations,
         directions: Vec::new(),
     }
 }
@@ -347,12 +367,13 @@ pub fn sssp_edge_centric<P: ExecutionPolicy>(
     check_weights(g);
     let n = g.get_num_vertices();
     let dist = init_dist(n, source);
-    let relaxations = Counter::new();
+    let mut relaxations = 0usize;
     let (_, stats) = Enactor::for_ctx(ctx).run(SparseFrontier::single(source), |_, f| {
         // Vertex frontier -> edge frontier -> relax -> vertex frontier.
         let active_edges = expand_to_edges(policy, ctx, g, &f);
+        // Every active edge is relaxed exactly once.
+        relaxations += active_edges.len();
         let out = advance_edges(policy, ctx, g, &active_edges, |src, dst, _e, w| {
-            relaxations.add(1);
             let new_d = dist[src as usize].load(Ordering::Acquire) + w;
             let curr_d = dist[dst as usize].fetch_min(new_d, Ordering::AcqRel);
             new_d < curr_d
@@ -363,7 +384,7 @@ pub fn sssp_edge_centric<P: ExecutionPolicy>(
     SsspResult {
         dist: unwrap_dist(dist),
         stats,
-        relaxations: relaxations.get(),
+        relaxations,
         directions: Vec::new(),
     }
 }

@@ -40,7 +40,6 @@ pub fn triangle_count<P: ExecutionPolicy, W: EdgeValue>(
 ) -> TcResult {
     let dag = orient(g);
     let n = dag.num_vertices();
-    let intersections = essentials_parallel::atomics::Counter::new();
     let triangles = essentials_core::operators::reduce::reduce(
         policy,
         ctx,
@@ -51,7 +50,6 @@ pub fn triangle_count<P: ExecutionPolicy, W: EdgeValue>(
             let nu = dag.neighbors(u);
             let mut local = 0;
             for &v in nu {
-                intersections.add(1);
                 let nv = dag.neighbors(v);
                 local += if gallop {
                     intersect_count_gallop(nu, nv)
@@ -65,7 +63,8 @@ pub fn triangle_count<P: ExecutionPolicy, W: EdgeValue>(
     );
     TcResult {
         triangles,
-        intersections: intersections.get(),
+        // One intersection per oriented edge `u → v`.
+        intersections: dag.num_edges(),
     }
 }
 

@@ -27,7 +27,7 @@ use essentials_graph::{
     EdgeId, EdgeValue, EdgeWeights, InWeights, OutAdjacency, OutWeights, VertexId,
 };
 use essentials_obs::{AdvanceEvent, OpKind};
-use essentials_parallel::atomics::{CachePadded, Counter};
+use essentials_parallel::atomics::Counter;
 use essentials_parallel::{
     try_run_async, try_sequential_for_with, ChunkHooks, ExecError, ExecutionPolicy, Schedule,
 };
@@ -229,7 +229,7 @@ where
     let condition = |v: VertexId, n: VertexId, e: EdgeId, w: W| {
         let ok = condition(v, n, e, w);
         if detail && ok {
-            admitted.add(1);
+            admitted.add(1); // rmw-ok: runs only when a sink asks for per-edge detail
         }
         ok
     };
@@ -471,7 +471,7 @@ where
         let w = g.edge_weight(e);
         if condition(v, n, e, w) {
             if detail {
-                admitted.add(1);
+                admitted.add(1); // rmw-ok: runs only when a sink asks for per-edge detail
             }
             output.insert(n);
         }
@@ -521,9 +521,11 @@ pub struct PullConfig {
 }
 
 /// One destination's share of a pull expansion: streams `dst`'s in-edges in
-/// ascending source order, admits `dst` on the first active source whose
-/// condition holds (stopping there under `early_exit`), and returns the
-/// in-edges scanned.
+/// ascending source order, admits `dst` if an active source's condition
+/// holds (stopping at the first under `early_exit`), and returns the
+/// in-edges scanned. The admission sets the output bit once and leaves the
+/// cached count to [`DenseFrontier::recount`] after the region, so no
+/// counter is shared per destination.
 #[inline]
 fn scan_in_edges<G, W, F>(
     g: &G,
@@ -538,29 +540,50 @@ where
     W: EdgeValue,
     F: Fn(VertexId, VertexId, W) -> bool,
 {
-    let mut scans = 0usize;
+    let (mut scans, mut admitted) = (0usize, false);
     for (e, src) in g.in_edges_from(dst, 0) {
         scans += 1;
         if input.contains(src) && condition(src, dst, g.in_edge_weight(e)) {
-            output.insert(dst);
+            admitted = true;
             if cfg.early_exit {
                 break;
             }
         }
     }
+    if admitted {
+        output.bits().set(dst as usize);
+    }
     scans
 }
 
-/// Ends a pull expansion: on success emits the [`OpKind::Pull`] event and
-/// hands back the output with its scan count; on an error the output
-/// bitmap goes back to the context's pool instead.
-fn finish_pull<P: ExecutionPolicy>(
+/// The region both pull expansions share: runs `scan(output, i)` — the
+/// in-edges scanned for work item `i` — over `range` in `Dynamic(grain)`
+/// chunks, folding the counts through the scratch's per-worker tallies and
+/// settling the output's cached count once the region has joined. On
+/// success emits the [`OpKind::Pull`] event and hands back the output with
+/// its scan count; on an error the output bitmap goes back to the
+/// context's pool instead.
+fn try_pull_region<P, S>(
     ctx: &Context,
     input: &DenseFrontier,
     output: DenseFrontier,
-    scanned: usize,
-    run: Result<(), ExecError>,
-) -> Result<(DenseFrontier, usize), ExecError> {
+    range: std::ops::Range<usize>,
+    grain: usize,
+    scan: S,
+) -> Result<(DenseFrontier, usize), ExecError>
+where
+    P: ExecutionPolicy,
+    S: Fn(&DenseFrontier, usize) -> usize + Sync,
+{
+    let mut scratch = ctx.take_scratch();
+    scratch.tallies.reset(ctx.num_threads());
+    let tallies = &scratch.tallies;
+    let run = try_for_with::<P, _>(ctx, range, Schedule::Dynamic(grain), |tid, i| {
+        tallies.tally(tid, scan(&output, i));
+    });
+    let scanned = scratch.tallies.total();
+    ctx.put_scratch(scratch);
+    output.recount();
     if let Err(e) = run {
         ctx.recycle_dense_frontier(output);
         return Err(e);
@@ -621,14 +644,14 @@ where
     let n = g.num_vertices();
     // Recycled bitmap, same contract as `try_expand_push_dense`.
     let output = ctx.take_dense_frontier(n);
-    let scanned = CachePadded(Counter::new());
-    let run = try_for_with::<P, _>(ctx, 0..n, Schedule::Dynamic(256), |_, i| {
+    try_pull_region::<P, _>(ctx, input, output, 0..n, 256, |output, i| {
         let dst = i as VertexId;
         if candidate(dst) {
-            scanned.add(scan_in_edges(g, input, &output, &cfg, &condition, dst));
+            scan_in_edges(g, input, output, &cfg, &condition, dst)
+        } else {
+            0
         }
-    });
-    finish_pull::<P>(ctx, input, output, scanned.get(), run)
+    })
 }
 
 /// [`try_expand_pull_counted`] with the error re-raised as a panic (the
@@ -687,17 +710,18 @@ where
     let n = g.num_vertices();
     debug_assert_eq!(candidates.capacity(), n);
     let output = ctx.take_dense_frontier(n);
-    let scanned = CachePadded(Counter::new());
-    let scan = |dst: VertexId| scanned.add(scan_in_edges(g, input, &output, &cfg, &condition, dst));
     let mask = candidates.bits();
     // Workers take disjoint *word* ranges of the mask and decode their own
     // chunks — the parallel form of the word-at-a-time scan. 4 words per
     // grab = 256 candidate slots, small enough to balance skewed in-degree,
     // large enough to amortize the queue.
-    let run = try_for_with::<P, _>(ctx, 0..mask.num_words(), Schedule::Dynamic(4), |_, wi| {
-        mask.for_each_set_in_words(wi, wi + 1, &mut |i| scan(i as VertexId));
-    });
-    finish_pull::<P>(ctx, input, output, scanned.get(), run)
+    try_pull_region::<P, _>(ctx, input, output, 0..mask.num_words(), 4, |output, wi| {
+        let mut scans = 0usize;
+        mask.for_each_set_in_words(wi, wi + 1, &mut |i| {
+            scans += scan_in_edges(g, input, output, &cfg, &condition, i as VertexId);
+        });
+        scans
+    })
 }
 
 /// [`try_expand_pull_masked`] with the error re-raised as a panic (the

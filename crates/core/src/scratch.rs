@@ -18,7 +18,8 @@
 use crate::slot::SwapSlot;
 use essentials_frontier::{DenseFrontier, SparseFrontier, WorkerBuffers};
 use essentials_graph::VertexId;
-use essentials_parallel::atomics::AtomicBitset;
+use essentials_parallel::atomics::{AtomicBitset, CachePadded};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Bound on pooled output vectors; algorithms juggle at most a current and
 /// a next frontier plus a couple of temporaries.
@@ -42,6 +43,8 @@ pub struct AdvanceScratch {
     pub(crate) chunk_sums: Vec<usize>,
     /// Lock-free per-worker output buffers.
     pub(crate) buffers: WorkerBuffers,
+    /// Per-worker partial sums (the pull kernels' scanned in-edges).
+    pub(crate) tallies: WorkerTallies,
     /// Dedup bitmap for fused-unique expansion. Bits are cleared after each
     /// use by walking the (sparse) output, so the bitmap stays O(n) in
     /// memory but O(|output|) in per-iteration time.
@@ -70,6 +73,9 @@ impl AdvanceScratch {
             offsets: Vec::new(),    // alloc-ok: Vec::new never allocates (cold constructor)
             chunk_sums: Vec::new(), // alloc-ok: see above
             buffers: WorkerBuffers::new(workers),
+            tallies: WorkerTallies {
+                slots: Vec::new(), // alloc-ok: see above
+            },
             seen: AtomicBitset::new(0),
             spare: Vec::new(),       // alloc-ok: see above
             spare_dense: Vec::new(), // alloc-ok: see above
@@ -169,6 +175,39 @@ impl AdvanceScratch {
         if self.spare_dense.len() < MAX_SPARE_DENSE && d.capacity() > 0 {
             self.spare_dense.push(d); // alloc-ok: cold pool-return; spine bounded by MAX_SPARE_DENSE
         }
+    }
+}
+
+/// Per-worker `usize` partial sums, one cache line each. Worker `tid`
+/// touches only slot `tid` — a plain load and store, never a shared
+/// read-modify-write — and the caller folds the slots once the region has
+/// joined.
+pub(crate) struct WorkerTallies {
+    slots: Vec<CachePadded<AtomicUsize>>,
+}
+
+impl WorkerTallies {
+    /// Zeroes the first `workers` slots, growing the table on first use.
+    pub(crate) fn reset(&mut self, workers: usize) {
+        if self.slots.len() < workers {
+            self.slots
+                .resize_with(workers, || CachePadded(AtomicUsize::new(0))); // alloc-ok: grows once per worker count; steady state reuses the table
+        }
+        for slot in &mut self.slots {
+            *slot.0.get_mut() = 0;
+        }
+    }
+
+    /// Adds `n` to worker `tid`'s own slot.
+    #[inline]
+    pub(crate) fn tally(&self, tid: usize, n: usize) {
+        let sum = self.slots[tid].load(Ordering::Relaxed) + n;
+        self.slots[tid].store(sum, Ordering::Relaxed);
+    }
+
+    /// The sum over every slot (call after the region has joined).
+    pub(crate) fn total(&mut self) -> usize {
+        self.slots.iter_mut().map(|slot| *slot.0.get_mut()).sum()
     }
 }
 
@@ -294,6 +333,18 @@ mod tests {
         assert_eq!(b.buffers.workers(), 2);
         slot.put(a);
         slot.put(b); // replaces, freeing the older one — must not leak/crash
+    }
+
+    #[test]
+    fn worker_tallies_sum_and_reset() {
+        let mut s = AdvanceScratch::new(2);
+        s.tallies.reset(3);
+        s.tallies.tally(0, 5);
+        s.tallies.tally(2, 7);
+        s.tallies.tally(0, 1);
+        assert_eq!(s.tallies.total(), 13);
+        s.tallies.reset(2);
+        assert_eq!(s.tallies.total(), 0);
     }
 
     #[test]

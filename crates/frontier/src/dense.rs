@@ -82,6 +82,14 @@ impl DenseFrontier {
         }
     }
 
+    /// Re-derives the cached count from the bitmap (one popcount per
+    /// word). For kernels that set bits through [`Self::bits`], so that no
+    /// shared counter is bumped per insert; phase-synchronous like
+    /// [`Self::clear`].
+    pub fn recount(&self) {
+        self.count.store(self.bits.count_ones(), Ordering::Relaxed);
+    }
+
     /// Deactivates everything (between iterations; not concurrent with
     /// inserts).
     pub fn clear(&self) {
@@ -200,6 +208,18 @@ mod tests {
         });
         assert_eq!(f.len(), 1000);
         assert_eq!(f.iter().count(), 1000);
+    }
+
+    #[test]
+    fn recount_settles_bits_set_directly() {
+        let f = DenseFrontier::new(200);
+        f.insert(3);
+        for v in [3, 64, 199] {
+            f.bits().set(v);
+        }
+        assert_eq!(f.len(), 1);
+        f.recount();
+        assert_eq!(f.len(), 3);
     }
 
     #[test]

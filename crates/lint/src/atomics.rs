@@ -1,6 +1,7 @@
 //! Per-field atomic analysis: the observed-usage map behind the per-field
-//! `LINT_ORDERINGS.toml` checks (EL010/EL011/EL012) and the workspace-wide
-//! release/acquire pairing rule (EL013).
+//! `LINT_ORDERINGS.toml` checks (EL010/EL011/EL012), the workspace-wide
+//! release/acquire pairing rule (EL013), and the no-shared-counter-per-edge
+//! rule (EL014).
 //!
 //! Field keys come from the parser ([`crate::parse::AtomicSite`]):
 //! `struct.field` receivers resolve to the field name, statics to the
@@ -9,13 +10,28 @@
 //! (EL013) runs only over real field keys — helper-keyed sites have an
 //! unknown op direction, which is a documented unsoundness (DESIGN.md §15).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::OrderingTable;
+use crate::interproc::WsFile;
 use crate::lexer::contains_word;
 use crate::model::FileModel;
-use crate::parse::{op_reads, op_writes, FileSyntax};
-use crate::rules::Diagnostic;
+use crate::parse::{
+    call_args, closures_in, op_reads, op_writes, ClosureSpan, FileSyntax, Tok, TokKind,
+};
+use crate::rules::{is_test_file, Diagnostic};
+
+/// The modules of `core::operators` whose free `pub fn`s make up the
+/// advance family (EL014). The closures those functions take run once per
+/// edge or per candidate destination, and so do the closures inside the
+/// modules' own bodies.
+pub const ADVANCE_MODULES: &[&str] = &[
+    "crates/core/src/operators/advance.rs",
+    "crates/core/src/operators/direction.rs",
+];
+
+/// Counter-shaped read-modify-writes EL014 forbids on a captured binding.
+pub const COUNTER_RMWS: &[&str] = &["add", "fetch_add", "fetch_sub"];
 
 /// One observed `(ordering, line)` use of a field in a file.
 #[derive(Debug, Clone)]
@@ -253,6 +269,153 @@ pub fn check_pairing(
             // No entry at all is EL010's finding; don't double-report.
         }
     }
+}
+
+/// EL014: no counter read-modify-write on a captured binding inside a
+/// per-edge closure — a closure passed to the advance family, or any
+/// closure in the family's own modules. Every worker would hit the one
+/// cache line of that counter once per edge, which costs more than the
+/// edge itself. The family is derived from [`ADVANCE_MODULES`]' public API,
+/// not listed by hand.
+///
+/// Only bare receivers count (`updates.add(1)`, `self.hits.fetch_add(…)`):
+/// an indexed cell (`deg[dst].fetch_sub(…)`) is per-vertex data, not a
+/// shared tally. Bindings the closure introduces itself (parameters,
+/// `let`, `for`, nested closure parameters) are not captured. Test code
+/// is exempt; `// rmw-ok: <reason>` waives one line.
+pub fn check_edge_counters(files: &[WsFile], out: &mut Vec<Diagnostic>) {
+    let family: BTreeSet<&str> = files
+        .iter()
+        .filter(|f| ADVANCE_MODULES.contains(&f.path.as_str()))
+        .flat_map(|f| &f.syn.fns)
+        .filter(|f| f.is_pub && f.self_type.is_none())
+        .map(|f| f.name.as_str())
+        .collect();
+    for f in files {
+        if is_test_file(&f.path) {
+            continue;
+        }
+        let toks = &f.syn.toks;
+        let own_module = ADVANCE_MODULES.contains(&f.path.as_str());
+        for func in &f.syn.fns {
+            let end = func.tok_span.1;
+            let closures = closures_in(toks, func.tok_span.0, end);
+            let arg_lists: Vec<(usize, usize, &str)> = func
+                .calls
+                .iter()
+                .filter(|c| family.contains(c.callee.as_str()))
+                .filter_map(|c| call_args(toks, c.tok, end).map(|(a, b)| (a, b, &*c.callee)))
+                .collect();
+            // Per-edge closures and the family member each one runs under.
+            let per_edge: Vec<(usize, usize, &str)> = closures
+                .iter()
+                .filter_map(|cl| {
+                    let via = arg_lists
+                        .iter()
+                        .find(|&&(a, b, _)| a < cl.bar && cl.body.1 < b)
+                        .map(|&(_, _, name)| name)
+                        .or(own_module.then_some(func.name.as_str()))?;
+                    Some((cl.bar, cl.body.1, via))
+                })
+                .collect();
+            for &(lo, hi, via) in &per_edge {
+                // Only the outermost closure of a nest is checked, against
+                // every binding the nest introduces.
+                if per_edge.iter().any(|&(a, b, _)| a < lo && hi <= b) {
+                    continue;
+                }
+                let locals = closure_locals(toks, lo, hi, &closures);
+                for t in lo..=hi {
+                    let Some(recv) = counter_rmw_receiver(toks, t) else {
+                        continue;
+                    };
+                    let line = toks[t].line;
+                    if locals.contains(recv.0.as_str())
+                        || f.model.in_test.get(line).copied().unwrap_or(false)
+                        || line_waived(&f.model, line, "rmw-ok:")
+                    {
+                        continue;
+                    }
+                    out.push(diag(
+                        &f.path,
+                        line,
+                        "EL014",
+                        format!(
+                            "`{}.{}` on a captured binding inside a per-edge closure \
+                             (under `{via}`): every worker hits one shared cache line \
+                             per edge — take the count from the operator \
+                             (`AdaptiveAdvance::edges_inspected`), fold a per-chunk \
+                             local, or justify with a same-line `// rmw-ok: <reason>` \
+                             waiver",
+                            recv.1, toks[t].text
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+}
+
+/// If token `t` is the method name of a counter RMW call on a bare
+/// receiver path (`a.b.add(`), returns `(root, path)`; indexed or computed
+/// receivers (`a[i].add(`, `f().add(`) return `None`.
+fn counter_rmw_receiver(toks: &[Tok], t: usize) -> Option<(String, String)> {
+    let is_name = |k: usize| matches!(toks[k].kind, TokKind::Ident | TokKind::Num);
+    if !COUNTER_RMWS.contains(&toks[t].text.as_str())
+        || t < 2
+        || toks[t - 1].text != "."
+        || toks.get(t + 1).is_none_or(|n| n.text != "(")
+        || !is_name(t - 2)
+    {
+        return None;
+    }
+    let mut k = t - 2;
+    while k >= 2 && toks[k - 1].text == "." && is_name(k - 2) {
+        k -= 2;
+    }
+    if (k >= 1 && toks[k - 1].text == ".") || toks[k].kind != TokKind::Ident {
+        return None;
+    }
+    let path: Vec<&str> = (k..t - 1)
+        .step_by(2)
+        .map(|i| toks[i].text.as_str())
+        .collect();
+    Some((toks[k].text.clone(), path.join(".")))
+}
+
+/// Names a closure nest binds itself: every parameter of every closure in
+/// `lo..=hi`, and the `let` / `for` pattern names in it. Over-approximate
+/// on purpose (type names in annotations land here too): a stray name can
+/// only hide a finding, never invent one.
+fn closure_locals<'a>(
+    toks: &'a [Tok],
+    lo: usize,
+    hi: usize,
+    closures: &[ClosureSpan],
+) -> BTreeSet<&'a str> {
+    let mut names = BTreeSet::new();
+    let mut take = |range: std::ops::Range<usize>| {
+        for tok in &toks[range] {
+            if tok.kind == TokKind::Ident && !matches!(tok.text.as_str(), "mut" | "ref") {
+                names.insert(tok.text.as_str());
+            }
+        }
+    };
+    for cl in closures.iter().filter(|cl| lo <= cl.bar && cl.bar <= hi) {
+        take(cl.params.0..cl.params.1);
+    }
+    for i in lo..=hi {
+        let stop: &[&str] = match toks[i].text.as_str() {
+            "let" => &["=", ":", ";"],
+            "for" => &["in"],
+            _ => continue,
+        };
+        let end = (i + 1..=hi)
+            .find(|&j| stop.contains(&toks[j].text.as_str()))
+            .unwrap_or(hi);
+        take(i + 1..end);
+    }
+    names
 }
 
 /// Renders the observed usage map as per-field TOML entry skeletons — the

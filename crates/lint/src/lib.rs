@@ -107,6 +107,7 @@ pub fn run_root(root: &Path) -> Result<LintReport, String> {
     }
     atomics::check_staleness(&table, &seen, &mut out);
     atomics::check_pairing(&seen, &table, &mut out);
+    atomics::check_edge_counters(&files, &mut out);
 
     // --- phase 3: call graph and interprocedural rules --------------------
     let triples: Vec<(String, bool, &parse::FileSyntax)> = files

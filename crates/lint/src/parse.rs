@@ -268,6 +268,9 @@ pub struct BlockingSite {
 #[derive(Debug)]
 pub struct FnSyn {
     pub name: String,
+    /// Declared `pub fn` (not `pub(crate)`, not private): part of its
+    /// module's public API.
+    pub is_pub: bool,
     /// Enclosing `impl Type` / `trait Type` name, if any.
     pub self_type: Option<String>,
     /// 0-based declaration line.
@@ -338,6 +341,7 @@ fn parse_items(toks: &[Tok]) -> Vec<FnSyn> {
     let mut impls: Vec<ImplFrame> = Vec::new();
     struct OpenFn {
         name: String,
+        is_pub: bool,
         self_type: Option<String>,
         decl_line: usize,
         start_tok: usize,
@@ -372,6 +376,7 @@ fn parse_items(toks: &[Tok]) -> Vec<FnSyn> {
                         if let Some(body_at) = fn_body_open(toks, i + 2) {
                             open_fns.push(OpenFn {
                                 name: name_tok.text.clone(),
+                                is_pub: i > 0 && toks[i - 1].text == "pub",
                                 self_type: impls.last().map(|f| f.type_name.clone()),
                                 decl_line: t.line,
                                 start_tok: body_at,
@@ -394,6 +399,7 @@ fn parse_items(toks: &[Tok]) -> Vec<FnSyn> {
                         let open = open_fns.pop().expect("non-empty");
                         fns.push(FnSyn {
                             name: open.name,
+                            is_pub: open.is_pub,
                             self_type: open.self_type,
                             decl_line: open.decl_line,
                             line_span: (toks[open.start_tok].line, t.line),
@@ -1028,70 +1034,83 @@ fn collect_let_hints(toks: &[Tok], start: usize, end: usize, hints: &mut Vec<(St
     }
 }
 
-/// Closure bodies among a call's arguments: for each `|params| body`,
-/// returns the token range of the body (brace-matched block or the
-/// expression up to the next top-level `,`/`)`).
+/// Closure bodies among a call's arguments: for each outermost
+/// `|params| body`, the token range of the body (brace-matched block or
+/// the expression up to the next `,`/`)`).
 fn closure_bodies(toks: &[Tok], open: usize, close: usize) -> Vec<(usize, usize)> {
+    let all = closures_in(toks, open + 1, close.saturating_sub(1));
+    all.iter()
+        .filter(|c| !all.iter().any(|o| o.bar < c.bar && c.body.1 <= o.body.1))
+        .map(|c| c.body)
+        .collect()
+}
+
+/// Tokens after which a `|` opens a closure's parameter list rather than
+/// being a binary or pattern `|`.
+const CLOSURE_OPENERS: &[&str] = &["(", ",", "=", "{", ";", "move", "mut", "return"];
+
+/// A closure literal: its parameter tokens and its body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClosureSpan {
+    /// Token index of the opening `|`.
+    pub bar: usize,
+    /// Token range strictly between the two bars (empty for `||`).
+    pub params: (usize, usize),
+    /// Inclusive token range of the body (block or expression).
+    pub body: (usize, usize),
+}
+
+/// Every closure literal whose opening bar lies in `start..=end`, nested
+/// ones included, in source order.
+pub fn closures_in(toks: &[Tok], start: usize, end: usize) -> Vec<ClosureSpan> {
+    let end = end.min(toks.len().saturating_sub(1));
     let mut out = Vec::new();
-    let mut i = open + 1;
-    let mut depth = 0i32; // nesting of (), [], {} inside the arg list
-    while i < close {
-        let txt = toks[i].text.as_str();
-        match txt {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => depth -= 1,
-            "|" if depth == 0 => {
-                // Closure params until the matching `|` (params contain no
-                // `|` except closing; `||` empty-params arrives as two).
-                let mut j = i + 1;
-                while j < close && toks[j].text != "|" {
-                    j += 1;
-                }
-                // Body: block or expression.
-                let body_start = j + 1;
-                if body_start >= close {
-                    break;
-                }
-                let body_end = if toks[body_start].text == "{" {
-                    let mut d = 0i32;
-                    let mut k = body_start;
-                    while k <= close {
-                        match toks[k].text.as_str() {
-                            "{" => d += 1,
-                            "}" => {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                    k.min(close)
-                } else {
-                    // Expression closure: to the `,`/`)` at arg-list level.
-                    let mut d = 0i32;
-                    let mut k = body_start;
-                    while k < close {
-                        match toks[k].text.as_str() {
-                            "(" | "[" | "{" => d += 1,
-                            ")" | "]" | "}" => d -= 1,
-                            "," if d == 0 => break,
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                    k - 1
-                };
-                out.push((body_start, body_end));
-                i = body_end;
-            }
-            _ => {}
+    for i in start..=end {
+        if toks[i].text != "|" || i == 0 || !CLOSURE_OPENERS.contains(&toks[i - 1].text.as_str()) {
+            continue;
         }
-        i += 1;
+        let Some(close_bar) = (i + 1..=end).find(|&j| toks[j].text == "|") else {
+            continue;
+        };
+        let body_start = close_bar + 1;
+        if body_start > end {
+            continue;
+        }
+        // Block or expression body: to the matching `}`, or to the first
+        // `,` / `;` / closing delimiter at the body's own nesting level.
+        let block = toks[body_start].text == "{";
+        let mut depth = 0i32;
+        let mut k = body_start;
+        while k <= end {
+            match toks[k].text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" if depth == 0 => break,
+                ")" | "]" | "}" => {
+                    depth -= 1;
+                    if block && depth == 0 {
+                        k += 1;
+                        break;
+                    }
+                }
+                "," | ";" if depth == 0 => break,
+                _ => {}
+            }
+            k += 1;
+        }
+        out.push(ClosureSpan {
+            bar: i,
+            params: (i + 1, close_bar),
+            body: (body_start, k.saturating_sub(1).max(body_start)),
+        });
     }
     out
+}
+
+/// The argument-list token range `(open, close)` of the call whose callee
+/// token is `callee_tok`, if it is a call.
+pub fn call_args(toks: &[Tok], callee_tok: usize, end: usize) -> Option<(usize, usize)> {
+    let open = call_open_paren(toks, callee_tok)?;
+    Some((open, match_paren(toks, open, end)))
 }
 
 /// Does the value produced by the call at `callee_tok` syntactically escape

@@ -342,10 +342,11 @@ impl AtomicBitset {
 }
 
 /// `T` on a 128-byte block of its own (a cache line and its prefetch
-/// partner). A counter every worker bumps per edge must not share a line
-/// with data the workers only read — a closure's captures or a `Vec` header
-/// on the caller's stack — or each bump evicts that data from the other
-/// cores; which neighbours a stack slot gets is up to the compiler.
+/// partner). A value workers write inside a region — a per-worker slot, a
+/// flag — must not share a line with another worker's slot or with data
+/// the workers only read, or each write evicts that data from the other
+/// cores. (A counter every worker bumps per edge costs more than the edge
+/// even on its own line; see lint rule EL014.)
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct CachePadded<T>(pub T);

@@ -11,8 +11,8 @@
 //! thread counts.
 
 use essentials::prelude::*;
-use essentials_algos::bfs::bfs;
-use essentials_algos::multi_source::{bfs_multi_source, MAX_BATCH};
+use essentials_algos::bfs::{bfs, bfs_sequential};
+use essentials_algos::multi_source::{bfs_multi_source, MAX_BATCH, UNVISITED};
 use essentials_gen as gen;
 use proptest::prelude::*;
 
@@ -76,6 +76,52 @@ fn grid_batches_match_independent_runs_at_every_width_and_thread_count() {
         for &k in &WIDTHS {
             assert_batch_matches(&ctx, &g, &spread_sources(n, k));
         }
+    }
+}
+
+#[test]
+fn pool_sweep_matches_independent_runs_and_counts_work_exactly() {
+    // 2^17 vertices = 2,048 mask words: the size at which
+    // `Dynamic(WORD_GRAIN)` leaves the calling thread, so 2 and 8 threads
+    // run the word sweep on the pool. R-MAT's hubs make many lanes race
+    // for the same destination words in the same iteration.
+    let g: Graph<()> = Graph::from_coo(&gen::rmat(17, 4, gen::RmatParams::default(), 11));
+    let n = g.num_vertices();
+    assert!(n.div_ceil(64) >= Schedule::Dynamic(4).sequential_cutoff());
+    // Full width, every lane rooted at a vertex with out-edges.
+    let sources: Vec<VertexId> = spread_sources(n, 8 * MAX_BATCH)
+        .into_iter()
+        .filter(|&s| g.out_degree(s) > 0)
+        .take(MAX_BATCH)
+        .collect();
+    assert_eq!(sources.len(), MAX_BATCH);
+    let oracle: Vec<Vec<u32>> = sources
+        .iter()
+        .map(|&s| bfs_sequential(&g, s).level)
+        .collect();
+    // Work reference: iteration i inspects the out-edges of every vertex
+    // with some lane at level i, once however many lanes share it.
+    let mut expected = 0usize;
+    let mut levels: Vec<u32> = Vec::with_capacity(MAX_BATCH);
+    for v in 0..n {
+        levels.clear();
+        levels.extend(oracle.iter().map(|lv| lv[v]).filter(|&l| l != UNVISITED));
+        levels.sort_unstable();
+        levels.dedup();
+        expected += levels.len() * g.out_degree(v as VertexId);
+    }
+    for &threads in &THREADS {
+        let ctx = Context::new(threads);
+        let batch = bfs_multi_source(execution::par, &ctx, &g, &sources);
+        for (s, lv) in oracle.iter().enumerate() {
+            assert_eq!(
+                &batch.source_levels(s),
+                lv,
+                "lane {s} diverged at {threads} threads"
+            );
+        }
+        assert_eq!(batch.edges_inspected, expected, "{threads} threads");
+        batch.recycle(&ctx);
     }
 }
 

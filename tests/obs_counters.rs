@@ -6,8 +6,10 @@
 //!
 //! * push BFS inspects every out-edge of every vertex that ever enters the
 //!   frontier — i.e. Σ out_degree(v) over visited vertices;
-//! * SSSP's relaxation lambda runs once per inspected edge, so the sink's
-//!   `edges_inspected` equals the algorithm's own `relaxations` counter;
+//! * SSSP and CC take their work counts from the direction engine, so the
+//!   sink's `edges_inspected` equals `relaxations` / `updates` on every
+//!   plan — out-edges of push iterations plus in-edges scanned by pull
+//!   iterations;
 //! * the fused dedup bitmap suppresses duplicates *before* they reach a
 //!   worker's buffer, so per-worker push tallies sum to exactly
 //!   `vertices_pushed`.
@@ -15,7 +17,7 @@
 use std::sync::Arc;
 
 use essentials::prelude::*;
-use essentials_algos::{bfs, sssp};
+use essentials_algos::{bfs, cc, sssp};
 use essentials_gen as gen;
 
 /// The fixed-push plan: the traversal of the paper's listings, CSR only.
@@ -80,6 +82,37 @@ fn sssp_edges_inspected_matches_relaxations() {
     // Fused dedup: what the condition admitted, minus what the bitmap
     // suppressed, is what reached the output frontier.
     assert_eq!(t.vertices_pushed, t.edges_admitted - t.dedup_hits);
+}
+
+#[test]
+fn sssp_and_cc_work_counts_are_the_sinks_edges_inspected_on_every_plan() {
+    let mut coo = gen::gnm(400, 2400, 9);
+    coo.remove_self_loops();
+    coo.symmetrize();
+    coo.sort_and_dedup();
+    let g: Graph<f32> = GraphBuilder::from_coo(gen::hash_weights(&coo, 0.1, 2.0, 42))
+        .with_csc()
+        .build();
+    for (plan, pulls) in [(push(), false), (DirectionPolicy::default(), true)] {
+        let (ctx, sink) = observed(4);
+        let r = sssp::sssp(execution::par, &ctx, &g, 0, plan);
+        assert_eq!(
+            sink.snapshot().edges_inspected as usize,
+            r.relaxations,
+            "{plan:?}"
+        );
+
+        let (ctx, sink) = observed(4);
+        let r = cc::cc_label_propagation(execution::par, &ctx, &g, plan);
+        assert_eq!(
+            sink.snapshot().edges_inspected as usize,
+            r.updates,
+            "{plan:?}"
+        );
+        // CC opens on every vertex, so the default plan pulls first: its
+        // count includes scanned in-edges, not just pushed ones.
+        assert_eq!(r.directions[0].is_pull(), pulls, "{plan:?}");
+    }
 }
 
 #[test]
