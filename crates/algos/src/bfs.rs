@@ -9,18 +9,13 @@
 //!   pulls over the CSC every iteration, `fixed(Direction::DensePush)`
 //!   pushes into bitmap frontiers, and the default plan is Beamer's α/β
 //!   direction-optimizing switch (§III-C);
-//! * [`bfs_queue`] — the frontier lives in a [`QueueFrontier`]
-//!   (message-passing representation, §III-B) inside an otherwise
-//!   identical BSP loop;
-//! * [`bfs_async`] — whole-algorithm asynchronous execution with a
-//!   monotone level relaxation (levels may be re-lowered as better paths
-//!   arrive; the fixpoint equals BFS levels);
 //! * [`bfs_sequential`] — the textbook queue baseline (oracle).
+//!
+//! The asynchronous cell of Table I is [`crate::sssp::sssp_async`]; the
+//! batched form is [`crate::multi_source`].
 
 pub use essentials_core::prelude::Direction;
 use essentials_core::prelude::*;
-use essentials_parallel::atomics::Counter;
-use essentials_parallel::run_async;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Level not yet assigned.
@@ -160,84 +155,6 @@ where
 /// still calls it.
 pub use self::bfs as bfs_adaptive_compressed;
 
-/// BFS with the frontier represented as a message queue (§III-B): each
-/// expansion *sends* newly visited vertices into the queue; each iteration
-/// *receives* by draining it. Same BSP structure, different communication
-/// substrate.
-pub fn bfs_queue<W: EdgeValue>(ctx: &Context, g: &Graph<W>, source: VertexId) -> BfsResult {
-    let n = g.get_num_vertices();
-    let levels = init_levels(n, source);
-    let mut edges = 0usize;
-    let queue = QueueFrontier::new(ctx.num_threads());
-    queue.push(0, source);
-    let mut iterations = 0usize;
-    let mut trace = Vec::new();
-    while !queue.is_empty() {
-        let current = SparseFrontier::from_vec(queue.drain());
-        let next_level = iterations as u32 + 1;
-        // Every out-edge of the frontier is inspected once.
-        edges += current.iter().map(|v| g.out_degree(v)).sum::<usize>();
-        // Expand; sends go straight into the queue.
-        for_each_edge_balanced(ctx, g, current.as_slice(), |tid, _src, dst, _e| {
-            if levels[dst as usize]
-                .compare_exchange(UNVISITED, next_level, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                queue.push(tid, dst);
-            }
-        });
-        iterations += 1;
-        trace.push(queue.len());
-    }
-    BfsResult {
-        level: unwrap_levels(levels),
-        stats: LoopStats {
-            iterations,
-            frontier_trace: trace,
-            hit_iteration_cap: false,
-        },
-        edges_inspected: edges,
-        directions: vec![Direction::Push; iterations],
-    }
-}
-
-/// Fully asynchronous BFS: monotone level relaxation
-/// (`level[dst] = min(level[dst], level[src]+1)`) through the work-queue
-/// engine. A vertex may be processed multiple times as better levels
-/// arrive; the fixpoint equals the BFS levels.
-pub fn bfs_async<W: EdgeValue>(ctx: &Context, g: &Graph<W>, source: VertexId) -> BfsResult {
-    let n = g.get_num_vertices();
-    let levels = init_levels(n, source);
-    let edges = Counter::new();
-    let stats = run_async(ctx.pool(), vec![source], |v: VertexId, pusher| {
-        let lv = levels[v as usize].load(Ordering::Acquire);
-        let cand = lv.saturating_add(1);
-        // One add per popped vertex: every out-edge below is inspected.
-        edges.add(g.out_degree(v));
-        for e in g.get_edges(v) {
-            let dst = g.get_dest_vertex(e);
-            let d = dst as usize;
-            // Levels only fall, so a stale Relaxed load can only overstate
-            // the cell: the RMW is skipped only when it could not lower it.
-            if levels[d].load(Ordering::Relaxed) > cand
-                && levels[d].fetch_min(cand, Ordering::AcqRel) > cand
-            {
-                pusher.push(dst);
-            }
-        }
-    });
-    BfsResult {
-        level: unwrap_levels(levels),
-        stats: LoopStats {
-            iterations: 1,
-            frontier_trace: vec![stats.processed],
-            hit_iteration_cap: false,
-        },
-        edges_inspected: edges.get(),
-        directions: vec![Direction::Push],
-    }
-}
-
 /// Textbook sequential BFS (the oracle).
 pub fn bfs_sequential<W: EdgeValue>(g: &Graph<W>, source: VertexId) -> BfsResult {
     let n = g.get_num_vertices();
@@ -355,12 +272,6 @@ mod tests {
                     }
                 }
             }
-            for (name, level) in [
-                ("queue", bfs_queue(&ctx, g, 0).level),
-                ("async", bfs_async(&ctx, g, 0).level),
-            ] {
-                assert_eq!(level, oracle.level, "{name} diverged on graph {gi}");
-            }
         }
     }
 
@@ -406,10 +317,8 @@ mod tests {
     fn unreachable_marked_unvisited() {
         let g = Graph::from_coo(&Coo::<()>::from_edges(3, [(0, 1, ())])).with_csc();
         let ctx = Context::sequential();
-        let levels = plans()
-            .into_iter()
-            .map(|(_, plan)| bfs(execution::par, &ctx, &g, 0, plan).level);
-        for level in levels.chain([bfs_async(&ctx, &g, 0).level]) {
+        for (_, plan) in plans() {
+            let level = bfs(execution::par, &ctx, &g, 0, plan).level;
             assert_eq!(level, vec![0, 1, UNVISITED]);
             assert!(verify_bfs(&g, 0, &level));
         }

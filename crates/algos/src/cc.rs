@@ -1,16 +1,13 @@
 //! Connected components (of undirected / symmetrized graphs).
 //!
-//! Three computations of the same partition:
+//! Two computations of the same partition:
 //! * [`cc_label_propagation`] — frontier-driven min-label propagation built
-//!   entirely from essentials operators (the "abstraction-native" version),
-//!   in whichever direction its plan picks;
-//! * [`cc_hooking`] — Shiloach–Vishkin-style hooking + pointer jumping over
-//!   the edge list (no frontier; shows the abstraction also hosts
-//!   non-traversal algorithms via compute operators);
+//!   entirely from essentials operators, in whichever direction its plan
+//!   picks;
 //! * [`cc_union_find`] — sequential union-find baseline (oracle).
 //!
 //! Component ids are canonicalized to the minimum vertex id of each
-//! component, so results compare with `==` across variants.
+//! component, so results compare with `==` across the two.
 
 use essentials_core::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -25,8 +22,7 @@ pub struct CcResult {
     /// Work measure. [`cc_label_propagation`]: edges the direction engine
     /// inspected — out-edges of push iterations plus in-edges scanned by
     /// pull iterations, as [`crate::bfs::BfsResult::edges_inspected`].
-    /// [`cc_hooking`]: edges whose endpoints had distinct roots when
-    /// visited. [`cc_union_find`]: unions performed.
+    /// [`cc_union_find`]: unions performed.
     pub updates: usize,
     /// Direction taken each iteration ([`cc_label_propagation`] only;
     /// empty otherwise).
@@ -125,76 +121,6 @@ where
 /// benchmark still calls it.
 pub use self::cc_adaptive as cc_adaptive_compressed;
 
-/// Hooking + pointer jumping: repeatedly hook the larger root onto the
-/// smaller across every edge, then compress all parent chains, until no
-/// hook fires. O(m log n) total work, a constant number of supersteps on
-/// most graphs.
-pub fn cc_hooking<P: ExecutionPolicy, W: EdgeValue>(
-    policy: P,
-    ctx: &Context,
-    g: &Graph<W>,
-) -> CcResult {
-    let n = g.get_num_vertices();
-    let m = g.get_num_edges();
-    let parent: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-    let mut updates = 0usize;
-
-    let find = |mut v: u32| -> u32 {
-        loop {
-            let p = parent[v as usize].load(Ordering::Acquire);
-            if p == v {
-                return v;
-            }
-            v = p;
-        }
-    };
-
-    let (_, stats) = Enactor::for_ctx(ctx)
-        .max_iterations(64)
-        .run_until((), |_, (), progress| {
-            // Hook phase: for every edge, point the larger root at the
-            // smaller. Each edge maps to its (attempted, fired) tallies and
-            // the reduction folds them, so no counter is shared per edge.
-            let (attempted, hooked) = reduce(
-                policy,
-                ctx,
-                m,
-                (0usize, 0usize),
-                |e| {
-                    let u = g.get_source_vertex(e);
-                    let v = g.get_dest_vertex(e);
-                    let (ru, rv) = (find(u), find(v));
-                    if ru == rv {
-                        return (0, 0);
-                    }
-                    let (hi, lo) = if ru > rv { (ru, rv) } else { (rv, ru) };
-                    // CAS so only roots are re-pointed; a failed CAS means
-                    // someone else hooked hi first — the next round sees it.
-                    let fired = parent[hi as usize]
-                        .compare_exchange(hi, lo, Ordering::AcqRel, Ordering::Relaxed)
-                        .is_ok();
-                    (1, usize::from(fired))
-                },
-                |a, b| (a.0 + b.0, a.1 + b.1),
-            );
-            updates += attempted;
-            // Jump phase: full path compression.
-            foreach_vertex(policy, ctx, n, |v| {
-                let root = find(v);
-                parent[v as usize].store(root, Ordering::Release);
-            });
-            // Hooks that fired this round are the loop's work measure.
-            progress.report_work(hooked);
-            hooked == 0
-        });
-    CcResult {
-        comp: parent.into_iter().map(AtomicU32::into_inner).collect(),
-        stats,
-        updates,
-        directions: Vec::new(),
-    }
-}
-
 /// Sequential union-find with path halving and union-by-smaller-id
 /// (canonical labels fall out directly). The oracle.
 pub fn cc_union_find<W: EdgeValue>(g: &Graph<W>) -> CcResult {
@@ -282,16 +208,14 @@ mod tests {
     }
 
     #[test]
-    fn three_variants_agree_on_random_graphs() {
+    fn label_propagation_agrees_with_union_find_on_random_graphs() {
         let ctx = Context::new(4);
         for seed in [1, 2, 3] {
             let g = sym(&gen::gnm(300, 350, seed)); // sparse => several comps
             let oracle = cc_union_find(&g);
             assert!(verify_cc(&g, &oracle.comp));
             let lp = cc_label_propagation(execution::par, &ctx, &g, push());
-            let hook = cc_hooking(execution::par, &ctx, &g);
             assert_eq!(lp.comp, oracle.comp, "label propagation diverged");
-            assert_eq!(hook.comp, oracle.comp, "hooking diverged");
         }
     }
 
@@ -349,7 +273,7 @@ mod tests {
     fn connected_graph_has_one_component() {
         let g = sym(&gen::grid2d(12, 12));
         let ctx = Context::new(2);
-        let r = cc_hooking(execution::par, &ctx, &g);
+        let r = cc_label_propagation(execution::par, &ctx, &g, push());
         assert_eq!(num_components(&r.comp), 1);
         assert!(r.comp.iter().all(|&c| c == 0));
     }

@@ -26,6 +26,11 @@ pub struct ColorResult {
 
 /// Parallel speculative coloring of a **symmetric** graph (self-loops must
 /// have been removed — a self-loop can never be properly colored).
+///
+/// Each speculate/resolve round is one [`Enactor::try_run`] iteration over
+/// the frontier of uncolored vertices, so the context's budget and fault
+/// plan apply; an error panics with its message, as
+/// [`crate::sssp::sssp`] does.
 pub fn color_greedy<P: ExecutionPolicy, W: EdgeValue>(
     policy: P,
     ctx: &Context,
@@ -33,10 +38,8 @@ pub fn color_greedy<P: ExecutionPolicy, W: EdgeValue>(
 ) -> ColorResult {
     let n = g.get_num_vertices();
     let color: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
-    let mut frontier: SparseFrontier = g.vertices().collect();
-    let mut rounds = 0usize;
-    while !frontier.is_empty() {
-        rounds += 1;
+    let init: SparseFrontier = g.vertices().collect();
+    let run = Enactor::for_ctx(ctx).try_run(init, |_, frontier| {
         // Speculate: smallest color not seen among neighbors.
         foreach_active(policy, ctx, &frontier, |v| {
             let mut taken: Vec<u32> = g
@@ -57,22 +60,28 @@ pub fn color_greedy<P: ExecutionPolicy, W: EdgeValue>(
             }
             color[v as usize].store(c, Ordering::Release);
         });
-        // Resolve: un-color the smaller endpoint of every conflict edge.
-        let conflicted = neighbors_expand(policy, ctx, g, &frontier, |src, dst, _e, _w| {
-            src < dst
+        // Resolve: un-color the smaller endpoint of every conflict edge. The
+        // condition never admits, so the expansion's output stays empty.
+        let none = try_neighbors_expand(policy, ctx, g, &frontier, |src, dst, _e, _w| {
+            if src < dst
                 && color[src as usize].load(Ordering::Acquire)
                     == color[dst as usize].load(Ordering::Acquire)
-                && {
-                    color[src as usize].store(UNCOLORED, Ordering::Release);
-                    false // activate src, not dst: handled below
-                }
-        });
-        let _ = conflicted; // destinations never activate (condition false)
-                            // Re-collect the vertices that lost their color.
-        frontier = filter(policy, ctx, &frontier, |v| {
+            {
+                color[src as usize].store(UNCOLORED, Ordering::Release);
+            }
+            false
+        })?;
+        ctx.recycle_frontier(none);
+        // Re-collect the vertices that lost their color.
+        let next = try_filter(policy, ctx, &frontier, |v| {
             color[v as usize].load(Ordering::Acquire) == UNCOLORED
-        });
-    }
+        })?;
+        ctx.recycle_frontier(frontier);
+        Ok(next)
+    });
+    let (last, stats) = run.unwrap_or_else(|e| panic!("{e}"));
+    ctx.recycle_frontier(last);
+    let rounds = stats.iterations;
     let color: Vec<u32> = color.into_iter().map(AtomicU32::into_inner).collect();
     let num_colors = color.iter().copied().max().map_or(0, |m| m as usize + 1);
     ColorResult {

@@ -22,6 +22,10 @@ pub struct KcoreResult {
 /// Parallel peeling on a **symmetric** graph: for k = 1, 2, …, repeatedly
 /// remove vertices with remaining degree < k (decrementing neighbors
 /// atomically) until stable; survivors of the k-phase have core ≥ k.
+///
+/// Every peel round, across all k, is one [`Enactor::try_run`] iteration
+/// (`rounds` = iterations), so the context's budget and fault plan apply;
+/// an error panics with its message, as [`crate::sssp::sssp`] does.
 pub fn kcore_peel<P: ExecutionPolicy, W: EdgeValue>(
     policy: P,
     ctx: &Context,
@@ -37,42 +41,65 @@ pub fn kcore_peel<P: ExecutionPolicy, W: EdgeValue>(
     for v in g.vertices() {
         alive.insert(v);
     }
-    let mut rounds = 0usize;
+    // The peel set of the lowest threshold (from `k` up) that has one: the
+    // alive vertices whose remaining degree is below it. Empty only once
+    // every vertex is peeled.
+    let next_peel = |k: &mut u32, remaining: usize| -> SparseFrontier {
+        if remaining == 0 {
+            return SparseFrontier::new();
+        }
+        loop {
+            let peel: SparseFrontier = g
+                .vertices()
+                .filter(|&v| {
+                    alive.contains(v) && deg[v as usize].load(Ordering::Acquire) < *k as usize
+                })
+                .collect();
+            if !peel.is_empty() {
+                return peel;
+            }
+            *k += 1;
+        }
+    };
     let mut k = 1u32;
     let mut remaining = n;
-    while remaining > 0 {
-        // Collect the initial peel set for this k.
-        let mut peel: SparseFrontier = g
-            .vertices()
-            .filter(|&v| alive.contains(v) && deg[v as usize].load(Ordering::Acquire) < k as usize)
-            .collect();
-        while !peel.is_empty() {
-            rounds += 1;
-            // Mark the peeled vertices dead with core number k-1.
-            foreach_active(policy, ctx, &peel, |v| {
-                if alive.remove(v) {
-                    // Relaxed: each vertex is stored exactly once (the
-                    // `alive.remove` claim), and the only reader is
-                    // `into_inner` after the final region join below.
-                    core[v as usize].store(k - 1, Ordering::Relaxed);
-                }
-            });
-            remaining -= peel.len();
-            // Decrement neighbors; those dropping below k join the next peel.
-            let out = neighbors_expand(policy, ctx, g, &peel, |_src, dst, _e, _w| {
-                if !alive.contains(dst) {
-                    return false;
-                }
-                let old = deg[dst as usize].fetch_sub(1, Ordering::AcqRel);
-                // Activate exactly when the decrement crosses the threshold.
-                old == k as usize
-            });
-            peel = uniquify_with_bitmap(policy, ctx, &out, n);
-            // Only vertices still alive belong in the peel set.
-            peel = filter(policy, ctx, &peel, |v| alive.contains(v));
+    let init = next_peel(&mut k, remaining);
+    let run = Enactor::for_ctx(ctx).try_run(init, |_, peel| {
+        let threshold = k;
+        // Mark the peeled vertices dead with core number k-1.
+        foreach_active(policy, ctx, &peel, |v| {
+            if alive.remove(v) {
+                // Relaxed: each vertex is stored exactly once (the
+                // `alive.remove` claim), and the only reader is
+                // `into_inner` after the final region join below.
+                core[v as usize].store(threshold - 1, Ordering::Relaxed);
+            }
+        });
+        remaining -= peel.len();
+        // Decrement neighbors; those dropping below k join the next peel.
+        let out = try_neighbors_expand_unique(policy, ctx, g, &peel, |_src, dst, _e, _w| {
+            if !alive.contains(dst) {
+                return false;
+            }
+            let old = deg[dst as usize].fetch_sub(1, Ordering::AcqRel);
+            // Activate exactly when the decrement crosses the threshold.
+            old == threshold as usize
+        })?;
+        ctx.recycle_frontier(peel);
+        // Only vertices still alive belong in the peel set.
+        let next = try_filter(policy, ctx, &out, |v| alive.contains(v))?;
+        ctx.recycle_frontier(out);
+        if !next.is_empty() {
+            return Ok(next);
         }
+        // Stable at this k: move on to the next threshold with a peel set.
+        ctx.recycle_frontier(next);
         k += 1;
-    }
+        Ok(next_peel(&mut k, remaining))
+    });
+    let (last, stats) = run.unwrap_or_else(|e| panic!("{e}"));
+    ctx.recycle_frontier(last);
+    let rounds = stats.iterations;
     KcoreResult {
         core: core.into_iter().map(AtomicU32::into_inner).collect(),
         rounds,

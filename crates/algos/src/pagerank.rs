@@ -556,8 +556,8 @@ mod tests {
 
     #[test]
     fn frontier_trace_has_one_entry_per_iteration() {
-        // run_until used to leave frontier_trace empty; benches that plot
-        // work-per-iteration rely on it being populated.
+        // Benches that plot work-per-iteration rely on the fixpoint loop
+        // populating frontier_trace.
         let g = Graph::from_coo(&gen::gnm(200, 1500, 7)).with_csc();
         let ctx = Context::new(2);
         for r in [

@@ -1,13 +1,14 @@
 //! Predecessor tracking and path reconstruction.
 //!
-//! Traversal results often need the *path*, not just the metric. These
-//! variants record a predecessor per vertex during the same policy-parallel
-//! expansion (ties broken by whichever relaxation lands last — any
-//! recorded predecessor is guaranteed consistent with the final metric),
-//! plus utilities to extract and verify explicit paths.
+//! Traversal results often need the *path*, not just the metric.
+//! [`sssp_with_parents`] records a predecessor per vertex during the same
+//! policy-parallel expansion as Listing 4 (the recorded predecessor is
+//! always consistent with the final distance), and [`extract_path`] /
+//! [`verify_sssp_tree`] turn the parent array into explicit, checked
+//! paths.
 
 use essentials_core::prelude::*;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// SSSP with predecessors: distances plus a shortest-path tree.
 #[derive(Debug, Clone)]
@@ -22,6 +23,11 @@ pub struct SsspTree {
 /// Listing-4 SSSP augmented with predecessor recording. The (distance,
 /// parent) pair is packed into one atomic u64 so the parent always matches
 /// the distance it was recorded with (no torn updates under concurrency).
+///
+/// The loop runs on [`Enactor::try_run`] with the fused-dedup push, so the
+/// context's budget and fault plan apply at iteration and chunk
+/// boundaries; an error panics with its message, as
+/// [`crate::sssp::sssp`] does.
 pub fn sssp_with_parents<P: ExecutionPolicy>(
     policy: P,
     ctx: &Context,
@@ -43,8 +49,8 @@ pub fn sssp_with_parents<P: ExecutionPolicy>(
         .collect();
     let dist_of = |s: u64| f32::from_bits((s >> 32) as u32);
 
-    let (_, _stats) = Enactor::for_ctx(ctx).run(SparseFrontier::single(source), |_, f| {
-        let out = neighbors_expand(policy, ctx, g, &f, |src, dst, _e, w| {
+    let run = Enactor::for_ctx(ctx).try_run(SparseFrontier::single(source), |_, f| {
+        let out = try_neighbors_expand_unique(policy, ctx, g, &f, |src, dst, _e, w| {
             let new_d = dist_of(state[src as usize].load(Ordering::Acquire)) + w;
             let (candidate, d) = (pack(new_d, src), dst as usize);
             // fetch_min on the packed value: distance dominates the order;
@@ -54,9 +60,12 @@ pub fn sssp_with_parents<P: ExecutionPolicy>(
             // could not lower it.
             state[d].load(Ordering::Relaxed) > candidate
                 && state[d].fetch_min(candidate, Ordering::AcqRel) > candidate
-        });
-        uniquify_with_bitmap(policy, ctx, &out, n)
+        })?;
+        ctx.recycle_frontier(f);
+        Ok(out)
     });
+    let (last, _) = run.unwrap_or_else(|e| panic!("{e}"));
+    ctx.recycle_frontier(last);
 
     let mut dist = Vec::with_capacity(n);
     let mut parent = Vec::with_capacity(n);
@@ -74,49 +83,6 @@ pub fn sssp_with_parents<P: ExecutionPolicy>(
         });
     }
     SsspTree { dist, parent }
-}
-
-/// BFS with parent recording (a BFS tree).
-pub fn bfs_with_parents<P: ExecutionPolicy, W: EdgeValue>(
-    policy: P,
-    ctx: &Context,
-    g: &Graph<W>,
-    source: VertexId,
-) -> (Vec<u32>, Vec<VertexId>) {
-    let n = g.get_num_vertices();
-    let level: Vec<AtomicU32> = (0..n)
-        .map(|i| {
-            AtomicU32::new(if i == source as usize {
-                0
-            } else {
-                crate::bfs::UNVISITED
-            })
-        })
-        .collect();
-    let parent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(INVALID_VERTEX)).collect();
-    let (_, _stats) = Enactor::for_ctx(ctx).run(SparseFrontier::single(source), |iter, f| {
-        let next = iter as u32 + 1;
-        neighbors_expand(policy, ctx, g, &f, |src, dst, _e, _w| {
-            if level[dst as usize]
-                .compare_exchange(
-                    crate::bfs::UNVISITED,
-                    next,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-            {
-                parent[dst as usize].store(src, Ordering::Release);
-                true
-            } else {
-                false
-            }
-        })
-    });
-    (
-        level.into_iter().map(AtomicU32::into_inner).collect(),
-        parent.into_iter().map(AtomicU32::into_inner).collect(),
-    )
 }
 
 /// Walks parents from `target` back to the root. Returns the path
@@ -208,26 +174,6 @@ mod tests {
             let plain = crate::sssp::sssp(execution::par, &ctx, &g, 0, push);
             assert_eq!(tree.dist, plain.dist, "seed {seed}");
             assert!(verify_sssp_tree(&g, 0, &tree, 1e-4), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn bfs_parents_form_valid_tree() {
-        let g = Graph::<()>::from_coo(&gen::grid2d(10, 10));
-        let ctx = Context::new(2);
-        let (level, parent) = bfs_with_parents(execution::par, &ctx, &g, 0);
-        assert!(crate::bfs::verify_bfs(&g, 0, &level));
-        for v in 1..level.len() as VertexId {
-            if level[v as usize] == crate::bfs::UNVISITED {
-                continue;
-            }
-            let p = parent[v as usize];
-            // Parent is one level up and adjacent.
-            assert_eq!(level[p as usize] + 1, level[v as usize]);
-            assert!(g.out_neighbors(p).contains(&v));
-            // Path has exactly level+1 vertices.
-            let path = extract_path(&parent, 0, v).unwrap();
-            assert_eq!(path.len() as u32, level[v as usize] + 1);
         }
     }
 

@@ -4,19 +4,20 @@
 //! advance with an `atomic::min` distance relaxation in the user lambda —
 //! run by the direction engine, so its plan may also pull (the push-only
 //! literal lives in `tests/paper_listings.rs`). Beyond the listing, this
-//! module provides
-//! the asynchronous variant the paper's §III-A promises ([`sssp_async`] —
-//! same relaxation, no barriers, queue quiescence as convergence), a
-//! [`delta_stepping`] middle ground, and two sequential baselines
-//! ([`dijkstra`], [`bellman_ford`]) used as oracles and speedup
-//! denominators. [`verify_sssp`] checks the relaxation fixpoint directly.
+//! module provides the asynchronous variant the paper's §III-A promises
+//! ([`sssp_async`] — same relaxation, no barriers, the frontier held as the
+//! async engine's sharded work queue of §III-B, queue quiescence as
+//! convergence; Table I's async cell), a [`delta_stepping`] middle ground,
+//! and two sequential baselines ([`dijkstra`], [`bellman_ford`]) used as
+//! oracles and speedup denominators. [`verify_sssp`] checks the relaxation
+//! fixpoint directly.
 //!
 //! All variants require non-negative weights (validated NaN-free at graph
 //! build time; negative weights are rejected by debug assertion here).
 
 use essentials_core::prelude::*;
 use essentials_parallel::atomics::{AtomicF32, Counter};
-use essentials_parallel::run_async;
+use essentials_parallel::try_run_async;
 use std::sync::atomic::Ordering;
 
 /// Distances plus run metadata.
@@ -169,25 +170,35 @@ pub use self::sssp_adaptive as sssp_adaptive_compressed;
 /// quiescence. No barriers anywhere. Generally more total relaxations than
 /// BSP (stale distances propagate), but every relaxation is monotone, so
 /// the fixpoint — and thus the result — is identical.
+///
+/// The engine consults the context's chunk hooks before every popped
+/// vertex, so a cancellation, deadline or injected fault stops the drain;
+/// the error panics here with its message, as [`sssp`] does.
 pub fn sssp_async(ctx: &Context, g: &Graph<f32>, source: VertexId) -> SsspResult {
     check_weights(g);
     let n = g.get_num_vertices();
     let dist = init_dist(n, source);
     let relaxations = Counter::new();
-    let async_stats = run_async(ctx.pool(), vec![source], |v: VertexId, pusher| {
-        let dv = dist[v as usize].load(Ordering::Acquire);
-        // One add per popped vertex: every out-edge below is relaxed.
-        relaxations.add(g.out_degree(v));
-        for e in g.get_edges(v) {
-            let dst = g.get_dest_vertex(e);
-            let w = g.get_edge_weight(e);
-            let new_d = dv + w;
-            let curr_d = dist[dst as usize].fetch_min(new_d, Ordering::AcqRel);
-            if new_d < curr_d {
-                pusher.push(dst);
+    let async_stats = try_run_async(
+        ctx.pool(),
+        vec![source],
+        ctx.chunk_hooks(),
+        |v: VertexId, pusher| {
+            let dv = dist[v as usize].load(Ordering::Acquire);
+            // One add per popped vertex: every out-edge below is relaxed.
+            relaxations.add(g.out_degree(v));
+            for e in g.get_edges(v) {
+                let dst = g.get_dest_vertex(e);
+                let w = g.get_edge_weight(e);
+                let new_d = dv + w;
+                let curr_d = dist[dst as usize].fetch_min(new_d, Ordering::AcqRel);
+                if new_d < curr_d {
+                    pusher.push(dst);
+                }
             }
-        }
-    });
+        },
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     let stats = LoopStats {
         iterations: 1,
         frontier_trace: vec![async_stats.processed],
@@ -347,43 +358,6 @@ pub fn delta_stepping<P: ExecutionPolicy>(
             frontier_trace: trace,
             hit_iteration_cap: false,
         },
-        relaxations,
-        directions: Vec::new(),
-    }
-}
-
-/// Edge-centric SSSP (§III-C's "set of active edges" frontier): each
-/// iteration first materializes the active *edge* set of the improved
-/// vertices (`expand_to_edges`), then relaxes those edges
-/// (`advance_edges`). Same fixpoint as the vertex-centric Listing 4;
-/// exists to exercise the edge-frontier half of the abstraction with a
-/// real algorithm, and as the natural shape for edge-parallel hardware.
-pub fn sssp_edge_centric<P: ExecutionPolicy>(
-    policy: P,
-    ctx: &Context,
-    g: &Graph<f32>,
-    source: VertexId,
-) -> SsspResult {
-    check_weights(g);
-    let n = g.get_num_vertices();
-    let dist = init_dist(n, source);
-    let mut relaxations = 0usize;
-    let (_, stats) = Enactor::for_ctx(ctx).run(SparseFrontier::single(source), |_, f| {
-        // Vertex frontier -> edge frontier -> relax -> vertex frontier.
-        let active_edges = expand_to_edges(policy, ctx, g, &f);
-        // Every active edge is relaxed exactly once.
-        relaxations += active_edges.len();
-        let out = advance_edges(policy, ctx, g, &active_edges, |src, dst, _e, w| {
-            let new_d = dist[src as usize].load(Ordering::Acquire) + w;
-            let curr_d = dist[dst as usize].fetch_min(new_d, Ordering::AcqRel);
-            new_d < curr_d
-        });
-        ctx.recycle_frontier(f);
-        uniquify_with_bitmap(policy, ctx, &out, n)
-    });
-    SsspResult {
-        dist: unwrap_dist(dist),
-        stats,
         relaxations,
         directions: Vec::new(),
     }
@@ -606,7 +580,6 @@ mod tests {
         let asynch = sssp_async(&ctx, &g, 0);
         let delta = delta_stepping(execution::par, &ctx, &g, 0, 0.5);
         let bf = bellman_ford(&g, 0);
-        let edge_centric = sssp_edge_centric(execution::par, &ctx, &g, 0);
         for (name, r) in [
             ("bsp_seq", &bsp_seq),
             ("bsp_par", &bsp_par),
@@ -614,7 +587,6 @@ mod tests {
             ("async", &asynch),
             ("delta", &delta),
             ("bellman_ford", &bf),
-            ("edge_centric", &edge_centric),
         ] {
             assert!(dist_eq(&oracle.dist, &r.dist), "{name} diverged");
             assert!(verify_sssp(&g, 0, &r.dist, 1e-3), "{name} fails fixpoint");

@@ -18,7 +18,10 @@ pub struct SswpResult {
     pub stats: LoopStats,
 }
 
-/// BSP widest path (paper Listing 4 with a max-min lambda).
+/// BSP widest path (paper Listing 4 with a max-min lambda) on
+/// [`Enactor::try_run`] with the fused-dedup push: the context's budget and
+/// fault plan apply at iteration and chunk boundaries, and an error panics
+/// with its message, as [`crate::sssp::sssp`] does.
 pub fn sswp<P: ExecutionPolicy>(
     policy: P,
     ctx: &Context,
@@ -35,13 +38,16 @@ pub fn sswp<P: ExecutionPolicy>(
             })
         })
         .collect();
-    let (_, stats) = Enactor::for_ctx(ctx).run(SparseFrontier::single(source), |_, f| {
-        let out = neighbors_expand(policy, ctx, g, &f, |src, dst, _e, w| {
+    let run = Enactor::for_ctx(ctx).try_run(SparseFrontier::single(source), |_, f| {
+        let out = try_neighbors_expand_unique(policy, ctx, g, &f, |src, dst, _e, w| {
             let cand = width[src as usize].load(Ordering::Acquire).min(w);
             width[dst as usize].fetch_max(cand, Ordering::AcqRel) < cand
-        });
-        uniquify_with_bitmap(policy, ctx, &out, n)
+        })?;
+        ctx.recycle_frontier(f);
+        Ok(out)
     });
+    let (last, stats) = run.unwrap_or_else(|e| panic!("{e}"));
+    ctx.recycle_frontier(last);
     SswpResult {
         width: width.into_iter().map(AtomicF32::into_inner).collect(),
         stats,

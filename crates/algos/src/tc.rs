@@ -3,8 +3,8 @@
 //! Uses the rank-ordered direction trick: build the DAG that keeps only
 //! edges `u → v` with `u < v`; each triangle `{u < v < w}` then appears as
 //! exactly one wedge `u → v`, `u → w`, `v → w`, counted by intersecting
-//! `N⁺(u) ∩ N⁺(v)`. The intersection operator is the merge/gallop pair
-//! from `essentials-core`.
+//! `N⁺(u) ∩ N⁺(v)` with the galloping intersection from `essentials-core`
+//! (its merge sibling serves the clustering coefficients).
 
 use essentials_core::prelude::*;
 
@@ -36,7 +36,6 @@ pub fn triangle_count<P: ExecutionPolicy, W: EdgeValue>(
     policy: P,
     ctx: &Context,
     g: &Graph<W>,
-    gallop: bool,
 ) -> TcResult {
     let dag = orient(g);
     let n = dag.num_vertices();
@@ -51,11 +50,7 @@ pub fn triangle_count<P: ExecutionPolicy, W: EdgeValue>(
             let mut local = 0;
             for &v in nu {
                 let nv = dag.neighbors(v);
-                local += if gallop {
-                    intersect_count_gallop(nu, nv)
-                } else {
-                    intersect_count(nu, nv)
-                };
+                local += intersect_count_gallop(nu, nv);
             }
             local
         },
@@ -138,20 +133,18 @@ mod tests {
         // K5 has C(5,3) = 10 triangles.
         let g = Graph::from_coo(&gen::complete(5));
         let ctx = Context::new(2);
-        let r = triangle_count(execution::par, &ctx, &g, false);
+        let r = triangle_count(execution::par, &ctx, &g);
         assert_eq!(r.triangles, 10);
     }
 
     #[test]
-    fn merge_and_gallop_agree_with_naive_on_random_graphs() {
+    fn agrees_with_naive_on_random_graphs() {
         let ctx = Context::new(4);
         for seed in [1, 5, 9] {
             let g = sym(&gen::gnm(60, 400, seed));
             let expected = triangle_count_naive(&g);
-            let merge = triangle_count(execution::par, &ctx, &g, false);
-            let gallop = triangle_count(execution::par, &ctx, &g, true);
-            assert_eq!(merge.triangles, expected, "merge diverged (seed {seed})");
-            assert_eq!(gallop.triangles, expected, "gallop diverged (seed {seed})");
+            let r = triangle_count(execution::par, &ctx, &g);
+            assert_eq!(r.triangles, expected, "seed {seed}");
         }
     }
 
@@ -159,8 +152,8 @@ mod tests {
     fn policy_equivalence() {
         let ctx = Context::new(4);
         let g = sym(&gen::rmat(8, 6, gen::RmatParams::default(), 4));
-        let a = triangle_count(execution::seq, &ctx, &g, false).triangles;
-        let b = triangle_count(execution::par, &ctx, &g, false).triangles;
+        let a = triangle_count(execution::seq, &ctx, &g).triangles;
+        let b = triangle_count(execution::par, &ctx, &g).triangles;
         assert_eq!(a, b);
     }
 
@@ -170,7 +163,7 @@ mod tests {
         // Grids and trees are triangle-free; a star too.
         for coo in [gen::grid2d(6, 6), gen::binary_tree(31), gen::star(20)] {
             let g = sym(&coo);
-            assert_eq!(triangle_count(execution::par, &ctx, &g, false).triangles, 0);
+            assert_eq!(triangle_count(execution::par, &ctx, &g).triangles, 0);
         }
     }
 
@@ -204,7 +197,7 @@ mod tests {
             let d = g.out_degree(v) as f64;
             tri_sum += lcc[v as usize] * d * (d - 1.0) / 2.0;
         }
-        let total = triangle_count(execution::par, &ctx, &g, false).triangles;
+        let total = triangle_count(execution::par, &ctx, &g).triangles;
         assert!(
             (tri_sum / 3.0 - total as f64).abs() < 1e-6,
             "{tri_sum} vs {total}"
@@ -228,6 +221,6 @@ mod tests {
         }
         let g = sym(&coo);
         let ctx = Context::sequential();
-        assert_eq!(triangle_count(execution::seq, &ctx, &g, false).triangles, 1);
+        assert_eq!(triangle_count(execution::seq, &ctx, &g).triangles, 1);
     }
 }

@@ -42,7 +42,7 @@ fn every_triangle_vertex_has_core_at_least_two() {
 fn chromatic_number_at_least_three_when_triangles_exist() {
     let ctx = Context::new(2);
     let g = sym(&gen::gnm(60, 500, 5));
-    let tri = tc::triangle_count(execution::par, &ctx, &g, false).triangles;
+    let tri = tc::triangle_count(execution::par, &ctx, &g).triangles;
     let coloring = color::color_greedy(execution::par, &ctx, &g);
     assert!(color::verify_coloring(&g, &coloring.color));
     if tri > 0 {
@@ -126,8 +126,8 @@ fn results_are_invariant_under_degree_relabeling() {
     let rg = Graph::from_csr(relabeled_csr).with_csc();
 
     // Triangle count is a graph invariant.
-    let t1 = tc::triangle_count(execution::par, &ctx, &g, false).triangles;
-    let t2 = tc::triangle_count(execution::par, &ctx, &rg, false).triangles;
+    let t1 = tc::triangle_count(execution::par, &ctx, &g).triangles;
+    let t2 = tc::triangle_count(execution::par, &ctx, &rg).triangles;
     assert_eq!(t1, t2);
 
     // Core numbers permute with the relabeling.

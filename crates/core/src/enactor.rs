@@ -4,13 +4,17 @@
 //! generalized: the [`Enactor`] owns the iteration bookkeeping (iteration
 //! counter, frontier-size trace, iteration cap) and the convergence
 //! condition, so algorithms write only the per-iteration operator
-//! composition. Two shapes cover the suite:
+//! composition. Two shapes cover the suite, one loop each:
 //!
-//! * [`Enactor::run`] — frontier-driven: converge when the frontier
-//!   empties (traversal algorithms: BFS, SSSP, …);
-//! * [`Enactor::run_until`] — state-driven: converge when a caller
-//!   predicate holds (fixed-point algorithms: PageRank, HITS, coloring).
+//! * [`Enactor::try_run`] — frontier-driven: converge when the frontier
+//!   empties (traversal and peeling algorithms: BFS, SSSP, k-core, …);
+//! * [`Enactor::try_run_until`] — state-driven: converge when a caller
+//!   predicate holds (fixed-point algorithms: PageRank, HITS, Pregel).
 //!
+//! Both are fallible: the context's [`RunBudget`] is checked and the
+//! iteration published to its [`FaultPlan`] before every iteration, and a
+//! step's error passes through with the loop's progress attached.
+//! Algorithms with an infallible signature panic with the error's message.
 //! An enactor built with [`Enactor::for_ctx`] emits one
 //! [`IterSpan`] per iteration — wall time and
 //! frontier in/out sizes — into the context's observability sink.
@@ -24,12 +28,11 @@ use essentials_parallel::{ExecError, FaultPlan, Progress, RunBudget};
 
 use crate::context::Context;
 
-/// Iteration cap applied to state-driven ([`Enactor::run_until`] /
-/// [`Enactor::try_run_until`]) loops that set no explicit cap: a
-/// non-converging fixpoint stops here instead of spinning forever. The
-/// fallible loop reports the hit as [`ExecError::Diverged`]; the infallible
-/// loop sets [`LoopStats::hit_iteration_cap`]. Frontier-driven loops
-/// terminate structurally (the frontier empties) and are not defaulted.
+/// Iteration cap applied to state-driven ([`Enactor::try_run_until`])
+/// loops that set no explicit cap: a non-converging fixpoint stops here
+/// instead of spinning forever and reports the hit as
+/// [`ExecError::Diverged`]. Frontier-driven loops terminate structurally
+/// (the frontier empties) and are not defaulted.
 pub const DEFAULT_ITERATION_CAP: usize = 100_000;
 
 /// Work-trace entries a fixpoint loop without an explicit cap reserves up
@@ -42,9 +45,9 @@ const UNCAPPED_TRACE_RESERVE: usize = 64;
 pub struct LoopStats {
     /// Number of iterations (supersteps) executed.
     pub iterations: usize,
-    /// Per-iteration work trace: the frontier size after each [`Enactor::run`]
-    /// iteration, or the size the step reported via
-    /// [`IterProgress::report_work`] for each [`Enactor::run_until`]
+    /// Per-iteration work trace: the frontier size after each
+    /// [`Enactor::try_run`] iteration, or the size the step reported via
+    /// [`IterProgress::report_work`] for each [`Enactor::try_run_until`]
     /// iteration (0 for steps that report nothing). Always
     /// `iterations` entries long. Benches use this as the workload trace.
     pub frontier_trace: Vec<usize>,
@@ -53,7 +56,7 @@ pub struct LoopStats {
     pub hit_iteration_cap: bool,
 }
 
-/// Per-iteration progress reporter handed to [`Enactor::run_until`] steps.
+/// Per-iteration progress reporter handed to [`Enactor::try_run_until`] steps.
 ///
 /// Fixpoint loops have no frontier for the enactor to measure, so the step
 /// closure reports its own work size (vertices touched, messages exchanged,
@@ -209,77 +212,12 @@ impl Enactor {
     }
 
     /// Frontier-driven loop: runs `step(iteration, frontier)` until the
-    /// frontier is empty. Returns the final (empty) frontier and stats.
-    pub fn run<S, F>(&self, init: S, mut step: F) -> (S, LoopStats)
-    where
-        S: Frontier,
-        F: FnMut(usize, S) -> S,
-    {
-        let mut frontier = init;
-        let mut stats = LoopStats::default();
-        while !frontier.is_empty() {
-            if stats.iterations >= self.cap() {
-                stats.hit_iteration_cap = true;
-                break;
-            }
-            let frontier_in = frontier.len();
-            let started = self.obs.as_ref().map(|_| Instant::now());
-            frontier = step(stats.iterations, frontier);
-            self.emit_span(
-                stats.iterations,
-                started,
-                frontier_in,
-                frontier.len(),
-                LoopKind::Frontier,
-            );
-            stats.iterations += 1;
-            stats.frontier_trace.push(frontier.len());
-        }
-        (frontier, stats)
-    }
-
-    /// State-driven loop: runs `step(iteration, &mut state, &mut progress)`
-    /// until it returns `true` (converged). Returns the state and stats;
-    /// each iteration's [`IterProgress`] report lands in
-    /// [`LoopStats::frontier_trace`]. With no explicit cap,
-    /// [`DEFAULT_ITERATION_CAP`] applies (reported via
-    /// [`LoopStats::hit_iteration_cap`]).
-    pub fn run_until<T, F>(&self, mut state: T, mut step: F) -> (T, LoopStats)
-    where
-        F: FnMut(usize, &mut T, &mut IterProgress) -> bool,
-    {
-        let mut stats = LoopStats::default();
-        self.reserve_trace(&mut stats);
-        loop {
-            if stats.iterations >= self.fixpoint_cap() {
-                stats.hit_iteration_cap = true;
-                break;
-            }
-            let mut progress = IterProgress::default();
-            let started = self.obs.as_ref().map(|_| Instant::now());
-            let converged = step(stats.iterations, &mut state, &mut progress);
-            self.emit_span(
-                stats.iterations,
-                started,
-                progress.work(),
-                progress.work(),
-                LoopKind::Fixpoint,
-            );
-            stats.iterations += 1;
-            stats.frontier_trace.push(progress.work());
-            if converged {
-                break;
-            }
-        }
-        (state, stats)
-    }
-
-    /// Fallible frontier-driven loop: like [`Enactor::run`], but the step
-    /// returns `Result` (typically from a `try_*` operator), the context's
-    /// [`RunBudget`] is checked before every iteration, and the current
-    /// iteration is published to the fault plan. Budget errors carry the
-    /// partial-progress stats gathered so far; errors raised by the step
-    /// pass through with their progress enriched.
+    /// frontier is empty and returns the final (empty) frontier and stats.
+    /// The step returns `Result` (typically from a `try_*` operator), the
+    /// context's [`RunBudget`] is checked before every iteration, and the
+    /// current iteration is published to the fault plan. Budget errors
+    /// carry the partial-progress stats gathered so far; errors raised by
+    /// the step pass through with their progress enriched.
     pub fn try_run<S, F>(&self, init: S, mut step: F) -> Result<(S, LoopStats), ExecError>
     where
         S: Frontier,
@@ -316,13 +254,15 @@ impl Enactor {
         Ok((frontier, stats))
     }
 
-    /// Fallible state-driven loop: like [`Enactor::run_until`], with the
-    /// budget checked at iteration boundaries and the iteration published
-    /// to the fault plan. A fixpoint that reaches [`DEFAULT_ITERATION_CAP`]
-    /// without an explicit cap is reported as [`ExecError::Diverged`] — a
-    /// loop that was *given* a cap hits it normally
-    /// ([`LoopStats::hit_iteration_cap`], algorithms decide what that
-    /// means).
+    /// State-driven loop: runs `step(iteration, &mut state, &mut progress)`
+    /// until it returns `Ok(true)` (converged) and returns the state and
+    /// stats; each iteration's [`IterProgress`] report lands in
+    /// [`LoopStats::frontier_trace`]. The budget is checked at iteration
+    /// boundaries and the iteration published to the fault plan. A fixpoint
+    /// that reaches [`DEFAULT_ITERATION_CAP`] without an explicit cap is
+    /// reported as [`ExecError::Diverged`] — a loop that was *given* a cap
+    /// hits it normally ([`LoopStats::hit_iteration_cap`], algorithms
+    /// decide what that means).
     pub fn try_run_until<T, F>(
         &self,
         mut state: T,
@@ -390,15 +330,17 @@ mod tests {
     use essentials_frontier::SparseFrontier;
     use essentials_obs::{Record, TraceSink};
 
+    /// Shrinks the frontier by one vertex.
+    fn pop_one(_: usize, f: SparseFrontier) -> Result<SparseFrontier, ExecError> {
+        let mut v = f.into_vec();
+        v.pop();
+        Ok(SparseFrontier::from_vec(v))
+    }
+
     #[test]
     fn frontier_loop_runs_until_empty() {
-        // Shrink the frontier by one per iteration.
         let init = SparseFrontier::from_vec(vec![0, 1, 2, 3]);
-        let (f, stats) = Enactor::new().run(init, |_, f| {
-            let mut v = f.into_vec();
-            v.pop();
-            SparseFrontier::from_vec(v)
-        });
+        let (f, stats) = Enactor::new().try_run(init, pop_one).unwrap();
         assert!(f.is_empty());
         assert_eq!(stats.iterations, 4);
         assert_eq!(stats.frontier_trace, vec![3, 2, 1, 0]);
@@ -407,7 +349,9 @@ mod tests {
 
     #[test]
     fn empty_initial_frontier_means_zero_iterations() {
-        let (_, stats) = Enactor::new().run(SparseFrontier::new(), |_, f| f);
+        let (_, stats) = Enactor::new()
+            .try_run(SparseFrontier::new(), |_, f| Ok(f))
+            .unwrap();
         assert_eq!(stats.iterations, 0);
     }
 
@@ -416,38 +360,70 @@ mod tests {
         let init = SparseFrontier::single(0);
         let (_, stats) = Enactor::new()
             .max_iterations(5)
-            .run(init, |_, f| f /* never shrinks */);
+            .try_run(init, |_, f| Ok(f) /* never shrinks */)
+            .unwrap();
         assert_eq!(stats.iterations, 5);
         assert!(stats.hit_iteration_cap);
     }
 
     #[test]
+    fn budget_and_fault_plan_see_every_iteration() {
+        // The budget stops the loop at its boundary with the progress so far.
+        let ctx = Context::sequential().with_budget(RunBudget::unlimited().with_max_iterations(2));
+        let init = SparseFrontier::from_vec(vec![0, 1, 2, 3]);
+        match Enactor::for_ctx(&ctx).try_run(init, pop_one) {
+            Err(ExecError::Budget { progress, .. }) => {
+                assert_eq!(progress.iterations, 2);
+                assert_eq!(progress.work_trace, vec![3, 2]);
+            }
+            other => panic!("expected a budget stop, got {other:?}"),
+        }
+        // The fault plan learns the iteration before each step runs.
+        let plan = Arc::new(FaultPlan::new());
+        let ctx = Context::sequential().with_fault_plan(plan.clone());
+        let (_, stats) = Enactor::for_ctx(&ctx)
+            .try_run_until(0usize, |i, seen, _| {
+                assert_eq!(plan.iteration(), i as u64);
+                *seen += 1;
+                Ok(*seen == 3)
+            })
+            .unwrap();
+        assert_eq!(stats.iterations, 3);
+    }
+
+    #[test]
     fn state_loop_converges_on_predicate() {
-        let (x, stats) = Enactor::new().run_until(1.0f64, |_, x, _| {
-            *x /= 2.0;
-            *x < 0.01
-        });
+        let (x, stats) = Enactor::new()
+            .try_run_until(1.0f64, |_, x, _| {
+                *x /= 2.0;
+                Ok(*x < 0.01)
+            })
+            .unwrap();
         assert!(x < 0.01);
         assert_eq!(stats.iterations, 7);
     }
 
     #[test]
     fn state_loop_trace_records_reported_work() {
-        let (_, stats) = Enactor::new().run_until(0usize, |i, x, progress| {
-            *x += 1;
-            progress.report_work(10 * (i + 1));
-            *x == 3
-        });
+        let (_, stats) = Enactor::new()
+            .try_run_until(0usize, |i, x, progress| {
+                *x += 1;
+                progress.report_work(10 * (i + 1));
+                Ok(*x == 3)
+            })
+            .unwrap();
         assert_eq!(stats.iterations, 3);
         assert_eq!(stats.frontier_trace, vec![10, 20, 30]);
     }
 
     #[test]
     fn state_loop_trace_defaults_to_zero_without_reports() {
-        let (_, stats) = Enactor::new().run_until(0usize, |_, x, _| {
-            *x += 1;
-            *x == 2
-        });
+        let (_, stats) = Enactor::new()
+            .try_run_until(0usize, |_, x, _| {
+                *x += 1;
+                Ok(*x == 2)
+            })
+            .unwrap();
         // One entry per iteration even when the step reports nothing.
         assert_eq!(stats.frontier_trace, vec![0, 0]);
     }
@@ -457,11 +433,7 @@ mod tests {
         let trace = Arc::new(TraceSink::new());
         let ctx = Context::sequential().with_obs(trace.clone());
         let init = SparseFrontier::from_vec(vec![0, 1]);
-        let (_, stats) = Enactor::for_ctx(&ctx).run(init, |_, f| {
-            let mut v = f.into_vec();
-            v.pop();
-            SparseFrontier::from_vec(v)
-        });
+        let (_, stats) = Enactor::for_ctx(&ctx).try_run(init, pop_one).unwrap();
         let spans: Vec<_> = trace
             .records()
             .into_iter()
@@ -475,11 +447,13 @@ mod tests {
         assert_eq!(spans[0].frontier_out, 1);
         assert_eq!(spans[0].loop_kind, LoopKind::Frontier);
 
-        let (_, stats) = Enactor::for_ctx(&ctx).run_until(0usize, |_, x, p| {
-            *x += 1;
-            p.report_work(7);
-            *x == 2
-        });
+        let (_, stats) = Enactor::for_ctx(&ctx)
+            .try_run_until(0usize, |_, x, p| {
+                *x += 1;
+                p.report_work(7);
+                Ok(*x == 2)
+            })
+            .unwrap();
         let fixpoint_spans: Vec<_> = trace
             .records()
             .into_iter()

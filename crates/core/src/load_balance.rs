@@ -18,37 +18,13 @@ use essentials_parallel::{parallel_scan_with, ChunkHooks, ExecError, Schedule};
 
 use crate::context::Context;
 
-/// Vertex-balanced iteration: one dynamic-scheduled task per frontier
-/// vertex. `f(worker, src)` is called once per active vertex.
-pub fn for_each_vertex_balanced<F>(ctx: &Context, frontier: &[VertexId], f: F)
-where
-    F: Fn(usize, VertexId) + Sync,
-{
-    ctx.pool()
-        .parallel_for_with(0..frontier.len(), Schedule::Dynamic(64), |tid, i| {
-            f(tid, frontier[i]);
-        });
-}
-
 /// Edge-balanced iteration: `f(worker, src, dst, edge)` is called once per
 /// out-edge of every frontier vertex, with edge work divided evenly across
-/// workers regardless of degree skew.
-///
-/// The degree prefix sum lives in the context's advance scratch, so
-/// steady-state calls allocate nothing; callers already holding the scratch
-/// (the advance operators) use `try_for_each_edge_balanced_with` directly.
-pub fn for_each_edge_balanced<G, F>(ctx: &Context, g: &G, frontier: &[VertexId], f: F)
-where
-    G: OutAdjacency + Sync,
-    F: Fn(usize, VertexId, VertexId, EdgeId) + Sync,
-{
-    if let Err(e) = try_for_each_edge_balanced(ctx, g, frontier, ChunkHooks::none(), f) {
-        panic!("{e}");
-    }
-}
-
-/// Fallible [`for_each_edge_balanced`]: see
-/// [`try_for_each_edge_balanced_with`] for the hook and panic contract.
+/// workers regardless of degree skew. The degree prefix sum lives in the
+/// context's advance scratch, so steady-state calls allocate nothing;
+/// callers already holding the scratch (the push expansions) use
+/// [`try_for_each_edge_balanced_with`] directly, which states the hook and
+/// panic contract.
 pub(crate) fn try_for_each_edge_balanced<G, F>(
     ctx: &Context,
     g: &G,
@@ -132,6 +108,14 @@ mod tests {
     use essentials_graph::{Ccsr, Coo, Graph, GraphBase, OutNeighbors};
     use essentials_parallel::atomics::Counter;
     use essentials_parallel::ThreadPool;
+
+    fn visit_edges<G, F>(ctx: &Context, g: &G, frontier: &[VertexId], f: F)
+    where
+        G: OutAdjacency + Sync,
+        F: Fn(usize, VertexId, VertexId, EdgeId) + Sync,
+    {
+        try_for_each_edge_balanced(ctx, g, frontier, ChunkHooks::none(), f).unwrap();
+    }
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn skewed() -> Graph<()> {
@@ -155,7 +139,7 @@ mod tests {
     ) {
         let ctx = Context::new(4);
         let hits: Vec<AtomicUsize> = (0..raw.num_edges()).map(|_| AtomicUsize::new(0)).collect();
-        for_each_edge_balanced(&ctx, g, frontier, |_, src, dst, e| {
+        visit_edges(&ctx, g, frontier, |_, src, dst, e| {
             assert!(
                 raw.out_edges(src).contains(&e),
                 "edge id outside source row"
@@ -202,7 +186,7 @@ mod tests {
         // Only the degree-1 vertices.
         let frontier: Vec<VertexId> = (1..=8).collect();
         let count = Counter::new();
-        for_each_edge_balanced(&ctx, &g, &frontier, |_, _, _, _| count.add(1));
+        visit_edges(&ctx, &g, &frontier, |_, _, _, _| count.add(1));
         assert_eq!(count.get(), 8);
     }
 
@@ -210,21 +194,10 @@ mod tests {
     fn edge_balanced_empty_and_zero_degree() {
         let g = skewed();
         let ctx = Context::new(2);
-        for_each_edge_balanced(&ctx, &g, &[], |_, _, _, _| panic!("no work expected"));
+        visit_edges(&ctx, &g, &[], |_, _, _, _| panic!("no work expected"));
         // Frontier of sinks only.
-        for_each_edge_balanced(&ctx, &g, &[50, 51], |_, _, _, _| {
+        visit_edges(&ctx, &g, &[50, 51], |_, _, _, _| {
             panic!("sinks have no edges")
         });
-    }
-
-    #[test]
-    fn vertex_balanced_visits_each_entry() {
-        let g = skewed();
-        let _ = &g;
-        let ctx = Context::new(3);
-        let frontier: Vec<VertexId> = (0..1000).map(|i| (i % 50) as VertexId).collect();
-        let count = Counter::new();
-        for_each_vertex_balanced(&ctx, &frontier, |_, _| count.add(1));
-        assert_eq!(count.get(), 1000);
     }
 }

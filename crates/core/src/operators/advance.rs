@@ -22,21 +22,16 @@
 
 use std::cell::RefCell;
 
-use essentials_frontier::{DenseFrontier, EdgeFrontier, SparseFrontier};
-use essentials_graph::{
-    EdgeId, EdgeValue, EdgeWeights, InWeights, OutAdjacency, OutWeights, VertexId,
-};
+use essentials_frontier::{DenseFrontier, SparseFrontier};
+use essentials_graph::{EdgeId, EdgeValue, InWeights, OutAdjacency, OutWeights, VertexId};
 use essentials_obs::{AdvanceEvent, OpKind};
 use essentials_parallel::atomics::Counter;
 use essentials_parallel::{
     try_run_async, try_sequential_for_with, ChunkHooks, ExecError, ExecutionPolicy, Schedule,
 };
-use parking_lot::Mutex;
 
 use crate::context::Context;
-use crate::load_balance::{
-    for_each_edge_balanced, try_for_each_edge_balanced, try_for_each_edge_balanced_with,
-};
+use crate::load_balance::{try_for_each_edge_balanced, try_for_each_edge_balanced_with};
 use crate::operators::try_for_with;
 use crate::scratch::AdvanceScratch;
 
@@ -392,7 +387,7 @@ where
 }
 
 /// Parallel index-to-frontier collection shared by the contraction-shaped
-/// operators ([`advance_edges`], [`filter`](crate::operators::filter::filter),
+/// operators ([`filter`](crate::operators::filter::filter),
 /// [`uniquify_with_bitmap`](crate::operators::filter::uniquify_with_bitmap)):
 /// `keep(i)` runs for every `i` in `0..len` and each `Some(v)` is pushed
 /// into the context's [`AdvanceScratch`] worker buffers, then drained into
@@ -745,87 +740,6 @@ where
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Edge-to-vertex advance: applies `condition(src, dst, edge, w)` to every
-/// active edge and emits the destinations that pass — the second half of
-/// an edge-centric program (§III-C). Pairs with [`expand_to_edges`], which
-/// turns a vertex frontier into its out-edge set.
-pub fn advance_edges<P, G, W, F>(
-    _policy: P,
-    ctx: &Context,
-    g: &G,
-    f: &EdgeFrontier,
-    condition: F,
-) -> SparseFrontier
-where
-    P: ExecutionPolicy,
-    G: EdgeWeights<W> + Sync,
-    W: EdgeValue,
-    F: Fn(VertexId, VertexId, EdgeId, W) -> bool + Sync,
-{
-    let apply = |ae: &essentials_frontier::edge::ActiveEdge| -> Option<VertexId> {
-        let dst = g.edge_dest(ae.edge);
-        let w = g.edge_weight(ae.edge);
-        condition(ae.src, dst, ae.edge, w).then_some(dst)
-    };
-    let emit = |ctx: &Context, output_len: usize| {
-        if let Some(sink) = ctx.obs() {
-            sink.on_advance(&AdvanceEvent {
-                kind: OpKind::AdvanceEdges,
-                policy: P::NAME,
-                frontier_in: f.len(),
-                // Every active edge is inspected exactly once.
-                edges_inspected: f.len() as u64,
-                admitted: output_len as u64,
-                output_len,
-                dedup_hits: 0,
-                per_worker: &[],
-            });
-        }
-    };
-    if !P::IS_PARALLEL || ctx.num_threads() == 1 {
-        let out: SparseFrontier = f.as_slice().iter().filter_map(apply).collect(); // alloc-ok: serial fallback path
-        emit(ctx, out.len());
-        return out;
-    }
-    let out = try_collect_indexed(ctx, f.len(), ChunkHooks::none(), |i| {
-        apply(&f.as_slice()[i])
-    })
-    .unwrap_or_else(|e| panic!("{e}"));
-    emit(ctx, out.len());
-    out
-}
-
-/// Vertex-to-edge advance: the active *edges* of a vertex frontier
-/// (§III-C's edge-centric frontier type).
-pub fn expand_to_edges<P, G>(_policy: P, ctx: &Context, g: &G, f: &SparseFrontier) -> EdgeFrontier
-where
-    P: ExecutionPolicy,
-    G: OutAdjacency + Sync,
-{
-    if !P::IS_PARALLEL || ctx.num_threads() == 1 {
-        let mut out = EdgeFrontier::new();
-        for v in f.iter() {
-            for e in g.out_edges(v) {
-                out.add_edge(v, e);
-            }
-        }
-        return out;
-    }
-    let buffers: Vec<Mutex<Vec<(VertexId, EdgeId)>>> = (0..ctx.num_threads()) // alloc-ok: edge-frontier materialization is off the steady-state pipeline
-        .map(|_| Mutex::new(Vec::new())) // alloc-ok: see above
-        .collect(); // alloc-ok: see above
-    for_each_edge_balanced(ctx, g, f.as_slice(), |tid, v, _n, e| {
-        buffers[tid].lock().push((v, e)); // alloc-ok: see above; each worker locks only its own buffer
-    });
-    let mut out = EdgeFrontier::new();
-    for b in buffers {
-        for (v, e) in b.into_inner() {
-            out.add_edge(v, e);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1098,22 +1012,6 @@ mod tests {
         let out2 = try_expand_push_dense(execution::seq, &ctx, &g, &f, |_, _, _, _| true).unwrap();
         assert_eq!(out2.bits().words().as_ptr(), addr);
         assert_eq!(out2.len(), 2);
-    }
-
-    #[test]
-    fn edge_frontier_expansion() {
-        let g = weighted_diamond();
-        let ctx = Context::new(2);
-        let f = SparseFrontier::from_vec(vec![0, 1]);
-        for out in [
-            expand_to_edges(execution::seq, &ctx, &g, &f),
-            expand_to_edges(execution::par, &ctx, &g, &f),
-        ] {
-            let mut out = out;
-            out.uniquify();
-            assert_eq!(out.len(), 3);
-            assert_eq!(out.sources(), vec![0, 1]);
-        }
     }
 
     /// A 450-edge hub row (so edge-balanced chunks start mid-row), a ring

@@ -83,14 +83,6 @@ pub struct PolicyInputs {
     pub growing: bool,
     /// Direction of the previous iteration.
     pub current: Direction,
-    /// Iterations since the last push↔pull flip (hysteresis dwell input).
-    pub since_switch: usize,
-    /// Whether the adjacency this advance traverses is byte-coded
-    /// compressed ([`essentials_graph::ccsr`]). Pull over compressed lists
-    /// has a different cost model — every scanned in-edge is a decode, not
-    /// a load — so the policy may carry a separate α/β pair for it
-    /// ([`DirectionPolicy::compressed`]).
-    pub compressed: bool,
 }
 
 /// The Beamer α/β direction heuristic, hoisted out of BFS into a reusable
@@ -107,11 +99,9 @@ pub struct PolicyInputs {
 ///   bitmap output when the frontier holds at least `n / gamma` vertices, so
 ///   large push iterations get idempotent insertion instead of a dedup pass.
 ///
-/// The asymmetry of α and β is itself hysteresis (the pull-entry and
-/// pull-exit thresholds differ); `dwell` adds an explicit floor — a
-/// push↔pull flip is suppressed until the current direction has run `dwell`
-/// iterations — for workloads where the two rules straddle a boundary and
-/// would otherwise oscillate.
+/// The asymmetry of α and β is itself hysteresis: the pull-entry and
+/// pull-exit thresholds differ, so a frontier near one boundary does not
+/// flip back at the next iteration.
 ///
 /// A policy with `fixed` set skips every rule and runs that direction each
 /// iteration ([`DirectionPolicy::fixed`]).
@@ -123,16 +113,10 @@ pub struct DirectionPolicy {
     pub beta: usize,
     /// Dense-push (bitmap output) when `frontier_len >= n / gamma`.
     pub gamma: usize,
-    /// Minimum iterations between push↔pull flips (1 = flip freely).
-    pub dwell: usize,
     /// Cost model for upgrading pull iterations to the propagation-blocked
     /// kernel. `None` (the default) never blocks, preserving the historic
     /// three-direction behavior.
     pub blocked: Option<BlockedPullPolicy>,
-    /// Separate α/β pair consulted when the advance runs over compressed
-    /// adjacency ([`PolicyInputs::compressed`]). `None` (the default) reuses
-    /// the raw thresholds, so existing policies behave identically.
-    pub compressed: Option<CompressedPullPolicy>,
     /// The direction every iteration takes, bypassing the rules above.
     /// `None` (the default) decides per iteration.
     pub fixed: Option<Direction>,
@@ -162,45 +146,13 @@ impl Default for BlockedPullPolicy {
     }
 }
 
-/// α/β thresholds for compressed adjacency — the same Beamer rules as the
-/// raw pair, retuned for the decode cost model.
-///
-/// A compressed pull pays a class-code decode per scanned in-edge where the raw
-/// pull pays a column load, and it cannot early-exit mid-word of the decode
-/// stream for free: the break saves the *rest* of the row but the prefix
-/// was already decoded. Pull is therefore relatively more expensive, so the
-/// compressed defaults make pull **harder to enter** (smaller α: the
-/// frontier's edge mass must be a larger fraction of the unexplored pool)
-/// and **earlier to exit** (smaller β: the frontier must stay fatter to
-/// keep the decode-heavy scan worthwhile).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompressedPullPolicy {
-    /// Push→pull when `growing && frontier_edges > unexplored_edges / alpha`
-    /// (compressed adjacency). Smaller than the raw α.
-    pub alpha: usize,
-    /// Pull→push when `frontier_len < n / beta` (compressed adjacency).
-    /// Smaller than the raw β.
-    pub beta: usize,
-}
-
-impl Default for CompressedPullPolicy {
-    fn default() -> Self {
-        CompressedPullPolicy {
-            alpha: 10,
-            beta: 16,
-        }
-    }
-}
-
 impl Default for DirectionPolicy {
     fn default() -> Self {
         DirectionPolicy {
             alpha: 14,
             beta: 24,
             gamma: 4,
-            dwell: 1,
             blocked: None,
-            compressed: None,
             fixed: None,
         }
     }
@@ -239,27 +191,14 @@ impl DirectionPolicy {
         if let Some(d) = self.fixed {
             return d;
         }
-        // Compressed adjacency swaps in its own α/β pair when one is
-        // configured; everything else (γ, dwell, blocked upgrade) is a
-        // representation question that does not depend on the encoding.
-        let (alpha, beta) = match (s.compressed, self.compressed) {
-            (true, Some(cp)) => (cp.alpha, cp.beta),
-            _ => (self.alpha, self.beta),
-        };
-        let pulling = s.current.is_pull();
-        let want_pull = if pulling {
+        let pull = if s.current.is_pull() {
             // β rule: keep pulling while the frontier covers enough of the
             // universe for the candidate scan to amortize.
-            s.frontier_len >= s.n / beta.max(1)
+            s.frontier_len >= s.n / self.beta.max(1)
         } else {
             // α rule: only a still-growing frontier justifies the flip —
             // the shrinking tail on high-diameter graphs stays push.
-            s.growing && s.frontier_edges > s.unexplored_edges / alpha.max(1)
-        };
-        let pull = if s.since_switch >= self.dwell.max(1) {
-            want_pull
-        } else {
-            pulling
+            s.growing && s.frontier_edges > s.unexplored_edges / self.alpha.max(1)
         };
         if pull {
             if let Some(bp) = self.blocked {
@@ -304,7 +243,6 @@ pub struct AdaptiveAdvance {
     prev_len: usize,
     iter: usize,
     current: Direction,
-    since_switch: usize,
     /// Unvisited-candidates mask (settle mode only), built lazily from the
     /// candidate predicate at the first pull iteration.
     unvisited: Option<DenseFrontier>,
@@ -322,8 +260,6 @@ impl AdaptiveAdvance {
             prev_len: 0,
             iter: 0,
             current: Direction::Push,
-            // Large sentinel: the first decision is never dwell-suppressed.
-            since_switch: usize::MAX,
             unvisited: None,
             directions: Vec::new(),
             edges: 0,
@@ -437,19 +373,12 @@ where
         unexplored_edges: engine.unexplored_edges,
         growing,
         current: engine.current,
-        since_switch: engine.since_switch,
-        compressed: G::DECODES,
     });
     // The blocked kernel flushes against a candidate *bitmap*; without
     // settle mode there is none (candidacy is a predicate), so the upgrade
     // quietly degrades to the plain CSC pull.
     if dir == Direction::BlockedPull && !engine.cfg.settle {
         dir = Direction::Pull;
-    }
-    if dir.is_pull() != engine.current.is_pull() {
-        engine.since_switch = 1;
-    } else {
-        engine.since_switch = engine.since_switch.saturating_add(1);
     }
     engine.current = dir;
     engine.directions.push(dir);
@@ -570,8 +499,6 @@ mod tests {
             unexplored_edges: 10_000,
             growing: true,
             current,
-            since_switch: usize::MAX,
-            compressed: false,
         }
     }
 
@@ -610,21 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn dwell_suppresses_immediate_flips() {
-        let p = DirectionPolicy {
-            dwell: 3,
-            ..DirectionPolicy::default()
-        };
-        // β wants push (len < n/24), but the flip is younger than dwell.
-        let mut s = inputs(Direction::Pull);
-        s.frontier_len = 10;
-        s.since_switch = 1;
-        assert_eq!(p.decide(&s), Direction::Pull);
-        s.since_switch = 3;
-        assert_eq!(p.decide(&s), Direction::Push);
-    }
-
-    #[test]
     fn a_fixed_plan_overrides_every_rule() {
         let mut eager = inputs(Direction::Push);
         eager.frontier_edges = 2000; // α enters pull
@@ -648,44 +560,13 @@ mod tests {
             alpha: 0,
             beta: 0,
             gamma: 0,
-            dwell: 0,
             blocked: Some(BlockedPullPolicy { alpha: 0, beta: 0 }),
-            compressed: Some(CompressedPullPolicy { alpha: 0, beta: 0 }),
             fixed: None,
         };
-        let mut s = inputs(Direction::Push);
-        s.compressed = true;
-        let _ = p.decide(&s);
         let s = inputs(Direction::Push);
         let _ = p.decide(&s); // must not panic
         let s = inputs(Direction::Pull);
         let _ = p.decide(&s);
-    }
-
-    #[test]
-    fn compressed_pair_substitutes_only_when_the_adjacency_decodes() {
-        let p = DirectionPolicy {
-            // Raw α = 14 would flip at frontier_edges > 10_000/14 ≈ 714; the
-            // compressed α = 4 demands > 2500.
-            compressed: Some(CompressedPullPolicy { alpha: 4, beta: 8 }),
-            ..DirectionPolicy::default()
-        };
-        let mut s = inputs(Direction::Push);
-        s.frontier_edges = 1000;
-        assert_eq!(p.decide(&s), Direction::Pull, "raw α fires");
-        s.compressed = true;
-        assert_eq!(p.decide(&s), Direction::Push, "compressed α is stricter");
-        s.frontier_edges = 3000;
-        assert_eq!(p.decide(&s), Direction::Pull);
-        // β side: raw keeps pulling down to n/24; compressed exits at n/8.
-        let mut s = inputs(Direction::Pull);
-        s.frontier_len = 100;
-        assert_eq!(p.decide(&s), Direction::Pull, "raw β keeps pulling");
-        s.compressed = true;
-        assert_eq!(p.decide(&s), Direction::Push, "compressed β exits earlier");
-        // Without a compressed pair, compressed inputs use the raw pair.
-        let plain = DirectionPolicy::default();
-        assert_eq!(plain.decide(&s), Direction::Pull);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! arbitrary graphs and frontiers, exactly-once edge iteration under
 //! edge-balanced division, push/pull agreement.
 
-use essentials_core::load_balance::for_each_edge_balanced;
 use essentials_core::operators::advance::{
     expand_pull_counted, neighbors_expand, try_expand_push_dense, PullConfig,
 };
@@ -83,10 +82,14 @@ proptest! {
         fr.dedup();
         let hits: Vec<AtomicUsize> =
             (0..g.get_num_edges()).map(|_| AtomicUsize::new(0)).collect();
-        for_each_edge_balanced(&ctx, &g, &fr, |_, src, dst, e| {
+        // The parallel push divides the frontier's edges with the
+        // edge balancer; the condition sees each (src, dst, e) it hands out.
+        let f = SparseFrontier::from_vec(fr.clone());
+        neighbors_expand(execution::par, &ctx, &g, &f, |src, dst, e, _| {
             assert!(g.out_edges(src).contains(&e));
             assert_eq!(g.edge_dest(e), dst);
             hits[e].fetch_add(1, Ordering::Relaxed);
+            false
         });
         for v in g.vertices() {
             let expected = usize::from(fr.contains(&v));

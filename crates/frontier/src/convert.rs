@@ -7,7 +7,6 @@
 //! collapse on the way in.
 
 use crate::dense::DenseFrontier;
-use crate::queue::QueueFrontier;
 use crate::sparse::SparseFrontier;
 
 /// Sparse → dense over a universe of `n` vertices. Duplicates collapse.
@@ -38,21 +37,6 @@ pub fn dense_to_sparse_into(d: &DenseFrontier, out: &mut Vec<essentials_graph::V
     d.for_each_active(|v| out.push(v));
 }
 
-/// Sparse → queue: every active vertex becomes a message, distributed
-/// round-robin over the lanes.
-pub fn sparse_to_queue(s: &SparseFrontier, lanes: usize) -> QueueFrontier {
-    let q = QueueFrontier::new(lanes);
-    for (i, v) in s.iter().enumerate() {
-        q.push(i, v);
-    }
-    q
-}
-
-/// Queue → sparse, draining the queue.
-pub fn queue_to_sparse(q: &QueueFrontier) -> SparseFrontier {
-    SparseFrontier::from_vec(q.drain())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,22 +51,10 @@ mod tests {
     }
 
     #[test]
-    fn queue_round_trip_preserves_multiset() {
-        let s = SparseFrontier::from_vec(vec![3, 3, 7]);
-        let q = sparse_to_queue(&s, 2);
-        assert_eq!(q.len(), 3);
-        let mut back = queue_to_sparse(&q).into_vec();
-        back.sort_unstable();
-        assert_eq!(back, vec![3, 3, 7]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn empty_conversions() {
         let s = SparseFrontier::new();
         assert_eq!(sparse_to_dense(&s, 5).len(), 0);
         assert!(dense_to_sparse(&DenseFrontier::new(5)).is_empty());
-        assert!(queue_to_sparse(&sparse_to_queue(&s, 3)).is_empty());
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! `essentials-frontier` — active sets of vertices or edges (essential
-//! component 2).
+//! `essentials-frontier` — active sets of vertices (essential component 2).
 //!
 //! §III-B of the paper: *"The abstraction that enables support for multiple
 //! communication models is the use of frontiers with multiple underlying
@@ -12,31 +11,30 @@
 //!
 //! * [`sparse::SparseFrontier`] — Listing 2's vector of active vertices.
 //! * [`dense::DenseFrontier`] — atomic bitmap; one bit per vertex.
-//! * [`queue::QueueFrontier`] — sharded MPMC queue; the message-passing /
-//!   asynchronous representation.
 //! * [`VertexFrontier`] — a tagged union giving operators one type that can
 //!   switch representation mid-algorithm (direction-optimizing BFS flips
 //!   sparse↔dense per iteration).
-//! * [`edge::EdgeFrontier`] — active *edges*, for edge-centric programs.
 //! * [`worker_buffers::WorkerBuffers`] — lock-free, cache-line-padded,
 //!   capacity-retaining per-worker output buffers for building the next
 //!   frontier from a parallel expansion without a global lock.
 //! * [`Frontier`] — the representation-independent query interface.
+//!
+//! The queue representation of §III-B is not a type here: it is the
+//! sharded FIFO work queue of the asynchronous engine
+//! (`essentials_parallel::try_run_async`), which `ParNosync` expansion,
+//! asynchronous SSSP and asynchronous message passing drain. Edge frontiers
+//! (§III-C's "set of active edges") have no caller and are not provided.
 
 #![warn(missing_docs)]
 
 pub mod convert;
 pub mod dense;
-pub mod edge;
-pub mod queue;
 pub mod sparse;
 pub mod worker_buffers;
 
 use essentials_graph::VertexId;
 
 pub use dense::DenseFrontier;
-pub use edge::EdgeFrontier;
-pub use queue::QueueFrontier;
 pub use sparse::SparseFrontier;
 pub use worker_buffers::{WorkerBuffers, WorkerView};
 
@@ -50,7 +48,7 @@ pub trait Frontier {
         self.len() == 0
     }
     /// True if vertex `v` is active. (For representations that can hold
-    /// duplicates — sparse, queue — this is membership, not multiplicity.)
+    /// duplicates — sparse — this is membership, not multiplicity.)
     fn contains(&self, v: VertexId) -> bool;
 }
 

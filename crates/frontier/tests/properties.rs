@@ -1,9 +1,6 @@
-//! Property-based tests: frontier conversions preserve the active set,
-//! queues preserve multisets.
+//! Property-based tests: frontier conversions preserve the active set.
 
-use essentials_frontier::{
-    convert, DenseFrontier, Frontier, QueueFrontier, SparseFrontier, VertexFrontier,
-};
+use essentials_frontier::{convert, DenseFrontier, Frontier, SparseFrontier, VertexFrontier};
 use essentials_graph::VertexId;
 use proptest::prelude::*;
 
@@ -27,35 +24,6 @@ proptest! {
         for v in 0..256u32 {
             prop_assert_eq!(d.contains(v), expected.contains(&v));
         }
-    }
-
-    #[test]
-    fn queue_round_trip_is_multiset_semantics(ids in arb_ids(100), lanes in 1usize..6) {
-        let s = SparseFrontier::from_vec(ids.clone());
-        let q = convert::sparse_to_queue(&s, lanes);
-        prop_assert_eq!(q.len(), ids.len());
-        let mut back = convert::queue_to_sparse(&q).into_vec();
-        back.sort_unstable();
-        let mut expected = ids.clone();
-        expected.sort_unstable();
-        prop_assert_eq!(back, expected);
-    }
-
-    #[test]
-    fn queue_pop_from_any_lane_drains_everything(ids in arb_ids(50), lanes in 1usize..5) {
-        let q = QueueFrontier::new(lanes);
-        for (i, &v) in ids.iter().enumerate() {
-            q.push(i, v);
-        }
-        let mut popped = Vec::new();
-        while let Some(v) = q.pop(7) {
-            popped.push(v);
-        }
-        popped.sort_unstable();
-        let mut expected = ids.clone();
-        expected.sort_unstable();
-        prop_assert_eq!(popped, expected);
-        prop_assert!(q.is_empty());
     }
 
     #[test]

@@ -411,7 +411,6 @@ impl<W: EdgeValue> Ccsr<W> {
 }
 
 impl<W: EdgeValue> GraphBase for Ccsr<W> {
-    const DECODES: bool = true;
     fn num_vertices(&self) -> usize {
         self.n
     }
@@ -549,7 +548,6 @@ impl<'a, W: EdgeValue> CcsrView<'a, W> {
 }
 
 impl<W: EdgeValue> GraphBase for CcsrView<'_, W> {
-    const DECODES: bool = true;
     fn num_vertices(&self) -> usize {
         self.n
     }
@@ -640,7 +638,6 @@ impl<W: EdgeValue> CompressedGraph<W> {
 }
 
 impl<W: EdgeValue> GraphBase for CompressedGraph<W> {
-    const DECODES: bool = true;
     fn num_vertices(&self) -> usize {
         self.out.n
     }
@@ -735,7 +732,6 @@ impl<'a, W: EdgeValue> CompressedGraphView<'a, W> {
 }
 
 impl<W: EdgeValue> GraphBase for CompressedGraphView<'_, W> {
-    const DECODES: bool = true;
     fn num_vertices(&self) -> usize {
         self.out.n
     }

@@ -27,10 +27,6 @@ use crate::types::{EdgeId, EdgeValue, VertexId};
 
 /// Minimal shape of any graph-like structure.
 pub trait GraphBase {
-    /// Whether neighbor streams of this representation are *decoded*
-    /// (byte-coded adjacency) rather than loaded. Read by the direction
-    /// engine, whose pull cost model differs between the two.
-    const DECODES: bool = false;
     /// Number of vertices (ids are `0..num_vertices`).
     fn num_vertices(&self) -> usize;
     /// Number of directed edges.

@@ -22,8 +22,6 @@ pub enum OpKind {
     /// `BlockedGather` — full-frontier gather with destination-binned
     /// propagation blocking.
     GatherBlocked,
-    /// `advance_edges` — edge-frontier advance.
-    AdvanceEdges,
     /// `filter` — predicate contraction.
     Filter,
     /// `uniquify` / `uniquify_with_bitmap` — duplicate elimination.
@@ -46,7 +44,6 @@ impl OpKind {
             OpKind::Pull => "pull",
             OpKind::PullBlocked => "pull_blocked",
             OpKind::GatherBlocked => "gather_blocked",
-            OpKind::AdvanceEdges => "advance_edges",
             OpKind::Filter => "filter",
             OpKind::Uniquify => "uniquify",
             OpKind::ForeachVertex => "foreach_vertex",
@@ -59,9 +56,9 @@ impl OpKind {
 /// Which loop shape a span came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopKind {
-    /// `Enactor::run` — frontier-driven (converges on empty frontier).
+    /// `Enactor::try_run` — frontier-driven (converges on empty frontier).
     Frontier,
-    /// `Enactor::run_until` — state-driven fixpoint loop.
+    /// `Enactor::try_run_until` — state-driven fixpoint loop.
     Fixpoint,
 }
 

@@ -92,7 +92,7 @@ fn main() {
         .symmetrize()
         .deduplicate()
         .build();
-    let tri = tc::triangle_count(execution::par, &ctx, &sym, true);
+    let tri = tc::triangle_count(execution::par, &ctx, &sym);
     println!(
         "\ntriangles: {} ({} adjacency intersections)",
         tri.triangles, tri.intersections

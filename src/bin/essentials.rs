@@ -286,7 +286,7 @@ fn run_tc(args: &[String]) -> Result<(), String> {
         .deduplicate()
         .build();
     let ctx = Context::default();
-    let r = tc::triangle_count(execution::par, &ctx, &g, true);
+    let r = tc::triangle_count(execution::par, &ctx, &g);
     println!("tc: {} triangles", r.triangles);
     Ok(())
 }

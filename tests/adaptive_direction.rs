@@ -137,8 +137,8 @@ fn adaptive_sssp_cc_pagerank_match_their_fixed_variants() {
 }
 
 /// Policies spanning the decision space's corners: always-push, eager-pull,
-/// dense-early, sticky (high dwell), blocked-pull upgrades, every fixed
-/// direction, and the default.
+/// dense-early, blocked-pull upgrades, every fixed direction, and the
+/// default.
 fn arb_policy() -> impl Strategy<Value = DirectionPolicy> {
     const FIXED: [Direction; 4] = [
         Direction::Push,
@@ -150,21 +150,18 @@ fn arb_policy() -> impl Strategy<Value = DirectionPolicy> {
         1usize..40,
         1usize..40,
         1usize..64,
-        1usize..4,
         // Half the cases pin one of the four directions.
         (0usize..2, 1usize..16, 1usize..32, 0usize..8),
     )
         .prop_map(
-            |(alpha, beta, gamma, dwell, (on, ba, bb, fixed))| DirectionPolicy {
+            |(alpha, beta, gamma, (on, ba, bb, fixed))| DirectionPolicy {
                 alpha,
                 beta,
                 gamma,
-                dwell,
                 blocked: (on == 1).then_some(BlockedPullPolicy {
                     alpha: ba,
                     beta: bb,
                 }),
-                compressed: None,
                 fixed: FIXED.get(fixed).copied(),
             },
         )

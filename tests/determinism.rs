@@ -19,8 +19,7 @@
 //!
 //! What MAY vary, and is documented rather than promised:
 //!
-//! * the asynchronous variants (`bfs_async`, `sssp_async`, the
-//!   `par_nosync` policy) perform a schedule-dependent *amount of work* —
+//! * the asynchronous variants (`sssp_async`, the `par_nosync` policy) perform a schedule-dependent *amount of work* —
 //!   relaxation counts and iteration structure differ run to run — but
 //!   their monotone updates still land on the same fixpoint, so final
 //!   values stay bit-identical;
@@ -490,16 +489,12 @@ fn async_execution_varies_work_but_not_values() {
     // value, only that the async run did real work.
     assert_eq!(asy.stats.iterations, 1);
     assert!(asy.relaxations > 0);
-
-    let bfs_bsp = bfs::bfs(execution::par, &ctx, &g, 0, push());
-    let bfs_asy = bfs::bfs_async(&ctx, &g, 0);
-    assert_eq!(bfs_asy.level, bfs_bsp.level);
 }
 
 /// The async work may vary, but within a small multiple of the vertex
 /// count: each worker drains its own shard FIFO, so label-correcting
-/// relaxations sweep breadth-first (measured: SSSP ≤ 12 items per vertex,
-/// BFS ≤ 1.4, at 1/2/4 threads). A depth-first (LIFO) drain re-relaxes
+/// relaxations sweep breadth-first (measured: SSSP ≤ 12 items per vertex
+/// at 1/2/4 threads). A depth-first (LIFO) drain re-relaxes
 /// the 64×64 grid ~10 000 times per vertex and does not finish the
 /// 256×256 road grid of `examples/road_navigation.rs` in minutes.
 #[test]
@@ -513,11 +508,6 @@ fn async_work_stays_within_a_small_multiple_of_the_vertex_count() {
             assert!(
                 items <= 32 * n,
                 "sssp_async on {side}² at {t} threads: {items} items"
-            );
-            let items = bfs::bfs_async(&ctx, &g, 0).stats.frontier_trace[0];
-            assert!(
-                items <= 4 * n,
-                "bfs_async on {side}² at {t} threads: {items} items"
             );
         }
     }

@@ -88,7 +88,6 @@ proptest! {
         let lp = cc::cc_label_propagation(execution::par, &ctx, &g, push());
         prop_assert!(cc::verify_cc(&g, &lp.comp));
         prop_assert_eq!(&lp.comp, &cc::cc_union_find(&g).comp);
-        prop_assert_eq!(&lp.comp, &cc::cc_hooking(execution::par, &ctx, &g).comp);
         // Component count + edges is consistent with forests: each component
         // of size s needs >= s-1 undirected edges... (only check count > 0).
         prop_assert!(cc::num_components(&lp.comp) >= 1);
@@ -97,7 +96,7 @@ proptest! {
     #[test]
     fn triangle_count_matches_naive(g in arb_sym_graph()) {
         let ctx = Context::new(2);
-        let fast = tc::triangle_count(execution::par, &ctx, &g, false).triangles;
+        let fast = tc::triangle_count(execution::par, &ctx, &g).triangles;
         prop_assert_eq!(fast, tc::triangle_count_naive(&g));
     }
 

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use essentials::prelude::*;
-use essentials_algos::{bfs, cc, pagerank, sssp};
+use essentials_algos::{bfs, cc, color, kcore, pagerank, paths, sssp, sswp};
 use essentials_gen as gen;
 use essentials_mp::algorithms::{mp_bfs, mp_bfs_combined};
 use essentials_mp::{
@@ -651,5 +651,111 @@ fn recovered_context_keeps_the_zero_allocation_steady_state() {
     assert_eq!(
         allocs, 0,
         "steady-state advance hit the allocator {allocs} times after a recovered panic"
+    );
+}
+
+// ---- the long tail honours the context ----------------------------------
+
+/// Runs `f` and returns the message it panicked with; fails the test when
+/// `f` returns normally.
+fn panic_message<R>(what: &str, f: impl FnOnce() -> R) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .err()
+        .unwrap_or_else(|| panic!("{what} ran to completion: it ignored the context"));
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// The algorithms outside the direction engine — widest path, the SSSP
+/// tree, coloring, k-core peeling, asynchronous SSSP — keep infallible
+/// signatures, but their loops run on the fallible enactor (or the
+/// fallible async drain): a budget stop, a cancellation and an injected
+/// fault each end the run with the typed error's message, and the same
+/// context then reruns every one to its oracle.
+#[test]
+fn long_tail_algorithms_honour_budget_cancellation_and_fault_plan() {
+    quiet_injected_panics();
+    let g = sym_graph(5);
+    let wg = weighted_graph(5);
+    let ctx = Context::new(2);
+    let cap = |k| {
+        ctx.clone()
+            .with_budget(RunBudget::unlimited().with_max_iterations(k))
+    };
+    let capped = cap(1);
+    let budget = "run budget exhausted (iteration-cap) after 1 iterations";
+    for (what, msg) in [
+        (
+            "sswp",
+            panic_message("sswp", || sswp::sswp(execution::par, &capped, &wg, 0)),
+        ),
+        (
+            "sssp_with_parents",
+            panic_message("sssp_with_parents", || {
+                paths::sssp_with_parents(execution::par, &capped, &wg, 0)
+            }),
+        ),
+        (
+            "kcore_peel",
+            panic_message("kcore_peel", || {
+                kcore::kcore_peel(execution::par, &capped, &g)
+            }),
+        ),
+    ] {
+        assert!(msg.contains(budget), "{what}: {msg}");
+    }
+    // A speculative round conflicts only when two workers race, so a
+    // coloring may legitimately finish in one round: a zero cap stops it
+    // before its first.
+    let msg = panic_message("color_greedy", || {
+        color::color_greedy(execution::par, &cap(0), &g)
+    });
+    assert!(
+        msg.contains("run budget exhausted (iteration-cap)"),
+        "{msg}"
+    );
+
+    let token = CancelToken::new();
+    token.cancel();
+    let cancelled = ctx
+        .clone()
+        .with_budget(RunBudget::unlimited().with_cancel(token));
+    let msg = panic_message("sssp_async", || sssp::sssp_async(&cancelled, &wg, 0));
+    assert!(msg.contains("run budget exhausted (cancelled)"), "{msg}");
+
+    // The enactor publishes every iteration, so a fault keyed past the
+    // first one fires.
+    let faulty = ctx
+        .clone()
+        .with_fault_plan(Arc::new(FaultPlan::new().panic_at(1, 0)));
+    let msg = panic_message("sswp", || sswp::sswp(execution::par, &faulty, &wg, 0));
+    assert!(
+        msg.contains("injected fault at (iteration 1, chunk 0)"),
+        "{msg}"
+    );
+
+    // Dijkstra sums in settle order, so float distances agree to rounding.
+    let oracle = sssp::dijkstra(&wg, 0).dist;
+    let close = |dist: &[f32]| {
+        dist.iter().zip(&oracle).all(|(&a, &b)| {
+            (a.is_infinite() && b.is_infinite()) || (a - b).abs() <= 1e-4 * (1.0 + b.abs())
+        })
+    };
+    assert_eq!(
+        sswp::sswp(execution::par, &ctx, &wg, 0).width,
+        sswp::sswp_sequential(&wg, 0).width
+    );
+    let tree = paths::sssp_with_parents(execution::par, &ctx, &wg, 0);
+    assert!(close(&tree.dist));
+    assert!(paths::verify_sssp_tree(&wg, 0, &tree, 1e-4));
+    assert!(close(&sssp::sssp_async(&ctx, &wg, 0).dist));
+    let coloring = color::color_greedy(execution::par, &ctx, &g);
+    assert!(color::verify_coloring(&g, &coloring.color));
+    assert_eq!(
+        kcore::kcore_peel(execution::par, &ctx, &g).core,
+        kcore::kcore_sequential(&g).core
     );
 }
