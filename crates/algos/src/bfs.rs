@@ -103,6 +103,31 @@ where
     G: OutWeights<W> + InWeights<W> + Sync,
 {
     let levels = init_levels(g.num_vertices(), source);
+    let (stats, edges_inspected, directions) = try_bfs_into(policy, ctx, g, source, plan, &levels)?;
+    Ok(BfsResult {
+        level: unwrap_levels(levels),
+        stats,
+        edges_inspected,
+        directions,
+    })
+}
+
+/// [`try_bfs`]'s body, which the batch's split lanes run too: claims into
+/// `levels` (all [`UNVISITED`] but `levels[source] == 0`) and returns the
+/// loop statistics, the edges inspected and the direction trace.
+pub(crate) fn try_bfs_into<P, W, G>(
+    policy: P,
+    ctx: &Context,
+    g: &G,
+    source: VertexId,
+    plan: DirectionPolicy,
+    levels: &[AtomicU32],
+) -> Result<(LoopStats, usize, Vec<Direction>), ExecError>
+where
+    P: ExecutionPolicy,
+    W: EdgeValue,
+    G: OutWeights<W> + InWeights<W> + Sync,
+{
     let mut engine = AdaptiveAdvance::new(
         g,
         AdaptiveConfig {
@@ -132,12 +157,7 @@ where
     });
     let edges_inspected = engine.edges_inspected();
     let (stats, directions) = engine.finish(ctx, run)?;
-    Ok(BfsResult {
-        level: unwrap_levels(levels),
-        stats,
-        edges_inspected,
-        directions,
-    })
+    Ok((stats, edges_inspected, directions))
 }
 
 /// [`bfs`] with the default (direction-optimizing) plan. Kept as a name

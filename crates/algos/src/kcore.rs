@@ -41,29 +41,23 @@ pub fn kcore_peel<P: ExecutionPolicy, W: EdgeValue>(
     for v in g.vertices() {
         alive.insert(v);
     }
-    // The peel set of the lowest threshold (from `k` up) that has one: the
-    // alive vertices whose remaining degree is below it. Empty only once
-    // every vertex is peeled.
-    let next_peel = |k: &mut u32, remaining: usize| -> SparseFrontier {
-        if remaining == 0 {
-            return SparseFrontier::new();
+    // The vertices not yet peeled, compacted whenever the threshold moves.
+    let mut unpeeled: SparseFrontier = g.vertices().collect();
+    // Moves `k` to the lowest threshold with a peel set (one above the
+    // least remaining degree) and returns that set: the unpeeled vertices
+    // whose remaining degree is below it; empty once all are peeled.
+    let mut next_peel = |k: &mut u32| -> Result<SparseFrontier, ExecError> {
+        let kept = try_filter(policy, ctx, &unpeeled, |v| alive.contains(v))?;
+        ctx.recycle_frontier(std::mem::replace(&mut unpeeled, kept));
+        let remaining = |v: VertexId| deg[v as usize].load(Ordering::Acquire);
+        if let Some(least) = unpeeled.iter().map(remaining).min() {
+            *k = (*k).max(least as u32 + 1);
         }
-        loop {
-            let peel: SparseFrontier = g
-                .vertices()
-                .filter(|&v| {
-                    alive.contains(v) && deg[v as usize].load(Ordering::Acquire) < *k as usize
-                })
-                .collect();
-            if !peel.is_empty() {
-                return peel;
-            }
-            *k += 1;
-        }
+        let threshold = *k as usize;
+        try_filter(policy, ctx, &unpeeled, |v| remaining(v) < threshold)
     };
     let mut k = 1u32;
-    let mut remaining = n;
-    let init = next_peel(&mut k, remaining);
+    let init = next_peel(&mut k).unwrap_or_else(|e| panic!("{e}"));
     let run = Enactor::for_ctx(ctx).try_run(init, |_, peel| {
         let threshold = k;
         // Mark the peeled vertices dead with core number k-1.
@@ -75,7 +69,6 @@ pub fn kcore_peel<P: ExecutionPolicy, W: EdgeValue>(
                 core[v as usize].store(threshold - 1, Ordering::Relaxed);
             }
         });
-        remaining -= peel.len();
         // Decrement neighbors; those dropping below k join the next peel.
         let out = try_neighbors_expand_unique(policy, ctx, g, &peel, |_src, dst, _e, _w| {
             if !alive.contains(dst) {
@@ -94,11 +87,11 @@ pub fn kcore_peel<P: ExecutionPolicy, W: EdgeValue>(
         }
         // Stable at this k: move on to the next threshold with a peel set.
         ctx.recycle_frontier(next);
-        k += 1;
-        Ok(next_peel(&mut k, remaining))
+        next_peel(&mut k)
     });
     let (last, stats) = run.unwrap_or_else(|e| panic!("{e}"));
     ctx.recycle_frontier(last);
+    ctx.recycle_frontier(unpeeled);
     let rounds = stats.iterations;
     KcoreResult {
         core: core.into_iter().map(AtomicU32::into_inner).collect(),

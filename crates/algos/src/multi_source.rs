@@ -1,5 +1,5 @@
 //! Multi-source batched BFS — one graph pass amortized over up to 64
-//! sources.
+//! sources, when the sources' frontiers overlap.
 //!
 //! The serving workload (many concurrent reachability/level probes against
 //! one immutable graph) rarely needs *one* BFS; it needs *many*. Running k
@@ -11,53 +11,70 @@
 //! once — the word-parallel trick of the dense-frontier kernels
 //! (DESIGN.md §7) applied across *queries* instead of across *vertices*.
 //!
+//! That pays only when lanes share frontier vertices (MS-BFS, Then et
+//! al., PVLDB 2014), so each lock-step level measures the lanes carried
+//! per active vertex, Σ popcount(`frontier[v]`) / |active|. At 1.5 the
+//! batch commits to lock-step; still below it after four levels (lanes on
+//! disjoint wavefronts, as on a grid), every lane restarts from its source
+//! as a single traversal through [`crate::bfs::try_bfs`]'s body, claiming
+//! straight into its slice of the level table. A one-lane batch starts
+//! there.
+//!
 //! Determinism: bit s of vertex v is claimed by exactly one
 //! `fetch_or` winner, and the iteration at which the claim can happen is
 //! fixed by the BSP structure (it *is* the BFS distance), so the level
 //! table is bit-identical to k independent [`crate::bfs::bfs`] runs at any
-//! thread count (`tests/multi_source.rs` proves it property-style).
+//! thread count (`tests/multi_source.rs` proves it property-style); the
+//! split lanes are such runs.
 //!
-//! All working memory — visited/frontier/next mask words, the level table,
-//! and the two active-vertex bitmaps — checks out of the context's scratch
-//! pools, so a warm serving engine re-runs batches with zero steady-state
-//! allocations (`tests/zero_alloc.rs`).
+//! All lock-step working memory — visited/frontier/next mask words, the
+//! level table, and the two active-vertex bitmaps — checks out of the
+//! context's scratch pools, so a warm serving engine re-runs lock-step
+//! batches with zero steady-state allocations (`tests/zero_alloc.rs`).
 
 use essentials_core::obs::AbortEvent;
 use essentials_core::prelude::*;
 use essentials_parallel::atomics::{as_atomic_u32, as_atomic_u64, Counter};
-use essentials_parallel::exec::panic_payload_string;
-use essentials_parallel::{ChunkAction, ChunkHooks};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use essentials_parallel::try_sequential_for_with;
 use std::sync::atomic::Ordering;
 
+use crate::bfs::try_bfs_into;
 pub use crate::bfs::UNVISITED;
 
 /// Maximum sources per batch: one bit per source in the per-vertex mask
 /// word.
 pub const MAX_BATCH: usize = 64;
 
+/// Lock-step levels a batch runs before it splits, unless its lanes share
+/// frontier vertices by then (R-MAT lanes do from level 2).
+const PROBE_LEVELS: usize = 4;
+
 /// Words processed per scheduling chunk when sweeping the active bitmap.
 const WORD_GRAIN: usize = 4;
 
-/// Output of a batched traversal: a row-major level table plus run
+/// Output of a batched traversal: a lane-major level table plus run
 /// metadata. Deliberately `Vec`-light (no per-iteration traces) so the
 /// serving path stays allocation-free after warm-up.
 #[derive(Debug, Clone)]
 pub struct MsBfsResult {
-    /// `levels[v * batch + s]` = hop distance of vertex `v` from source
-    /// `s`, [`UNVISITED`] if unreachable. Drawn from the context's pooled
-    /// `u32` buffers; return it with [`MsBfsResult::recycle`] to keep the
+    /// `levels[s * n + v]` = hop distance of vertex `v` from source `s`
+    /// (n vertices), [`UNVISITED`] if unreachable: lane-major, so lanes
+    /// never write one cache line. Drawn from the context's pooled `u32`
+    /// buffers; return it with [`MsBfsResult::recycle`] to keep the
     /// serving loop allocation-free.
     pub levels: Vec<u32>,
-    /// Number of sources in the batch (the row stride of `levels`).
+    /// Number of sources in the batch (the number of lanes in `levels`).
     pub batch: usize,
-    /// BSP iterations executed (the maximum BFS depth reached plus one
-    /// frontier-emptying check).
+    /// BSP iterations executed: the lock-step levels (the maximum BFS depth
+    /// reached plus one when the batch stays lock-step), plus every split
+    /// lane's iterations.
     pub iterations: usize,
-    /// Edges inspected across the whole batch: Σ over iterations of the
-    /// out-degrees of the vertices with some lane in that iteration's
-    /// frontier. Each inspection serves up to `batch` sources — the
-    /// amortization this kernel exists for. Independent of thread count.
+    /// Edges inspected across the whole batch: Σ over lock-step iterations
+    /// of the out-degrees of the vertices with some lane in that
+    /// iteration's frontier — each inspection serves every lane there, the
+    /// amortization this kernel exists for — plus every split lane's
+    /// [`crate::bfs::BfsResult::edges_inspected`]. Independent of thread
+    /// count.
     pub edges_inspected: usize,
 }
 
@@ -65,23 +82,23 @@ impl MsBfsResult {
     /// Level of vertex `v` from source index `s`.
     #[inline]
     pub fn level(&self, v: VertexId, s: usize) -> u32 {
-        self.levels[v as usize * self.batch + s]
+        self.lane(s)[v as usize]
     }
 
     /// The full level vector of source index `s` — the exact shape
     /// [`crate::bfs::BfsResult::level`] has, for differential testing.
     pub fn source_levels(&self, s: usize) -> Vec<u32> {
+        self.lane(s).to_vec()
+    }
+
+    fn lane(&self, s: usize) -> &[u32] {
         assert!(
             s < self.batch,
             "source index {s} out of batch {}",
             self.batch
         );
-        self.levels
-            .iter()
-            .skip(s)
-            .step_by(self.batch)
-            .copied()
-            .collect()
+        let n = self.levels.len() / self.batch;
+        &self.levels[s * n..(s + 1) * n]
     }
 
     /// Returns the level table's storage to the context's numeric pool, so
@@ -116,25 +133,28 @@ pub fn bfs_multi_source<P: ExecutionPolicy, W: EdgeValue>(
     }
 }
 
-/// Batched BFS from up to [`MAX_BATCH`] sources in one traversal.
+/// Batched BFS from up to [`MAX_BATCH`] sources: lock-step while the lanes
+/// share frontier vertices, otherwise one traversal per lane (module
+/// docs). Split lanes run the default plan when `g` has its CSC and the
+/// push plan otherwise.
 ///
 /// Fallible like the other `try_*` algorithms: the context's [`RunBudget`]
 /// is checked at iteration boundaries and (via chunk hooks) inside the
 /// word sweep, fault-plan injections fire at their `(iteration, chunk)`
-/// coordinates, and worker panics surface as [`ExecError::WorkerPanic`].
-/// A malformed request — more than [`MAX_BATCH`] sources, or a source
-/// outside the graph — is rejected up front as
-/// [`ExecError::InvalidInput`], before any pooled buffer is taken. On any
-/// error every pooled buffer is returned to the scratch first, so the
-/// context — and the serving engine above it — stays fully reusable.
+/// coordinates — a split lane numbers its iterations from 0, as a single
+/// traversal does — and worker panics surface as
+/// [`ExecError::WorkerPanic`]. A malformed request — more than
+/// [`MAX_BATCH`] sources, or a source outside the graph — is rejected up
+/// front as [`ExecError::InvalidInput`], before any pooled buffer is
+/// taken. On any error every pooled buffer is returned to the scratch
+/// first, so the context — and the serving engine above it — stays fully
+/// reusable.
 pub fn try_bfs_multi_source<P: ExecutionPolicy, W: EdgeValue>(
     policy: P,
     ctx: &Context,
     g: &Graph<W>,
     sources: &[VertexId],
 ) -> Result<MsBfsResult, ExecError> {
-    // The policy is a type-level dispatch token (P::IS_PARALLEL below).
-    let _ = policy;
     let n = g.get_num_vertices();
     let k = sources.len();
     // Validate before touching the scratch pools: a bad request is a
@@ -152,15 +172,74 @@ pub fn try_bfs_multi_source<P: ExecutionPolicy, W: EdgeValue>(
     }
     let mut levels = ctx.take_u32_buffer();
     levels.resize(n * k, UNVISITED);
-    if k == 0 || n == 0 {
-        return Ok(MsBfsResult {
+    let outcome = match k {
+        0 => Ok(Sweep::default()),
+        // One lane shares with nobody: it starts as a single traversal.
+        1 => try_split(policy, ctx, g, sources, &mut levels, Sweep::default()),
+        _ => match try_lock_step(policy, ctx, g, sources, &mut levels) {
+            Ok(run) if !run.finished => try_split(policy, ctx, g, sources, &mut levels, run),
+            probe => probe,
+        },
+    };
+    match outcome {
+        Ok(run) => Ok(MsBfsResult {
             levels,
             batch: k,
-            iterations: 0,
-            edges_inspected: 0,
-        });
+            iterations: run.iterations,
+            edges_inspected: run.edges_inspected,
+        }),
+        Err(e) => {
+            ctx.recycle_u32_buffer(levels);
+            Err(e)
+        }
     }
+}
 
+/// Restarts every lane from its source as a single traversal claiming into
+/// its slice of `levels`, adding the lanes' work to `run`. The default plan
+/// when `g` has its CSC, the push plan otherwise.
+fn try_split<P: ExecutionPolicy, W: EdgeValue>(
+    policy: P,
+    ctx: &Context,
+    g: &Graph<W>,
+    sources: &[VertexId],
+    levels: &mut [u32],
+    mut run: Sweep,
+) -> Result<Sweep, ExecError> {
+    let plan = match g.csc() {
+        Some(_) => DirectionPolicy::default(),
+        None => DirectionPolicy::fixed(Direction::Push),
+    };
+    levels.fill(UNVISITED);
+    for (lane, &src) in levels.chunks_mut(g.get_num_vertices()).zip(sources) {
+        lane[src as usize] = 0;
+        let (stats, edges, _) = try_bfs_into(policy, ctx, g, src, plan, as_atomic_u32(lane))?;
+        run.iterations += stats.iterations;
+        run.edges_inspected += edges;
+    }
+    Ok(run)
+}
+
+/// Progress of a batch: work so far, and whether the lock-step sweep
+/// reached the end of every lane.
+#[derive(Default)]
+struct Sweep {
+    iterations: usize,
+    edges_inspected: usize,
+    finished: bool,
+}
+
+/// The lock-step mask-word sweep over lane-major `levels`. Stops
+/// unfinished when the lanes share no frontier vertices after
+/// [`PROBE_LEVELS`] levels; emits the abort event of its own errors.
+fn try_lock_step<P: ExecutionPolicy, W: EdgeValue>(
+    _policy: P,
+    ctx: &Context,
+    g: &Graph<W>,
+    sources: &[VertexId],
+    levels: &mut [u32],
+) -> Result<Sweep, ExecError> {
+    let n = g.get_num_vertices();
     let mut visited = ctx.take_u64_buffer();
     visited.resize(n, 0);
     let mut frontier = ctx.take_u64_buffer();
@@ -175,16 +254,20 @@ pub fn try_bfs_multi_source<P: ExecutionPolicy, W: EdgeValue>(
         let bit = 1u64 << s;
         visited[v] |= bit;
         frontier[v] |= bit;
-        levels[v * k + s] = 0;
+        levels[s * n + v] = 0;
         active.insert(src);
     }
 
     let edges = Counter::new();
     let words = n.div_ceil(64);
     let mut iterations = 0usize;
+    let mut shared = false;
     let outcome = loop {
         if active.is_empty() {
-            break Ok(());
+            break Ok(true);
+        }
+        if !shared && iterations == PROBE_LEVELS {
+            break Ok(false);
         }
         if let Some(plan) = ctx.fault_plan() {
             plan.set_iteration(iterations);
@@ -203,7 +286,7 @@ pub fn try_bfs_multi_source<P: ExecutionPolicy, W: EdgeValue>(
             let frontier_ref: &[u64] = &frontier;
             let visited_at = as_atomic_u64(&mut visited);
             let next_at = as_atomic_u64(&mut next);
-            let levels_at = as_atomic_u32(&mut levels);
+            let levels_at = as_atomic_u32(levels);
             let active_ref = &active;
             let next_active_ref = &next_active;
             let edges_ref = &edges;
@@ -234,9 +317,10 @@ pub fn try_bfs_multi_source<P: ExecutionPolicy, W: EdgeValue>(
                             while bits != 0 {
                                 let s = bits.trailing_zeros() as usize;
                                 bits &= bits - 1;
-                                levels_at[dst * k + s].store(depth, Ordering::Relaxed);
+                                levels_at[s * n + dst].store(depth, Ordering::Relaxed);
                             }
-                            next_active_ref.insert(dst as VertexId);
+                            // The count is rederived once per level below.
+                            next_active_ref.bits().set(dst);
                         }
                     }
                 });
@@ -244,15 +328,12 @@ pub fn try_bfs_multi_source<P: ExecutionPolicy, W: EdgeValue>(
                     edges_ref.add(inspected);
                 }
             };
+            let hooks = ctx.chunk_hooks();
+            let schedule = Schedule::Dynamic(WORD_GRAIN);
             if P::IS_PARALLEL && ctx.num_threads() > 1 {
-                ctx.pool().try_parallel_for(
-                    0..words,
-                    Schedule::Dynamic(WORD_GRAIN),
-                    ctx.chunk_hooks(),
-                    body,
-                )
+                ctx.pool().try_parallel_for(0..words, schedule, hooks, body)
             } else {
-                serial_sweep(ctx.chunk_hooks(), words, body)
+                try_sequential_for_with(0..words, schedule, hooks, |_, w| body(w))
             }
         };
         if let Err(e) = step {
@@ -260,13 +341,18 @@ pub fn try_bfs_multi_source<P: ExecutionPolicy, W: EdgeValue>(
         }
         // Consume the spent frontier words (only active vertices hold
         // non-zero words, so this is O(|frontier|) plus the bitmap scan),
-        // then rotate the double buffer and the active bitmaps.
-        active
-            .bits()
-            .for_each_set_in_words(0, words, &mut |v| frontier[v] = 0);
+        // counting the lanes they carried; then rotate the double buffer
+        // and the active bitmaps.
+        let mut lanes = 0usize;
+        active.bits().for_each_set_in_words(0, words, &mut |v| {
+            lanes += frontier[v].count_ones() as usize;
+            frontier[v] = 0;
+        });
+        shared |= 2 * lanes >= 3 * active.len();
         std::mem::swap(&mut frontier, &mut next);
         active.clear();
         std::mem::swap(&mut active, &mut next_active);
+        active.recount();
         iterations += 1;
     };
 
@@ -275,70 +361,17 @@ pub fn try_bfs_multi_source<P: ExecutionPolicy, W: EdgeValue>(
     ctx.recycle_u64_buffer(next);
     ctx.recycle_dense_frontier(active);
     ctx.recycle_dense_frontier(next_active);
-    match outcome {
-        Ok(()) => Ok(MsBfsResult {
-            levels,
-            batch: k,
-            iterations,
-            edges_inspected: edges.get(),
-        }),
-        Err(e) => {
-            ctx.recycle_u32_buffer(levels);
-            if let Some(obs) = ctx.obs() {
-                obs.on_abort(&AbortEvent {
-                    kind: e.kind(),
-                    iteration: iterations,
-                });
-            }
-            Err(e)
-        }
+    if let (Err(e), Some(obs)) = (&outcome, ctx.obs()) {
+        obs.on_abort(&AbortEvent {
+            kind: e.kind(),
+            iteration: iterations,
+        });
     }
-}
-
-/// Sequential word sweep with the same chunk-hook discipline as the pool's
-/// fallible loops: budget probes and fault injections fire at chunk
-/// boundaries, organic panics are captured and typed.
-fn serial_sweep(
-    hooks: ChunkHooks<'_>,
-    words: usize,
-    body: impl Fn(usize),
-) -> Result<(), ExecError> {
-    let mut lo = 0usize;
-    let mut chunk = 0usize;
-    while lo < words {
-        let hi = (lo + WORD_GRAIN).min(words);
-        match hooks.before_chunk(chunk) {
-            ChunkAction::Run => {}
-            ChunkAction::Stop(reason) => {
-                return Err(ExecError::Budget {
-                    reason,
-                    progress: Progress::default(),
-                })
-            }
-            ChunkAction::Panic {
-                iteration,
-                chunk: at,
-            } => {
-                return Err(ExecError::WorkerPanic {
-                    payload: format!("injected fault at (iteration {iteration}, chunk {at})"),
-                    chunk,
-                })
-            }
-        }
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-            for w in lo..hi {
-                body(w);
-            }
-        })) {
-            return Err(ExecError::WorkerPanic {
-                payload: panic_payload_string(&*payload),
-                chunk,
-            });
-        }
-        lo = hi;
-        chunk += 1;
-    }
-    Ok(())
+    outcome.map(|finished| Sweep {
+        iterations,
+        edges_inspected: edges.get(),
+        finished,
+    })
 }
 
 #[cfg(test)]

@@ -62,7 +62,7 @@ pub mod prelude {
         try_advance_adaptive, AdaptiveAdvance, AdaptiveConfig, BlockedPullPolicy, Direction,
         DirectionPolicy,
     };
-    pub use crate::operators::filter::{filter, try_filter, uniquify, uniquify_with_bitmap};
+    pub use crate::operators::filter::{filter, try_filter, uniquify};
     pub use crate::operators::intersect::{intersect_count, intersect_count_gallop};
     pub use crate::operators::reduce::{count_if, max_f64, reduce, sum_f64};
     pub use crate::scratch::{AdvanceScratch, ScratchSlot};

@@ -386,11 +386,10 @@ where
     }
 }
 
-/// Parallel index-to-frontier collection shared by the contraction-shaped
-/// operators ([`filter`](crate::operators::filter::filter),
-/// [`uniquify_with_bitmap`](crate::operators::filter::uniquify_with_bitmap)):
-/// `keep(i)` runs for every `i` in `0..len` and each `Some(v)` is pushed
-/// into the context's [`AdvanceScratch`] worker buffers, then drained into
+/// Parallel index-to-frontier collection behind
+/// [`filter`](crate::operators::filter::filter): `keep(i)` runs for every
+/// `i` in `0..len` and each `Some(v)` is pushed into the context's
+/// [`AdvanceScratch`] worker buffers, then drained into
 /// a pooled output vector in worker-id order — the same checkout pattern as
 /// [`try_expand_impl`], so calls take no lock and reuse buffer capacity
 /// (dynamic scheduling can still grow a worker's buffer when its share

@@ -6,12 +6,10 @@
 
 use std::cell::RefCell;
 
-use essentials_frontier::{DenseFrontier, SparseFrontier};
+use essentials_frontier::SparseFrontier;
 use essentials_graph::VertexId;
 use essentials_obs::{FilterEvent, OpKind};
-use essentials_parallel::{
-    try_sequential_for_with, ChunkHooks, ExecError, ExecutionPolicy, Schedule,
-};
+use essentials_parallel::{try_sequential_for_with, ExecError, ExecutionPolicy, Schedule};
 
 use crate::context::Context;
 use crate::operators::advance::try_collect_indexed;
@@ -99,38 +97,6 @@ where
     out
 }
 
-/// Bitmap-based uniquify over a universe of `n` vertices: O(k) time and
-/// O(n) bits, parallel claim via atomic test-and-set. Wins over the sort
-/// when the frontier is a large fraction of the graph.
-pub fn uniquify_with_bitmap<P>(
-    _policy: P,
-    ctx: &Context,
-    f: &SparseFrontier,
-    n: usize,
-) -> SparseFrontier
-where
-    P: ExecutionPolicy,
-{
-    let seen = DenseFrontier::new(n);
-    if !P::IS_PARALLEL || ctx.num_threads() == 1 {
-        let mut out = SparseFrontier::with_capacity(f.len());
-        for v in f.iter() {
-            if seen.insert(v) {
-                out.add_vertex(v);
-            }
-        }
-        emit(ctx, OpKind::Uniquify, P::NAME, f.len(), out.len());
-        return out;
-    }
-    let out = try_collect_indexed(ctx, f.len(), ChunkHooks::none(), |i| {
-        let v = f.get_active_vertex(i);
-        seen.insert(v).then_some(v)
-    })
-    .unwrap_or_else(|e| panic!("{e}"));
-    emit(ctx, OpKind::Uniquify, P::NAME, f.len(), out.len());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,17 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn both_uniquify_flavors_agree() {
-        let ctx = Context::new(4);
-        let f = SparseFrontier::from_vec((0..5000).map(|i| i % 97).collect());
-        let a = uniquify(execution::seq, &ctx, &f);
-        let mut b = uniquify_with_bitmap(execution::par, &ctx, &f, 100);
-        b.uniquify(); // canonical order for comparison
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 97);
-    }
-
-    #[test]
     fn failed_parallel_filter_returns_drained_scratch() {
         let ctx = Context::new(2);
         let f: SparseFrontier = (0..10_000).collect();
@@ -190,6 +145,5 @@ mod tests {
         let ctx = Context::new(2);
         let f = SparseFrontier::new();
         assert!(filter(execution::par, &ctx, &f, |_| true).is_empty());
-        assert!(uniquify_with_bitmap(execution::par, &ctx, &f, 10).is_empty());
     }
 }

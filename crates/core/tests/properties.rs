@@ -6,7 +6,7 @@ use essentials_core::operators::advance::{
     expand_pull_counted, neighbors_expand, try_expand_push_dense, PullConfig,
 };
 use essentials_core::operators::compute::fill_indexed;
-use essentials_core::operators::filter::{filter, uniquify, uniquify_with_bitmap};
+use essentials_core::operators::filter::filter;
 use essentials_core::prelude::*;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -100,9 +100,8 @@ proptest! {
     }
 
     #[test]
-    fn filter_and_uniquify_flavors_agree((g, frontier) in arb_graph_and_frontier()) {
+    fn filter_flavors_agree((_g, frontier) in arb_graph_and_frontier()) {
         let ctx = Context::new(3);
-        let n = g.get_num_vertices();
         let f = SparseFrontier::from_vec(frontier);
         let pred = |v: VertexId| v.is_multiple_of(2);
         let mut a = filter(execution::seq, &ctx, &f, pred);
@@ -110,11 +109,6 @@ proptest! {
         a.uniquify();
         b.uniquify();
         prop_assert_eq!(a, b);
-
-        let u1 = uniquify(execution::seq, &ctx, &f);
-        let mut u2 = uniquify_with_bitmap(execution::par, &ctx, &f, n);
-        u2.uniquify();
-        prop_assert_eq!(u1, u2);
     }
 
     #[test]

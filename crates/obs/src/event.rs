@@ -24,7 +24,7 @@ pub enum OpKind {
     GatherBlocked,
     /// `filter` — predicate contraction.
     Filter,
-    /// `uniquify` / `uniquify_with_bitmap` — duplicate elimination.
+    /// `uniquify` — duplicate elimination.
     Uniquify,
     /// `foreach_vertex` — vertex program over `0..n`.
     ForeachVertex,

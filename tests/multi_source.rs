@@ -1,7 +1,8 @@
 //! Multi-source batched BFS equivalence: the 64-wide mask-word kernel must
 //! be **bit-identical** to running k independent single-source BFS
 //! traversals — for every batch width, on every graph family, at every
-//! thread count.
+//! thread count, on both of its paths (lock-step while the lanes share
+//! frontier vertices, one traversal per lane when they do not).
 //!
 //! This is the correctness backbone of the serving engine's throughput
 //! lever (`Engine::bfs_batch`): the batch amortizes one graph pass over up
@@ -11,7 +12,7 @@
 //! thread counts.
 
 use essentials::prelude::*;
-use essentials_algos::bfs::{bfs, bfs_sequential};
+use essentials_algos::bfs::{bfs, bfs_sequential, BfsResult};
 use essentials_algos::multi_source::{bfs_multi_source, MAX_BATCH, UNVISITED};
 use essentials_gen as gen;
 use proptest::prelude::*;
@@ -138,6 +139,119 @@ fn full_width_batch_on_disconnected_graph() {
     let sources: Vec<VertexId> = (0..MAX_BATCH as VertexId).collect();
     for &threads in &THREADS {
         assert_batch_matches(&Context::new(threads), &g, &sources);
+    }
+}
+
+/// Lock-step levels a batch probes for shared frontier vertices before it
+/// splits.
+const PROBE_LEVELS: u32 = 4;
+
+/// The lock-step sweep's work over its first `levels` levels, from the
+/// lanes' oracle levels: one iteration per level some lane reaches, and
+/// each vertex's out-edges once per distinct level the lanes reach it at.
+fn lock_step_work(g: &Graph<()>, oracle: &[Vec<u32>], levels: u32) -> (usize, usize) {
+    let mut iterations = 0usize;
+    let mut edges = 0usize;
+    let mut seen: Vec<u32> = Vec::with_capacity(oracle.len());
+    for v in 0..g.num_vertices() {
+        seen.clear();
+        seen.extend(oracle.iter().map(|lv| lv[v]).filter(|&l| l < levels));
+        seen.sort_unstable();
+        seen.dedup();
+        edges += seen.len() * g.out_degree(v as VertexId);
+        if let Some(&deepest) = seen.last() {
+            iterations = iterations.max(deepest as usize + 1);
+        }
+    }
+    (iterations, edges)
+}
+
+#[test]
+fn grid_batches_split_and_rmat_batches_stay_lock_step_on_csr_only_and_csc_graphs() {
+    // A grid's lanes advance on disjoint wavefronts, so a batch of two or
+    // more splits after the probe levels; R-MAT lanes meet at the hubs by
+    // level 2 and stay lock-step. Either way every lane is bit-identical
+    // to the oracle, and the work counts say which path ran.
+    let grid = Graph::<()>::from_coo(&gen::grid2d(48, 48));
+    let rmat = Graph::<()>::from_coo(&gen::rmat(11, 8, gen::RmatParams::default(), 3));
+    for (name, g, splits) in [("grid", grid, true), ("rmat", rmat, false)] {
+        let n = g.num_vertices();
+        let g_csc = g.clone().with_csc();
+        for (rep, g, plan) in [
+            ("csr-only", &g, push()),
+            ("csc", &g_csc, DirectionPolicy::default()),
+        ] {
+            for k in [1, 16, MAX_BATCH] {
+                let sources: Vec<VertexId> = spread_sources(n, 8 * k)
+                    .into_iter()
+                    .filter(|&s| g.out_degree(s) > 0)
+                    .take(k)
+                    .collect();
+                let oracle: Vec<Vec<u32>> = sources
+                    .iter()
+                    .map(|&s| bfs_sequential(g, s).level)
+                    .collect();
+                for &threads in &THREADS {
+                    let ctx = Context::new(threads);
+                    let batch = bfs_multi_source(execution::par, &ctx, g, &sources);
+                    for (s, lv) in oracle.iter().enumerate() {
+                        assert_eq!(
+                            &batch.source_levels(s),
+                            lv,
+                            "{name} {rep} width {k}: lane {s} diverged at {threads} threads"
+                        );
+                    }
+                    // Width 1 shares with nobody and always splits; the
+                    // 16-wide row pins each family's path.
+                    let split = match k {
+                        1 => Some(true),
+                        16 => Some(splits),
+                        _ => None,
+                    };
+                    let at = format!("{name} {rep} width {k} at {threads} threads");
+                    if split == Some(true) {
+                        let probe = if k == 1 { 0 } else { PROBE_LEVELS };
+                        let (iterations, edges) = lock_step_work(g, &oracle, probe);
+                        let singles: Vec<BfsResult> = sources
+                            .iter()
+                            .map(|&s| bfs(execution::par, &ctx, g, s, plan))
+                            .collect();
+                        let lane_iterations: usize =
+                            singles.iter().map(|r| r.stats.iterations).sum();
+                        let lane_edges: usize = singles.iter().map(|r| r.edges_inspected).sum();
+                        assert_eq!(batch.iterations, iterations + lane_iterations, "{at}");
+                        assert_eq!(batch.edges_inspected, edges + lane_edges, "{at}");
+                    } else if split == Some(false) {
+                        let work = lock_step_work(g, &oracle, u32::MAX);
+                        assert_eq!((batch.iterations, batch.edges_inspected), work, "{at}");
+                    }
+                    batch.recycle(&ctx);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_split_batch_reports_the_probe_levels_plus_every_lane() {
+    // 0 → 1 → … → 29, lanes from 0 and 10: they never share a frontier
+    // vertex. Lock-step probes levels 0..=3 ({0, 10} … {3, 13}: 2 edges
+    // each), then both lanes restart from their sources on the push plan
+    // (no CSC): 30 iterations and 29 edges from 0, 20 and 19 from 10.
+    // The probe's claims are undone, so lane 1 leaves 0..10 unvisited.
+    let g = Graph::<()>::from_coo(&gen::path(30));
+    for &threads in &THREADS {
+        let ctx = Context::new(threads);
+        let batch = bfs_multi_source(execution::par, &ctx, &g, &[0, 10]);
+        assert_eq!(batch.iterations, 4 + 30 + 20, "{threads} threads");
+        assert_eq!(batch.edges_inspected, 4 * 2 + 29 + 19, "{threads} threads");
+        assert_eq!(batch.source_levels(0), (0..30).collect::<Vec<u32>>());
+        let lane1: Vec<u32> = (0..30)
+            .map(|v| if v < 10 { UNVISITED } else { v - 10 })
+            .collect();
+        assert_eq!(batch.source_levels(1), lane1);
+        assert_eq!(batch.level(29, 1), 19);
+        batch.recycle(&ctx);
     }
 }
 

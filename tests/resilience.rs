@@ -759,3 +759,101 @@ fn long_tail_algorithms_honour_budget_cancellation_and_fault_plan() {
         kcore::kcore_sequential(&g).core
     );
 }
+
+// ---- the batch's split lanes ---------------------------------------------
+
+/// A grid batch splits into one traversal per lane after four lock-step
+/// levels, and each lane numbers its iterations from 0. Faults keyed to
+/// iteration 6 can only fire inside a lane: a panic, a cancellation and an
+/// iteration cap there each end the batch with the typed error, and the
+/// same context — and the same engine slot — then serves every lane equal
+/// to its oracle. CSR-only, so the lanes run the push plan.
+#[test]
+fn split_batch_lanes_fail_typed_and_recover_on_context_and_engine() {
+    use essentials::serve::{Engine, EngineConfig};
+    use essentials_algos::multi_source::{bfs_multi_source, try_bfs_multi_source};
+    use essentials_parallel::{RequestFault, RequestFaultPlan};
+
+    quiet_injected_panics();
+    let g = Arc::new(Graph::<()>::from_coo(&gen::grid2d(40, 40)));
+    let sources: Vec<VertexId> = (0..16).map(|i| i * 97 % 1600).collect();
+    let oracle: Vec<Vec<u32>> = sources
+        .iter()
+        .map(|&s| bfs::bfs_sequential(&g, s).level)
+        .collect();
+    let assert_oracle = |what: &str, lanes: &dyn Fn(usize) -> Vec<u32>| {
+        for (s, want) in oracle.iter().enumerate() {
+            assert_eq!(&lanes(s), want, "{what}: lane {s}");
+        }
+    };
+
+    let ctx = Context::new(2);
+    let faults = [
+        (FaultPlan::new().panic_at(6, 0), "worker-panic"),
+        (FaultPlan::new().cancel_at(6, 0), "cancelled"),
+    ];
+    for (plan, kind) in faults {
+        let faulty = ctx.clone().with_fault_plan(Arc::new(plan));
+        let err = try_bfs_multi_source(execution::par, &faulty, &*g, &sources)
+            .expect_err("a fault at lane iteration 6 fires");
+        assert_eq!(err.kind(), kind);
+        if let ExecError::WorkerPanic { payload, .. } = &err {
+            assert!(payload.contains("(iteration 6, chunk 0)"), "{payload}");
+        }
+        let r = bfs_multi_source(execution::par, &ctx, &*g, &sources);
+        assert_oracle(kind, &|s| r.source_levels(s));
+    }
+    let capped = ctx
+        .clone()
+        .with_budget(RunBudget::unlimited().with_max_iterations(6));
+    match try_bfs_multi_source(execution::par, &capped, &*g, &sources) {
+        Err(ExecError::Budget { reason, progress }) => {
+            assert_eq!(reason, BudgetReason::IterationCap);
+            // The probe's four levels passed the cap; the first lane
+            // stopped at its own sixth.
+            assert_eq!(progress.iterations, 6);
+        }
+        other => panic!("expected an iteration cap in the first lane, got {other:?}"),
+    }
+    let r = bfs_multi_source(execution::par, &ctx, &*g, &sources);
+    assert_oracle("iteration cap", &|s| r.source_levels(s));
+    // More iterations than a lock-step sweep could take: the lanes split.
+    let deepest = oracle.iter().flatten().max().copied().unwrap_or(0) as usize;
+    assert!(r.iterations > deepest + 1, "{} iterations", r.iterations);
+
+    // The engine: one permit, so every request leases the same slot.
+    let chaos = RequestFaultPlan::new().fault_at(
+        0,
+        RequestFault::Panic {
+            iteration: 6,
+            chunk: 0,
+        },
+    );
+    let engine = Engine::new(
+        g.clone(),
+        EngineConfig {
+            threads: 2,
+            permits: 1,
+            heavy_permits: 1,
+        },
+    )
+    .with_chaos(Arc::new(chaos));
+    let err = engine
+        .bfs_batch(&sources, RunBudget::unlimited())
+        .expect_err("request 0 panics mid-lane");
+    assert_eq!(err.kind(), "worker-panic");
+    let err = engine
+        .bfs_batch(&sources, RunBudget::unlimited().with_max_iterations(6))
+        .expect_err("the cap fires mid-lane");
+    assert_eq!(err.kind(), "iteration-cap");
+    for _ in 0..2 {
+        let r = engine
+            .bfs_batch(&sources, RunBudget::unlimited())
+            .expect("the slot serves again");
+        assert_oracle("engine rerun", &|s| r.source_levels(s));
+        engine.recycle_batch(r);
+    }
+    let h = engine.health();
+    assert_eq!((h.quarantined_total, h.rebuilt_total), (1, 1));
+    assert_eq!(engine.load(), (0, 0, 0));
+}

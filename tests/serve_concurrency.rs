@@ -8,15 +8,18 @@
 //! as a wrong answer, not just as a sanitizer report. A separate
 //! poisoned-scratch canary leases raw pool slots from many threads and
 //! verifies both the CAS exclusivity of the lease protocol and the
-//! integrity of data parked in a leased slot. Finally, rejected requests
-//! (expired deadline, pre-cancelled token) must leave the engine fully
-//! reusable.
+//! integrity of data parked in a leased slot. Rejected requests (expired
+//! deadline, pre-cancelled token) must leave the engine fully reusable,
+//! and so must batches on a grid — whose lanes run one after another on
+//! the leased slot — that panic or hit their iteration cap mid-lane.
 
 use essentials::prelude::*;
 use essentials::serve::{Engine, EngineConfig, ScratchPool};
 use essentials_algos::bfs::bfs_sequential;
+use essentials_algos::multi_source::MsBfsResult;
 use essentials_algos::pagerank::PrConfig;
 use essentials_gen as gen;
+use essentials_parallel::{RequestFault, RequestFaultPlan};
 use std::collections::HashSet;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
@@ -180,7 +183,6 @@ fn recycling_never_steals_a_slot_from_admitted_requests() {
     // pipeline. Recycling goes through a private free-list instead, so
     // servers and a concurrent recycler hammering a one-slot engine must
     // never fail and every answer stays exact.
-    use essentials_algos::multi_source::MsBfsResult;
     use std::sync::mpsc;
 
     let graph = serving_graph();
@@ -264,6 +266,90 @@ fn rejected_requests_leave_the_engine_reusable() {
     for _ in 0..3 {
         let r = engine.bfs(0, RunBudget::unlimited()).expect("reusable");
         assert_eq!(r.level, want);
+    }
+    assert_eq!(engine.load(), (0, 0, 0));
+}
+
+#[test]
+fn split_grid_batches_fail_typed_mid_lane_and_the_slots_stay_exact() {
+    // A CSR-only grid: every 16-wide batch splits into single push
+    // traversals on its leased slot after four lock-step levels, so both a
+    // fault at iteration 6 and a cap of 6 iterations land inside a lane.
+    let graph = Arc::new(Graph::<()>::from_coo(&gen::grid2d(32, 32)));
+    let sources: Vec<VertexId> = (0..16).map(|i| i * 61 % 1024).collect();
+    let oracle: Vec<Vec<u32>> = sources
+        .iter()
+        .map(|&s| bfs_sequential(&graph, s).level)
+        .collect();
+    let panic_mid_lane = RequestFault::Panic {
+        iteration: 6,
+        chunk: 0,
+    };
+    let chaos = [1, 4, 9, 16]
+        .into_iter()
+        .fold(RequestFaultPlan::new(), |p, id| {
+            p.fault_at(id, panic_mid_lane)
+        });
+    let engine = Engine::new(
+        graph,
+        EngineConfig {
+            threads: 2,
+            permits: 3,
+            heavy_permits: 1,
+        },
+    )
+    .with_chaos(Arc::new(chaos));
+    let check = |r: &MsBfsResult, at: &str| {
+        for (s, want) in oracle.iter().enumerate() {
+            assert_eq!(&r.source_levels(s), want, "{at} lane {s}");
+        }
+    };
+    let panics = Mutex::new(0usize);
+    let start = Barrier::new(CLIENTS);
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let (engine, sources, check, panics, start) =
+                (&engine, &sources, &check, &panics, &start);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..ROUNDS {
+                    let capped = (c + round) % 2 == 1;
+                    let budget = if capped {
+                        RunBudget::unlimited().with_max_iterations(6)
+                    } else {
+                        RunBudget::unlimited()
+                    };
+                    // Request ids are taken in arrival order, so any request
+                    // may be one the chaos plan panics; a capped one stops
+                    // at the iteration-6 boundary before that chunk runs.
+                    match engine.bfs_batch(sources, budget) {
+                        Ok(r) if !capped => {
+                            check(&r, &format!("client {c} round {round}"));
+                            engine.recycle_batch(r);
+                        }
+                        Ok(_) => panic!("client {c} round {round}: the cap never fired"),
+                        Err(e) if capped => assert_eq!(e.kind(), "iteration-cap"),
+                        Err(e) => {
+                            assert_eq!(e.kind(), "worker-panic", "client {c} round {round}");
+                            *panics.lock().unwrap() += 1;
+                        }
+                    }
+                }
+            });
+        }
+    });
+    // Every panicked slot was quarantined; the engine still answers
+    // exactly, from every slot.
+    assert_eq!(
+        engine.health().quarantined_total as usize,
+        *panics.lock().unwrap()
+    );
+    for round in 0..4 {
+        let r = engine
+            .bfs_batch(&sources, RunBudget::unlimited())
+            .expect("batch served");
+        check(&r, &format!("rerun {round}"));
+        engine.recycle_batch(r);
     }
     assert_eq!(engine.load(), (0, 0, 0));
 }

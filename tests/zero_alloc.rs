@@ -21,7 +21,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use essentials::prelude::*;
-use essentials_algos::{hits, pagerank};
+use essentials_algos::{bfs, hits, multi_source, pagerank};
 use essentials_gen as gen;
 use essentials_mp::algorithms::mp_pagerank;
 use essentials_parallel::atomics::AtomicF32;
@@ -496,6 +496,41 @@ fn warm_serving_engine_requests_do_not_allocate() {
         allocs, 0,
         "warm serving-engine request hit the allocator {allocs} times"
     );
+}
+
+#[test]
+fn warm_split_grid_batches_allocate_less_than_the_single_runs_they_replace() {
+    // A grid's lanes share no frontier vertex, so the batch splits into
+    // one traversal per lane. Those lanes claim straight into the batch's
+    // pooled level table, so a warm batch allocates only what the
+    // traversals' traces need — fewer times than the same lanes as warm
+    // `try_bfs` runs, which each allocate a level vector besides.
+    let g = Graph::<()>::from_coo(&gen::grid2d(32, 32)).with_csc();
+    let n = g.num_vertices() as VertexId;
+    let sources: Vec<VertexId> = (0..16).map(|i| (i * 61) % n).collect();
+    let plan = DirectionPolicy::default();
+    for t in THREADS {
+        let ctx = Context::new(t);
+        let batch = || {
+            multi_source::bfs_multi_source(execution::par, &ctx, &g, &sources).recycle(&ctx);
+        };
+        let singles = || {
+            for &s in &sources {
+                bfs::try_bfs(execution::par, &ctx, &g, s, plan).expect("single run");
+            }
+        };
+        for _ in 0..3 {
+            batch();
+            singles();
+        }
+        let split = count_allocs(ctx.pool(), batch);
+        let single = count_allocs(ctx.pool(), singles);
+        assert!(
+            split < single,
+            "warm split batch at {t} threads allocated {split} times, {} single runs {single}",
+            sources.len()
+        );
+    }
 }
 
 #[test]
