@@ -5,10 +5,11 @@
 //!   engine ([`try_advance_adaptive`]) with a claim-by-CAS visit condition.
 //!   The plan ([`DirectionPolicy`]) picks push vs. pull and sparse vs.
 //!   bitmap frontiers: `DirectionPolicy::fixed(Direction::Push)` is the
-//!   Listing-3-style push traversal (CSR only), `fixed(Direction::Pull)`
-//!   pulls over the CSC every iteration, `fixed(Direction::DensePush)`
-//!   pushes into bitmap frontiers, and the default plan is Beamer's α/β
-//!   direction-optimizing switch (§III-C);
+//!   Listing-3-style push traversal, `fixed(Direction::Pull)` pulls over
+//!   the CSC every iteration, `fixed(Direction::DensePush)` pushes into
+//!   bitmap frontiers, and the default plan is Beamer's α/β
+//!   direction-optimizing switch (§III-C). A graph without a CSC pushes
+//!   whatever the plan;
 //! * [`bfs_sequential`] — the textbook queue baseline (oracle).
 //!
 //! The asynchronous cell of Table I is [`crate::sssp::sssp_async`]; the
@@ -54,8 +55,7 @@ fn unwrap_levels(levels: Vec<AtomicU32>) -> Vec<u32> {
 ///
 /// // 0 → 1 → 2, and 3 unreachable.
 /// let g = Graph::from_coo(&Coo::<()>::from_edges(4, [(0, 1, ()), (1, 2, ())]));
-/// let push = DirectionPolicy::fixed(Direction::Push);
-/// let r = bfs(execution::par, &Context::new(2), &g, 0, push);
+/// let r = bfs(execution::par, &Context::new(2), &g, 0, DirectionPolicy::default());
 /// assert_eq!(r.level, vec![0, 1, 2, UNVISITED]);
 /// ```
 pub fn bfs<P, W, G>(
@@ -76,9 +76,10 @@ where
 /// BSP BFS through the direction engine ([`try_advance_adaptive`]): each
 /// iteration `plan` picks the direction and frontier representation, and
 /// one visit condition — claim the destination's level by CAS, so each
-/// vertex is admitted once — serves push and pull alike. Pull plans need
-/// the in-adjacency (a [`Graph`] built `with_csc`, a [`CompressedGraph`],
-/// an mmapped view); the push plan runs on a CSR-only graph. Levels,
+/// vertex is admitted once — serves push and pull alike. Pulls read the
+/// in-adjacency (a [`Graph`] built `with_csc`, a [`CompressedGraph`] or
+/// mmapped view with its transpose); on a graph without one every plan
+/// pushes, and the direction trace says so. Levels,
 /// frontier trace and direction trace are bit-identical across
 /// representations and thread counts (`tests/differential.rs`,
 /// `tests/determinism.rs`).

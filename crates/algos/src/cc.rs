@@ -50,9 +50,9 @@ where
 /// component minimum. Requires a symmetric graph for the labels to mean
 /// *connected* (not merely reachable) components.
 ///
-/// The advance is [`try_advance_adaptive`]: `plan` picks push (CSR only) or
-/// pull (needs the CSC) per iteration. The initial frontier is every vertex,
-/// so the default plan opens dense and shifts to sparse push as labels
+/// The advance is [`try_advance_adaptive`]: `plan` picks push or pull (push
+/// on a graph without a CSC) per iteration. The initial frontier is every
+/// vertex, so the default plan opens dense and shifts to sparse push as labels
 /// settle; `fetch_min` is monotone, so every plan reaches the same labels,
 /// bit-for-bit on every representation (`tests/differential.rs`). Budget
 /// and fault hooks fire at iteration and chunk boundaries; on error the

@@ -41,7 +41,7 @@ pub fn color_greedy<P: ExecutionPolicy, W: EdgeValue>(
     let init: SparseFrontier = g.vertices().collect();
     let run = Enactor::for_ctx(ctx).try_run(init, |_, frontier| {
         // Speculate: smallest color not seen among neighbors.
-        foreach_active(policy, ctx, &frontier, |v| {
+        try_foreach_active(policy, ctx, &frontier, |v| {
             let mut taken: Vec<u32> = g
                 .out_neighbors(v)
                 .iter()
@@ -59,7 +59,7 @@ pub fn color_greedy<P: ExecutionPolicy, W: EdgeValue>(
                 }
             }
             color[v as usize].store(c, Ordering::Release);
-        });
+        })?;
         // Resolve: un-color the smaller endpoint of every conflict edge. The
         // condition never admits, so the expansion's output stays empty.
         let none = try_neighbors_expand(policy, ctx, g, &frontier, |src, dst, _e, _w| {

@@ -5,7 +5,7 @@
 
 use essentials_core::prelude::*;
 
-use crate::pagerank::{take_zeroed_f64, ResidualWatchdog};
+use crate::pagerank::{take_zeroed_f64, Gather, ResidualWatchdog};
 
 /// HITS scores.
 #[derive(Debug, Clone)]
@@ -20,8 +20,9 @@ pub struct HitsResult {
     /// iteration — the achieved residual, reported alongside partial
     /// (iteration-capped / browned-out) results. Zero for the empty graph.
     pub final_error: f64,
-    /// The gather that ran: [`Direction::Pull`] (the adjacency scans) or
-    /// [`Direction::BlockedPull`].
+    /// The authority gather that ran: [`Direction::Pull`] (the adjacency
+    /// scans), [`Direction::BlockedPull`] or [`Direction::Push`] (the
+    /// scatter).
     pub direction: Direction,
 }
 
@@ -65,9 +66,11 @@ where
 /// `fixed(BlockedPull)`, or a plan carrying a [`BlockedPullPolicy`], replays
 /// two [`BlockedGather`] layouts that sum in the scans' order — agreeing
 /// with them to the last few ulps, bit-identical across thread counts.
-/// HITS has no scatter kernel: a push plan runs the scans and reports
-/// [`Direction::Pull`]. The run budget and the power-iteration watchdog
-/// work as in [`try_pagerank`](crate::pagerank::try_pagerank).
+/// A push plan — every plan, on a graph without an in-stream — scatters
+/// the authority half along out-edges with atomic adds (tolerance-equal to
+/// the scans) and scans the hub half's out-edges. The run budget and the
+/// power-iteration watchdog work as in
+/// [`try_pagerank`](crate::pagerank::try_pagerank).
 pub fn try_hits<P, G>(
     policy: P,
     ctx: &Context,
@@ -79,10 +82,7 @@ where
     P: ExecutionPolicy,
     G: OutAdjacency + InAdjacency + Sync,
 {
-    let direction = match plan.full_frontier() {
-        Direction::BlockedPull => Direction::BlockedPull,
-        _ => Direction::Pull,
-    };
+    let direction = plan.full_frontier(g);
     let n = g.num_vertices();
     if n == 0 {
         return Ok(HitsResult {
@@ -96,16 +96,12 @@ where
     let init = (vec![1.0f64; n], vec![1.0f64; n]);
     let mut next_auth = take_zeroed_f64(ctx, n);
     let mut next_hub = take_zeroed_f64(ctx, n);
-    // The blocked layouts: auth'[v] sums hub over in-edges (u → v), so hub
-    // scatters along out-edges; hub'[u] sums auth' over out-edges (u → v),
-    // so auth' scatters along in-edges.
-    let mut layouts = (direction == Direction::BlockedPull).then(|| {
-        let bins = BlockedConfig::default();
-        (
-            BlockedGather::over_out_edges(policy, ctx, g, bins),
-            BlockedGather::over_in_edges(policy, ctx, g, bins),
-        )
-    });
+    // auth'[v] sums hub over in-edges (u → v): PageRank's gather. hub'[u]
+    // sums auth' over out-edges (u → v): an out-stream scan, or a blocked
+    // layout in which auth' scatters along in-edges.
+    let mut to_auth = Gather::new(policy, ctx, g, direction);
+    let mut to_hub = (direction == Direction::BlockedPull)
+        .then(|| BlockedGather::over_in_edges(policy, ctx, g, BlockedConfig::default()));
     let mut watchdog = ResidualWatchdog::new();
     let mut final_error = f64::INFINITY;
     let result = Enactor::for_ctx(ctx)
@@ -115,22 +111,11 @@ where
             // into pooled double-buffers that swap with the state.
             progress.report_work(n);
             let h = &*hub;
-            match &mut layouts {
-                Some((to_auth, _)) => {
-                    to_auth.gather(policy, ctx, |u| h[u], |_, acc| acc, &mut next_auth)
-                }
-                None => fill_indexed_into(policy, ctx, &mut next_auth, |v| {
-                    g.in_neighbors_from(v as VertexId, 0)
-                        .map(|u| h[u as usize])
-                        .sum()
-                }),
-            }
+            to_auth.run(policy, ctx, g, |u| h[u], |_, acc| acc, &mut next_auth)?;
             l2_normalize(&mut next_auth);
             let na = &next_auth;
-            match &mut layouts {
-                Some((_, to_hub)) => {
-                    to_hub.gather(policy, ctx, |v| na[v], |_, acc| acc, &mut next_hub)
-                }
+            match &mut to_hub {
+                Some(layout) => layout.gather(policy, ctx, |v| na[v], |_, acc| acc, &mut next_hub),
                 None => fill_indexed_into(policy, ctx, &mut next_hub, |u| {
                     g.out_neighbors_from(u as VertexId, 0)
                         .map(|v| na[v as usize])
@@ -150,9 +135,9 @@ where
             watchdog.check(iter, err)?;
             Ok(err < cfg.tolerance)
         });
-    if let Some((to_auth, to_hub)) = layouts {
-        to_auth.finish(ctx);
-        to_hub.finish(ctx);
+    to_auth.finish(ctx);
+    if let Some(layout) = to_hub {
+        layout.finish(ctx);
     }
     ctx.recycle_f64_buffer(next_auth);
     ctx.recycle_f64_buffer(next_hub);
@@ -215,14 +200,23 @@ mod tests {
     }
 
     #[test]
-    fn push_plans_run_the_scans() {
-        let g = Graph::from_coo(&gen::gnm(150, 800, 4)).with_csc();
+    fn push_plans_and_csr_only_graphs_scatter_the_authorities() {
+        let coo = gen::gnm(150, 800, 4);
+        let g = Graph::from_coo(&coo).with_csc();
         let (ctx, cfg) = (Context::new(2), HitsConfig::default());
         let scanned = hits(execution::par, &ctx, &g, cfg, scan());
-        for d in [Direction::Push, Direction::DensePush] {
-            let r = hits(execution::par, &ctx, &g, cfg, DirectionPolicy::fixed(d));
-            assert_eq!(r.direction, Direction::Pull, "{d:?}");
-            assert_eq!(r.hub, scanned.hub, "{d:?}");
+        let csr_only = Graph::from_coo(&coo);
+        for (g, plan) in [
+            (&g, DirectionPolicy::fixed(Direction::Push)),
+            (&g, DirectionPolicy::fixed(Direction::DensePush)),
+            (&csr_only, scan()),
+            (&csr_only, DirectionPolicy::fixed(Direction::BlockedPull)),
+        ] {
+            let r = hits(execution::par, &ctx, g, cfg, plan);
+            assert_eq!(r.direction, Direction::Push, "{plan:?}");
+            for (a, b) in r.hub.iter().zip(&scanned.hub) {
+                assert!((a - b).abs() < 1e-9, "{plan:?}: {a} vs {b}");
+            }
         }
     }
 

@@ -61,14 +61,14 @@ pub fn kcore_peel<P: ExecutionPolicy, W: EdgeValue>(
     let run = Enactor::for_ctx(ctx).try_run(init, |_, peel| {
         let threshold = k;
         // Mark the peeled vertices dead with core number k-1.
-        foreach_active(policy, ctx, &peel, |v| {
+        try_foreach_active(policy, ctx, &peel, |v| {
             if alive.remove(v) {
                 // Relaxed: each vertex is stored exactly once (the
                 // `alive.remove` claim), and the only reader is
                 // `into_inner` after the final region join below.
                 core[v as usize].store(threshold - 1, Ordering::Relaxed);
             }
-        });
+        })?;
         // Decrement neighbors; those dropping below k join the next peel.
         let out = try_neighbors_expand_unique(policy, ctx, g, &peel, |_src, dst, _e, _w| {
             if !alive.contains(dst) {

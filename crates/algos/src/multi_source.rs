@@ -135,8 +135,7 @@ pub fn bfs_multi_source<P: ExecutionPolicy, W: EdgeValue>(
 
 /// Batched BFS from up to [`MAX_BATCH`] sources: lock-step while the lanes
 /// share frontier vertices, otherwise one traversal per lane (module
-/// docs). Split lanes run the default plan when `g` has its CSC and the
-/// push plan otherwise.
+/// docs). Split lanes run the default plan.
 ///
 /// Fallible like the other `try_*` algorithms: the context's [`RunBudget`]
 /// is checked at iteration boundaries and (via chunk hooks) inside the
@@ -196,8 +195,8 @@ pub fn try_bfs_multi_source<P: ExecutionPolicy, W: EdgeValue>(
 }
 
 /// Restarts every lane from its source as a single traversal claiming into
-/// its slice of `levels`, adding the lanes' work to `run`. The default plan
-/// when `g` has its CSC, the push plan otherwise.
+/// its slice of `levels`, adding the lanes' work to `run`, on the default
+/// plan.
 fn try_split<P: ExecutionPolicy, W: EdgeValue>(
     policy: P,
     ctx: &Context,
@@ -206,10 +205,7 @@ fn try_split<P: ExecutionPolicy, W: EdgeValue>(
     levels: &mut [u32],
     mut run: Sweep,
 ) -> Result<Sweep, ExecError> {
-    let plan = match g.csc() {
-        Some(_) => DirectionPolicy::default(),
-        None => DirectionPolicy::fixed(Direction::Push),
-    };
+    let plan = DirectionPolicy::default();
     levels.fill(UNVISITED);
     for (lane, &src) in levels.chunks_mut(g.get_num_vertices()).zip(sources) {
         lane[src as usize] = 0;

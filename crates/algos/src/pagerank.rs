@@ -100,10 +100,12 @@ impl ResidualWatchdog {
 /// use essentials_core::prelude::*;
 /// use essentials_algos::pagerank::{pagerank, PrConfig};
 ///
-/// // A directed 3-cycle ranks every vertex 1/3; push needs no CSC.
+/// // A directed 3-cycle ranks every vertex 1/3; without a CSC the plan
+/// // scatters along out-edges.
 /// let g = Graph::from_coo(&Coo::<()>::from_edges(3, [(0, 1, ()), (1, 2, ()), (2, 0, ())]));
-/// let push = DirectionPolicy::fixed(Direction::Push);
-/// let r = pagerank(execution::par, &Context::new(2), &g, PrConfig::default(), push);
+/// let plan = DirectionPolicy::default();
+/// let r = pagerank(execution::par, &Context::new(2), &g, PrConfig::default(), plan);
+/// assert_eq!(r.direction, Direction::Push);
 /// assert!(r.rank.iter().all(|x| (x - 1.0 / 3.0).abs() < 1e-9));
 /// ```
 pub fn pagerank<P, G>(
@@ -131,7 +133,8 @@ where
 ///   scan's order, so it agrees with the scan to the last few ulps and is
 ///   bit-identical across thread counts;
 /// * `fixed(Push | DensePush)` scatters along out-edges with atomic f64
-///   adds, so ranks are tolerance-equal, not bit-equal.
+///   adds, so ranks are tolerance-equal, not bit-equal. Every plan
+///   scatters on a graph without an in-stream.
 ///
 /// The run budget is checked at iteration boundaries (and inside the
 /// scatter at chunk boundaries), and a convergence watchdog turns a
@@ -179,14 +182,86 @@ where
     pagerank(policy, ctx, g, cfg, DirectionPolicy::fixed(Direction::Push))
 }
 
-/// The gather of one run, chosen from its plan.
-enum Gather {
+/// The in-edge sum of one power-iteration run, `out[v] = finalize(v, Σ
+/// value(u) over u → v)`, as its direction computes it.
+pub(crate) enum Gather {
     /// Sum over each vertex's in-neighbor stream.
     Scan,
     /// The destination-binned layout, built from the out-adjacency.
     Blocked(BlockedGather),
     /// One accumulator per destination for the atomic out-edge scatter.
     Scatter(Vec<AtomicF64>),
+}
+
+impl Gather {
+    /// The gather for a [`DirectionPolicy::full_frontier`] direction.
+    pub(crate) fn new<P, G>(policy: P, ctx: &Context, g: &G, direction: Direction) -> Self
+    where
+        P: ExecutionPolicy,
+        G: OutAdjacency + Sync,
+    {
+        match direction {
+            Direction::Pull => Gather::Scan,
+            Direction::BlockedPull => {
+                let bins = BlockedConfig::default();
+                Gather::Blocked(BlockedGather::over_out_edges(policy, ctx, g, bins))
+            }
+            _ => Gather::Scatter((0..g.num_vertices()).map(|_| AtomicF64::new(0.0)).collect()),
+        }
+    }
+
+    /// One gather into `out`. The scan sums in ascending source order on
+    /// every representation, so the f64 sum associates identically; the
+    /// blocked layout keeps that order per destination; the scatter's
+    /// order is the schedule's.
+    pub(crate) fn run<P, G, V, Z>(
+        &mut self,
+        policy: P,
+        ctx: &Context,
+        g: &G,
+        value: V,
+        finalize: Z,
+        out: &mut [f64],
+    ) -> Result<(), ExecError>
+    where
+        P: ExecutionPolicy,
+        G: OutAdjacency + InAdjacency + Sync,
+        V: Fn(usize) -> f64 + Sync,
+        Z: Fn(usize, f64) -> f64 + Sync,
+    {
+        match self {
+            Gather::Scan => fill_indexed_into(policy, ctx, out, |v| {
+                let gathered: f64 = g
+                    .in_neighbors_from(v as VertexId, 0)
+                    .map(|u| value(u as usize))
+                    .sum();
+                finalize(v, gathered)
+            }),
+            Gather::Blocked(layout) => layout.gather(policy, ctx, value, finalize, out),
+            Gather::Scatter(acc) => {
+                try_foreach_vertex(policy, ctx, out.len(), |u| {
+                    let share = value(u as usize);
+                    for d in g.out_neighbors_from(u, 0) {
+                        acc[d as usize].fetch_add(share, Ordering::AcqRel);
+                    }
+                })?;
+                // Read and reset each accumulator for the next scatter.
+                fill_indexed_into(policy, ctx, out, |v| {
+                    let gathered = acc[v].load(Ordering::Acquire);
+                    acc[v].store(0.0, Ordering::Relaxed);
+                    finalize(v, gathered)
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Returns a blocked layout's buffers to the context.
+    pub(crate) fn finish(self, ctx: &Context) {
+        if let Gather::Blocked(layout) = self {
+            layout.finish(ctx);
+        }
+    }
 }
 
 /// The one power-iteration body, from `rank`. `teleport(dangling)` gives
@@ -208,10 +283,7 @@ where
     T: Fn(f64) -> Z,
     Z: Fn(usize, f64) -> f64 + Sync,
 {
-    let direction = match plan.full_frontier() {
-        Direction::DensePush => Direction::Push,
-        d => d,
-    };
+    let direction = plan.full_frontier(g);
     let n = g.num_vertices();
     if n == 0 {
         return Ok(PageRankResult {
@@ -221,20 +293,10 @@ where
             direction,
         });
     }
-    let mut gather = match direction {
-        Direction::Pull => Gather::Scan,
-        Direction::BlockedPull => {
-            let bins = BlockedConfig::default();
-            Gather::Blocked(BlockedGather::over_out_edges(policy, ctx, g, bins))
-        }
-        _ => Gather::Scatter((0..n).map(|_| AtomicF64::new(0.0)).collect()),
-    };
-    // The gathers read `rank[u] / outdeg(u)` per edge, so they take the
-    // reciprocals once; the scatter divides once per source instead.
-    let inv_deg = match gather {
-        Gather::Scatter(_) => Vec::new(),
-        _ => take_inv_out_degrees(policy, ctx, g),
-    };
+    let mut gather = Gather::new(policy, ctx, g, direction);
+    // Each source contributes `rank[u] / outdeg(u)`, so the reciprocals are
+    // taken once per run.
+    let inv_deg = take_inv_out_degrees(policy, ctx, g);
     let mut next = take_zeroed_f64(ctx, n);
     let mut final_error = f64::INFINITY;
     let mut watchdog = ResidualWatchdog::new();
@@ -246,47 +308,14 @@ where
             progress.report_work(n);
             let finalize = teleport(sum_dangling(policy, ctx, g, r));
             let (r_now, inv) = (&*r, &inv_deg);
-            match &mut gather {
-                Gather::Scan => fill_indexed_into(policy, ctx, &mut next, |v| {
-                    // Ascending source order on every representation, so the
-                    // f64 sum associates identically.
-                    let gathered: f64 = g
-                        .in_neighbors_from(v as VertexId, 0)
-                        .map(|u| r_now[u as usize] * inv[u as usize])
-                        .sum();
-                    finalize(v, gathered)
-                }),
-                Gather::Blocked(layout) => {
-                    layout.gather(policy, ctx, |u| r_now[u] * inv[u], finalize, &mut next)
-                }
-                Gather::Scatter(acc) => {
-                    try_foreach_vertex(policy, ctx, n, |u| {
-                        let deg = g.out_degree(u);
-                        if deg == 0 {
-                            return;
-                        }
-                        let share = r_now[u as usize] / deg as f64;
-                        for d in g.out_neighbors_from(u, 0) {
-                            acc[d as usize].fetch_add(share, Ordering::AcqRel);
-                        }
-                    })?;
-                    // Read and reset each accumulator for the next scatter.
-                    fill_indexed_into(policy, ctx, &mut next, |v| {
-                        let gathered = acc[v].load(Ordering::Acquire);
-                        acc[v].store(0.0, Ordering::Relaxed);
-                        finalize(v, gathered)
-                    });
-                }
-            }
+            gather.run(policy, ctx, g, |u| r_now[u] * inv[u], finalize, &mut next)?;
             let err: f64 = l1_diff(policy, ctx, r, &next);
             std::mem::swap(r, &mut next);
             final_error = err;
             watchdog.check(iter, err)?;
             Ok(err < cfg.tolerance)
         });
-    if let Gather::Blocked(layout) = gather {
-        layout.finish(ctx);
-    }
+    gather.finish(ctx);
     ctx.recycle_f64_buffer(next);
     ctx.recycle_f64_buffer(inv_deg);
     let (rank, stats) = result?;
@@ -444,8 +473,9 @@ mod tests {
     use essentials_gen as gen;
 
     #[test]
-    fn push_and_blocked_plans_run_without_the_in_adjacency() {
-        // No `with_csc`: the scatter and the blocked layout read out-edges only.
+    fn every_plan_scatters_without_the_in_adjacency() {
+        // No `with_csc`: every plan falls back to the scatter, which reads
+        // out-edges only.
         let coo = gen::gnm(200, 1500, 7);
         let (g, with_csc) = (Graph::from_coo(&coo), Graph::from_coo(&coo).with_csc());
         let (ctx, cfg) = (Context::new(2), PrConfig::default());
@@ -454,14 +484,16 @@ mod tests {
             blocked: Some(BlockedPullPolicy::default()),
             ..DirectionPolicy::default()
         };
-        for (plan, ran) in [
-            (fixed(Direction::Push), Direction::Push),
-            (fixed(Direction::DensePush), Direction::Push),
-            (fixed(Direction::BlockedPull), Direction::BlockedPull),
-            (upgrading, Direction::BlockedPull),
+        for plan in [
+            fixed(Direction::Push),
+            fixed(Direction::DensePush),
+            fixed(Direction::Pull),
+            fixed(Direction::BlockedPull),
+            upgrading,
+            DirectionPolicy::default(),
         ] {
             let r = pagerank(execution::par, &ctx, &g, cfg, plan);
-            assert_eq!(r.direction, ran, "{plan:?}");
+            assert_eq!(r.direction, Direction::Push, "{plan:?}");
             assert!(verify_pagerank(&with_csc, &r.rank, 0.85, 1e-7), "{plan:?}");
         }
     }

@@ -91,9 +91,9 @@ where
 /// Parallel SSSP structured as Listing 4 — initialize distances → seed the
 /// frontier → advance with the atomic-min relaxation until the frontier is
 /// empty — with the advance run by [`try_advance_adaptive`]: `plan` picks
-/// push (CSR only; duplicate activations are dropped as they are pushed)
-/// or pull (needs the CSC) per iteration. Relaxation is monotone, so every
-/// plan reaches the same least fixpoint, bit-for-bit on every
+/// push (duplicate activations are dropped as they are pushed) or pull
+/// (push on a graph without a CSC) per iteration. Relaxation is monotone,
+/// so every plan reaches the same least fixpoint, bit-for-bit on every
 /// representation (`tests/differential.rs`). Budget and fault hooks fire at
 /// iteration and chunk boundaries, a worker panic becomes
 /// [`ExecError::WorkerPanic`], and the context stays reusable after any

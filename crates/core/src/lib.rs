@@ -56,7 +56,7 @@ pub mod prelude {
         neighbors_expand as neighbors_expand_compressed,
     };
     pub use crate::operators::compute::{
-        fill_indexed, fill_indexed_into, foreach_active, foreach_vertex, try_foreach_vertex,
+        fill_indexed, fill_indexed_into, foreach_vertex, try_foreach_active, try_foreach_vertex,
     };
     pub use crate::operators::direction::{
         try_advance_adaptive, AdaptiveAdvance, AdaptiveConfig, BlockedPullPolicy, Direction,

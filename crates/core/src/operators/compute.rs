@@ -53,23 +53,23 @@ where
 
 /// Applies `f` to every active vertex of a sparse frontier (duplicates
 /// included — vertex programs over frontiers must be idempotent or the
-/// frontier uniquified first).
-pub fn foreach_active<P, F>(_policy: P, ctx: &Context, frontier: &SparseFrontier, f: F)
+/// frontier uniquified first), with [`try_foreach_vertex`]'s chunk hooks and
+/// error contract.
+pub fn try_foreach_active<P, F>(
+    _policy: P,
+    ctx: &Context,
+    frontier: &SparseFrontier,
+    f: F,
+) -> Result<(), ExecError>
 where
     P: ExecutionPolicy,
     F: Fn(VertexId) + Sync,
 {
-    if !P::IS_PARALLEL || ctx.num_threads() == 1 {
-        for v in frontier.iter() {
-            f(v);
-        }
-    } else {
-        ctx.pool()
-            .parallel_for(0..frontier.len(), Schedule::Dynamic(256), |i| {
-                f(frontier.get_active_vertex(i))
-            });
-    }
+    try_for_with::<P, _>(ctx, 0..frontier.len(), Schedule::Dynamic(256), |_, i| {
+        f(frontier.get_active_vertex(i))
+    })?;
     emit(ctx, OpKind::ForeachActive, P::NAME, frontier.len());
+    Ok(())
 }
 
 /// Builds a `Vec<T>` of length `n` where slot `i` holds `f(i)`, computed in
@@ -177,8 +177,10 @@ mod tests {
         let ctx = Context::new(2);
         let f = SparseFrontier::from_vec(vec![1, 1, 2]);
         let count = Counter::new();
-        foreach_active(execution::seq, &ctx, &f, |_| count.add(1));
+        try_foreach_active(execution::seq, &ctx, &f, |_| count.add(1)).unwrap();
         assert_eq!(count.get(), 3);
+        try_foreach_active(execution::par, &ctx, &f, |_| count.add(1)).unwrap();
+        assert_eq!(count.get(), 6);
     }
 
     #[test]

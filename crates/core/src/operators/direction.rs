@@ -25,9 +25,16 @@
 //! [`try_expand_pull_masked`], so late pull scans skip all-zero words and
 //! settled destinations instead of probing the candidate predicate for all
 //! `n` vertices.
+//!
+//! A graph without an in-stream ([`InAdjacency::has_in_edges`] is false: a
+//! [`Graph`](essentials_graph::Graph) built without `with_csc`, a compressed
+//! container written without its transpose) cannot pull. The engine asks
+//! once per run — in [`AdaptiveAdvance::new`] and
+//! [`DirectionPolicy::full_frontier`] — and every pull-family choice of any
+//! plan then runs as push, recorded as such in the direction trace.
 
 use essentials_frontier::{convert, DenseFrontier, Frontier, SparseFrontier, VertexFrontier};
-use essentials_graph::{EdgeValue, GraphBase, InWeights, OutWeights, VertexId};
+use essentials_graph::{EdgeValue, InAdjacency, InWeights, OutWeights, VertexId};
 use essentials_obs::DirectionEvent;
 use essentials_parallel::{ExecError, ExecutionPolicy};
 
@@ -85,18 +92,27 @@ pub struct PolicyInputs {
     pub current: Direction,
 }
 
+/// Push→pull when `growing && frontier_edges > unexplored_edges / ALPHA`.
+const ALPHA: usize = 14;
+/// Pull→push when `frontier_len < n / BETA`.
+const BETA: usize = 24;
+/// Dense push (bitmap output) when `frontier_len >= n / GAMMA`.
+const GAMMA: usize = 4;
+
 /// The Beamer α/β direction heuristic, hoisted out of BFS into a reusable
-/// policy any frontier-driven algorithm consults per iteration.
+/// policy any frontier-driven algorithm consults per iteration. α = 14,
+/// β = 24 and γ = 4 are constants (Beamer et al.'s tuning); a plan chooses
+/// only the blocked-pull upgrade and whether to fix one direction.
 ///
 /// * **α rule** (while pushing): switch to pull when the frontier is still
-///   growing and its out-edge mass exceeds `unexplored_edges / alpha` — the
+///   growing and its out-edge mass exceeds `unexplored_edges / α` — the
 ///   scatter is about to touch a large fraction of what remains, so
 ///   gathering over candidates is cheaper.
 /// * **β rule** (while pulling): fall back to push when the frontier drops
-///   below `n / beta` — the candidate scan no longer pays for itself on the
+///   below `n / β` — the candidate scan no longer pays for itself on the
 ///   shrinking tail.
 /// * **γ rule** (representation, inside the push family): emit a dense
-///   bitmap output when the frontier holds at least `n / gamma` vertices, so
+///   bitmap output when the frontier holds at least `n / γ` vertices, so
 ///   large push iterations get idempotent insertion instead of a dedup pass.
 ///
 /// The asymmetry of α and β is itself hysteresis: the pull-entry and
@@ -104,15 +120,10 @@ pub struct PolicyInputs {
 /// flip back at the next iteration.
 ///
 /// A policy with `fixed` set skips every rule and runs that direction each
-/// iteration ([`DirectionPolicy::fixed`]).
-#[derive(Debug, Clone, Copy)]
+/// iteration ([`DirectionPolicy::fixed`]). On a graph without an in-stream
+/// any pull-family choice runs as the push family instead (module docs).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DirectionPolicy {
-    /// Push→pull when `growing && frontier_edges > unexplored_edges / alpha`.
-    pub alpha: usize,
-    /// Pull→push when `frontier_len < n / beta`.
-    pub beta: usize,
-    /// Dense-push (bitmap output) when `frontier_len >= n / gamma`.
-    pub gamma: usize,
     /// Cost model for upgrading pull iterations to the propagation-blocked
     /// kernel. `None` (the default) never blocks, preserving the historic
     /// three-direction behavior.
@@ -146,23 +157,12 @@ impl Default for BlockedPullPolicy {
     }
 }
 
-impl Default for DirectionPolicy {
-    fn default() -> Self {
-        DirectionPolicy {
-            alpha: 14,
-            beta: 24,
-            gamma: 4,
-            blocked: None,
-            fixed: None,
-        }
-    }
-}
-
 impl DirectionPolicy {
     /// The plan that runs every iteration in direction `d`: fixed push
-    /// (CSR only — the pull side is never touched), fixed dense push, or
-    /// fixed pull. A fixed [`Direction::BlockedPull`] degrades to plain pull
-    /// outside settle mode, exactly as the adaptive upgrade does.
+    /// (the pull side is never touched), fixed dense push, or fixed pull
+    /// (push on a graph without an in-stream). A fixed
+    /// [`Direction::BlockedPull`] degrades to plain pull outside settle
+    /// mode, exactly as the adaptive upgrade does.
     /// For a full-frontier gather ([`Self::full_frontier`]: PageRank, HITS)
     /// `Push` / `DensePush` mean an atomic scatter along out-edges, `Pull`
     /// the in-adjacency scan, and `BlockedPull` a
@@ -175,12 +175,17 @@ impl DirectionPolicy {
         }
     }
 
-    /// The direction of a full-frontier gather, chosen once per run: a fixed
-    /// plan's direction, else what [`Self::decide`] picks for a frontier of
-    /// every vertex — pull, or blocked pull under a [`BlockedPullPolicy`].
-    pub fn full_frontier(&self) -> Direction {
+    /// The direction of a full-frontier gather over `g`, chosen once per
+    /// run: [`Direction::Push`] — the scatter, a full frontier's one push
+    /// kernel — for a push-family plan or a graph without an in-stream,
+    /// else a fixed plan's pull direction or what [`Self::decide`] picks
+    /// for a frontier of every vertex: pull, or blocked pull under a
+    /// [`BlockedPullPolicy`].
+    pub fn full_frontier<G: InAdjacency>(&self, g: &G) -> Direction {
         match self.fixed {
-            Some(d) => d,
+            _ if !g.has_in_edges() => Direction::Push,
+            Some(d) if d.is_pull() => d,
+            Some(_) => Direction::Push,
             None if self.blocked.is_some() => Direction::BlockedPull,
             None => Direction::Pull,
         }
@@ -194,11 +199,11 @@ impl DirectionPolicy {
         let pull = if s.current.is_pull() {
             // β rule: keep pulling while the frontier covers enough of the
             // universe for the candidate scan to amortize.
-            s.frontier_len >= s.n / self.beta.max(1)
+            s.frontier_len >= s.n / BETA
         } else {
             // α rule: only a still-growing frontier justifies the flip —
             // the shrinking tail on high-diameter graphs stays push.
-            s.growing && s.frontier_edges > s.unexplored_edges / self.alpha.max(1)
+            s.growing && s.frontier_edges > s.unexplored_edges / ALPHA
         };
         if pull {
             if let Some(bp) = self.blocked {
@@ -209,11 +214,19 @@ impl DirectionPolicy {
                 }
             }
             Direction::Pull
-        } else if s.n > 0 && s.frontier_len.saturating_mul(self.gamma.max(1)) >= s.n {
-            Direction::DensePush
         } else {
-            Direction::Push
+            push_family(s.frontier_len, s.n)
         }
+    }
+}
+
+/// The γ rule: dense push for a frontier of at least `n / GAMMA` vertices,
+/// sparse push below.
+fn push_family(frontier_len: usize, n: usize) -> Direction {
+    if n > 0 && frontier_len.saturating_mul(GAMMA) >= n {
+        Direction::DensePush
+    } else {
+        Direction::Push
     }
 }
 
@@ -233,11 +246,13 @@ pub struct AdaptiveConfig {
     pub settle: bool,
 }
 
-/// Cross-iteration state of one adaptive traversal: the policy inputs that
-/// persist between iterations (unexplored-edge mass, previous length,
-/// current direction), the optional unvisited mask, and the decision trace.
+/// Cross-iteration state of one adaptive traversal: whether the graph can
+/// pull, the policy inputs that persist between iterations (unexplored-edge
+/// mass, previous length, current direction), the optional unvisited mask,
+/// and the decision trace.
 pub struct AdaptiveAdvance {
     cfg: AdaptiveConfig,
+    can_pull: bool,
     n: usize,
     unexplored_edges: usize,
     prev_len: usize,
@@ -251,10 +266,13 @@ pub struct AdaptiveAdvance {
 }
 
 impl AdaptiveAdvance {
-    /// Fresh engine state for a traversal of `g`.
-    pub fn new<G: GraphBase>(g: &G, cfg: AdaptiveConfig) -> Self {
+    /// Fresh engine state for a traversal of `g`. Whether `g` has an
+    /// in-stream is read here, once: without one, every iteration the plan
+    /// would pull runs as the push family the γ rule picks.
+    pub fn new<G: InAdjacency>(g: &G, cfg: AdaptiveConfig) -> Self {
         AdaptiveAdvance {
             cfg,
+            can_pull: g.has_in_edges(),
             n: g.num_vertices(),
             unexplored_edges: g.num_edges(),
             prev_len: 0,
@@ -374,10 +392,13 @@ where
         growing,
         current: engine.current,
     });
-    // The blocked kernel flushes against a candidate *bitmap*; without
-    // settle mode there is none (candidacy is a predicate), so the upgrade
-    // quietly degrades to the plain CSC pull.
-    if dir == Direction::BlockedPull && !engine.cfg.settle {
+    // Without an in-stream a pull runs as the push family. The blocked
+    // kernel flushes against a candidate *bitmap*; without settle mode
+    // there is none (candidacy is a predicate), so the upgrade quietly
+    // degrades to the plain CSC pull.
+    if dir.is_pull() && !engine.can_pull {
+        dir = push_family(len, n);
+    } else if dir == Direction::BlockedPull && !engine.cfg.settle {
         dir = Direction::Pull;
     }
     engine.current = dir;
@@ -555,11 +576,31 @@ mod tests {
     }
 
     #[test]
+    fn full_frontier_pushes_without_an_in_stream() {
+        use essentials_graph::{Coo, Graph};
+        let coo = Coo::<()>::from_edges(2, [(0, 1, ())]);
+        let (csr_only, both) = (Graph::from_coo(&coo), Graph::from_coo(&coo).with_csc());
+        let upgrading = DirectionPolicy {
+            blocked: Some(BlockedPullPolicy::default()),
+            fixed: None,
+        };
+        for (p, with_in) in [
+            (DirectionPolicy::default(), Direction::Pull),
+            (upgrading, Direction::BlockedPull),
+            (DirectionPolicy::fixed(Direction::Pull), Direction::Pull),
+            (
+                DirectionPolicy::fixed(Direction::DensePush),
+                Direction::Push,
+            ),
+        ] {
+            assert_eq!(p.full_frontier(&both), with_in);
+            assert_eq!(p.full_frontier(&csr_only), Direction::Push);
+        }
+    }
+
+    #[test]
     fn degenerate_parameters_do_not_divide_by_zero() {
         let p = DirectionPolicy {
-            alpha: 0,
-            beta: 0,
-            gamma: 0,
             blocked: Some(BlockedPullPolicy { alpha: 0, beta: 0 }),
             fixed: None,
         };

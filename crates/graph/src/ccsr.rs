@@ -664,6 +664,9 @@ impl<W: EdgeValue> OutAdjacency for CompressedGraph<W> {
 
 impl<W: EdgeValue> InAdjacency for CompressedGraph<W> {
     type InIter<'a> = NeighborDecoder<'a>;
+    fn has_in_edges(&self) -> bool {
+        self.in_.is_some()
+    }
     #[inline]
     fn in_degree(&self, v: VertexId) -> usize {
         self.require_in().out_degree(v)
@@ -764,6 +767,9 @@ impl<W: EdgeValue> InAdjacency for CompressedGraphView<'_, W> {
         = NeighborDecoder<'a>
     where
         Self: 'a;
+    fn has_in_edges(&self) -> bool {
+        self.in_.is_some()
+    }
     #[inline]
     fn in_degree(&self, v: VertexId) -> usize {
         self.require_in().out_degree(v)

@@ -163,6 +163,9 @@ impl<W: EdgeValue> OutAdjacency for Graph<W> {
 
 impl<W: EdgeValue> InAdjacency for Graph<W> {
     type InIter<'a> = Copied<slice::Iter<'a, VertexId>>;
+    fn has_in_edges(&self) -> bool {
+        self.csc.is_some()
+    }
     #[inline]
     fn in_degree(&self, v: VertexId) -> usize {
         self.require_csc().degree(v)
@@ -252,8 +255,9 @@ mod tests {
     #[test]
     fn csc_is_lazy_and_idempotent() {
         let g = triangle();
-        assert!(g.csc().is_none());
+        assert!(g.csc().is_none() && !g.has_in_edges());
         let g = g.with_csc().with_csc();
+        assert!(g.has_in_edges());
         assert_eq!(g.in_neighbors(0), &[2]);
         assert_eq!(g.in_neighbor_weights(0), &[3.0]);
     }

@@ -68,6 +68,10 @@ pub trait InAdjacency: GraphBase {
     type InIter<'a>: Iterator<Item = VertexId>
     where
         Self: 'a;
+    /// Whether the in-stream exists. A representation built without its
+    /// transpose answers `false`, and the other methods then panic; the
+    /// direction engine asks this once per run and pushes instead.
+    fn has_in_edges(&self) -> bool;
     /// In-degree of `v`.
     fn in_degree(&self, v: VertexId) -> usize;
     /// Edge-id range of `v`'s in-edges (transpose CSR order).

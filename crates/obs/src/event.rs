@@ -28,7 +28,7 @@ pub enum OpKind {
     Uniquify,
     /// `foreach_vertex` — vertex program over `0..n`.
     ForeachVertex,
-    /// `foreach_active` — vertex program over a frontier.
+    /// `try_foreach_active` — vertex program over a frontier.
     ForeachActive,
     /// `fill_indexed` — parallel property-array construction.
     FillIndexed,

@@ -23,6 +23,12 @@
 //! immediately reusable — the resilience contract of the `try_*`
 //! algorithms lifted to the serving layer.
 //!
+//! BFS, PageRank and HITS requests run on the default [`DirectionPolicy`]:
+//! on a graph built `with_csc` the direction engine pulls where the α/β
+//! rule says it pays, and on a graph without one it pushes throughout
+//! (DESIGN.md §7), so the same engine serves either graph. A lock-step
+//! batch pushes; its split lanes run the default plan (DESIGN.md §13).
+//!
 //! ## Overload resilience (DESIGN.md §16)
 //!
 //! Three mechanisms keep the engine useful *under* stress, not just after
@@ -345,12 +351,13 @@ impl<W: EdgeValue> Engine<W> {
         }
     }
 
-    /// Single-source BFS (light class), on the push plan: it needs only the
-    /// CSR, so a graph built without `with_csc` is served too.
+    /// Single-source BFS (light class) on the default plan: it pulls
+    /// where the α/β rule says so when the graph was built `with_csc`, and
+    /// pushes throughout when it was not.
     pub fn bfs(&self, source: VertexId, budget: RunBudget) -> Result<BfsResult, ServeError> {
-        let push = DirectionPolicy::fixed(Direction::Push);
         self.serve(Class::Light, "bfs", budget, |ctx| {
-            try_bfs(execution::par, ctx, &*self.graph, source, push)
+            let plan = DirectionPolicy::default();
+            try_bfs(execution::par, ctx, &*self.graph, source, plan)
         })
     }
 
@@ -376,23 +383,23 @@ impl<W: EdgeValue> Engine<W> {
         })
     }
 
-    /// PageRank on the push plan (heavy class; works on CSR-only graphs).
-    /// Never degrades: an infeasible deadline sheds instead — use
-    /// [`Engine::pagerank_degradable`] to opt into brownout.
+    /// PageRank (heavy class) on the default plan: the pull scan with a
+    /// CSC, the atomic scatter without. Never degrades: an infeasible
+    /// deadline sheds instead — use [`Engine::pagerank_degradable`] to opt
+    /// into brownout.
     pub fn pagerank(&self, cfg: PrConfig, budget: RunBudget) -> Result<PageRankResult, ServeError> {
-        let push = DirectionPolicy::fixed(Direction::Push);
         self.serve(Class::Heavy, "pagerank", budget, |ctx| {
-            try_pagerank(execution::par, ctx, &*self.graph, cfg, push)
+            let plan = DirectionPolicy::default();
+            try_pagerank(execution::par, ctx, &*self.graph, cfg, plan)
         })
     }
 
-    /// HITS hub/authority scores (heavy class; the graph must have been
-    /// built `with_csc`). Never degrades; see
-    /// [`Engine::hits_degradable`].
+    /// HITS hub/authority scores (heavy class) on the default plan, like
+    /// [`Engine::pagerank`]. Never degrades; see [`Engine::hits_degradable`].
     pub fn hits(&self, cfg: HitsConfig, budget: RunBudget) -> Result<HitsResult, ServeError> {
-        let scan = DirectionPolicy::default();
         self.serve(Class::Heavy, "hits", budget, |ctx| {
-            try_hits(execution::par, ctx, &*self.graph, cfg, scan)
+            let plan = DirectionPolicy::default();
+            try_hits(execution::par, ctx, &*self.graph, cfg, plan)
         })
     }
 
@@ -418,8 +425,8 @@ impl<W: EdgeValue> Engine<W> {
                 if let Some(b) = degrade {
                     cfg.max_iterations = cfg.max_iterations.min(b.max_iterations).max(1);
                 }
-                let push = DirectionPolicy::fixed(Direction::Push);
-                let r = try_pagerank(execution::par, ctx, &*self.graph, cfg, push)?;
+                let plan = DirectionPolicy::default();
+                let r = try_pagerank(execution::par, ctx, &*self.graph, cfg, plan)?;
                 let outcome = match degrade {
                     Some(_) if r.final_error > cfg.tolerance => Outcome::Degraded {
                         iterations: r.stats.iterations,
@@ -432,8 +439,7 @@ impl<W: EdgeValue> Engine<W> {
         )
     }
 
-    /// HITS that opts into brownout (see [`Engine::pagerank_degradable`];
-    /// the graph must have been built `with_csc`).
+    /// HITS that opts into brownout (see [`Engine::pagerank_degradable`]).
     pub fn hits_degradable(
         &self,
         cfg: HitsConfig,
@@ -450,8 +456,8 @@ impl<W: EdgeValue> Engine<W> {
                 if let Some(b) = degrade {
                     cfg.max_iterations = cfg.max_iterations.min(b.max_iterations).max(1);
                 }
-                let scan = DirectionPolicy::default();
-                let r = try_hits(execution::par, ctx, &*self.graph, cfg, scan)?;
+                let plan = DirectionPolicy::default();
+                let r = try_hits(execution::par, ctx, &*self.graph, cfg, plan)?;
                 let outcome = match degrade {
                     Some(_) if r.final_error > cfg.tolerance => Outcome::Degraded {
                         iterations: r.stats.iterations,

@@ -65,8 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Analyze the reloaded graph --------------------------------------
     let g = Graph::from_csr(from_bin).with_csc();
     let ctx = Context::default();
-    let push = DirectionPolicy::fixed(Direction::Push);
-    let comps = cc::cc_label_propagation(execution::par, &ctx, &g, push);
+    let comps = cc::cc_label_propagation(execution::par, &ctx, &g, DirectionPolicy::default());
     let pr = pagerank::pagerank_pull(execution::par, &ctx, &g, pagerank::PrConfig::default());
     assert!(pagerank::verify_pagerank(&g, &pr.rank, 0.85, 1e-7));
     println!(

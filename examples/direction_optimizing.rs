@@ -5,9 +5,9 @@
 //! and a mesh, printing the per-iteration frontier trace and the direction
 //! the adaptive plan chose. The RMAT run shows the classic pattern: push
 //! through the sparse early frontiers, pull through the dense middle, push
-//! again on the tail. A second RMAT pass with a deliberately eager policy
-//! (`alpha` 1, `gamma` high) shows the knobs changing the decision — the
-//! heuristic is data the algorithm consults, not code baked into BFS.
+//! again on the tail. A second RMAT pass on the same graph without its CSC
+//! shows the engine's fallback: no plan can pull there, so each iteration a
+//! plan would pull runs as push, dense where the frontier is fat.
 //!
 //! Run: `cargo run --release --example direction_optimizing`
 
@@ -64,18 +64,14 @@ fn main() {
         .build();
     trace("RMAT-13 (social)", &rmat, &ctx);
 
-    // Same graph, a policy that refuses pull (alpha 1: a frontier's edge
-    // mass never exceeds the unexplored pool it is part of) but goes to the
-    // bitmap representation early (gamma 64): all push, dense where fat.
-    let eager = DirectionPolicy {
-        alpha: 1,
-        gamma: 64,
-        ..DirectionPolicy::default()
-    };
-    let r = bfs(execution::par, &ctx, &rmat, 0, eager);
-    println!("\n--- same graph, pull disabled (alpha = 1) ---");
-    println!("edges inspected: {}", r.edges_inspected);
-    print_trace(&r, rmat.get_num_vertices());
+    // Same graph without its CSC: no plan can pull there, so the engine runs
+    // the push family wherever a plan would pull — all push, dense where fat.
+    let csr_only = Graph::from_csr(rmat.csr().clone());
+    trace(
+        "RMAT-13 without its CSC (pull falls back to push)",
+        &csr_only,
+        &ctx,
+    );
 
     // Mesh: frontiers never densify → stays sparse push throughout.
     let grid = GraphBuilder::from_coo(gen::grid2d(96, 96))

@@ -24,8 +24,8 @@ fn main() {
     println!("mesh: {n} vertices, {} edges", g.get_num_edges());
 
     let ctx = Context::default();
-    let push = DirectionPolicy::fixed(Direction::Push);
-    let oracle = essentials_algos::bfs::bfs(execution::par, &ctx, &g, 0, push);
+    let plan = DirectionPolicy::default();
+    let oracle = essentials_algos::bfs::bfs(execution::par, &ctx, &g, 0, plan);
 
     println!(
         "\n{:<14} {:>6} {:>10} {:>12} {:>12}",
@@ -59,7 +59,7 @@ fn main() {
     let p = multilevel_partition(&g, MultilevelConfig::new(4));
     let pg = PartitionedGraph::build(&g, &p);
     let (dist, stats) = mp_sssp(&ctx, &pg, 0);
-    let shared = essentials_algos::sssp::sssp(execution::par, &ctx, &g, 0, push);
+    let shared = essentials_algos::sssp::sssp(execution::par, &ctx, &g, 0, plan);
     let agree = dist
         .iter()
         .zip(&shared.dist)

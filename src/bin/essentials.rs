@@ -10,7 +10,9 @@
 //!
 //! Formats are chosen by extension: `.mtx` (MatrixMarket), `.txt`/`.el`
 //! (edge list), `.esnt` (binary snapshot). Argument parsing is deliberately
-//! dependency-free.
+//! dependency-free. `bfs`, `sssp --mode bsp` and `cc` load a CSR only and run
+//! the default plan, which pushes throughout on such a graph; `pagerank`
+//! builds the CSC and pulls.
 
 use std::io::BufReader;
 use std::process::ExitCode;
@@ -190,9 +192,7 @@ fn run_bfs(args: &[String]) -> Result<(), String> {
     let g = Graph::from_coo(&load(args.first().ok_or("bfs: missing file")?)?);
     let ctx = Context::default();
     let source = source_of(args)?;
-    // The push plan: the file is loaded as a CSR only.
-    let push = DirectionPolicy::fixed(Direction::Push);
-    let r = bfs::bfs(execution::par, &ctx, &g, source, push);
+    let r = bfs::bfs(execution::par, &ctx, &g, source, DirectionPolicy::default());
     let reached = r.level.iter().filter(|&&l| l != bfs::UNVISITED).count();
     let depth = r
         .level
@@ -214,9 +214,8 @@ fn run_sssp(args: &[String]) -> Result<(), String> {
     let ctx = Context::default();
     let source = source_of(args)?;
     let mode = flag(args, "--mode").unwrap_or("bsp");
-    let push = DirectionPolicy::fixed(Direction::Push);
     let r = match mode {
-        "bsp" => sssp::sssp(execution::par, &ctx, &g, source, push),
+        "bsp" => sssp::sssp(execution::par, &ctx, &g, source, DirectionPolicy::default()),
         "async" => sssp::sssp_async(&ctx, &g, source),
         "delta" => sssp::delta_stepping(execution::par, &ctx, &g, source, 2.0),
         other => return Err(format!("unknown sssp mode '{other}'")),
@@ -262,8 +261,7 @@ fn run_cc(args: &[String]) -> Result<(), String> {
         .deduplicate()
         .build();
     let ctx = Context::default();
-    let push = DirectionPolicy::fixed(Direction::Push);
-    let r = cc::cc_label_propagation(execution::par, &ctx, &g, push);
+    let r = cc::cc_label_propagation(execution::par, &ctx, &g, DirectionPolicy::default());
     let mut sizes: std::collections::HashMap<VertexId, usize> = Default::default();
     for &c in &r.comp {
         *sizes.entry(c).or_default() += 1;

@@ -11,9 +11,11 @@
 //!    the better of fixed push and fixed pull on each topology. That is
 //!    the whole point of switching; an engine that loses to both fixed
 //!    directions is mis-tuned or mis-counting.
+//! 3. **Fallback** — on a graph without an in-stream every plan pushes, and
+//!    the answers stay those of the push plan.
 
 use essentials::prelude::*;
-use essentials_algos::{bfs, cc, pagerank, sssp};
+use essentials_algos::{bfs, cc, hits, pagerank, sssp};
 use essentials_gen as gen;
 use proptest::prelude::*;
 
@@ -136,8 +138,119 @@ fn adaptive_sssp_cc_pagerank_match_their_fixed_variants() {
     }
 }
 
-/// Policies spanning the decision space's corners: always-push, eager-pull,
-/// dense-early, blocked-pull upgrades, every fixed direction, and the
+/// Every plan on a graph without an in-stream: a CSR-only `Graph` and a
+/// `CompressedGraph` compressed from it (no transpose). The engine pushes
+/// wherever the plan would pull — the direction trace holds only `Push` /
+/// `DensePush` — and the answers equal the push plan's bit for bit (BFS,
+/// SSSP, CC) or within float-summation noise of the CSC graph's (PageRank,
+/// HITS).
+fn no_in_stream_rows<G, H>(
+    rep: &str,
+    ctx: &Context,
+    g: &G,
+    gw: &H,
+    with_csc: (&Graph<()>, &Graph<f32>),
+) where
+    G: OutWeights<()> + InWeights<()> + Sync,
+    H: OutWeights<f32> + InWeights<f32> + Sync,
+{
+    assert!(!g.has_in_edges() && !gw.has_in_edges(), "{rep}");
+    let push = plans()[0].1;
+    let bfs_ref = bfs::try_bfs(execution::par, ctx, g, 0, push).expect("push bfs");
+    let sssp_ref = sssp::try_sssp(execution::par, ctx, gw, 0, push).expect("push sssp");
+    let cc_ref = cc::cc_union_find(with_csc.0).comp;
+    let pushes = |dirs: &[Direction], what: &str| {
+        assert!(
+            dirs.iter().all(|d| !d.is_pull()),
+            "{what} on {rep}: {dirs:?}"
+        );
+    };
+    for plan in [
+        DirectionPolicy::default(),
+        DirectionPolicy::fixed(Direction::Pull),
+    ] {
+        let what = format!("{plan:?}");
+        let r = bfs::try_bfs(execution::par, ctx, g, 0, plan).expect("bfs");
+        assert_eq!(r.level, bfs_ref.level, "bfs {what} on {rep}");
+        assert_eq!(
+            r.stats.frontier_trace, bfs_ref.stats.frontier_trace,
+            "{what} on {rep}"
+        );
+        pushes(&r.directions, &what);
+        let r = sssp::try_sssp(execution::par, ctx, gw, 0, plan).expect("sssp");
+        assert_eq!(bits(&r.dist), bits(&sssp_ref.dist), "sssp {what} on {rep}");
+        pushes(&r.directions, &what);
+        let r = cc::try_cc_label_propagation(execution::par, ctx, g, plan).expect("cc");
+        assert_eq!(r.comp, cc_ref, "cc {what} on {rep}");
+        pushes(&r.directions, &what);
+    }
+    let cfg = pagerank::PrConfig {
+        damping: 0.85,
+        tolerance: 0.0,
+        max_iterations: 20,
+    };
+    let pull = pagerank::pagerank_pull(execution::par, ctx, with_csc.0, cfg);
+    let r = pagerank::try_pagerank(execution::par, ctx, g, cfg, DirectionPolicy::default())
+        .expect("pagerank");
+    assert_eq!(r.direction, Direction::Push, "pagerank on {rep}");
+    close(&r.rank, &pull.rank, 1e-12, "pagerank", rep);
+    let hcfg = hits::HitsConfig {
+        tolerance: 0.0,
+        max_iterations: 20,
+    };
+    let scan = hits::hits(
+        execution::par,
+        ctx,
+        with_csc.0,
+        hcfg,
+        DirectionPolicy::default(),
+    );
+    let h = hits::try_hits(execution::par, ctx, g, hcfg, DirectionPolicy::default()).expect("hits");
+    assert_eq!(h.direction, Direction::Push, "hits on {rep}");
+    close(&h.hub, &scan.hub, 1e-9, "hits hub", rep);
+    close(&h.authority, &scan.authority, 1e-9, "hits authority", rep);
+}
+
+fn bits(dist: &[f32]) -> Vec<u32> {
+    dist.iter().map(|d| d.to_bits()).collect()
+}
+
+fn close(a: &[f64], b: &[f64], tol: f64, what: &str, rep: &str) {
+    assert_eq!(a.len(), b.len(), "{what} on {rep}");
+    for (x, y) in a.iter().zip(b) {
+        assert!((x - y).abs() < tol, "{what} on {rep}: {x} vs {y}");
+    }
+}
+
+#[test]
+fn graphs_without_an_in_stream_push_on_every_plan() {
+    for (name, coo) in topologies() {
+        let (g, gw) = (sym(coo.clone()), weighted(coo));
+        let csr = (
+            Graph::from_csr(g.csr().clone()),
+            Graph::from_csr(gw.csr().clone()),
+        );
+        for threads in [1, 4] {
+            let ctx = Context::new(threads);
+            let compressed = (
+                CompressedGraph::from_graph(ctx.pool(), &csr.0),
+                CompressedGraph::from_graph(ctx.pool(), &csr.1),
+            );
+            let rep = |r: &str| format!("{r} {name} @ {threads}");
+            no_in_stream_rows(&rep("csr"), &ctx, &csr.0, &csr.1, (&g, &gw));
+            no_in_stream_rows(
+                &rep("compressed"),
+                &ctx,
+                &compressed.0,
+                &compressed.1,
+                (&g, &gw),
+            );
+        }
+    }
+}
+
+/// Policies spanning the decision space's corners: no upgrade, blocked-pull
+/// upgrades with arbitrary thresholds, every fixed direction, and the
 /// default.
 fn arb_policy() -> impl Strategy<Value = DirectionPolicy> {
     const FIXED: [Direction; 4] = [
@@ -146,25 +259,14 @@ fn arb_policy() -> impl Strategy<Value = DirectionPolicy> {
         Direction::Pull,
         Direction::BlockedPull,
     ];
-    (
-        1usize..40,
-        1usize..40,
-        1usize..64,
-        // Half the cases pin one of the four directions.
-        (0usize..2, 1usize..16, 1usize..32, 0usize..8),
-    )
-        .prop_map(
-            |(alpha, beta, gamma, (on, ba, bb, fixed))| DirectionPolicy {
-                alpha,
-                beta,
-                gamma,
-                blocked: (on == 1).then_some(BlockedPullPolicy {
-                    alpha: ba,
-                    beta: bb,
-                }),
-                fixed: FIXED.get(fixed).copied(),
-            },
-        )
+    // Half the cases pin one of the four directions.
+    (0usize..2, 1usize..16, 1usize..32, 0usize..8).prop_map(|(on, ba, bb, fixed)| DirectionPolicy {
+        blocked: (on == 1).then_some(BlockedPullPolicy {
+            alpha: ba,
+            beta: bb,
+        }),
+        fixed: FIXED.get(fixed).copied(),
+    })
 }
 
 proptest! {

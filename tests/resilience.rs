@@ -669,6 +669,18 @@ fn panic_message<R>(what: &str, f: impl FnOnce() -> R) -> String {
         .unwrap_or_default()
 }
 
+/// Counts the vertex programs (`try_foreach_active` calls) that completed.
+#[derive(Default)]
+struct VertexPrograms(essentials_parallel::atomics::Counter);
+
+impl ObsSink for VertexPrograms {
+    fn on_compute(&self, ev: &essentials::core::obs::ComputeEvent) {
+        if ev.kind == essentials::core::obs::OpKind::ForeachActive {
+            self.0.add(1);
+        }
+    }
+}
+
 /// The algorithms outside the direction engine — widest path, the SSSP
 /// tree, coloring, k-core peeling, asynchronous SSSP — keep infallible
 /// signatures, but their loops run on the fallible enactor (or the
@@ -736,6 +748,29 @@ fn long_tail_algorithms_honour_budget_cancellation_and_fault_plan() {
         msg.contains("injected fault at (iteration 1, chunk 0)"),
         "{msg}"
     );
+
+    // The vertex programs run under the chunk hooks too. A fault keyed to
+    // the first chunk of a round fires inside that round's vertex program,
+    // which runs first, so the sink sees only the earlier rounds' programs
+    // complete. The reruns below, on the same context, match the oracles.
+    for (what, round) in [("color_greedy", 0u64), ("kcore_peel", 1)] {
+        let programs = Arc::new(VertexPrograms::default());
+        let faulty = ctx
+            .clone()
+            .with_fault_plan(Arc::new(FaultPlan::new().panic_at(round, 0)))
+            .with_obs(programs.clone());
+        let msg = panic_message(what, || match what {
+            "color_greedy" => drop(color::color_greedy(execution::par, &faulty, &g)),
+            _ => drop(kcore::kcore_peel(execution::par, &faulty, &g)),
+        });
+        let at = format!("injected fault at (iteration {round}, chunk 0)");
+        assert!(msg.contains(&at), "{what}: {msg}");
+        assert_eq!(
+            programs.0.get(),
+            round as usize,
+            "{what}: the fault fired after round {round}'s vertex program"
+        );
+    }
 
     // Dijkstra sums in settle order, so float distances agree to rounding.
     let oracle = sssp::dijkstra(&wg, 0).dist;

@@ -14,8 +14,9 @@
 //! the leased slot — that panic or hit their iteration cap mid-lane.
 
 use essentials::prelude::*;
-use essentials::serve::{Engine, EngineConfig, ScratchPool};
+use essentials::serve::{Brownout, Engine, EngineConfig, ScratchPool};
 use essentials_algos::bfs::bfs_sequential;
+use essentials_algos::hits::HitsConfig;
 use essentials_algos::multi_source::MsBfsResult;
 use essentials_algos::pagerank::PrConfig;
 use essentials_gen as gen;
@@ -36,9 +37,20 @@ fn serving_graph() -> Arc<Graph<()>> {
     )))
 }
 
+/// The same workload on the CSR-only serving graph, which every request
+/// runs as push, and on the graph with its CSC, where the default plan
+/// pulls: the same oracles hold on both.
 #[test]
 fn mixed_workload_from_eight_clients_is_deterministic() {
-    let graph = serving_graph();
+    let csr_only = serving_graph();
+    let with_csc = Arc::new(Graph::from_csr(csr_only.csr().clone()).with_csc());
+    for graph in [csr_only, with_csc] {
+        mixed_workload(graph);
+    }
+}
+
+fn mixed_workload(graph: Arc<Graph<()>>) {
+    let csc = graph.csc().is_some();
     let n = graph.num_vertices();
     // Oracle levels for every source any client will use.
     let sources: Vec<VertexId> = (0..CLIENTS as VertexId)
@@ -48,8 +60,9 @@ fn mixed_workload_from_eight_clients_is_deterministic() {
         .iter()
         .map(|&s| bfs_sequential(&graph, s).level)
         .collect();
-    // PageRank through atomic f64 adds is order-sensitive in the last
-    // bits, so the oracle is a tolerance band around one reference run.
+    // PageRank through atomic f64 adds (the CSR-only graph) is
+    // order-sensitive in the last bits, so the oracle is a tolerance band
+    // around one reference run.
     let pr_cfg = PrConfig {
         max_iterations: 30,
         ..PrConfig::default()
@@ -84,7 +97,7 @@ fn mixed_workload_from_eight_clients_is_deterministic() {
                             let r = engine
                                 .bfs(sources[c], RunBudget::unlimited())
                                 .expect("bfs served");
-                            assert_eq!(r.level, oracle[c], "client {c} round {round}");
+                            assert_eq!(r.level, oracle[c], "csc {csc}: client {c} round {round}");
                         }
                         // Batched probe: every lane bit-identical.
                         1 => {
@@ -95,7 +108,7 @@ fn mixed_workload_from_eight_clients_is_deterministic() {
                                 assert_eq!(
                                     &batch.source_levels(s),
                                     want,
-                                    "client {c} round {round} lane {s}"
+                                    "csc {csc}: client {c} round {round} lane {s}"
                                 );
                             }
                             engine.recycle_batch(batch);
@@ -110,7 +123,7 @@ fn mixed_workload_from_eight_clients_is_deterministic() {
                             for (i, (a, b)) in pr.rank.iter().zip(pr_ref).enumerate() {
                                 assert!(
                                     (a - b).abs() < 1e-9,
-                                    "client {c} round {round}: rank[{i}] {a} vs {b}"
+                                    "csc {csc}: client {c} round {round}: rank[{i}] {a} vs {b}"
                                 );
                             }
                         }
@@ -120,7 +133,50 @@ fn mixed_workload_from_eight_clients_is_deterministic() {
         }
     });
     // Every permit and lease returned.
-    assert_eq!(engine.load(), (0, 0, 0));
+    assert_eq!(engine.load(), (0, 0, 0), "csc {csc}");
+}
+
+/// HITS on a CSR-only graph scatters its authority half; served by the
+/// engine, plain and degradable, it agrees with the CSC graph's scans.
+#[test]
+fn hits_is_served_on_csr_only_and_csc_graphs_alike() {
+    let csr_only = serving_graph();
+    let with_csc = Arc::new(Graph::from_csr(csr_only.csr().clone()).with_csc());
+    let cfg = HitsConfig {
+        tolerance: 0.0,
+        max_iterations: 20,
+    };
+    let brownout = Brownout::new(50);
+    let served = |graph: &Arc<Graph<()>>| {
+        let config = EngineConfig {
+            threads: 2,
+            permits: 2,
+            heavy_permits: 1,
+        };
+        let engine = Engine::new(graph.clone(), config);
+        let plain = engine
+            .hits(cfg, RunBudget::unlimited())
+            .expect("hits served");
+        let degradable = engine
+            .hits_degradable(cfg, RunBudget::unlimited(), brownout)
+            .expect("degradable hits served");
+        assert_eq!(engine.load(), (0, 0, 0));
+        (plain, degradable.value)
+    };
+    let (want, _) = served(&with_csc);
+    assert_eq!(want.direction, Direction::Pull);
+    let (plain, degradable) = served(&csr_only);
+    for r in [&plain, &degradable] {
+        assert_eq!(r.direction, Direction::Push);
+        for (a, b) in r
+            .hub
+            .iter()
+            .zip(&want.hub)
+            .chain(r.authority.iter().zip(&want.authority))
+        {
+            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        }
+    }
 }
 
 #[test]
