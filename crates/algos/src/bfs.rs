@@ -255,23 +255,15 @@ mod tests {
         ]
     }
 
-    /// Every plan a BFS can run: the fixed directions, the
-    /// direction-optimizing default, and an eager blocked-pull upgrade.
+    /// Every plan a BFS can run: the fixed directions and the
+    /// direction-optimizing default.
     fn plans() -> Vec<(&'static str, DirectionPolicy)> {
-        let eager_blocked = DirectionPolicy {
-            blocked: Some(BlockedPullPolicy {
-                alpha: 1000,
-                beta: 1000,
-            }),
-            ..DirectionPolicy::default()
-        };
         vec![
             ("push", DirectionPolicy::fixed(Direction::Push)),
             ("dense", DirectionPolicy::fixed(Direction::DensePush)),
             ("pull", DirectionPolicy::fixed(Direction::Pull)),
             ("blocked", DirectionPolicy::fixed(Direction::BlockedPull)),
             ("default", DirectionPolicy::default()),
-            ("eager-blocked", eager_blocked),
         ]
     }
 

@@ -63,9 +63,9 @@ where
 /// gathers `plan` picks once per run ([`DirectionPolicy::full_frontier`]):
 /// the default plan scans the streams (`auth'[v] = Σ hub[u]` over
 /// in-neighbors, then `hub'[u] = Σ auth'[v]` over out-neighbors);
-/// `fixed(BlockedPull)`, or a plan carrying a [`BlockedPullPolicy`], replays
-/// two [`BlockedGather`] layouts that sum in the scans' order — agreeing
-/// with them to the last few ulps, bit-identical across thread counts.
+/// `fixed(BlockedPull)` replays two [`BlockedGather`] layouts that sum in
+/// the scans' order — agreeing with them to the last few ulps,
+/// bit-identical across thread counts.
 /// A push plan — every plan, on a graph without an in-stream — scatters
 /// the authority half along out-edges with atomic adds (tolerance-equal to
 /// the scans) and scans the hub half's out-edges. The run budget and the

@@ -128,10 +128,9 @@ where
 /// * the default plan / `fixed(Pull)` scans each vertex's in-neighbor
 ///   stream — ascending on every representation, so ranks are
 ///   **bit-identical** across representations and thread counts;
-/// * `fixed(BlockedPull)`, or a plan carrying a [`BlockedPullPolicy`],
-///   replays a [`BlockedGather`] layout: per destination it sums in the
-///   scan's order, so it agrees with the scan to the last few ulps and is
-///   bit-identical across thread counts;
+/// * `fixed(BlockedPull)` replays a [`BlockedGather`] layout: per
+///   destination it sums in the scan's order, so it agrees with the scan
+///   to the last few ulps and is bit-identical across thread counts;
 /// * `fixed(Push | DensePush)` scatters along out-edges with atomic f64
 ///   adds, so ranks are tolerance-equal, not bit-equal. Every plan
 ///   scatters on a graph without an in-stream.
@@ -480,16 +479,11 @@ mod tests {
         let (g, with_csc) = (Graph::from_coo(&coo), Graph::from_coo(&coo).with_csc());
         let (ctx, cfg) = (Context::new(2), PrConfig::default());
         let fixed = DirectionPolicy::fixed;
-        let upgrading = DirectionPolicy {
-            blocked: Some(BlockedPullPolicy::default()),
-            ..DirectionPolicy::default()
-        };
         for plan in [
             fixed(Direction::Push),
             fixed(Direction::DensePush),
             fixed(Direction::Pull),
             fixed(Direction::BlockedPull),
-            upgrading,
             DirectionPolicy::default(),
         ] {
             let r = pagerank(execution::par, &ctx, &g, cfg, plan);

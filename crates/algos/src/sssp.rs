@@ -3,14 +3,14 @@
 //! [`sssp`] is Listing 4 — a bulk-synchronous loop whose body is one
 //! advance with an `atomic::min` distance relaxation in the user lambda —
 //! run by the direction engine, so its plan may also pull (the push-only
-//! literal lives in `tests/paper_listings.rs`). Beyond the listing, this
-//! module provides the asynchronous variant the paper's §III-A promises
-//! ([`sssp_async`] — same relaxation, no barriers, the frontier held as the
-//! async engine's sharded work queue of §III-B, queue quiescence as
-//! convergence; Table I's async cell), a [`delta_stepping`] middle ground,
-//! and two sequential baselines ([`dijkstra`], [`bellman_ford`]) used as
-//! oracles and speedup denominators. [`verify_sssp`] checks the relaxation
-//! fixpoint directly.
+//! literal lives in `tests/paper_listings.rs`). [`delta_stepping`] is the
+//! same loop in near–far order (Gunrock's two-level priority queue). This
+//! module also provides the asynchronous variant the paper's §III-A
+//! promises ([`sssp_async`] — same relaxation, no barriers, the frontier
+//! held as the async engine's sharded work queue of §III-B; Table I's
+//! async cell) and two sequential baselines ([`dijkstra`],
+//! [`bellman_ford`]) used as oracles and speedup denominators.
+//! [`verify_sssp`] checks the relaxation fixpoint directly.
 //!
 //! All variants require non-negative weights (validated NaN-free at graph
 //! build time; negative weights are rejected by debug assertion here).
@@ -92,10 +92,10 @@ where
 /// frontier → advance with the atomic-min relaxation until the frontier is
 /// empty — with the advance run by [`try_advance_adaptive`]: `plan` picks
 /// push (duplicate activations are dropped as they are pushed) or pull
-/// (push on a graph without a CSC) per iteration. Relaxation is monotone,
-/// so every plan reaches the same least fixpoint, bit-for-bit on every
-/// representation (`tests/differential.rs`). Budget and fault hooks fire at
-/// iteration and chunk boundaries, a worker panic becomes
+/// (push on a graph without an in-stream) per iteration. Relaxation is
+/// monotone, so every plan reaches the same least fixpoint, bit-for-bit on
+/// every representation (`tests/differential.rs`). Budget and fault hooks
+/// fire at iteration and chunk boundaries, a worker panic becomes
 /// [`ExecError::WorkerPanic`], and the context stays reusable after any
 /// error.
 pub fn try_sssp<P, G>(
@@ -104,6 +104,65 @@ pub fn try_sssp<P, G>(
     g: &G,
     source: VertexId,
     plan: DirectionPolicy,
+) -> Result<SsspResult, ExecError>
+where
+    P: ExecutionPolicy,
+    G: OutWeights<f32> + InWeights<f32> + Sync,
+{
+    try_sssp_ordered(policy, ctx, g, source, plan, None)
+}
+
+/// [`try_delta_stepping`], panicking on an error (a non-positive Δ
+/// included).
+pub fn delta_stepping<P, G>(
+    policy: P,
+    ctx: &Context,
+    g: &G,
+    source: VertexId,
+    plan: DirectionPolicy,
+    delta: f32,
+) -> SsspResult
+where
+    P: ExecutionPolicy,
+    G: OutWeights<f32> + InWeights<f32> + Sync,
+{
+    try_delta_stepping(policy, ctx, g, source, plan, delta).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Δ-stepping (Meyer & Sanders) as an order of [`try_sssp`]'s loop: each
+/// iteration advances the improved vertices of the current bucket
+/// `⌊dist/Δ⌋`, later buckets wait in a far pile that refills near when it
+/// drains, and plans, hooks and the bit-identical result are the loop's. A
+/// non-positive or non-finite `delta` is [`ExecError::InvalidInput`].
+pub fn try_delta_stepping<P, G>(
+    policy: P,
+    ctx: &Context,
+    g: &G,
+    source: VertexId,
+    plan: DirectionPolicy,
+    delta: f32,
+) -> Result<SsspResult, ExecError>
+where
+    P: ExecutionPolicy,
+    G: OutWeights<f32> + InWeights<f32> + Sync,
+{
+    if !(delta > 0.0 && delta.is_finite()) {
+        return Err(ExecError::InvalidInput {
+            detail: format!("delta must be positive and finite, got {delta}"),
+        });
+    }
+    try_sssp_ordered(policy, ctx, g, source, plan, Some(delta))
+}
+
+/// The one SSSP body: Listing 4's enacted loop, unordered (`delta` is
+/// `None`) or in Δ-stepping's near–far order.
+fn try_sssp_ordered<P, G>(
+    policy: P,
+    ctx: &Context,
+    g: &G,
+    source: VertexId,
+    plan: DirectionPolicy,
+    delta: Option<f32>,
 ) -> Result<SsspResult, ExecError>
 where
     P: ExecutionPolicy,
@@ -119,10 +178,20 @@ where
             ..AdaptiveConfig::default()
         },
     );
+    let mut order = delta.map(|delta| {
+        let mut far = ctx.take_u32_buffer();
+        far.reserve(dist.len()); // alloc-ok: once per run; `queued` keeps far within n
+        NearFar {
+            delta,
+            bucket: 0,
+            far,
+            queued: ctx.take_dense_frontier(dist.len()),
+        }
+    });
     // Main loop.
     let init = VertexFrontier::Sparse(SparseFrontier::single(source));
     let run = Enactor::for_ctx(ctx).try_run(init, |_, f| {
-        try_advance_adaptive(
+        let improved = try_advance_adaptive(
             policy,
             ctx,
             g,
@@ -138,8 +207,16 @@ where
                 let curr_d = dist[dst as usize].fetch_min(new_d, Ordering::AcqRel);
                 new_d < curr_d
             },
-        )
+        )?;
+        match &mut order {
+            None => Ok(improved),
+            Some(order) => order.next(policy, ctx, improved, &dist),
+        }
     });
+    if let Some(order) = order {
+        ctx.recycle_u32_buffer(order.far);
+        ctx.recycle_dense_frontier(order.queued);
+    }
     let relaxations = engine.edges_inspected();
     let (stats, directions) = engine.finish(ctx, run)?;
     Ok(SsspResult {
@@ -148,6 +225,77 @@ where
         relaxations,
         directions,
     })
+}
+
+/// Δ-stepping's two-level priority queue: the enacted frontier is the near
+/// pile; `far` holds each improved vertex whose bucket lay past `bucket`
+/// once (`queued` marks it), stale entries included.
+struct NearFar {
+    delta: f32,
+    bucket: u64,
+    far: Vec<VertexId>,
+    queued: DenseFrontier,
+}
+
+impl NearFar {
+    /// Splits an advance's output into near (the next frontier) and far;
+    /// an empty near rises to far's smallest bucket past the current one
+    /// (entries at or below it are stale) and filters it out of far.
+    fn next<P: ExecutionPolicy>(
+        &mut self,
+        policy: P,
+        ctx: &Context,
+        improved: VertexFrontier,
+        dist: &[AtomicF32],
+    ) -> Result<VertexFrontier, ExecError> {
+        let (delta, bucket, far, queued) = (self.delta, self.bucket, &mut self.far, &self.queued);
+        let bucket_of = |v: VertexId| (dist[v as usize].load(Ordering::Acquire) / delta) as u64;
+        let mut defer = |v: VertexId| {
+            if queued.insert(v) {
+                far.push(v);
+            }
+        };
+        let near = match improved {
+            VertexFrontier::Sparse(s) => {
+                let mut near = s.into_vec();
+                near.retain(|&v| {
+                    bucket_of(v) <= bucket || {
+                        defer(v);
+                        false
+                    }
+                });
+                VertexFrontier::Sparse(SparseFrontier::from_vec(near))
+            }
+            VertexFrontier::Dense(near) => {
+                near.for_each_active(|v| {
+                    if bucket_of(v) > bucket {
+                        defer(v);
+                        near.remove(v);
+                    }
+                });
+                VertexFrontier::Dense(near)
+            }
+        };
+        if !near.is_empty() {
+            return Ok(near);
+        }
+        let live = far.iter().map(|&v| bucket_of(v)).filter(|&b| b > bucket);
+        let Some(next) = live.min() else {
+            return Ok(near);
+        };
+        match near {
+            VertexFrontier::Sparse(s) => ctx.recycle_frontier(s),
+            VertexFrontier::Dense(d) => ctx.recycle_dense_frontier(d),
+        }
+        self.bucket = next;
+        let pile = SparseFrontier::from_vec(std::mem::take(far));
+        let near = try_filter(policy, ctx, &pile, |v| bucket_of(v) == next);
+        *far = pile.into_vec();
+        let near = near?;
+        // The bucket's own entries and the stale ones leave far, unmarked.
+        far.retain(|&v| bucket_of(v) > next || !queued.remove(v));
+        Ok(VertexFrontier::Sparse(near))
+    }
 }
 
 /// [`sssp`] with the default (direction-optimizing) plan. Kept as a name
@@ -208,157 +356,6 @@ pub fn sssp_async(ctx: &Context, g: &Graph<f32>, source: VertexId) -> SsspResult
         dist: unwrap_dist(dist),
         stats,
         relaxations: relaxations.get(),
-        directions: Vec::new(),
-    }
-}
-
-/// Δ-stepping (Meyer & Sanders): vertices are bucketed by `⌊dist/Δ⌋`;
-/// buckets settle in order. *Light* edges (w < Δ) of a bucket are relaxed
-/// repeatedly until it stabilizes; *heavy* edges once per settled bucket.
-/// Interpolates between Dijkstra (Δ→0) and Bellman-Ford (Δ→∞); the inner
-/// relaxations reuse the same policy-parallel `neighbors_expand` as
-/// Listing 4.
-pub fn delta_stepping<P: ExecutionPolicy>(
-    policy: P,
-    ctx: &Context,
-    g: &Graph<f32>,
-    source: VertexId,
-    delta: f32,
-) -> SsspResult {
-    check_weights(g);
-    assert!(delta > 0.0 && delta.is_finite(), "delta must be positive");
-    let n = g.get_num_vertices();
-    let dist = init_dist(n, source);
-    // Light out-degree per vertex: a round's relaxation count is a sum over
-    // its input frontier, so no counter is shared inside the edge closure.
-    let light_degree: Vec<usize> = fill_indexed(policy, ctx, n, |v| {
-        g.get_edges(v as VertexId)
-            .filter(|&e| g.get_edge_weight(e) < delta)
-            .count()
-    });
-    let mut relaxations = 0usize;
-    let mut iterations = 0usize;
-    let mut trace = Vec::new();
-
-    let bucket_of =
-        |v: VertexId| -> usize { (dist[v as usize].load(Ordering::Acquire) / delta) as usize };
-    // Bucket storage recycles through a local free-list (drained buckets
-    // park there; fresh buckets draw from it), and the per-round lists
-    // below cycle through the context's pools, so once every bucket index
-    // has been seen the loop runs without touching the allocator.
-    let mut buckets: Vec<Vec<VertexId>> = vec![vec![source]];
-    let mut spare: Vec<Vec<VertexId>> = Vec::new();
-    let stash = |buckets: &mut Vec<Vec<VertexId>>, spare: &mut Vec<Vec<VertexId>>, v: VertexId| {
-        let b = bucket_of(v);
-        if b >= buckets.len() {
-            buckets.resize_with(b + 1, Vec::new);
-        }
-        if buckets[b].capacity() == 0 {
-            if let Some(recycled) = spare.pop() {
-                buckets[b] = recycled;
-            }
-        }
-        buckets[b].push(v);
-    };
-
-    // Relax only edges on the requested side of the light/heavy split;
-    // dedup is fused into the push.
-    let mut relax = |f: SparseFrontier, light: bool| -> SparseFrontier {
-        relaxations += f
-            .iter()
-            .map(|v| {
-                let l = light_degree[v as usize];
-                if light {
-                    l
-                } else {
-                    g.out_degree(v) - l
-                }
-            })
-            .sum::<usize>();
-        let out = neighbors_expand_unique(policy, ctx, g, &f, |src, dst, _e, w| {
-            if (w < delta) != light {
-                return false;
-            }
-            let new_d = dist[src as usize].load(Ordering::Acquire) + w;
-            let curr_d = dist[dst as usize].fetch_min(new_d, Ordering::AcqRel);
-            new_d < curr_d
-        });
-        ctx.recycle_frontier(f);
-        out
-    };
-
-    // `active` and `settled` keep their capacity across buckets. The
-    // storage `active` hands to `relax` returns through the context's
-    // frontier pool, and each round's output frontier donates its storage
-    // back (`into_vec`), closing the cycle.
-    let mut active: Vec<VertexId> = ctx.take_u32_buffer();
-    let mut settled: Vec<VertexId> = ctx.take_u32_buffer();
-    let mut bi = 0;
-    while bi < buckets.len() {
-        if buckets[bi].is_empty() {
-            bi += 1;
-            continue;
-        }
-        settled.clear();
-        // Light phase: iterate until no vertex re-enters bucket bi. Skip
-        // stale entries (vertices whose distance improved into an earlier,
-        // already-settled bucket keep their result; re-relaxing is merely
-        // redundant, so filter on exact membership).
-        let mut drained = std::mem::take(&mut buckets[bi]);
-        active.clear();
-        active.extend(drained.iter().copied().filter(|&v| bucket_of(v) == bi));
-        drained.clear();
-        spare.push(drained);
-        active.sort_unstable();
-        active.dedup();
-        while !active.is_empty() {
-            iterations += 1;
-            trace.push(active.len());
-            settled.extend(active.iter().copied());
-            let improved = relax(SparseFrontier::from_vec(std::mem::take(&mut active)), true);
-            // Partition in place: vertices still in this bucket become the
-            // next round's active list (reusing the output frontier's
-            // storage); the rest stash into their new buckets.
-            let mut buf = improved.into_vec();
-            buf.retain(|&v| {
-                if bucket_of(v) == bi {
-                    true
-                } else {
-                    stash(&mut buckets, &mut spare, v);
-                    false
-                }
-            });
-            active = buf;
-        }
-        // Heavy phase: once over everything settled in this bucket.
-        settled.sort_unstable();
-        settled.dedup();
-        let heavy_improved = relax(
-            SparseFrontier::from_vec(std::mem::take(&mut settled)),
-            false,
-        );
-        let mut buf = heavy_improved.into_vec();
-        for &v in &buf {
-            stash(&mut buckets, &mut spare, v);
-        }
-        buf.clear();
-        settled = buf;
-        bi += 1;
-    }
-    for b in buckets.into_iter().chain(spare) {
-        ctx.recycle_u32_buffer(b);
-    }
-    ctx.recycle_u32_buffer(active);
-    ctx.recycle_u32_buffer(settled);
-
-    SsspResult {
-        dist: unwrap_dist(dist),
-        stats: LoopStats {
-            iterations,
-            frontier_trace: trace,
-            hit_iteration_cap: false,
-        },
-        relaxations,
         directions: Vec::new(),
     }
 }
@@ -578,7 +575,7 @@ mod tests {
         let bsp_par = sssp(execution::par, &ctx, &g, 0, push());
         let bsp_nosync = sssp(execution::par_nosync, &ctx, &g, 0, push());
         let asynch = sssp_async(&ctx, &g, 0);
-        let delta = delta_stepping(execution::par, &ctx, &g, 0, 0.5);
+        let delta = delta_stepping(execution::par, &ctx, &g, 0, push(), 0.5);
         let bf = bellman_ford(&g, 0);
         for (name, r) in [
             ("bsp_seq", &bsp_seq),
@@ -650,9 +647,11 @@ mod tests {
     fn delta_extremes_agree() {
         let g = test_graph();
         let ctx = Context::new(2);
-        let tiny = delta_stepping(execution::par, &ctx, &g, 0, 0.05);
-        let huge = delta_stepping(execution::par, &ctx, &g, 0, 1e9);
-        assert!(dist_eq(&tiny.dist, &huge.dist));
+        let bsp = sssp(execution::par, &ctx, &g, 0, push()).dist;
+        for delta in [0.05, 1e9] {
+            let r = delta_stepping(execution::par, &ctx, &g, 0, push(), delta);
+            assert_eq!(r.dist, bsp, "delta {delta}");
+        }
     }
 
     #[test]

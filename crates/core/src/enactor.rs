@@ -35,10 +35,10 @@ use crate::context::Context;
 /// (the frontier empties) and are not defaulted.
 pub const DEFAULT_ITERATION_CAP: usize = 100_000;
 
-/// Work-trace entries a fixpoint loop without an explicit cap reserves up
-/// front: its first this-many iterations record their work without
-/// touching the allocator.
-const UNCAPPED_TRACE_RESERVE: usize = 64;
+/// Trace entries a loop without an explicit cap reserves up front (its
+/// work trace here, the direction engine's decision trace): its first
+/// this-many iterations record themselves without touching the allocator.
+pub(crate) const TRACE_RESERVE: usize = 64;
 
 /// Statistics recorded by an enacted loop.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -199,15 +199,15 @@ impl Enactor {
         }
     }
 
-    /// Pre-sizes the work trace for fixpoint loops so the per-iteration
-    /// `push` never reallocates mid-run — part of the steady-state
-    /// zero-allocation contract (DESIGN.md §12): to the explicit cap, or to
-    /// [`UNCAPPED_TRACE_RESERVE`] entries when the loop runs until its
-    /// condition holds (a Pregel run halts at quiescence). Bounded so a
-    /// pathological explicit cap cannot demand an absurd reservation.
+    /// Pre-sizes the work trace so the per-iteration `push` never
+    /// reallocates mid-run — part of the steady-state zero-allocation
+    /// contract (DESIGN.md §12): to the explicit cap, or to
+    /// [`TRACE_RESERVE`] entries when the loop runs until its frontier
+    /// empties or its condition holds. Bounded so a pathological explicit
+    /// cap cannot demand an absurd reservation.
     #[inline]
     fn reserve_trace(&self, stats: &mut LoopStats) {
-        let k = self.max_iterations.unwrap_or(UNCAPPED_TRACE_RESERVE);
+        let k = self.max_iterations.unwrap_or(TRACE_RESERVE);
         stats.frontier_trace.reserve(k.min(4096)); // alloc-ok: once per run
     }
 
@@ -225,6 +225,7 @@ impl Enactor {
     {
         let mut frontier = init;
         let mut stats = LoopStats::default();
+        self.reserve_trace(&mut stats);
         while !frontier.is_empty() {
             if stats.iterations >= self.cap() {
                 stats.hit_iteration_cap = true;

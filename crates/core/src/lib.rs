@@ -59,8 +59,7 @@ pub mod prelude {
         fill_indexed, fill_indexed_into, foreach_vertex, try_foreach_active, try_foreach_vertex,
     };
     pub use crate::operators::direction::{
-        try_advance_adaptive, AdaptiveAdvance, AdaptiveConfig, BlockedPullPolicy, Direction,
-        DirectionPolicy,
+        try_advance_adaptive, AdaptiveAdvance, AdaptiveConfig, Direction, DirectionPolicy,
     };
     pub use crate::operators::filter::{filter, try_filter, uniquify};
     pub use crate::operators::intersect::{intersect_count, intersect_count_gallop};

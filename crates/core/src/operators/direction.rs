@@ -39,7 +39,7 @@ use essentials_obs::DirectionEvent;
 use essentials_parallel::{ExecError, ExecutionPolicy};
 
 use crate::context::Context;
-use crate::enactor::LoopStats;
+use crate::enactor::{LoopStats, TRACE_RESERVE};
 use crate::operators::advance::{
     try_expand_pull_counted, try_expand_pull_masked, try_expand_push_dense, try_neighbors_expand,
     try_neighbors_expand_unique, PullConfig,
@@ -59,8 +59,8 @@ pub enum Direction {
     Pull,
     /// Pull routed through destination-binned propagation blocking
     /// ([`try_expand_blocked_pull`]) — same semantics as [`Direction::Pull`],
-    /// chosen when the frontier is dense enough that binning's streaming
-    /// passes beat the CSC scan's random candidate probes.
+    /// for frontiers dense enough that binning's streaming passes beat the
+    /// CSC scan's random candidate probes. Only a fixed plan picks it.
     BlockedPull,
 }
 
@@ -84,7 +84,9 @@ pub struct PolicyInputs {
     pub frontier_len: usize,
     /// Out-edges of the frontier (the α numerator).
     pub frontier_edges: usize,
-    /// Edges not yet retired by any earlier frontier (the α denominator).
+    /// The α denominator: edges not yet retired by any earlier frontier in
+    /// settle mode, where a pull skips claimed vertices; every edge
+    /// otherwise, because a non-settle pull scans all in-edges.
     pub unexplored_edges: usize,
     /// Whether the frontier grew since the previous iteration.
     pub growing: bool,
@@ -102,7 +104,7 @@ const GAMMA: usize = 4;
 /// The Beamer α/β direction heuristic, hoisted out of BFS into a reusable
 /// policy any frontier-driven algorithm consults per iteration. α = 14,
 /// β = 24 and γ = 4 are constants (Beamer et al.'s tuning); a plan chooses
-/// only the blocked-pull upgrade and whether to fix one direction.
+/// only whether to fix one direction.
 ///
 /// * **α rule** (while pushing): switch to pull when the frontier is still
 ///   growing and its out-edge mass exceeds `unexplored_edges / α` — the
@@ -120,41 +122,14 @@ const GAMMA: usize = 4;
 /// flip back at the next iteration.
 ///
 /// A policy with `fixed` set skips every rule and runs that direction each
-/// iteration ([`DirectionPolicy::fixed`]). On a graph without an in-stream
-/// any pull-family choice runs as the push family instead (module docs).
+/// iteration ([`DirectionPolicy::fixed`]); [`Direction::BlockedPull`] is
+/// reached only that way. On a graph without an in-stream any pull-family
+/// choice runs as the push family instead (module docs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DirectionPolicy {
-    /// Cost model for upgrading pull iterations to the propagation-blocked
-    /// kernel. `None` (the default) never blocks, preserving the historic
-    /// three-direction behavior.
-    pub blocked: Option<BlockedPullPolicy>,
     /// The direction every iteration takes, bypassing the rules above.
     /// `None` (the default) decides per iteration.
     pub fixed: Option<Direction>,
-}
-
-/// The blocked-pull upgrade thresholds — a second α/β pair *inside* the
-/// pull family, with its own hysteresis.
-///
-/// Binning pays two streaming passes over the frontier's out-edges to
-/// replace the CSC scan's random destination probes; that trade wins only
-/// when the active set covers a sizeable fraction of the universe. Enter
-/// blocked pull when `frontier_len >= n / alpha`; once blocked, stay until
-/// `frontier_len < n / beta`. `beta > alpha` makes the exit threshold
-/// lower than the entry threshold, so a frontier hovering at the boundary
-/// does not thrash between layouts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockedPullPolicy {
-    /// Pull→blocked-pull when `frontier_len >= n / alpha`.
-    pub alpha: usize,
-    /// Blocked-pull→pull when `frontier_len < n / beta`.
-    pub beta: usize,
-}
-
-impl Default for BlockedPullPolicy {
-    fn default() -> Self {
-        BlockedPullPolicy { alpha: 8, beta: 16 }
-    }
 }
 
 impl DirectionPolicy {
@@ -162,31 +137,25 @@ impl DirectionPolicy {
     /// (the pull side is never touched), fixed dense push, or fixed pull
     /// (push on a graph without an in-stream). A fixed
     /// [`Direction::BlockedPull`] degrades to plain pull outside settle
-    /// mode, exactly as the adaptive upgrade does.
+    /// mode.
     /// For a full-frontier gather ([`Self::full_frontier`]: PageRank, HITS)
     /// `Push` / `DensePush` mean an atomic scatter along out-edges, `Pull`
     /// the in-adjacency scan, and `BlockedPull` a
     /// [`BlockedGather`](crate::operators::blocked::BlockedGather) layout
     /// built once per run.
     pub fn fixed(d: Direction) -> Self {
-        DirectionPolicy {
-            fixed: Some(d),
-            ..DirectionPolicy::default()
-        }
+        DirectionPolicy { fixed: Some(d) }
     }
 
     /// The direction of a full-frontier gather over `g`, chosen once per
     /// run: [`Direction::Push`] — the scatter, a full frontier's one push
     /// kernel — for a push-family plan or a graph without an in-stream,
-    /// else a fixed plan's pull direction or what [`Self::decide`] picks
-    /// for a frontier of every vertex: pull, or blocked pull under a
-    /// [`BlockedPullPolicy`].
+    /// else a fixed plan's pull direction, or pull by default.
     pub fn full_frontier<G: InAdjacency>(&self, g: &G) -> Direction {
         match self.fixed {
             _ if !g.has_in_edges() => Direction::Push,
             Some(d) if d.is_pull() => d,
             Some(_) => Direction::Push,
-            None if self.blocked.is_some() => Direction::BlockedPull,
             None => Direction::Pull,
         }
     }
@@ -206,13 +175,6 @@ impl DirectionPolicy {
             s.growing && s.frontier_edges > s.unexplored_edges / ALPHA
         };
         if pull {
-            if let Some(bp) = self.blocked {
-                let blocked_now = s.current == Direction::BlockedPull;
-                let threshold = if blocked_now { bp.beta } else { bp.alpha };
-                if s.frontier_len >= s.n / threshold.max(1) {
-                    return Direction::BlockedPull;
-                }
-            }
             Direction::Pull
         } else {
             push_family(s.frontier_len, s.n)
@@ -279,7 +241,7 @@ impl AdaptiveAdvance {
             iter: 0,
             current: Direction::Push,
             unvisited: None,
-            directions: Vec::new(),
+            directions: Vec::with_capacity(TRACE_RESERVE), // alloc-ok: once per run
             edges: 0,
         }
     }
@@ -372,7 +334,9 @@ where
     engine.prev_len = len;
 
     // Frontier out-edge mass: the α numerator, and the amount this
-    // iteration retires from the unexplored pool. O(len) either way — the
+    // iteration retires from the unexplored pool (settle mode only: a
+    // non-settle pull scans every in-edge, however many earlier frontiers
+    // retired, so its price stays all m). O(len) either way — the
     // dense side uses the word-parallel scan — and degree lookups only, so
     // nothing is decoded on compressed adjacency.
     let frontier_edges = match &frontier {
@@ -394,7 +358,7 @@ where
     });
     // Without an in-stream a pull runs as the push family. The blocked
     // kernel flushes against a candidate *bitmap*; without settle mode
-    // there is none (candidacy is a predicate), so the upgrade quietly
+    // there is none (candidacy is a predicate), so a blocked plan quietly
     // degrades to the plain CSC pull.
     if dir.is_pull() && !engine.can_pull {
         dir = push_family(len, n);
@@ -418,7 +382,9 @@ where
             pull: dir.is_pull(),
         });
     }
-    engine.unexplored_edges = engine.unexplored_edges.saturating_sub(frontier_edges);
+    if engine.cfg.settle {
+        engine.unexplored_edges = engine.unexplored_edges.saturating_sub(frontier_edges);
+    }
     engine.iter += 1;
 
     match dir {
@@ -580,14 +546,13 @@ mod tests {
         use essentials_graph::{Coo, Graph};
         let coo = Coo::<()>::from_edges(2, [(0, 1, ())]);
         let (csr_only, both) = (Graph::from_coo(&coo), Graph::from_coo(&coo).with_csc());
-        let upgrading = DirectionPolicy {
-            blocked: Some(BlockedPullPolicy::default()),
-            fixed: None,
-        };
         for (p, with_in) in [
             (DirectionPolicy::default(), Direction::Pull),
-            (upgrading, Direction::BlockedPull),
             (DirectionPolicy::fixed(Direction::Pull), Direction::Pull),
+            (
+                DirectionPolicy::fixed(Direction::BlockedPull),
+                Direction::BlockedPull,
+            ),
             (
                 DirectionPolicy::fixed(Direction::DensePush),
                 Direction::Push,
@@ -599,52 +564,37 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_parameters_do_not_divide_by_zero() {
-        let p = DirectionPolicy {
-            blocked: Some(BlockedPullPolicy { alpha: 0, beta: 0 }),
-            fixed: None,
-        };
-        let s = inputs(Direction::Push);
-        let _ = p.decide(&s); // must not panic
-        let s = inputs(Direction::Pull);
-        let _ = p.decide(&s);
-    }
-
-    #[test]
-    fn blocked_upgrade_fires_only_above_its_alpha_threshold() {
-        let p = DirectionPolicy {
-            blocked: Some(BlockedPullPolicy { alpha: 8, beta: 16 }),
-            ..DirectionPolicy::default()
-        };
-        let mut s = inputs(Direction::Pull);
-        s.frontier_len = 200; // >= 1000/8: dense enough to bin
-        assert_eq!(p.decide(&s), Direction::BlockedPull);
-        s.frontier_len = 100; // pull keeps running (>= n/24) but below n/8
-        assert_eq!(p.decide(&s), Direction::Pull);
-        // Without the upgrade policy the same inputs never block.
-        let plain = DirectionPolicy::default();
-        s.frontier_len = 200;
-        assert_eq!(plain.decide(&s), Direction::Pull);
-    }
-
-    #[test]
-    fn blocked_exit_has_hysteresis() {
-        let p = DirectionPolicy {
-            blocked: Some(BlockedPullPolicy { alpha: 8, beta: 16 }),
-            ..DirectionPolicy::default()
-        };
-        // Between n/16 and n/8: stays blocked if already blocked, stays
-        // plain if not — the two thresholds straddle the boundary.
-        let mut s = inputs(Direction::BlockedPull);
-        s.frontier_len = 80;
-        assert_eq!(p.decide(&s), Direction::BlockedPull);
-        let mut s = inputs(Direction::Pull);
-        s.frontier_len = 80;
-        assert_eq!(p.decide(&s), Direction::Pull);
-        // Below n/16 the β rule of the outer pair still rules first: 80 >=
-        // 1000/24 keeps pulling, 30 < 1000/24 leaves the pull family.
-        let mut s = inputs(Direction::BlockedPull);
-        s.frontier_len = 30;
-        assert_eq!(p.decide(&s), Direction::Push);
+    fn only_a_settling_traversal_retires_edges_from_the_pull_price() {
+        use essentials_graph::{Coo, Graph};
+        use essentials_parallel::execution;
+        // A path: each frontier retires one out-edge.
+        let g = Graph::from_coo(&Coo::<()>::from_edges(
+            4,
+            [(0, 1, ()), (1, 2, ()), (2, 3, ())],
+        ))
+        .with_csc();
+        let ctx = Context::sequential();
+        for settle in [false, true] {
+            let cfg = AdaptiveConfig {
+                settle,
+                ..AdaptiveConfig::default()
+            };
+            let mut engine = AdaptiveAdvance::new(&g, cfg);
+            let f = VertexFrontier::Sparse(SparseFrontier::single(0));
+            let next = try_advance_adaptive(
+                execution::seq,
+                &ctx,
+                &g,
+                &mut engine,
+                f,
+                |_| true,
+                |_, d, _| d == 1,
+            )
+            .unwrap();
+            assert_eq!(next.len(), 1);
+            // A non-settle pull scans every in-edge whatever ran before.
+            let price = if settle { 2 } else { 3 };
+            assert_eq!(engine.unexplored_edges, price, "settle = {settle}");
+        }
     }
 }

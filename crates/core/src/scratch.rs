@@ -148,10 +148,20 @@ impl AdvanceScratch {
         v
     }
 
-    /// Returns a vector to the pool (dropped if the pool is full).
+    /// Returns a vector to the pool, which keeps the roomiest on top: the
+    /// next output draws the largest capacity, so a seed frontier's
+    /// one-slot vector never makes an expansion regrow. A full pool drops
+    /// its smallest vector.
     pub(crate) fn put_vec(&mut self, v: Vec<VertexId>) {
-        if self.spare.len() < MAX_SPARE_FRONTIERS && v.capacity() > 0 {
-            self.spare.push(v); // alloc-ok: cold pool-return; spine bounded by MAX_SPARE_FRONTIERS
+        if v.capacity() == 0 {
+            return;
+        }
+        let at = self.spare.partition_point(|s| s.capacity() <= v.capacity());
+        if self.spare.len() < MAX_SPARE_FRONTIERS {
+            self.spare.insert(at, v); // alloc-ok: cold pool-return; spine bounded by MAX_SPARE_FRONTIERS
+        } else if at > 0 {
+            self.spare.remove(0);
+            self.spare.insert(at - 1, v);
         }
     }
 

@@ -1,15 +1,18 @@
 //! A thread pool of persistent workers executing *parallel regions*.
 //!
 //! A region is a closure invoked once on every worker (OpenMP's
-//! `#pragma omp parallel`). Data-parallel loops ([`ThreadPool::parallel_for`])
+//! `#pragma omp parallel`); the caller of a region is worker 0, as
+//! OpenMP's master thread is. Data-parallel loops ([`ThreadPool::parallel_for`])
 //! and reductions are built on top by handing each worker a slice of the
 //! iteration space according to a [`Schedule`].
 //!
 //! Workers park on a condition variable between regions, so an idle pool
-//! costs nothing. The caller of [`ThreadPool::run`] blocks until every
-//! worker has finished the region — this is the guarantee that makes the
-//! internal lifetime erasure sound (the region closure may borrow the
-//! caller's stack).
+//! costs nothing. The caller of [`ThreadPool::run`] runs worker 0's share
+//! and then blocks until every worker has finished the region — this is
+//! the guarantee that makes the internal lifetime erasure sound (the region
+//! closure may borrow the caller's stack). A region wakes one thread fewer
+//! than it runs on, so a pool as wide as the host's cores never has two
+//! woken workers queue on one core behind a parked caller.
 //!
 //! Panics are *captured, not fatal*: workers run region closures under
 //! `catch_unwind`, the fallible loops additionally catch per chunk so a
@@ -96,7 +99,8 @@ thread_local! {
 }
 
 impl ThreadPool {
-    /// Creates a pool with `num_threads` workers (minimum 1).
+    /// Creates a pool with `num_threads` workers (minimum 1): the caller
+    /// of each region and `num_threads - 1` persistent threads.
     pub fn new(num_threads: usize) -> Self {
         let num_threads = num_threads.max(1);
         let shared = Arc::new(Shared {
@@ -110,7 +114,7 @@ impl ThreadPool {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
         });
-        let handles = (0..num_threads)
+        let handles = (1..num_threads)
             .map(|tid| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -191,8 +195,14 @@ impl ThreadPool {
         let mut slot = self.shared.slot.lock();
         slot.epoch += 1;
         slot.job = Some(job);
-        slot.remaining = self.num_threads;
+        slot.remaining = self.num_threads - 1;
         self.shared.work_cv.notify_all();
+        drop(slot);
+        let panic = run_share(job, 0);
+        let mut slot = self.shared.slot.lock();
+        if let Some(payload) = panic {
+            slot.panic.get_or_insert((payload, 0));
+        }
         while slot.remaining > 0 {
             self.shared.done_cv.wait(&mut slot);
         }
@@ -623,6 +633,19 @@ impl Drop for ThreadPool {
     }
 }
 
+/// Runs worker `tid`'s share of a region and returns its panic payload, if
+/// any. Capturing the panic lets `remaining` always reach zero: a worker
+/// that unwound would never complete the region and deadlock the caller.
+/// Region closures only touch state valid at every intermediate step
+/// (atomics, mutexes, worker-owned slots), and the panic is reported to the
+/// caller, never swallowed.
+fn run_share(job: &RegionFn, tid: usize) -> Option<String> {
+    IN_REGION.with(|c| c.set(true));
+    let result = catch_unwind(AssertUnwindSafe(|| job(tid)));
+    IN_REGION.with(|c| c.set(false));
+    result.err().map(|payload| panic_payload_string(&*payload))
+}
+
 fn worker_loop(shared: &Shared, tid: usize) {
     let mut seen_epoch = 0u64;
     loop {
@@ -639,20 +662,10 @@ fn worker_loop(shared: &Shared, tid: usize) {
                 shared.work_cv.wait(&mut slot);
             }
         };
-        IN_REGION.with(|c| c.set(true));
-        // Capture panics so `remaining` always reaches zero: the old
-        // behavior (worker unwinds, region never completes) deadlocked the
-        // caller. Region closures only touch state valid at every
-        // intermediate step (atomics, mutexes, worker-owned slots), and the
-        // panic is reported to the caller, never swallowed.
-        let result = catch_unwind(AssertUnwindSafe(|| job(tid)));
-        IN_REGION.with(|c| c.set(false));
+        let panic = run_share(job, tid);
         let mut slot = shared.slot.lock();
-        if let Err(payload) = result {
-            let payload = panic_payload_string(&*payload);
-            if slot.panic.is_none() {
-                slot.panic = Some((payload, tid));
-            }
+        if let Some(payload) = panic {
+            slot.panic.get_or_insert((payload, tid));
         }
         slot.remaining -= 1;
         if slot.remaining == 0 {

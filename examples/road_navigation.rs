@@ -72,7 +72,7 @@ fn main() {
     for delta in [0.5, 2.0, 8.0] {
         let name = format!("delta-stepping {delta}");
         report(&name, &|| {
-            let r = sssp::delta_stepping(execution::par, &ctx, &g, source, delta);
+            let r = sssp::delta_stepping(execution::par, &ctx, &g, source, plan, delta);
             (r.dist, r.stats.iterations, r.relaxations)
         });
     }

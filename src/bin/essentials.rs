@@ -10,8 +10,8 @@
 //!
 //! Formats are chosen by extension: `.mtx` (MatrixMarket), `.txt`/`.el`
 //! (edge list), `.esnt` (binary snapshot). Argument parsing is deliberately
-//! dependency-free. `bfs`, `sssp --mode bsp` and `cc` load a CSR only and run
-//! the default plan, which pushes throughout on such a graph; `pagerank`
+//! dependency-free. `bfs`, `sssp --mode bsp|delta` and `cc` load a CSR only and
+//! run the default plan, which pushes throughout on such a graph; `pagerank`
 //! builds the CSC and pulls.
 
 use std::io::BufReader;
@@ -214,10 +214,11 @@ fn run_sssp(args: &[String]) -> Result<(), String> {
     let ctx = Context::default();
     let source = source_of(args)?;
     let mode = flag(args, "--mode").unwrap_or("bsp");
+    let plan = DirectionPolicy::default();
     let r = match mode {
-        "bsp" => sssp::sssp(execution::par, &ctx, &g, source, DirectionPolicy::default()),
+        "bsp" => sssp::sssp(execution::par, &ctx, &g, source, plan),
         "async" => sssp::sssp_async(&ctx, &g, source),
-        "delta" => sssp::delta_stepping(execution::par, &ctx, &g, source, 2.0),
+        "delta" => sssp::delta_stepping(execution::par, &ctx, &g, source, plan, 2.0),
         other => return Err(format!("unknown sssp mode '{other}'")),
     };
     let reached = r.dist.iter().filter(|d| d.is_finite()).count();

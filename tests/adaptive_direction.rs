@@ -249,9 +249,8 @@ fn graphs_without_an_in_stream_push_on_every_plan() {
     }
 }
 
-/// Policies spanning the decision space's corners: no upgrade, blocked-pull
-/// upgrades with arbitrary thresholds, every fixed direction, and the
-/// default.
+/// Policies spanning the decision space's corners: every fixed direction
+/// and the default.
 fn arb_policy() -> impl Strategy<Value = DirectionPolicy> {
     const FIXED: [Direction; 4] = [
         Direction::Push,
@@ -260,11 +259,7 @@ fn arb_policy() -> impl Strategy<Value = DirectionPolicy> {
         Direction::BlockedPull,
     ];
     // Half the cases pin one of the four directions.
-    (0usize..2, 1usize..16, 1usize..32, 0usize..8).prop_map(|(on, ba, bb, fixed)| DirectionPolicy {
-        blocked: (on == 1).then_some(BlockedPullPolicy {
-            alpha: ba,
-            beta: bb,
-        }),
+    (0usize..8).prop_map(|fixed| DirectionPolicy {
         fixed: FIXED.get(fixed).copied(),
     })
 }

@@ -275,24 +275,17 @@ fn blocked_gather_results_bit_identical_across_thread_counts() {
     assert_blocked_ranking_is_deterministic("mmapped", &reps.mapped(), &pr_ref, &h_ref);
 
     let g = sym(gen::gnm(400, 2400, 5));
-    // Through the direction engine, every plan — the fixed directions, the
-    // default α/β switch, and a policy with an eager blocked-pull upgrade
-    // (huge α ⇒ tiny n/α entry threshold, so every pull iteration upgrades)
-    // — yields the same levels AND the same per-iteration direction trace
-    // at every thread count (the decision reads only frontier sizes).
-    let eager_blocked = DirectionPolicy {
-        blocked: Some(BlockedPullPolicy {
-            alpha: 1000,
-            beta: 1000,
-        }),
-        ..DirectionPolicy::default()
-    };
+    // Through the direction engine, every plan — the fixed directions,
+    // blocked pull among them, and the default α/β switch — yields the same
+    // levels AND the same per-iteration direction trace at every thread
+    // count (the decision reads only frontier sizes).
+    let blocked = DirectionPolicy::fixed(Direction::BlockedPull);
     let plans = [
         push(),
         DirectionPolicy::fixed(Direction::DensePush),
         DirectionPolicy::fixed(Direction::Pull),
         DirectionPolicy::default(),
-        eager_blocked,
+        blocked,
     ];
     let oracle = bfs::bfs_sequential(&g, 0).level;
     for plan in plans {
@@ -308,10 +301,10 @@ fn blocked_gather_results_bit_identical_across_thread_counts() {
             );
         }
     }
-    let blocked = bfs::bfs(execution::par, &Context::new(1), &g, 0, eager_blocked);
+    let b = bfs::bfs(execution::par, &Context::new(1), &g, 0, blocked);
     assert!(
-        blocked.directions.contains(&Direction::BlockedPull),
-        "eager policy never took the blocked-pull path; the test is vacuous"
+        b.directions.iter().all(|&d| d == Direction::BlockedPull),
+        "the blocked plan left the blocked-pull path; the test is vacuous"
     );
 }
 

@@ -175,25 +175,16 @@ fn blocked_gather_agrees_with_naive_on_f64_ranks() {
 #[test]
 fn blocked_gather_is_exact_on_integer_payloads() {
     // Integer payloads leave no room for tolerance: BFS levels through the
-    // direction engine under every plan — the fixed directions, the default
-    // α/β switch, and its blocked-pull upgrade — and CC labels through a
+    // direction engine under every plan — the fixed directions, blocked
+    // pull among them, and the default α/β switch — and CC labels through a
     // label-propagation loop driven directly by `try_expand_blocked_pull`,
     // must equal the sequential oracles bit for bit.
-    let blocked_policy = DirectionPolicy {
-        // Huge α ⇒ tiny n/α entry threshold: every pull iteration upgrades.
-        blocked: Some(BlockedPullPolicy {
-            alpha: 1000,
-            beta: 1000,
-        }),
-        ..DirectionPolicy::default()
-    };
     let plans = [
         push(),
         DirectionPolicy::fixed(Direction::DensePush),
         DirectionPolicy::fixed(Direction::Pull),
         DirectionPolicy::fixed(Direction::BlockedPull),
         DirectionPolicy::default(),
-        blocked_policy,
     ];
     for (name, coo) in topologies() {
         let g = sym(coo);
@@ -278,11 +269,26 @@ where
     }
 }
 
-fn adaptive_dist<G>(ctx: &Context, g: &G) -> Vec<f32>
+/// Default-plan SSSP, then Δ-stepping at two widths on the default and the
+/// pull plan — the one SSSP body, whatever `G` is.
+fn sssp_dists<G>(ctx: &Context, g: &G) -> Vec<(String, Vec<f32>)>
 where
     G: OutWeights<f32> + InWeights<f32> + Sync,
 {
-    sssp::sssp_adaptive(execution::par, ctx, g, 0).dist
+    let mut rows = vec![(
+        "default".to_string(),
+        sssp::sssp_adaptive(execution::par, ctx, g, 0).dist,
+    )];
+    for delta in [0.5, 4.0] {
+        for (name, plan) in [
+            ("default", DirectionPolicy::default()),
+            ("pull", DirectionPolicy::fixed(Direction::Pull)),
+        ] {
+            let r = sssp::delta_stepping(execution::par, ctx, g, 0, plan, delta);
+            rows.push((format!("delta {delta} on the {name} plan"), r.dist));
+        }
+    }
+    rows
 }
 
 #[test]
@@ -294,12 +300,14 @@ fn every_representation_agrees_bit_for_bit_across_thread_counts() {
     // direction decision, and every floating-point accumulation (PageRank's
     // gather sums) must equal the raw single-thread run bit for bit — not
     // within tolerance — on raw / compressed / mmapped × 1 / 2 / 8 threads.
+    // Every SSSP row, Δ-stepping's near–far order on a pulling plan
+    // included, equals push SSSP's least fixpoint bit for bit.
     for (name, coo) in topologies() {
         let reps = Reps::new(sym(coo.clone()));
         let repsw = Reps::new(weighted(coo));
         let one = Context::new(1);
         let reference = adaptive_answers(&one, &reps.raw, 30);
-        let reference_dist = adaptive_dist(&one, &repsw.raw);
+        let reference_dist = sssp::sssp(execution::par, &one, &repsw.raw, 0, push()).dist;
         assert_eq!(reference.levels, bfs::bfs_sequential(&reps.raw, 0).level);
         assert_eq!(reference.comp, cc::cc_union_find(&reps.raw).comp);
         let (mapped, mappedw) = (reps.mapped(), repsw.mapped());
@@ -311,18 +319,20 @@ fn every_representation_agrees_bit_for_bit_across_thread_counts() {
                 ("mmapped", adaptive_answers(&ctx, &mapped, 30)),
             ];
             let dists = [
-                ("raw", adaptive_dist(&ctx, &repsw.raw)),
-                ("compressed", adaptive_dist(&ctx, &repsw.compressed)),
-                ("mmapped", adaptive_dist(&ctx, &mappedw)),
+                ("raw", sssp_dists(&ctx, &repsw.raw)),
+                ("compressed", sssp_dists(&ctx, &repsw.compressed)),
+                ("mmapped", sssp_dists(&ctx, &mappedw)),
             ];
             for (rep, a) in &answers {
                 assert_eq!(a, &reference, "{rep} diverged on {name} at {t} threads");
             }
-            for (rep, d) in &dists {
-                assert_eq!(
-                    d, &reference_dist,
-                    "{rep} sssp diverged on {name} at {t} threads"
-                );
+            for (rep, rows) in &dists {
+                for (row, d) in rows {
+                    assert_eq!(
+                        d, &reference_dist,
+                        "{rep} sssp ({row}) diverged on {name} at {t} threads"
+                    );
+                }
             }
         }
     }

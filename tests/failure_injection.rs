@@ -91,7 +91,15 @@ fn binary_reader_survives_bit_flips() {
 #[should_panic(expected = "delta must be positive")]
 fn delta_stepping_rejects_nonpositive_delta() {
     let g = Graph::from_coo(&Coo::from_edges(2, [(0, 1, 1.0f32)]));
-    essentials_algos::sssp::delta_stepping(execution::seq, &Context::sequential(), &g, 0, 0.0);
+    let plan = DirectionPolicy::default();
+    essentials_algos::sssp::delta_stepping(
+        execution::seq,
+        &Context::sequential(),
+        &g,
+        0,
+        plan,
+        0.0,
+    );
 }
 
 #[test]

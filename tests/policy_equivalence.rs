@@ -49,12 +49,13 @@ fn sssp_identical_across_policies_and_thread_counts() {
             }
         }
         // Listing 4 trades redundant work for parallel structure: Dijkstra
-        // relaxes each reachable edge once, Δ-stepping re-relaxes only
-        // within a bucket, BSP whenever a shorter path arrives later.
+        // relaxes each reachable edge once, Δ-stepping (the same loop in
+        // near–far order) re-relaxes only within a bucket, BSP whenever a
+        // shorter path arrives later.
         if name == "rmat" || name == "grid" {
             let ctx = Context::new(2);
             let dijkstra = sssp::dijkstra(&g, 0).relaxations;
-            let delta = sssp::delta_stepping(execution::par, &ctx, &g, 0, 0.5).relaxations;
+            let delta = sssp::delta_stepping(execution::par, &ctx, &g, 0, push(), 0.5).relaxations;
             let bsp = sssp::sssp(execution::par, &ctx, &g, 0, push()).relaxations;
             assert!(
                 dijkstra <= delta && delta <= bsp,
@@ -66,19 +67,12 @@ fn sssp_identical_across_policies_and_thread_counts() {
 
 #[test]
 fn bfs_identical_across_all_variants() {
-    let eager_blocked = DirectionPolicy {
-        blocked: Some(BlockedPullPolicy {
-            alpha: 1000,
-            beta: 1000,
-        }),
-        ..DirectionPolicy::default()
-    };
     let plans = [
         ("push", push()),
         ("dense", DirectionPolicy::fixed(Direction::DensePush)),
         ("pull", DirectionPolicy::fixed(Direction::Pull)),
         ("do", DirectionPolicy::default()),
-        ("blocked", eager_blocked),
+        ("blocked", DirectionPolicy::fixed(Direction::BlockedPull)),
     ];
     for (name, g) in workloads() {
         let reference = bfs::bfs_sequential(&g, 0).level;

@@ -699,6 +699,9 @@ fn long_tail_algorithms_honour_budget_cancellation_and_fault_plan() {
     };
     let capped = cap(1);
     let budget = "run budget exhausted (iteration-cap) after 1 iterations";
+    let delta = |ctx: &Context| {
+        sssp::delta_stepping(execution::par, ctx, &wg, 0, DirectionPolicy::default(), 0.5)
+    };
     for (what, msg) in [
         (
             "sswp",
@@ -715,6 +718,10 @@ fn long_tail_algorithms_honour_budget_cancellation_and_fault_plan() {
             panic_message("kcore_peel", || {
                 kcore::kcore_peel(execution::par, &capped, &g)
             }),
+        ),
+        (
+            "delta_stepping",
+            panic_message("delta_stepping", || delta(&capped)),
         ),
     ] {
         assert!(msg.contains(budget), "{what}: {msg}");
@@ -735,19 +742,42 @@ fn long_tail_algorithms_honour_budget_cancellation_and_fault_plan() {
     let cancelled = ctx
         .clone()
         .with_budget(RunBudget::unlimited().with_cancel(token));
-    let msg = panic_message("sssp_async", || sssp::sssp_async(&cancelled, &wg, 0));
-    assert!(msg.contains("run budget exhausted (cancelled)"), "{msg}");
+    for (what, msg) in [
+        (
+            "sssp_async",
+            panic_message("sssp_async", || sssp::sssp_async(&cancelled, &wg, 0)),
+        ),
+        (
+            "delta_stepping",
+            panic_message("delta_stepping", || delta(&cancelled)),
+        ),
+    ] {
+        assert!(
+            msg.contains("run budget exhausted (cancelled)"),
+            "{what}: {msg}"
+        );
+    }
 
     // The enactor publishes every iteration, so a fault keyed past the
     // first one fires.
     let faulty = ctx
         .clone()
         .with_fault_plan(Arc::new(FaultPlan::new().panic_at(1, 0)));
-    let msg = panic_message("sswp", || sswp::sswp(execution::par, &faulty, &wg, 0));
-    assert!(
-        msg.contains("injected fault at (iteration 1, chunk 0)"),
-        "{msg}"
-    );
+    for (what, msg) in [
+        (
+            "sswp",
+            panic_message("sswp", || sswp::sswp(execution::par, &faulty, &wg, 0)),
+        ),
+        (
+            "delta_stepping",
+            panic_message("delta_stepping", || delta(&faulty)),
+        ),
+    ] {
+        assert!(
+            msg.contains("injected fault at (iteration 1, chunk 0)"),
+            "{what}: {msg}"
+        );
+    }
 
     // The vertex programs run under the chunk hooks too. A fault keyed to
     // the first chunk of a round fires inside that round's vertex program,
@@ -787,6 +817,7 @@ fn long_tail_algorithms_honour_budget_cancellation_and_fault_plan() {
     assert!(close(&tree.dist));
     assert!(paths::verify_sssp_tree(&wg, 0, &tree, 1e-4));
     assert!(close(&sssp::sssp_async(&ctx, &wg, 0).dist));
+    assert!(close(&delta(&ctx).dist));
     let coloring = color::color_greedy(execution::par, &ctx, &g);
     assert!(color::verify_coloring(&g, &coloring.color));
     assert_eq!(

@@ -21,7 +21,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use essentials::prelude::*;
-use essentials_algos::{bfs, hits, multi_source, pagerank};
+use essentials_algos::{bfs, hits, multi_source, pagerank, sssp};
 use essentials_gen as gen;
 use essentials_mp::algorithms::mp_pagerank;
 use essentials_parallel::atomics::AtomicF32;
@@ -369,84 +369,83 @@ fn warm_pregel_supersteps_do_not_allocate() {
     }
 }
 
+/// Δ-stepping through the one SSSP body: near–far iterations recycle every
+/// frontier through the context's pools and hold the far pile (reserved to
+/// n, each vertex queued once) and its bitmap from them, so a warm run
+/// allocates only per-run state (its distances and traces) and one of many
+/// iterations allocates exactly as often as one of few.
+fn audit_delta_stepping<G>(rep: &str, threads: usize, g: &G, ctx: &Context)
+where
+    G: OutWeights<f32> + InWeights<f32> + Sync,
+{
+    let run = |delta: f32| {
+        let plan = DirectionPolicy::default();
+        let r = sssp::try_delta_stepping(execution::par, ctx, g, 0, plan, delta).expect("run");
+        r.stats.iterations
+    };
+    // Wide buckets take few iterations, narrow ones many.
+    let (wide, narrow) = (4.0, 0.25);
+    for _ in 0..5 {
+        run(narrow);
+        run(wide);
+    }
+    // Dynamic scheduling varies each worker's share of an output, and the
+    // relaxation races vary frontier sizes, so a per-worker buffer may
+    // still grow in a warm run now and then. That growth is transient and
+    // an allocation per iteration is not: the fewest allocations over
+    // several runs of each kind isolate the steady state.
+    let (mut few, mut many) = (0, 0);
+    let (mut short, mut long) = (usize::MAX, usize::MAX);
+    for _ in 0..10 {
+        short = short.min(count_allocs(ctx.pool(), || few = run(wide)));
+        long = long.min(count_allocs(ctx.pool(), || many = run(narrow)));
+    }
+    // Both inside the traces' up-front reservation.
+    assert!(few < many && many < 64, "{few} and {many} iterations");
+    assert_eq!(
+        long,
+        short,
+        "{} extra warm Δ-stepping iterations on {rep} at {threads} threads hit the allocator {} times",
+        many - few,
+        long.saturating_sub(short)
+    );
+}
+
 #[test]
 fn steady_state_delta_stepping_rounds_do_not_allocate() {
-    // The Δ-stepping hot loop — take the active list, relax with fused
-    // dedup, partition the survivors back into buckets — used to allocate
-    // three fresh vectors per round. It now cycles its storage through the
-    // context's pools (active list and partition buffer) and a local
-    // free-list (bucket storage); after warm-up one full round touches the
-    // allocator zero times. The per-round work here is deterministic: the
-    // distance table is reset before every round, so the improved set and
-    // the bucket assignment depend only on the graph.
     let mut coo = gen::rmat(12, 8, gen::RmatParams::default(), 7);
     coo.remove_self_loops();
     coo.symmetrize();
     coo.sort_and_dedup();
-    let g: Graph<f32> = Graph::from_coo(&gen::hash_weights(&coo, 0.1, 2.0, 42));
-    let n = g.num_vertices();
-    let ctx = Context::new(4);
-    let delta = 0.3f32;
-    let dist: Vec<AtomicF32> = (0..n).map(|_| AtomicF32::new(f32::INFINITY)).collect();
-    let seeds: Vec<VertexId> = (0..n as VertexId).step_by(4).collect();
+    let g: Graph<f32> = Graph::from_coo(&gen::hash_weights(&coo, 0.1, 2.0, 42)).with_csc();
+    for_each_rep_and_thread_count!(Reps::new(g), Context::new, audit_delta_stepping);
+}
 
-    let mut buckets: Vec<Vec<VertexId>> = Vec::new();
-    let mut spare: Vec<Vec<VertexId>> = Vec::new();
-
-    let mut round = || {
-        for (i, d) in dist.iter().enumerate() {
-            let init = if i % 4 == 0 { 0.0 } else { f32::INFINITY };
-            d.store(init, Ordering::Relaxed);
-        }
-        // Active list from the context pool, exactly as `delta_stepping`
-        // hands its storage to the frontier.
-        let mut active = ctx.take_u32_buffer();
-        active.extend_from_slice(&seeds);
-        let f = SparseFrontier::from_vec(active);
-        let improved = neighbors_expand_unique(execution::par, &ctx, &g, &f, |s, d, _e, w| {
-            let nd = dist[s as usize].load(Ordering::Acquire) + w;
-            dist[d as usize].fetch_min(nd, Ordering::AcqRel) > nd
-        });
-        ctx.recycle_frontier(f);
-        // In-place partition: bucket-0 vertices stay, the rest stash into
-        // their buckets, fresh buckets draw storage from the free-list.
-        let mut buf = improved.into_vec();
-        buf.retain(|&v| {
-            let b = (dist[v as usize].load(Ordering::Acquire) / delta) as usize;
-            if b == 0 {
-                return true;
+#[test]
+fn warm_bfs_allocates_alike_however_many_levels_it_takes() {
+    // From a corner, a 16² grid takes 31 levels and a 32² grid 63: both
+    // fit the loop's work trace and the direction trace as reserved up
+    // front, so neither grows mid-run.
+    let plan = DirectionPolicy::default();
+    for t in THREADS {
+        let warm_count = |side: usize| {
+            let g = Graph::<()>::from_coo(&gen::grid2d(side, side)).with_csc();
+            let ctx = Context::new(t);
+            let run = || {
+                let r = bfs::try_bfs(execution::par, &ctx, &g, 0, plan).expect("run");
+                assert_eq!(r.stats.iterations, 2 * side - 1);
+            };
+            for _ in 0..3 {
+                run();
             }
-            if b >= buckets.len() {
-                buckets.resize_with(b + 1, Vec::new);
-            }
-            if buckets[b].capacity() == 0 {
-                if let Some(recycled) = spare.pop() {
-                    buckets[b] = recycled;
-                }
-            }
-            buckets[b].push(v);
-            false
-        });
-        ctx.recycle_u32_buffer(buf);
-        // Bucket retirement: drained storage parks on the free-list.
-        for b in &mut buckets {
-            if b.capacity() > 0 {
-                let mut drained = std::mem::take(b);
-                drained.clear();
-                spare.push(drained);
-            }
-        }
-    };
-
-    for _ in 0..3 {
-        round();
+            count_allocs(ctx.pool(), run)
+        };
+        let (short, long) = (warm_count(16), warm_count(32));
+        assert_eq!(
+            long, short,
+            "32 more warm BFS levels at {t} threads changed the allocation count"
+        );
     }
-
-    let allocs = count_allocs(ctx.pool(), &mut round);
-    assert_eq!(
-        allocs, 0,
-        "steady-state Δ-stepping round hit the allocator {allocs} times"
-    );
 }
 
 #[test]
@@ -504,7 +503,9 @@ fn warm_split_grid_batches_allocate_less_than_the_single_runs_they_replace() {
     // one traversal per lane. Those lanes claim straight into the batch's
     // pooled level table, so a warm batch allocates only what the
     // traversals' traces need — fewer times than the same lanes as warm
-    // `try_bfs` runs, which each allocate a level vector besides.
+    // `try_bfs` runs, which each allocate a level vector besides (48
+    // against 64 allocations for 16 lanes at every thread count, the
+    // traces reserved up front).
     let g = Graph::<()>::from_coo(&gen::grid2d(32, 32)).with_csc();
     let n = g.num_vertices() as VertexId;
     let sources: Vec<VertexId> = (0..16).map(|i| (i * 61) % n).collect();
