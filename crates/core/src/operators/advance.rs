@@ -392,9 +392,10 @@ where
 /// [`AdvanceScratch`] worker buffers, then drained into
 /// a pooled output vector in worker-id order — the same checkout pattern as
 /// [`try_expand_impl`], so calls take no lock and reuse buffer capacity
-/// (dynamic scheduling can still grow a worker's buffer when its share
-/// shifts). On an error the buffers are drained and discarded and the
-/// scratch goes back to the context, which stays fully reusable.
+/// (a drained buffer is reserved to the whole output, so a worker's
+/// shifting share grows it only past the largest output yet). On an error
+/// the buffers are drained and discarded and the scratch goes back to the
+/// context, which stays fully reusable.
 pub(crate) fn try_collect_indexed<F>(
     ctx: &Context,
     len: usize,

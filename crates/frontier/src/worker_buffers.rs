@@ -86,11 +86,20 @@ impl WorkerBuffers {
     /// buffers but keeping their capacity. Concatenation order follows
     /// worker id, so the result is deterministic given a deterministic work
     /// division.
+    ///
+    /// Each emptied buffer is then reserved to the drained total: a dynamic
+    /// schedule may hand any one worker the whole of a later output, so
+    /// once an output of some size has been drained, no output up to that
+    /// size grows a buffer again, whichever worker draws which share. The
+    /// price is capacity: every buffer holds the largest output drained,
+    /// so the set holds workers × that many ids.
     pub fn drain_into(&mut self, out: &mut Vec<VertexId>) {
         let total: usize = self.len();
         out.reserve(total);
         for s in self.slots.iter_mut() {
-            out.append(s.buf.get_mut());
+            let buf = s.buf.get_mut();
+            out.append(buf);
+            buf.reserve_exact(total);
         }
     }
 

@@ -34,7 +34,17 @@
 //! **Decoding.** [`NeighborDecoder`] is an allocation-free sequential
 //! cursor over one vertex's run: the advance operators drive it one vertex
 //! at a time, and [`NeighborDecoder::skip_ahead`] lets an edge-balanced chunk
-//! start mid-row. Random access into a row is impossible by design, so the
+//! start mid-row. It refills a word at a time: each value starts with one
+//! little-endian 8-byte load into a 64-bit accumulator, and a valid value
+//! (at most 42 bits) then decodes from the accumulator with one shift. The
+//! decoder holds the stream from its row's start to the stream's end, so a
+//! refill may read up to 7 bytes of the following rows — read ahead, never
+//! consumed by a valid row — and only the stream's last 7 bytes refill
+//! from a zero-padded copy. No byte sequence panics it, in any profile: a
+//! corrupt class above 33 (no `u32` delta reaches 34) decodes as class 33,
+//! reads past the end see zeros, and deltas add with wrapping, so corrupt
+//! bytes yield wrong ids, but exactly `degree` of them.
+//! Random access into a row is impossible by design, so the
 //! compressed types implement only the streaming adjacency traits
 //! ([`OutAdjacency`], [`InAdjacency`]) — the ones the advance family is
 //! written against — and not the slice-returning raw traits.
@@ -183,18 +193,31 @@ fn encode_row(v: VertexId, neighbors: &[VertexId], out: &mut [u8]) {
 // Decoder
 // ---------------------------------------------------------------------------
 
+/// The word at `at` within a stream's last 7 bytes: zeros past the end.
+#[cold]
+fn tail_word(bytes: &[u8], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    for (w, &b) in word.iter_mut().zip(bytes.get(at..).unwrap_or_default()) {
+        *w = b;
+    }
+    u64::from_le_bytes(word)
+}
+
 /// Allocation-free sequential decoder of one vertex's neighbor run.
 ///
 /// An exact-size iterator over the destinations of `v`'s out-edges, in the
 /// stored (ascending) order — the same order the raw CSR slice has. The
 /// advance operators create one per visited vertex; creation reads only
 /// two offsets, so a decoder on a zero-degree vertex costs nothing.
+/// Its refill and safety contract is the module's *Decoding* paragraph.
 #[derive(Clone)]
 pub struct NeighborDecoder<'a> {
+    /// The row's bytes and everything after them in the stream.
     bytes: &'a [u8],
     /// Next byte to refill the bit accumulator from.
     at: usize,
-    /// LSB-first bit accumulator holding `nbits` not-yet-consumed bits.
+    /// LSB-first bit accumulator holding `nbits` not-yet-consumed bits;
+    /// bits above `nbits` are zero or the stream's bits from `at` on.
     acc: u64,
     nbits: u32,
     remaining: usize,
@@ -205,11 +228,13 @@ pub struct NeighborDecoder<'a> {
 }
 
 impl<'a> NeighborDecoder<'a> {
-    /// Decoder over `run` (vertex `v`'s byte run) yielding `degree` ids.
+    /// Decoder yielding `degree` ids from `bytes`, which start at vertex
+    /// `v`'s run and may run on past it to the stream's end. Any bytes and
+    /// any degree are accepted (the module's *Decoding* paragraph).
     #[inline]
-    pub fn new(v: VertexId, run: &'a [u8], degree: usize) -> Self {
+    pub fn new(v: VertexId, bytes: &'a [u8], degree: usize) -> Self {
         NeighborDecoder {
-            bytes: run,
+            bytes,
             at: 0,
             acc: 0,
             nbits: 0,
@@ -219,35 +244,43 @@ impl<'a> NeighborDecoder<'a> {
         }
     }
 
-    /// Consumes the next `k` bits (`1 ≤ k ≤ 57`), LSB-first.
+    /// Tops the accumulator up to 56..=63 held bits with one word load.
+    /// Whole bytes that fit are counted in; the loaded bits past them are
+    /// the ones the next refill loads again, so re-ORing them is
+    /// idempotent.
     #[inline]
-    fn read_bits(&mut self, k: u32) -> u64 {
-        while self.nbits < k {
-            self.acc |= u64::from(self.bytes[self.at]) << self.nbits;
-            self.at += 1;
-            self.nbits += 8;
-        }
-        let v = self.acc & ((1u64 << k) - 1);
-        self.acc >>= k;
-        self.nbits -= k;
-        v
+    fn refill(&mut self) {
+        let word = match self.bytes.get(self.at..).and_then(<[u8]>::first_chunk) {
+            Some(&w) => u64::from_le_bytes(w),
+            None => tail_word(self.bytes, self.at),
+        };
+        self.acc |= word << self.nbits;
+        self.at += (63 - self.nbits as usize) >> 3;
+        self.nbits |= 56;
     }
 
-    /// Decodes one class + mantissa value.
+    /// Decodes one class + mantissa value from a single refill: a value is
+    /// at most 42 bits (10 class bits, class ≤ 33) and a refill holds 56.
     #[inline]
     fn read_value(&mut self) -> u64 {
-        let mut c = self.read_bits(4) as u32;
+        self.refill();
+        let mut c = (self.acc & 0xf) as u32;
+        let mut head = 4;
         if c == 0 {
-            // Escaped class; a corrupt stream could escape to 0 — clamp so
-            // the shift below stays in range (garbage in, garbage out, but
-            // never a wild shift).
-            c = (self.read_bits(6) as u32).max(1);
+            // Escaped class. A corrupt escape to 0 decodes as class 1.
+            c = ((self.acc >> 4) & 0x3f) as u32;
+            head = 10;
         }
-        if c == 1 {
-            self.read_bits(1)
-        } else {
-            (1u64 << (c - 1)) | self.read_bits(c - 1)
-        }
+        // Class 1 stores its value in one explicit bit; class c > 1 in
+        // c − 1 mantissa bits under an implied leading one. No u32 delta
+        // reaches class 34, so a corrupt class above 33 reads as 33.
+        let c = c.min(33);
+        let k = c.saturating_sub(1).max(1);
+        let implied = u64::from(c > 1) << k;
+        let mantissa = (self.acc >> head) & ((1u64 << k) - 1);
+        self.acc >>= head + k;
+        self.nbits -= head + k;
+        implied | mantissa
     }
 
     /// Neighbors not yet decoded.
@@ -277,14 +310,14 @@ impl Iterator for NeighborDecoder<'_> {
         }
         self.remaining -= 1;
         let raw = self.read_value();
-        let id = if self.first {
+        let delta = if self.first {
             self.first = false;
-            self.prev + unzigzag(raw)
+            unzigzag(raw)
         } else {
-            self.prev + raw as i64
+            raw as i64
         };
-        self.prev = id;
-        Some(id as VertexId)
+        self.prev = self.prev.wrapping_add(delta);
+        Some(self.prev as VertexId)
     }
 
     #[inline]
@@ -530,9 +563,10 @@ impl<'a, W: EdgeValue> CcsrView<'a, W> {
     fn decoder_from(&self, v: VertexId, skip: usize) -> NeighborDecoder<'a> {
         let vi = v as usize;
         let lo = self.byte_offsets[vi] as usize;
-        let hi = self.byte_offsets[vi + 1] as usize;
         let deg = (self.edge_offsets[vi + 1] - self.edge_offsets[vi]) as usize;
-        let mut d = NeighborDecoder::new(v, &self.bytes[lo..hi], deg);
+        // The stream from the row on, not the row alone: refills read
+        // ahead one word.
+        let mut d = NeighborDecoder::new(v, &self.bytes[lo..], deg);
         d.skip_ahead(skip);
         d
     }
@@ -961,6 +995,76 @@ mod tests {
         assert_eq!(d.next(), None);
     }
 
+    /// A view's sections over sorted `rows`, encoded by the row codec
+    /// directly — no pool, so Miri runs the tests that use them.
+    fn encoded_sections(rows: &[Vec<VertexId>]) -> (Vec<u64>, Vec<u64>, Vec<u8>) {
+        let (mut edge_offsets, mut byte_offsets, mut bytes) = (vec![0u64], vec![0u64], Vec::new());
+        for (v, row) in rows.iter().enumerate() {
+            let lo = bytes.len();
+            bytes.resize(lo + row_encoded_len(v as VertexId, row), 0);
+            encode_row(v as VertexId, row, &mut bytes[lo..]);
+            edge_offsets.push(edge_offsets[v] + row.len() as u64);
+            byte_offsets.push(bytes.len() as u64);
+        }
+        (edge_offsets, byte_offsets, bytes)
+    }
+
+    /// Asserts that every row of a view over `rows`, decoded from every
+    /// skip, equals its raw slice; returns each row's coded byte length.
+    fn assert_view_decodes(rows: &[Vec<VertexId>]) -> Vec<usize> {
+        let (eo, bo, bytes) = encoded_sections(rows);
+        let m = rows.iter().map(Vec::len).sum();
+        let view = CcsrView::<()>::try_new(rows.len(), m, &eo, &bo, &bytes, &[]).expect("valid");
+        for (v, row) in rows.iter().enumerate() {
+            for k in 0..=row.len() {
+                let dec: Vec<VertexId> = view.out_neighbors_from(v as VertexId, k).collect();
+                assert_eq!(dec, &row[k..], "vertex {v} from skip {k}");
+            }
+        }
+        bo.windows(2).map(|w| (w[1] - w[0]) as usize).collect()
+    }
+
+    /// Ascending ids from `start` by gaps cycling through every code shape:
+    /// class 1, short and long direct classes, escaped classes.
+    fn mixed_row(start: VertexId, len: usize) -> Vec<VertexId> {
+        const GAPS: [VertexId; 7] = [1, 300, 70_000, 0, 3, 1 << 20, 5_000_000];
+        (0..len)
+            .scan(start, |d, i| {
+                *d += GAPS[i % GAPS.len()];
+                Some(*d)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stream_tail_rows_shorter_and_longer_than_a_word() {
+        // The last row refills from the zero-padded tail only: once when
+        // the whole row sits in the stream's last 7 bytes, and after
+        // several full-word refills when it is longer.
+        let lens = assert_view_decodes(&[mixed_row(0, 20), vec![2, 3]]);
+        assert!(lens[0] >= 8 && lens[1] < 8, "{lens:?}");
+        let lens = assert_view_decodes(&[vec![1], mixed_row(9, 30)]);
+        assert!(lens[0] < 8 && lens[1] >= 8, "{lens:?}");
+    }
+
+    #[test]
+    fn read_ahead_into_the_next_row_is_never_consumed() {
+        // A short middle row's word refill loads its neighbours' bytes —
+        // all set bits, with the extremes of the first delta after it.
+        let hi = VertexId::MAX - 1;
+        let rows = [mixed_row(0, 12), vec![5], vec![0, hi], vec![3], vec![hi]];
+        let lens = assert_view_decodes(&rows);
+        assert!(lens[1] == 1 && lens[3] == 1, "{lens:?}");
+    }
+
+    #[test]
+    fn skip_ahead_lands_on_rows_that_straddle_refills() {
+        // Values of 5 to 42 bits cross the 56-bit refill boundary at
+        // every offset; each skip lands where the raw slice says.
+        let rows: Vec<Vec<VertexId>> = (0..6).map(|v| mixed_row(v * 7, 24 + v as usize)).collect();
+        assert_view_decodes(&rows);
+    }
+
     #[cfg_attr(miri, ignore = "spawns a thread pool")]
     #[test]
     fn weighted_values_ride_along_uncompressed() {
@@ -1042,6 +1146,24 @@ mod tests {
             encode_row(7, &neigh, &mut buf);
             let dec: Vec<VertexId> = NeighborDecoder::new(7, &buf, neigh.len()).collect();
             prop_assert_eq!(dec, neigh);
+        }
+
+        /// Arbitrary bytes under an arbitrary degree: the decoder yields
+        /// exactly `degree` ids, `skip_ahead` included, and never panics —
+        /// a corrupt class, a read past the end or a wrapping delta decodes
+        /// to wrong ids, no more.
+        #[test]
+        fn prop_arbitrary_bytes_never_panic(
+            bytes in prop::collection::vec(0u8..=255, 0..64),
+            degree in 0usize..80,
+            v in 0u32..=VertexId::MAX,
+            k in 0usize..80,
+        ) {
+            let all: Vec<VertexId> = NeighborDecoder::new(v, &bytes, degree).collect();
+            prop_assert_eq!(all.len(), degree);
+            let mut d = NeighborDecoder::new(v, &bytes, degree);
+            d.skip_ahead(k);
+            prop_assert_eq!(d.collect::<Vec<_>>(), &all[k.min(degree)..]);
         }
 
         /// `skip_ahead(k)` lands exactly where k `next()` calls would.

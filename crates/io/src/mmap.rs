@@ -617,6 +617,22 @@ mod tests {
     }
 
     #[test]
+    fn compressed_format_is_pinned() {
+        // A fixed R-MAT through compress + write: both sides' coded byte
+        // counts and an FNV-1a of the whole container are pinned, so a
+        // codec change that claims to read the same bytes is held to it.
+        let pool = ThreadPool::new(2);
+        let coo = essentials_gen::rmat(10, 8, essentials_gen::RmatParams::default(), 1);
+        let cg = CompressedGraph::from_graph(&pool, &Graph::from_coo(&coo).with_csc());
+        let sides = (
+            cg.out_ccsr().topology_bytes(),
+            cg.in_ccsr().map(|c| c.topology_bytes()),
+        );
+        assert_eq!(sides, (7940, Some(7932)));
+        assert_eq!(fnv1a(&write_compressed_binary(&cg)), 0x07a8_2518_e04e_c100);
+    }
+
+    #[test]
     fn weighted_container_round_trips_owned() {
         let pool = ThreadPool::new(2);
         let g = sample();

@@ -385,30 +385,36 @@ where
     };
     // Wide buckets take few iterations, narrow ones many.
     let (wide, narrow) = (4.0, 0.25);
+    // A drained per-worker buffer is reserved to the whole output, so no
+    // output up to the largest drained so far grows one, whichever worker
+    // draws which share; the relaxation races still vary output sizes, so
+    // the warm-up also runs one bucket (Bellman–Ford order, the largest
+    // frontiers) and buckets narrower than the counted runs.
     for _ in 0..5 {
+        run(1e3);
+        run(narrow / 2.0);
         run(narrow);
         run(wide);
     }
-    // Dynamic scheduling varies each worker's share of an output, and the
-    // relaxation races vary frontier sizes, so a per-worker buffer may
-    // still grow in a warm run now and then. That growth is transient and
-    // an allocation per iteration is not: the fewest allocations over
-    // several runs of each kind isolate the steady state.
     let (mut few, mut many) = (0, 0);
-    let (mut short, mut long) = (usize::MAX, usize::MAX);
+    let short = count_allocs(ctx.pool(), || few = run(wide));
     for _ in 0..10 {
-        short = short.min(count_allocs(ctx.pool(), || few = run(wide)));
-        long = long.min(count_allocs(ctx.pool(), || many = run(narrow)));
+        let wide_allocs = count_allocs(ctx.pool(), || few = run(wide));
+        let long = count_allocs(ctx.pool(), || many = run(narrow));
+        // Both inside the traces' up-front reservation.
+        assert!(few < many && many < 64, "{few} and {many} iterations");
+        assert_eq!(
+            wide_allocs, short,
+            "a warm Δ-stepping run on {rep} at {threads} threads allocated {wide_allocs} times, an earlier one {short}"
+        );
+        assert_eq!(
+            long,
+            short,
+            "{} extra warm Δ-stepping iterations on {rep} at {threads} threads hit the allocator {} times",
+            many - few,
+            long.saturating_sub(short)
+        );
     }
-    // Both inside the traces' up-front reservation.
-    assert!(few < many && many < 64, "{few} and {many} iterations");
-    assert_eq!(
-        long,
-        short,
-        "{} extra warm Δ-stepping iterations on {rep} at {threads} threads hit the allocator {} times",
-        many - few,
-        long.saturating_sub(short)
-    );
 }
 
 #[test]
