@@ -308,15 +308,21 @@ fn try_lock_step<P: ExecutionPolicy, W: EdgeValue>(
                         let old = visited_at[dst].fetch_or(fmask, Ordering::AcqRel);
                         let new = fmask & !old;
                         if new != 0 {
-                            next_at[dst].fetch_or(new, Ordering::Relaxed);
+                            let was = next_at[dst].fetch_or(new, Ordering::Relaxed);
                             let mut bits = new;
                             while bits != 0 {
                                 let s = bits.trailing_zeros() as usize;
                                 bits &= bits - 1;
                                 levels_at[s * n + dst].store(depth, Ordering::Relaxed);
                             }
-                            // The count is rederived once per level below.
-                            next_active_ref.bits().set(dst);
+                            // Only the claim that makes `dst`'s next word
+                            // non-zero marks it active: the bitmap's few
+                            // words are shared by every worker, so one RMW
+                            // per vertex and level, not one per claim. The
+                            // count is rederived once per level below.
+                            if was == 0 {
+                                next_active_ref.bits().set(dst);
+                            }
                         }
                     }
                 });
@@ -327,6 +333,13 @@ fn try_lock_step<P: ExecutionPolicy, W: EdgeValue>(
             let hooks = ctx.chunk_hooks();
             let schedule = Schedule::Dynamic(WORD_GRAIN);
             if P::IS_PARALLEL && ctx.num_threads() > 1 {
+                // Each word counts as one unit of work, not as the 64
+                // vertex slots behind it, so the sweep reaches the pool
+                // only from 2^17 vertices: its time goes to RMWs on
+                // destination words every worker shares, and a second
+                // worker paid little or nothing below that (EXPERIMENTS.md,
+                // "The lock-step sweep stays on its caller below 2^17
+                // vertices").
                 ctx.pool().try_parallel_for(0..words, schedule, hooks, body)
             } else {
                 try_sequential_for_with(0..words, schedule, hooks, |_, w| body(w))

@@ -14,7 +14,9 @@
 //! discarded prefix (bounded by one row per chunk boundary) on compressed.
 
 use essentials_graph::{EdgeId, OutAdjacency, VertexId};
-use essentials_parallel::{parallel_scan_with, ChunkHooks, ExecError, Schedule};
+use essentials_parallel::{
+    parallel_scan_with, try_sequential_for_with, ChunkHooks, ExecError, Schedule,
+};
 
 use crate::context::Context;
 
@@ -51,6 +53,10 @@ where
 /// work-chunk boundary (the chunk id is the edge-chunk ordinal, stable for
 /// a given frontier regardless of thread count), and a panic in `f` is
 /// captured as [`ExecError::WorkerPanic`] after the remaining chunks drain.
+///
+/// The chunks run on the calling thread, as worker 0: dispatching push
+/// levels to the pool has not paid on the measured workloads
+/// (EXPERIMENTS.md, "Edge-balanced push stays inline").
 pub(crate) fn try_for_each_edge_balanced_with<G, F>(
     ctx: &Context,
     g: &G,
@@ -81,25 +87,24 @@ where
     let grain = (total / (threads * 8).max(1)).clamp(256, 1 << 16);
     let chunks = total.div_ceil(grain);
 
-    ctx.pool()
-        .try_parallel_for_with(0..chunks, Schedule::Dynamic(1), hooks, |tid, c| {
-            let work_lo = c * grain;
-            let work_hi = ((c + 1) * grain).min(total);
-            // First frontier index whose edge range intersects [work_lo, ..).
-            let mut fi = offsets.partition_point(|&o| o <= work_lo) - 1;
-            let mut w = work_lo;
-            while w < work_hi {
-                let src = frontier[fi];
-                // Position inside src's edge list.
-                let inner = w - offsets[fi];
-                let take = (offsets[fi + 1] - w).min(work_hi - w);
-                for (e, dst) in g.out_edges_from(src, inner).take(take) {
-                    f(tid, src, dst, e);
-                }
-                w += take;
-                fi += 1;
+    try_sequential_for_with(0..chunks, Schedule::Dynamic(1), hooks, |tid, c| {
+        let work_lo = c * grain;
+        let work_hi = ((c + 1) * grain).min(total);
+        // First frontier index whose edge range intersects [work_lo, ..).
+        let mut fi = offsets.partition_point(|&o| o <= work_lo) - 1;
+        let mut w = work_lo;
+        while w < work_hi {
+            let src = frontier[fi];
+            // Position inside src's edge list.
+            let inner = w - offsets[fi];
+            let take = (offsets[fi + 1] - w).min(work_hi - w);
+            for (e, dst) in g.out_edges_from(src, inner).take(take) {
+                f(tid, src, dst, e);
             }
-        })
+            w += take;
+            fi += 1;
+        }
+    })
 }
 
 #[cfg(test)]

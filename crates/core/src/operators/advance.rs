@@ -462,13 +462,15 @@ where
     let output = ctx.take_dense_frontier(g.num_vertices());
     let detail = ctx.obs_wants_detail();
     let admitted = Counter::new();
+    // Admissions set the output bit only; the cached count is settled by
+    // one `recount` after the kernel, so no counter is shared per vertex.
     let body = |v: VertexId, n: VertexId, e: EdgeId| {
         let w = g.edge_weight(e);
         if condition(v, n, e, w) {
             if detail {
                 admitted.add(1); // rmw-ok: runs only when a sink asks for per-edge detail
             }
-            output.insert(n);
+            output.bits().set(n as usize);
         }
     };
     let hooks = ctx.chunk_hooks();
@@ -487,6 +489,7 @@ where
     } else {
         try_for_each_edge_balanced(ctx, g, f.as_slice(), hooks, |_tid, v, n, e| body(v, n, e))
     };
+    output.recount();
     if let Err(e) = run {
         ctx.recycle_dense_frontier(output);
         return Err(e);
@@ -553,17 +556,19 @@ where
 
 /// The region both pull expansions share: runs `scan(output, i)` — the
 /// in-edges scanned for work item `i` — over `range` in `Dynamic(grain)`
-/// chunks, folding the counts through the scratch's per-worker tallies and
-/// settling the output's cached count once the region has joined. On
-/// success emits the [`OpKind::Pull`] event and hands back the output with
-/// its scan count; on an error the output bitmap goes back to the
-/// context's pool instead.
+/// chunks, on the pool when the `work` behind the range (candidate vertex
+/// slots) pays for a region, folding the counts through the scratch's
+/// per-worker tallies and settling the output's cached count once the
+/// region has joined. On success emits the [`OpKind::Pull`] event and
+/// hands back the output with its scan count; on an error the output
+/// bitmap goes back to the context's pool instead.
 fn try_pull_region<P, S>(
     ctx: &Context,
     input: &DenseFrontier,
     output: DenseFrontier,
     range: std::ops::Range<usize>,
     grain: usize,
+    work: usize,
     scan: S,
 ) -> Result<(DenseFrontier, usize), ExecError>
 where
@@ -573,7 +578,7 @@ where
     let mut scratch = ctx.take_scratch();
     scratch.tallies.reset(ctx.num_threads());
     let tallies = &scratch.tallies;
-    let run = try_for_with::<P, _>(ctx, range, Schedule::Dynamic(grain), |tid, i| {
+    let run = try_for_with::<P, _>(ctx, range, Schedule::Dynamic(grain), work, |tid, i| {
         tallies.tally(tid, scan(&output, i));
     });
     let scanned = scratch.tallies.total();
@@ -639,7 +644,7 @@ where
     let n = g.num_vertices();
     // Recycled bitmap, same contract as `try_expand_push_dense`.
     let output = ctx.take_dense_frontier(n);
-    try_pull_region::<P, _>(ctx, input, output, 0..n, 256, |output, i| {
+    try_pull_region::<P, _>(ctx, input, output, 0..n, 256, n, |output, i| {
         let dst = i as VertexId;
         if candidate(dst) {
             scan_in_edges(g, input, output, &cfg, &condition, dst)
@@ -709,8 +714,10 @@ where
     // Workers take disjoint *word* ranges of the mask and decode their own
     // chunks — the parallel form of the word-at-a-time scan. 4 words per
     // grab = 256 candidate slots, small enough to balance skewed in-degree,
-    // large enough to amortize the queue.
-    try_pull_region::<P, _>(ctx, input, output, 0..mask.num_words(), 4, |output, wi| {
+    // large enough to amortize the queue. The work stated for the dispatch
+    // rule is the 64 candidate slots behind each word.
+    let words = mask.num_words();
+    try_pull_region::<P, _>(ctx, input, output, 0..words, 4, words * 64, |output, wi| {
         let mut scans = 0usize;
         mask.for_each_set_in_words(wi, wi + 1, &mut |i| {
             scans += scan_in_edges(g, input, output, &cfg, &condition, i as VertexId);

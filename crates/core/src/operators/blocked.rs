@@ -77,10 +77,10 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Runs `f(chunk)` for every chunk in `0..nchunks` under `hooks` — on the
 /// pool when `parallel` ([`ThreadPool::try_for_each_chunk`], which claims
-/// from each worker's own even segment first and, unlike `parallel_for`,
-/// has no sequential cut-off: each of these few chunks is thousands of
-/// edges of work), in order on the calling thread otherwise. Every chunk
-/// runs exactly once; `f` must tolerate concurrent invocation on distinct
+/// from each worker's own even segment first and dispatches on the `work`
+/// the chunks hold — vertex slots or binned entries — not on their few
+/// number), in order on the calling thread otherwise. Every chunk runs
+/// exactly once; `f` must tolerate concurrent invocation on distinct
 /// chunks.
 ///
 /// [`ThreadPool::try_for_each_chunk`]: essentials_parallel::ThreadPool::try_for_each_chunk
@@ -88,6 +88,7 @@ fn for_each_chunk<F>(
     ctx: &Context,
     parallel: bool,
     nchunks: usize,
+    work: usize,
     hooks: ChunkHooks<'_>,
     f: F,
 ) -> Result<(), ExecError>
@@ -95,7 +96,8 @@ where
     F: Fn(usize) + Sync,
 {
     if parallel {
-        ctx.pool().try_for_each_chunk(nchunks, hooks, |_, c| f(c))
+        ctx.pool()
+            .try_for_each_chunk(nchunks, work, hooks, |_, c| f(c))
     } else {
         try_sequential_for_with(0..nchunks, Schedule::Dynamic(1), hooks, |_, c| f(c))
     }
@@ -183,7 +185,7 @@ impl BlockedGather {
             let cptr = SendPtr(cursors.as_mut_ptr());
             let cptr = &cptr;
             let targets = &targets;
-            for_each_chunk(ctx, parallel, nchunks, ChunkHooks::none(), |c| {
+            for_each_chunk(ctx, parallel, nchunks, n, ChunkHooks::none(), |c| {
                 let lo = c * SRC_CHUNK;
                 let hi = ((c + 1) * SRC_CHUNK).min(n);
                 for u in lo..hi {
@@ -220,7 +222,7 @@ impl BlockedGather {
             let sptr = SendPtr(srcs.as_mut_ptr());
             let (cptr, dptr, sptr) = (&cptr, &dptr, &sptr);
             let targets = &targets;
-            for_each_chunk(ctx, parallel, nchunks, ChunkHooks::none(), |c| {
+            for_each_chunk(ctx, parallel, nchunks, n, ChunkHooks::none(), |c| {
                 let lo = c * SRC_CHUNK;
                 let hi = ((c + 1) * SRC_CHUNK).min(n);
                 for u in lo..hi {
@@ -326,7 +328,7 @@ impl BlockedGather {
         let (n, nchunks) = (self.n, self.nchunks);
         let (offsets, dsts, vals) = (&self.offsets, &self.dsts, &self.vals);
         let finalize = &finalize;
-        for_each_chunk(ctx, parallel, self.nbins, ChunkHooks::none(), |b| {
+        for_each_chunk(ctx, parallel, self.nbins, self.m, ChunkHooks::none(), |b| {
             let v_lo = b * bin_size;
             let v_hi = ((b + 1) * bin_size).min(n);
             let k_lo = offsets[b * nchunks];
@@ -449,7 +451,7 @@ where
         {
             let cptr = SendPtr(cursors.as_mut_ptr());
             let cptr = &cptr;
-            for_each_chunk(ctx, parallel, nchunks, hooks, |c| {
+            for_each_chunk(ctx, parallel, nchunks, n, hooks, |c| {
                 let w_lo = c * WORD_CHUNK;
                 let w_hi = ((c + 1) * WORD_CHUNK).min(words);
                 bits.for_each_set_in_words(w_lo, w_hi, &mut |src| {
@@ -480,7 +482,7 @@ where
             let cptr = SendPtr(cursors.as_mut_ptr());
             let eptr = SendPtr(entries.as_mut_ptr());
             let (cptr, eptr) = (&cptr, &eptr);
-            for_each_chunk(ctx, parallel, nchunks, hooks, |c| {
+            for_each_chunk(ctx, parallel, nchunks, n, hooks, |c| {
                 let w_lo = c * WORD_CHUNK;
                 let w_hi = ((c + 1) * WORD_CHUNK).min(words);
                 bits.for_each_set_in_words(w_lo, w_hi, &mut |src| {
@@ -503,12 +505,13 @@ where
         }
 
         // Flush: each bin probes candidates/output within one cache-resident
-        // destination window. `output` insertion is atomic (bitmap), so
-        // cross-bin writes need no coordination.
+        // destination window. `output` insertion is a bare atomic bit set,
+        // so cross-bin writes need no coordination; the cached count is
+        // settled by one `recount` after the flush.
         let output = &output;
         let (offsets, entries) = (&offsets, &entries);
         let condition = &condition;
-        for_each_chunk(ctx, parallel, nbins, hooks, |b| {
+        for_each_chunk(ctx, parallel, nbins, m, hooks, |b| {
             for k in offsets[b * nchunks]..offsets[(b + 1) * nchunks] {
                 let dst = entries[3 * k];
                 if cfg.early_exit && output.contains(dst) {
@@ -520,10 +523,11 @@ where
                 let src = entries[3 * k + 1];
                 let e = entries[3 * k + 2] as EdgeId;
                 if condition(src, dst, g.edge_weight(e)) {
-                    output.insert(dst);
+                    output.bits().set(dst as usize);
                 }
             }
         })?;
+        output.recount();
         Ok(m)
     })();
 

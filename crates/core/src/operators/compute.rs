@@ -46,7 +46,13 @@ where
     P: ExecutionPolicy,
     F: Fn(VertexId) + Sync,
 {
-    try_for_with::<P, _>(ctx, 0..n, Schedule::Dynamic(512), |_, i| f(i as VertexId))?;
+    try_for_with::<P, _>(
+        ctx,
+        0..n,
+        Schedule::Dynamic(512),
+        n,
+        |_, i| f(i as VertexId),
+    )?;
     emit(ctx, OpKind::ForeachVertex, P::NAME, n);
     Ok(())
 }
@@ -65,9 +71,13 @@ where
     P: ExecutionPolicy,
     F: Fn(VertexId) + Sync,
 {
-    try_for_with::<P, _>(ctx, 0..frontier.len(), Schedule::Dynamic(256), |_, i| {
-        f(frontier.get_active_vertex(i))
-    })?;
+    try_for_with::<P, _>(
+        ctx,
+        0..frontier.len(),
+        Schedule::Dynamic(256),
+        frontier.len(),
+        |_, i| f(frontier.get_active_vertex(i)),
+    )?;
     emit(ctx, OpKind::ForeachActive, P::NAME, frontier.len());
     Ok(())
 }

@@ -36,7 +36,7 @@
 use essentials_frontier::{convert, DenseFrontier, Frontier, SparseFrontier, VertexFrontier};
 use essentials_graph::{EdgeValue, InAdjacency, InWeights, OutWeights, VertexId};
 use essentials_obs::DirectionEvent;
-use essentials_parallel::{ExecError, ExecutionPolicy};
+use essentials_parallel::{ExecError, ExecutionPolicy, Schedule};
 
 use crate::context::Context;
 use crate::enactor::{LoopStats, TRACE_RESERVE};
@@ -45,6 +45,13 @@ use crate::operators::advance::{
     try_neighbors_expand_unique, PullConfig,
 };
 use crate::operators::blocked::{try_expand_blocked_pull, BlockedConfig};
+use crate::operators::try_for_with;
+
+/// Mask words per chunk of the unvisited-mask build: 1,024 candidate
+/// probes, so an n = 2^16 mask splits into 64 chunks.
+const MASK_GRAIN: usize = 16;
+/// Frontier entries per chunk of the sparse → dense conversion.
+const CONVERT_GRAIN: usize = 4096;
 
 /// Traversal direction (and output representation) of one iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,24 +280,47 @@ impl AdaptiveAdvance {
         Ok((stats, self.directions))
     }
 
-    /// The unvisited mask, built from `candidate` on first use (settle mode).
-    fn ensure_unvisited<C: Fn(VertexId) -> bool>(
+    /// The unvisited mask, built from `candidate` on first use (settle
+    /// mode): one word of 64 candidate probes per item, ORed in whole, on
+    /// the pool when the n vertex slots pay for a region, and one `recount`
+    /// after. The build runs under the context's chunk hooks; on an error
+    /// the mask goes back to the context's pool.
+    fn ensure_unvisited<P, C>(
         &mut self,
         ctx: &Context,
         candidate: &C,
-    ) -> &DenseFrontier {
+    ) -> Result<&DenseFrontier, ExecError>
+    where
+        P: ExecutionPolicy,
+        C: Fn(VertexId) -> bool + Sync,
+    {
         if self.unvisited.is_none() {
             // Parked in `self.unvisited` for the traversal's lifetime;
             // `finish()` recycles it when the loop exits.
-            let mask = ctx.take_dense_frontier(self.n); // lease-ok: parked in self.unvisited until finish()
-            for v in 0..self.n as VertexId {
-                if candidate(v) {
-                    mask.insert(v);
-                }
+            let mask = ctx.take_dense_frontier(self.n); // lease-ok: parked in self.unvisited until finish(), recycled below on error
+            let (n, bits) = (self.n, mask.bits());
+            let words = bits.num_words();
+            let run =
+                try_for_with::<P, _>(ctx, 0..words, Schedule::Dynamic(MASK_GRAIN), n, |_, wi| {
+                    let lo = wi * 64;
+                    let mut word = 0u64;
+                    for v in lo..(lo + 64).min(n) {
+                        if candidate(v as VertexId) {
+                            word |= 1 << (v - lo);
+                        }
+                    }
+                    if word != 0 {
+                        bits.or_word(wi, word);
+                    }
+                });
+            if let Err(e) = run {
+                ctx.recycle_dense_frontier(mask);
+                return Err(e);
             }
+            mask.recount();
             self.unvisited = Some(mask);
         }
-        self.unvisited.as_ref().unwrap() // unwrap-ok: set to Some directly above
+        Ok(self.unvisited.as_ref().unwrap()) // unwrap-ok: set to Some directly above
     }
 }
 
@@ -435,11 +465,21 @@ where
         Direction::Pull | Direction::BlockedPull => {
             let dense = match frontier {
                 VertexFrontier::Sparse(s) => {
+                    // Bare bit sets, on the pool when the frontier pays for
+                    // a region, and one `recount` after.
                     let d = ctx.take_dense_frontier(n);
-                    for v in s.iter() {
-                        d.insert(v);
-                    }
+                    let (verts, bits) = (s.as_slice(), d.bits());
+                    let schedule = Schedule::Dynamic(CONVERT_GRAIN);
+                    let run =
+                        try_for_with::<P, _>(ctx, 0..verts.len(), schedule, verts.len(), |_, i| {
+                            bits.set(verts[i] as usize);
+                        });
                     ctx.recycle_frontier(s);
+                    if let Err(e) = run {
+                        ctx.recycle_dense_frontier(d);
+                        return Err(e);
+                    }
+                    d.recount();
                     d
                 }
                 VertexFrontier::Dense(d) => d,
@@ -451,7 +491,13 @@ where
                 // The mask reflects candidacy at iteration entry; outputs
                 // retire from it below, keeping it exact. (Blocked pull is
                 // only ever chosen here: see the downgrade above.)
-                let mask = engine.ensure_unvisited(ctx, &candidate);
+                let mask = match engine.ensure_unvisited::<P, _>(ctx, &candidate) {
+                    Ok(mask) => mask,
+                    Err(e) => {
+                        ctx.recycle_dense_frontier(dense);
+                        return Err(e);
+                    }
+                };
                 if dir == Direction::BlockedPull {
                     let bins = BlockedConfig::default();
                     try_expand_blocked_pull(

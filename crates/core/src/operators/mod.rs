@@ -23,12 +23,14 @@ use essentials_parallel::{try_sequential_for_with, ExecError, ExecutionPolicy, S
 use crate::context::Context;
 
 /// `f(worker, i)` for every `i` in `range` under the context's chunk hooks:
-/// across the pool for a parallel policy, in order on the calling thread
-/// otherwise — the same chunk numbering either way.
+/// across the pool for a parallel policy whose `work` (vertex slots or
+/// edges behind the range) pays for a region, in order on the calling
+/// thread otherwise — the same chunk numbering either way.
 pub(crate) fn try_for_with<P, F>(
     ctx: &Context,
     range: Range<usize>,
     schedule: Schedule,
+    work: usize,
     f: F,
 ) -> Result<(), ExecError>
 where
@@ -37,7 +39,7 @@ where
 {
     if P::IS_PARALLEL {
         ctx.pool()
-            .try_parallel_for_with(range, schedule, ctx.chunk_hooks(), f)
+            .try_parallel_for_work(range, schedule, work, ctx.chunk_hooks(), f)
     } else {
         try_sequential_for_with(range, schedule, ctx.chunk_hooks(), f)
     }

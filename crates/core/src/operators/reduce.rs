@@ -63,8 +63,9 @@ where
 ///
 /// The partial table is a fixed stack array (the chunk grain grows with
 /// `n` so the table never overflows), keeping the fixpoint algorithms'
-/// per-iteration calls allocation-free (DESIGN.md §12). Inputs below the
-/// default schedule's sequential cutoff take the exact sequential loop,
+/// per-iteration calls allocation-free (DESIGN.md §12). Inputs the
+/// dispatch rule ([`Schedule::runs_inline`], one unit of work per index)
+/// keeps on the caller — fewer than 2048 — take the exact sequential loop,
 /// preserving seq/par bit-equality for small graphs.
 pub fn sum_f64<P, M>(_policy: P, ctx: &Context, n: usize, map: M) -> f64
 where
@@ -73,14 +74,14 @@ where
 {
     const GRAIN: usize = 1024;
     const MAX_CHUNKS: usize = 4096;
-    if !P::IS_PARALLEL || ctx.num_threads() == 1 || n < Schedule::default().sequential_cutoff() {
+    let grain = GRAIN.max(n.div_ceil(MAX_CHUNKS));
+    if !P::IS_PARALLEL || ctx.num_threads() == 1 || Schedule::Dynamic(grain).runs_inline(n, n) {
         let mut acc = 0.0;
         for i in 0..n {
             acc += map(i);
         }
         return acc;
     }
-    let grain = GRAIN.max(n.div_ceil(MAX_CHUNKS));
     let nchunks = n.div_ceil(grain);
     let mut partials = [0.0f64; MAX_CHUNKS];
     struct SendPtr(*mut f64);

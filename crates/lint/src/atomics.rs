@@ -31,7 +31,9 @@ pub const ADVANCE_MODULES: &[&str] = &[
 ];
 
 /// Counter-shaped read-modify-writes EL014 forbids on a captured binding.
-pub const COUNTER_RMWS: &[&str] = &["add", "fetch_add", "fetch_sub"];
+/// `insert` is `DenseFrontier::insert`, which bumps the frontier's shared
+/// cached count per admitted vertex; kernels set bits and `recount` once.
+pub const COUNTER_RMWS: &[&str] = &["add", "fetch_add", "fetch_sub", "insert"];
 
 /// One observed `(ordering, line)` use of a field in a file.
 #[derive(Debug, Clone)]

@@ -10,8 +10,8 @@
 //! | EL012 | the ordering table carries no stale entries (both directions)    |
 //! | EL013 | Release/AcqRel writes pair with an Acquire reader somewhere in   |
 //! |       | the workspace; Relaxed-only fields record a `barrier =` instead  |
-//! | EL014 | no `add`/`fetch_add`/`fetch_sub` on a captured binding inside a  |
-//! |       | per-edge closure of the advance family (`rmw-ok:` waiver)        |
+//! | EL014 | no `add`/`fetch_add`/`fetch_sub`/`insert` on a captured binding  |
+//! |       | inside a per-edge closure of the advance family (`rmw-ok:`)      |
 //! | EL020 | hot-path modules don't allocate without an `alloc-ok:` waiver    |
 //! | EL021 | no alloc-shaped code within k call hops of a worker chunk body   |
 //! | EL030 | `take_scratch`/`put_scratch` are paired per function             |

@@ -228,9 +228,11 @@ where
     let mut messages_total = 0;
     let mut messages_remote = 0;
 
+    // A superstep's work for the dispatch rule: every owned vertex.
+    let work = pg.num_vertices();
     let (_, loop_stats) = Enactor::for_ctx(ctx).try_run_until((), |step, _, progress| {
         ctx.pool()
-            .try_for_each_chunk(k, ctx.chunk_hooks(), |_, r| {
+            .try_for_each_chunk(k, work, ctx.chunk_hooks(), |_, r| {
                 with_rank(&ranks[r], |rank| {
                     deliver_pass(pg, &transit, r, rank);
                     compute_pass(pg, program, combiner, seeds, step, r, rank);

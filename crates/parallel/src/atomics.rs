@@ -335,6 +335,16 @@ impl AtomicBitset {
         }
     }
 
+    /// ORs `bits` into word `wi` (bits `64 * wi ..`) with one Relaxed RMW:
+    /// the word-at-a-time build of a bitmap from a per-vertex predicate.
+    /// Like the other bulk ops it is ordered by the region barrier, not by
+    /// this RMW; bits past `len` in the last word must stay clear.
+    #[inline]
+    pub fn or_word(&self, wi: usize, bits: u64) {
+        debug_assert!(wi * 64 + (64 - bits.leading_zeros() as usize) <= self.len);
+        self.words[wi].fetch_or(bits, Ordering::Relaxed);
+    }
+
     /// Raw word access for bulk operations (counting, unions).
     pub fn words(&self) -> &[AtomicU64] {
         &self.words

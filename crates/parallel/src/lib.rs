@@ -40,6 +40,6 @@ pub use exec::{
     Progress, RequestFault, RequestFaultPlan, RunBudget,
 };
 pub use policy::{execution, ExecutionPolicy, Par, ParNosync, Seq};
-pub use pool::{try_sequential_for_with, ThreadPool};
+pub use pool::{try_sequential_for_with, RegionCounts, ThreadPool};
 pub use scan::{parallel_scan, parallel_scan_with, serial_scan};
 pub use schedule::Schedule;

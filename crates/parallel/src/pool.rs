@@ -1,18 +1,35 @@
 //! A thread pool of persistent workers executing *parallel regions*.
 //!
-//! A region is a closure invoked once on every worker (OpenMP's
-//! `#pragma omp parallel`); the caller of a region is worker 0, as
-//! OpenMP's master thread is. Data-parallel loops ([`ThreadPool::parallel_for`])
-//! and reductions are built on top by handing each worker a slice of the
-//! iteration space according to a [`Schedule`].
+//! A region is a closure invoked once for every worker id (OpenMP's
+//! `#pragma omp parallel`); the caller of a region runs worker id 0, as
+//! OpenMP's master thread does. Data-parallel loops ([`ThreadPool::parallel_for`])
+//! and reductions are built on top by handing each worker id a slice of
+//! the iteration space according to a [`Schedule`].
 //!
 //! Workers park on a condition variable between regions, so an idle pool
-//! costs nothing. The caller of [`ThreadPool::run`] runs worker 0's share
-//! and then blocks until every worker has finished the region — this is
-//! the guarantee that makes the internal lifetime erasure sound (the region
-//! closure may borrow the caller's stack). A region wakes one thread fewer
-//! than it runs on, so a pool as wide as the host's cores never has two
-//! woken workers queue on one core behind a parked caller.
+//! costs nothing. A region's shares 1.. go to whichever threads claim them
+//! first: each woken worker claims the next unclaimed id, and the caller of
+//! [`ThreadPool::run`], once share 0 is done, runs every share no worker
+//! has claimed yet, then blocks until the claimed ones finish — this is the
+//! guarantee that makes the internal lifetime erasure sound (the region
+//! closure may borrow the caller's stack). A region therefore never waits
+//! for a worker that has not started: on a host whose cores are all busy,
+//! a worker the scheduler has not run yet would otherwise hold the join
+//! for a time slice. A region wakes one thread fewer than it runs on, so a
+//! pool as wide as the host's cores never has two woken workers queue on
+//! one core behind a parked caller. Each id still runs on exactly one
+//! thread per region, which is all that per-worker scratch needs.
+//!
+//! **A busy pool runs the region on its caller.** The workers serve one
+//! region at a time. A region that finds them taken by another thread's
+//! region does not wait for them: its caller runs every worker id's share
+//! in turn, with the same ids, chunk numbering and per-share panic capture
+//! ([`ThreadPool::region_counts`] counts these). A lone request gets the
+//! whole pool, and two concurrent requests never queue behind each other.
+//! This is sound because no region closure waits on a sibling share: every
+//! dynamic loop lets one share drain the whole iteration space, and the
+//! async engine drains every shard from any one share. A closure that
+//! blocked on another worker id would deadlock here.
 //!
 //! Panics are *captured, not fatal*: workers run region closures under
 //! `catch_unwind`, the fallible loops additionally catch per chunk so a
@@ -23,7 +40,7 @@
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
@@ -63,8 +80,10 @@ struct RegionSlot {
     /// The current region, lifetime-erased. Only valid while `remaining > 0`
     /// for the matching epoch; `run` keeps the real closure alive until then.
     job: Option<&'static RegionFn>,
-    /// Workers that have not yet finished the current region.
+    /// Shares 1.. of the current region not yet finished.
     remaining: usize,
+    /// The lowest share id of the current region no thread has claimed.
+    next_share: usize,
     /// First panic that escaped a region closure this epoch: stringified
     /// payload + worker id. Taken by `try_run` after the region completes.
     panic: Option<(String, usize)>,
@@ -88,8 +107,24 @@ pub struct ThreadPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     num_threads: usize,
-    /// Serializes regions: one region at a time per pool.
+    /// Held by the region that has the workers. A region that cannot take
+    /// it at once runs on its caller (module docs), so regions never queue.
     region_guard: Mutex<()>,
+    /// Regions that ran on the workers.
+    pooled: AtomicU64,
+    /// Regions that found the workers busy and ran on their caller.
+    on_caller: AtomicU64,
+}
+
+/// How a pool's regions have run since it was built
+/// ([`ThreadPool::region_counts`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RegionCounts {
+    /// Regions that ran on the pool's workers.
+    pub pooled: u64,
+    /// Regions that found the workers busy with another thread's region
+    /// and ran every share on their caller instead of waiting.
+    pub on_caller: u64,
 }
 
 thread_local! {
@@ -108,6 +143,7 @@ impl ThreadPool {
                 epoch: 0,
                 job: None,
                 remaining: 0,
+                next_share: 0,
                 panic: None,
                 shutdown: false,
             }),
@@ -119,7 +155,7 @@ impl ThreadPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("essentials-worker-{tid}"))
-                    .spawn(move || worker_loop(&shared, tid))
+                    .spawn(move || worker_loop(&shared, num_threads))
                     .expect("failed to spawn pool worker") // unwrap-ok: startup resource failure, no run to fail
             })
             .collect();
@@ -128,6 +164,8 @@ impl ThreadPool {
             handles,
             num_threads,
             region_guard: Mutex::new(()),
+            pooled: AtomicU64::new(0),
+            on_caller: AtomicU64::new(0),
         }
     }
 
@@ -148,9 +186,21 @@ impl ThreadPool {
         self.num_threads
     }
 
-    /// Executes `f(worker_id)` once on every worker, blocking until all
-    /// workers finish. This is the primitive every parallel operator in the
-    /// framework lowers to.
+    /// How this pool's regions have run so far: on the workers, or on
+    /// their caller because another thread's region held the workers.
+    pub fn region_counts(&self) -> RegionCounts {
+        RegionCounts {
+            pooled: self.pooled.load(Ordering::Relaxed),
+            on_caller: self.on_caller.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Executes `f(worker_id)` once for every worker id, blocking until all
+    /// shares finish. This is the primitive every parallel operator in the
+    /// framework lowers to. Which thread runs an id is decided per region
+    /// (module docs): the calling thread runs id 0 and every id no worker
+    /// has claimed, and all of them when another thread's region holds the
+    /// workers, so `f` must never wait for a sibling share.
     ///
     /// # Panics
     ///
@@ -172,7 +222,12 @@ impl ThreadPool {
 
     /// Fallible form of [`ThreadPool::run`]: a panic in `f` is captured and
     /// returned as [`ExecError::WorkerPanic`] (with `chunk` = worker id)
-    /// after all workers have finished the region. The pool remains usable.
+    /// after every share has finished. The pool remains usable.
+    ///
+    /// The region takes the workers if they are free. If another thread's
+    /// region holds them, it does not queue: the caller runs the shares of
+    /// worker ids `0..num_threads` in turn, each under its own
+    /// `catch_unwind`, and reports the first panic with its worker id.
     pub fn try_run<F>(&self, f: F) -> Result<(), ExecError>
     where
         F: Fn(usize) + Sync,
@@ -181,7 +236,20 @@ impl ThreadPool {
             !IN_REGION.with(|c| c.get()),
             "nested parallel regions are not supported"
         );
-        let _serial = self.region_guard.lock();
+        let Some(_workers) = self.region_guard.try_lock() else {
+            self.on_caller.fetch_add(1, Ordering::Relaxed);
+            let mut first = None;
+            for tid in 0..self.num_threads {
+                if let Some(payload) = run_share(&f, tid) {
+                    first.get_or_insert((payload, tid));
+                }
+            }
+            return match first {
+                Some((payload, chunk)) => Err(ExecError::WorkerPanic { payload, chunk }),
+                None => Ok(()),
+            };
+        };
+        self.pooled.fetch_add(1, Ordering::Relaxed);
 
         let f_ref: &(dyn Fn(usize) + Sync) = &f;
         // SAFETY: we erase the lifetime of `f_ref` to store it in the shared
@@ -196,12 +264,25 @@ impl ThreadPool {
         slot.epoch += 1;
         slot.job = Some(job);
         slot.remaining = self.num_threads - 1;
+        slot.next_share = 1;
         self.shared.work_cv.notify_all();
         drop(slot);
         let panic = run_share(job, 0);
         let mut slot = self.shared.slot.lock();
         if let Some(payload) = panic {
             slot.panic.get_or_insert((payload, 0));
+        }
+        // Shares no worker has started run here rather than wait for one.
+        while slot.next_share < self.num_threads {
+            let tid = slot.next_share;
+            slot.next_share += 1;
+            drop(slot);
+            let panic = run_share(job, tid);
+            slot = self.shared.slot.lock();
+            if let Some(payload) = panic {
+                slot.panic.get_or_insert((payload, tid));
+            }
+            slot.remaining -= 1;
         }
         while slot.remaining > 0 {
             self.shared.done_cv.wait(&mut slot);
@@ -219,7 +300,8 @@ impl ThreadPool {
     /// Data-parallel loop over `range` with the given [`Schedule`].
     ///
     /// Falls back to a plain sequential loop when the pool has one worker or
-    /// the range is too small to be worth distributing. A panic in `f` is
+    /// the range is too small to be worth distributing
+    /// ([`Schedule::runs_inline`], one unit of work per index). A panic in `f` is
     /// captured at chunk granularity — every other chunk still runs exactly
     /// once — and re-raised on the calling thread; use
     /// [`ThreadPool::try_parallel_for`] for a typed error instead.
@@ -277,6 +359,10 @@ impl ThreadPool {
     /// uses the worker id, `Guided` a claim ordinal. Sequential fallbacks
     /// chunk by the dynamic grain (one chunk for `Static`) so `Dynamic`
     /// fault coordinates stay meaningful at every thread count.
+    ///
+    /// Each index counts as one unit of work; a loop whose indices stand
+    /// for more (64-vertex words, edge chunks) states it through
+    /// [`ThreadPool::try_parallel_for_work`].
     pub fn try_parallel_for_with<F>(
         &self,
         range: Range<usize>,
@@ -287,33 +373,38 @@ impl ThreadPool {
     where
         F: Fn(usize, usize) + Sync,
     {
-        self.try_for_with_cutoff(range, schedule, schedule.sequential_cutoff(), hooks, f)
+        let work = range.end.saturating_sub(range.start);
+        self.try_parallel_for_work(range, schedule, work, hooks, f)
     }
 
-    /// Runs `f(worker, chunk)` once for every chunk id in `0..nchunks` —
-    /// [`ThreadPool::try_parallel_for_with`] under `Schedule::Dynamic(1)`
-    /// without the sequential cut-off, for loops whose items are already
-    /// coarse chunks of work (a bin flush, a source-window pass) and so pay
-    /// for the pool even when there are only a few of them.
+    /// Runs `f(worker, chunk)` once for every chunk id in `0..nchunks`, the
+    /// chunks together holding `work` units: [`ThreadPool::try_parallel_for_work`]
+    /// under `Schedule::Dynamic(1)`, for loops whose items are already
+    /// coarse chunks of work (a bin flush, a source-window pass, a rank's
+    /// superstep).
     pub fn try_for_each_chunk<F>(
         &self,
         nchunks: usize,
+        work: usize,
         hooks: ChunkHooks<'_>,
         f: F,
     ) -> Result<(), ExecError>
     where
         F: Fn(usize, usize) + Sync,
     {
-        self.try_for_with_cutoff(0..nchunks, Schedule::Dynamic(1), 2, hooks, f)
+        self.try_parallel_for_work(0..nchunks, Schedule::Dynamic(1), work, hooks, f)
     }
 
-    /// [`ThreadPool::try_parallel_for_with`] with ranges shorter than
-    /// `cutoff` running on the calling thread.
-    fn try_for_with_cutoff<F>(
+    /// [`ThreadPool::try_parallel_for_with`] for a loop whose `range`
+    /// stands for `work` units (vertex slots or edges) as the caller states
+    /// them: it runs on the calling thread when [`Schedule::runs_inline`]
+    /// says the work cannot pay for a region, on the pool otherwise. The
+    /// chunk numbering is the same either way.
+    pub fn try_parallel_for_work<F>(
         &self,
         range: Range<usize>,
         schedule: Schedule,
-        cutoff: usize,
+        work: usize,
         hooks: ChunkHooks<'_>,
         f: F,
     ) -> Result<(), ExecError>
@@ -321,7 +412,7 @@ impl ThreadPool {
         F: Fn(usize, usize) + Sync,
     {
         let len = range.end.saturating_sub(range.start);
-        if self.num_threads == 1 || len < cutoff {
+        if self.num_threads == 1 || schedule.runs_inline(len, work) {
             return try_sequential_for_with(range, schedule, hooks, f);
         }
         let outcome = RegionOutcome::default();
@@ -456,7 +547,8 @@ impl ThreadPool {
         if len == 0 {
             return identity;
         }
-        if self.num_threads == 1 || len < schedule.sequential_cutoff() {
+        let grain = schedule.grain_hint(len, self.num_threads);
+        if self.num_threads == 1 || Schedule::Dynamic(grain).runs_inline(len, len) {
             let mut acc = identity;
             for i in range {
                 acc = combine(acc, map(i));
@@ -469,7 +561,6 @@ impl ThreadPool {
             let map = &map;
             let combine = &combine;
             let next = AtomicUsize::new(range.start);
-            let grain = schedule.grain_hint(len, self.num_threads);
             self.run(|_| {
                 let mut local = identity.clone();
                 let mut did_work = false;
@@ -639,17 +730,19 @@ impl Drop for ThreadPool {
 /// Region closures only touch state valid at every intermediate step
 /// (atomics, mutexes, worker-owned slots), and the panic is reported to the
 /// caller, never swallowed.
-fn run_share(job: &RegionFn, tid: usize) -> Option<String> {
+fn run_share(job: &(dyn Fn(usize) + Sync + '_), tid: usize) -> Option<String> {
     IN_REGION.with(|c| c.set(true));
     let result = catch_unwind(AssertUnwindSafe(|| job(tid)));
     IN_REGION.with(|c| c.set(false));
     result.err().map(|payload| panic_payload_string(&*payload))
 }
 
-fn worker_loop(shared: &Shared, tid: usize) {
+/// A worker's life: park until a region has a share nobody has claimed,
+/// claim the lowest such id, run it, report.
+fn worker_loop(shared: &Shared, shares: usize) {
     let mut seen_epoch = 0u64;
     loop {
-        let job = {
+        let (job, tid) = {
             let mut slot = shared.slot.lock();
             loop {
                 if slot.shutdown {
@@ -657,7 +750,12 @@ fn worker_loop(shared: &Shared, tid: usize) {
                 }
                 if slot.epoch != seen_epoch {
                     seen_epoch = slot.epoch;
-                    break slot.job.expect("epoch bumped without a job"); // unwrap-ok: protocol invariant
+                    if slot.next_share < shares {
+                        let tid = slot.next_share;
+                        slot.next_share += 1;
+                        let job = slot.job.expect("epoch bumped without a job"); // unwrap-ok: protocol invariant
+                        break (job, tid);
+                    }
                 }
                 shared.work_cv.wait(&mut slot);
             }
@@ -975,8 +1073,126 @@ mod tests {
         }
     }
 
+    /// A one-shot gate: `wait` blocks until some thread has called `open`.
+    #[derive(Default)]
+    struct Latch {
+        open: Mutex<bool>,
+        cv: Condvar,
+    }
+
+    impl Latch {
+        fn open(&self) {
+            *self.open.lock() = true;
+            self.cv.notify_all();
+        }
+
+        fn wait(&self) {
+            let mut open = self.open.lock();
+            while !*open {
+                self.cv.wait(&mut open);
+            }
+        }
+    }
+
+    /// Runs `0..6400` in `Dynamic(64)` chunks with a fault planned at
+    /// chunk `bad` and returns the error's chunk id and the indices that
+    /// ran (each once).
+    fn faulted_dynamic_loop(pool: &ThreadPool, bad: u64) -> (usize, Vec<usize>) {
+        let plan = crate::exec::FaultPlan::new().panic_at(0, bad);
+        let budget = crate::exec::RunBudget::unlimited();
+        let hits: Vec<AtomicUsize> = (0..6400).map(|_| AtomicUsize::new(0)).collect();
+        let err = pool
+            .try_parallel_for_with(
+                0..6400,
+                Schedule::Dynamic(64),
+                budget.chunk_hooks(Some(&plan)),
+                |_, i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                },
+            )
+            .unwrap_err();
+        let ExecError::WorkerPanic { chunk, .. } = err else {
+            panic!("expected WorkerPanic, got {err:?}");
+        };
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) <= 1));
+        let ran = (0..6400)
+            .filter(|&i| hits[i].load(Ordering::Relaxed) == 1)
+            .collect();
+        (chunk, ran)
+    }
+
     #[test]
-    fn concurrent_runs_from_many_threads_serialize() {
+    fn a_busy_pool_runs_the_region_on_its_caller() {
+        let pool = ThreadPool::new(2);
+        let (held, release) = (Latch::default(), Latch::default());
+        std::thread::scope(|s| {
+            // One thread takes the workers and parks inside its region.
+            let holder = s.spawn(|| {
+                pool.run(|tid| {
+                    if tid == 0 {
+                        held.open();
+                        release.wait();
+                    }
+                })
+            });
+            held.wait();
+            let me = std::thread::current().id();
+            let before = pool.region_counts();
+
+            // Every worker id's share runs once, all on this thread.
+            let visits = [0u8; 2].map(|_| AtomicUsize::new(0));
+            let elsewhere = AtomicUsize::new(0);
+            pool.try_run(|tid| {
+                visits[tid].fetch_add(1, Ordering::Relaxed);
+                if std::thread::current().id() != me {
+                    elsewhere.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+            .unwrap();
+            assert!(visits.iter().all(|v| v.load(Ordering::Relaxed) == 1));
+            assert_eq!(elsewhere.load(Ordering::Relaxed), 0);
+
+            // A panicking share is reported with its worker id.
+            let err = pool
+                .try_run(|tid| {
+                    if tid == 1 {
+                        panic!("share {tid} down");
+                    }
+                })
+                .unwrap_err();
+            match &err {
+                ExecError::WorkerPanic { payload, chunk } => {
+                    assert!(payload.contains("share 1 down"), "payload: {payload}");
+                    assert_eq!(*chunk, 1);
+                }
+                other => panic!("expected WorkerPanic, got {other:?}"),
+            }
+
+            // A loop keeps its chunk numbering; all three regions ran here.
+            let busy = faulted_dynamic_loop(&pool, 5);
+            assert_eq!(busy.0, 5);
+            assert_eq!(
+                pool.region_counts(),
+                RegionCounts {
+                    pooled: before.pooled,
+                    on_caller: before.on_caller + 3,
+                }
+            );
+
+            release.open();
+            holder.join().unwrap();
+            // The same loop on the free pool: the same chunk fails and the
+            // same indices run.
+            let pooled = faulted_dynamic_loop(&pool, 5);
+            assert_eq!(pooled, busy);
+            assert_eq!(pool.region_counts().pooled, before.pooled + 1);
+        });
+    }
+
+    #[test]
+    fn concurrent_runs_from_many_threads_run_every_share_once() {
+        // Runs that find the workers busy run on their caller instead of
+        // queueing; either way each run visits both worker ids once.
         let pool = std::sync::Arc::new(ThreadPool::new(2));
         let count = std::sync::Arc::new(AtomicUsize::new(0));
         let mut joins = Vec::new();

@@ -30,14 +30,25 @@ impl Default for Schedule {
     }
 }
 
+/// Work below which a loop runs on its calling thread: waking the pool
+/// costs about as much as this many vertex slots (or edges) of a kernel's
+/// body. See [`Schedule::runs_inline`].
+pub const MIN_REGION_WORK: usize = 2048;
+
 impl Schedule {
-    /// Ranges shorter than this run sequentially on the calling thread; the
-    /// fixed cost of waking the pool dwarfs the work.
-    pub fn sequential_cutoff(&self) -> usize {
-        match self {
-            Schedule::Static => 2048,
-            Schedule::Dynamic(g) | Schedule::Guided(g) => (*g).max(2048),
-        }
+    /// The one dispatch rule of every data-parallel loop: a loop over `len`
+    /// items that stands for `work` units (vertex slots or edges, as its
+    /// caller states them) runs on its calling thread when its work cannot
+    /// pay for a region (`work < MIN_REGION_WORK`) or when it splits into
+    /// fewer than two chunks (`Static` counts one chunk per item). A loop
+    /// whose items are 64-vertex words or coarse chunks states the work
+    /// behind them, so a few items of heavy work still reach the pool.
+    pub fn runs_inline(&self, len: usize, work: usize) -> bool {
+        let chunks = match self {
+            Schedule::Static => len,
+            Schedule::Dynamic(g) | Schedule::Guided(g) => len.div_ceil((*g).max(1)),
+        };
+        chunks < 2 || work < MIN_REGION_WORK
     }
 
     /// A reasonable dynamic grain for reductions over `len` items on
@@ -60,10 +71,19 @@ mod tests {
     }
 
     #[test]
-    fn cutoff_respects_grain() {
-        assert_eq!(Schedule::Dynamic(10_000).sequential_cutoff(), 10_000);
-        assert_eq!(Schedule::Dynamic(8).sequential_cutoff(), 2048);
-        assert_eq!(Schedule::Static.sequential_cutoff(), 2048);
+    fn cutoff_counts_work_and_chunks() {
+        // Per-item loops (work = items) keep the old 2048-item cut-off.
+        assert!(Schedule::Static.runs_inline(2047, 2047));
+        assert!(!Schedule::Static.runs_inline(2048, 2048));
+        assert!(!Schedule::Dynamic(8).runs_inline(2048, 2048));
+        // A loop of 64-vertex words reaches the pool on the work it holds.
+        assert!(!Schedule::Dynamic(4).runs_inline(1024, 1024 * 64));
+        assert!(Schedule::Dynamic(4).runs_inline(16, 16 * 64));
+        // One chunk never pays for a region, however heavy.
+        assert!(Schedule::Dynamic(10_000).runs_inline(10_000, 1 << 30));
+        assert!(!Schedule::Dynamic(10_000).runs_inline(10_001, 10_001));
+        assert!(Schedule::Dynamic(1).runs_inline(1, 1 << 30));
+        assert!(!Schedule::Dynamic(1).runs_inline(2, MIN_REGION_WORK));
     }
 
     #[test]

@@ -66,8 +66,8 @@ use essentials_algos::pagerank::{try_pagerank, PageRankResult, PrConfig};
 use essentials_core::prelude::*;
 use essentials_obs::{ObsSink, RequestEvent, ServiceEstimator};
 use essentials_parallel::{
-    panic_payload_string, ExecError, FaultPlan, RequestFault, RequestFaultPlan, RunBudget,
-    ThreadPool,
+    panic_payload_string, ExecError, FaultPlan, RegionCounts, RequestFault, RequestFaultPlan,
+    RunBudget, ThreadPool,
 };
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -192,6 +192,10 @@ pub struct EngineHealth {
     pub shed_total: u64,
     /// Cumulative degraded (browned-out) results returned.
     pub degraded_total: u64,
+    /// How the requests' parallel regions ran: on the pool's workers, or
+    /// on the request's own thread because another request's region held
+    /// the workers (`on_caller`; such a region waits for nothing).
+    pub regions: RegionCounts,
 }
 
 /// Why a request failed (see variants).
@@ -348,6 +352,7 @@ impl<W: EdgeValue> Engine<W> {
             rebuilt_total: self.scratch.rebuilt_ever(),
             shed_total: self.shed_total.load(Ordering::Relaxed),
             degraded_total: self.degraded_total.load(Ordering::Relaxed),
+            regions: self.pool.region_counts(),
         }
     }
 

@@ -66,18 +66,32 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// the workers of `pool` — the pool `iteration` runs its parallel regions
 /// on — hit the allocator meanwhile.
 ///
-/// Workers are armed and disarmed by a region on the pool itself
-/// (`ThreadPool::run` executes once on every worker); the region barriers
-/// inside `iteration` give the happens-before edge for worker-side
-/// increments, so Relaxed suffices.
+/// Workers are armed and disarmed by a region on the pool itself (see
+/// [`charge_every_thread`]); the region barriers inside `iteration` give
+/// the happens-before edge for worker-side increments, so Relaxed
+/// suffices. `pool` must not be running another thread's region meanwhile.
 pub fn count_allocs(pool: &ThreadPool, iteration: impl FnOnce()) -> usize {
     // Leaked so armed threads can hold a plain `&'static`: one word per
     // measurement, a few dozen per test run.
     let counter: &'static AtomicUsize = Box::leak(Box::new(AtomicUsize::new(0)));
-    pool.run(|_| CHARGE_TO.set(Some(counter)));
-    CHARGE_TO.set(Some(counter));
+    charge_every_thread(pool, Some(counter));
     iteration();
-    CHARGE_TO.set(None);
-    pool.run(|_| CHARGE_TO.set(None));
+    charge_every_thread(pool, None);
     counter.load(Ordering::Relaxed)
+}
+
+/// Points every thread of `pool`, the calling thread included, at `to`.
+/// A region's shares go to whichever threads claim them first, and the
+/// caller takes every share no worker has claimed once its own is done; so
+/// share 0, which the caller runs, holds the region open until each of the
+/// `num_threads` threads has run a share of its own.
+fn charge_every_thread(pool: &ThreadPool, to: Option<&'static AtomicUsize>) {
+    let armed = AtomicUsize::new(0);
+    pool.run(|tid| {
+        CHARGE_TO.set(to);
+        armed.fetch_add(1, Ordering::Relaxed);
+        while tid == 0 && armed.load(Ordering::Relaxed) < pool.num_threads() {
+            std::thread::yield_now();
+        }
+    });
 }

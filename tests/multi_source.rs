@@ -82,13 +82,15 @@ fn grid_batches_match_independent_runs_at_every_width_and_thread_count() {
 
 #[test]
 fn pool_sweep_matches_independent_runs_and_counts_work_exactly() {
-    // 2^17 vertices = 2,048 mask words: the size at which
-    // `Dynamic(WORD_GRAIN)` leaves the calling thread, so 2 and 8 threads
-    // run the word sweep on the pool. R-MAT's hubs make many lanes race
-    // for the same destination words in the same iteration.
+    // 2^17 vertices = 2,048 mask words: the size at which the sweep, which
+    // counts each word as one unit of work, leaves the calling thread, so
+    // 2 and 8 threads run the word sweep on the pool. R-MAT's hubs make
+    // many lanes race for the same destination words in the same
+    // iteration.
     let g: Graph<()> = Graph::from_coo(&gen::rmat(17, 4, gen::RmatParams::default(), 11));
     let n = g.num_vertices();
-    assert!(n.div_ceil(64) >= Schedule::Dynamic(4).sequential_cutoff());
+    let words = n.div_ceil(64);
+    assert!(!Schedule::Dynamic(4).runs_inline(words, words));
     // Full width, every lane rooted at a vertex with out-edges.
     let sources: Vec<VertexId> = spread_sources(n, 8 * MAX_BATCH)
         .into_iter()

@@ -654,6 +654,83 @@ fn recovered_context_keeps_the_zero_allocation_steady_state() {
     );
 }
 
+#[test]
+fn a_fault_inside_the_unvisited_mask_build_returns_the_mask_and_the_context_stays_warm() {
+    // One settling pull from vertex 0 of a 2^16-vertex ring: the one-entry
+    // sparse → dense conversion runs chunk 0 only, then the unvisited-mask
+    // build probes `candidate` over N / 64 words in chunks of 16 words,
+    // then the pull. A fault planned at chunk 1 therefore fires inside the
+    // mask build (no enactor, so the plan's iteration stays 0).
+    quiet_injected_panics();
+    const N: usize = 1 << 16;
+    let edges = (0..N as VertexId).map(|v| (v, (v + 1) % N as VertexId, ()));
+    let g = Graph::from_coo(&Coo::from_edges(N, edges)).with_csc();
+    let cfg = AdaptiveConfig {
+        policy: DirectionPolicy::fixed(Direction::Pull),
+        early_exit: true,
+        settle: true,
+    };
+    let (probes, scans) = (AtomicU32::new(0), AtomicU32::new(0));
+    let step = |ctx: &Context, engine: &mut AdaptiveAdvance, f: VertexFrontier| {
+        try_advance_adaptive(
+            execution::par,
+            ctx,
+            &g,
+            engine,
+            f,
+            |v| {
+                probes.fetch_add(1, Ordering::Relaxed);
+                v != 0
+            },
+            |_, _, _| {
+                scans.fetch_add(1, Ordering::Relaxed);
+                true
+            },
+        )
+    };
+    // A whole traversal of one step: the engine, built outside (its trace
+    // vector is a once-per-run allocation), takes the step and finishes,
+    // returning the mask and the output to the context's pools.
+    let run = |ctx: &Context, engine: AdaptiveAdvance, f: VertexFrontier| {
+        let mut engine = engine;
+        let next = step(ctx, &mut engine, f).map(|next| (next, LoopStats::default()));
+        engine.finish(ctx, next).map(|_| ())
+    };
+    let single = || VertexFrontier::Sparse(SparseFrontier::single(0));
+    for threads in [1, 4] {
+        let ctx = Context::new(threads);
+        for _ in 0..3 {
+            run(&ctx, AdaptiveAdvance::new(&g, cfg), single()).unwrap();
+        }
+
+        probes.store(0, Ordering::Relaxed);
+        scans.store(0, Ordering::Relaxed);
+        let faulty = ctx
+            .clone()
+            .with_fault_plan(Arc::new(FaultPlan::new().panic_at(0, 1)));
+        match run(&faulty, AdaptiveAdvance::new(&g, cfg), single()) {
+            Err(ExecError::WorkerPanic { payload, chunk }) => {
+                assert!(payload.contains("injected fault"), "payload: {payload}");
+                assert_eq!(chunk, 1, "{threads} threads");
+            }
+            other => panic!("expected WorkerPanic at {threads} threads, got {other:?}"),
+        }
+        // Every mask chunk but the faulted one probed its 1,024 vertices,
+        // and the pull never ran.
+        assert_eq!(probes.load(Ordering::Relaxed) as usize, N - 16 * 64);
+        assert_eq!(scans.load(Ordering::Relaxed), 0);
+
+        // The mask and the converted input went back to the pools: the
+        // next traversal allocates nothing.
+        let (engine, f) = (AdaptiveAdvance::new(&g, cfg), single());
+        let allocs = count_allocs(ctx.pool(), || run(&ctx, engine, f).unwrap());
+        assert_eq!(
+            allocs, 0,
+            "{threads} threads: warm step allocated after the fault"
+        );
+    }
+}
+
 // ---- the long tail honours the context ----------------------------------
 
 /// Runs `f` and returns the message it panicked with; fails the test when
