@@ -117,7 +117,7 @@ where
             match &mut to_hub {
                 Some(layout) => layout.gather(policy, ctx, |v| na[v], |_, acc| acc, &mut next_hub),
                 None => fill_indexed_into(policy, ctx, &mut next_hub, |u| {
-                    g.out_neighbors_from(u as VertexId, 0)
+                    g.out_neighbors_from(u as VertexId)
                         .map(|v| na[v as usize])
                         .sum()
                 }),

@@ -231,7 +231,7 @@ impl Gather {
         match self {
             Gather::Scan => fill_indexed_into(policy, ctx, out, |v| {
                 let gathered: f64 = g
-                    .in_neighbors_from(v as VertexId, 0)
+                    .in_neighbors_from(v as VertexId)
                     .map(|u| value(u as usize))
                     .sum();
                 finalize(v, gathered)
@@ -240,7 +240,7 @@ impl Gather {
             Gather::Scatter(acc) => {
                 try_foreach_vertex(policy, ctx, out.len(), |u| {
                     let share = value(u as usize);
-                    for d in g.out_neighbors_from(u, 0) {
+                    for d in g.out_neighbors_from(u) {
                         acc[d as usize].fetch_add(share, Ordering::AcqRel);
                     }
                 })?;

@@ -276,10 +276,13 @@ mod tests {
     fn scratch_round_trips_through_the_context() {
         let ctx = Context::new(2);
         let mut s = ctx.take_scratch();
-        s.offsets.reserve(500);
-        let addr = s.offsets.as_ptr();
+        let mut v = s.take_usize();
+        v.reserve(500);
+        let addr = v.as_ptr();
+        s.put_usize(v);
         ctx.put_scratch(s);
-        assert_eq!(ctx.take_scratch().offsets.as_ptr(), addr);
+        let v = ctx.take_scratch().take_usize();
+        assert_eq!(v.as_ptr(), addr);
     }
 
     #[test]

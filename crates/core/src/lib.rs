@@ -16,16 +16,14 @@
 //!    and fixpoint), with the run budget and fault plan checked at every
 //!    iteration boundary.
 //!
-//! The crate-private `load_balance` module holds the edge-balanced work
-//! division the paper locates in operators ("this is where the bulk of
-//! optimizations can be introduced", §IV-C), and [`context`] carries the
-//! thread pool through an algorithm.
+//! The operators are where the paper locates work division ("this is where
+//! the bulk of optimizations can be introduced", §IV-C), and [`context`]
+//! carries the thread pool through an algorithm.
 
 #![warn(missing_docs)]
 
 pub mod context;
 pub mod enactor;
-mod load_balance;
 pub mod operators;
 pub mod scratch;
 pub mod slot;

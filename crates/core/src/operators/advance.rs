@@ -2,10 +2,13 @@
 //!
 //! [`neighbors_expand`] is the Rust port of the paper's Listing 3 — the
 //! push-direction traversal at the heart of Listing 4's SSSP — generic over
-//! execution policies exactly as the C++ version is overloaded on them. Its
-//! parallel paths push into the context's reusable lock-free per-worker
-//! buffers ([`essentials_frontier::WorkerBuffers`]), so a steady-state
-//! iteration allocates nothing and takes no lock. [`neighbors_expand_unique`]
+//! execution policies exactly as the C++ version is overloaded on them. The
+//! bulk-synchronous push runs one hook-checked loop over the frontier on
+//! its caller and pushes into a pooled output vector; the asynchronous one
+//! drains through the work-queue engine into the context's lock-free
+//! per-worker buffers ([`essentials_frontier::WorkerBuffers`]). Either way
+//! a steady-state iteration allocates nothing and takes no lock.
+//! [`neighbors_expand_unique`]
 //! fuses duplicate elimination into the push via a reusable atomic bitmap.
 //! [`try_expand_pull_counted`] / [`try_expand_pull_masked`] are the
 //! CSC-based pull direction of §III-C, and [`try_expand_push_dense`] emits a
@@ -31,11 +34,11 @@ use essentials_parallel::{
 };
 
 use crate::context::Context;
-use crate::load_balance::{try_for_each_edge_balanced, try_for_each_edge_balanced_with};
 use crate::operators::try_for_with;
 use crate::scratch::AdvanceScratch;
 
-/// Vertices per hook-checked chunk on the sequential expansion path. Small
+/// Vertices per hook-checked chunk of the push loop on the calling thread
+/// (every policy but `ParNosync`), at every thread count. Small
 /// enough that cancellation latency stays low, large enough that the hook
 /// check amortizes to noise.
 const SERIAL_CHUNK: usize = 256;
@@ -55,9 +58,10 @@ fn frontier_out_edges<G: OutAdjacency>(g: &G, f: &SparseFrontier) -> u64 {
 /// semantics are needed.
 ///
 /// Policy behavior:
-/// * `Seq` — plain loop on the calling thread;
-/// * `Par` — bulk-synchronous: edge-balanced parallel expansion, implicit
-///   barrier, then the output frontier is assembled;
+/// * `Seq` and `Par` — one loop on the calling thread over 256-vertex
+///   frontier slices, output in edge order (a pooled push has not paid on
+///   the measured workloads: EXPERIMENTS.md, "One push loop"); under `Par`
+///   the dedup bits of [`neighbors_expand_unique`] are cleared on the pool;
 /// * `ParNosync` — the frontier is drained through the asynchronous
 ///   work-queue engine (no per-chunk barriers; completion by quiescence).
 ///
@@ -188,9 +192,9 @@ where
 
 /// Shared fallible body of the push expansions.
 ///
-/// All transient memory — degree prefix sums, per-worker output buffers,
-/// the dedup bitmap, and the output vector itself — is checked out of the
-/// context's [`AdvanceScratch`], so steady-state calls perform no heap
+/// All transient memory — per-worker output buffers, the dedup bitmap,
+/// and the output vector itself — is checked out of the context's
+/// [`AdvanceScratch`], so steady-state calls perform no heap
 /// allocation and acquire no shared lock on the push path.
 ///
 /// On *any* error — a captured panic in `condition`, a budget stop, or an
@@ -252,18 +256,23 @@ where
         }
     };
 
-    if !P::IS_PARALLEL || ctx.num_threads() == 1 {
+    let threads = ctx.num_threads();
+    let hooks = ctx.chunk_hooks();
+    let (mut out, result, per_worker) = if P::IS_SYNCHRONIZED || threads == 1 {
+        // Seq, and Par at every thread count: one hook-checked loop over
+        // 256-vertex frontier slices on the calling thread, pushing into
+        // the pooled output vector in edge order.
         let out = RefCell::new(scratch.take_vec());
         let verts = f.as_slice();
         let seen = &scratch.seen;
         let run = try_sequential_for_with(
             0..verts.len(),
             Schedule::Dynamic(SERIAL_CHUNK),
-            ctx.chunk_hooks(),
+            hooks,
             |_, i| {
                 let v = verts[i];
                 let mut out = out.borrow_mut();
-                for (e, n) in g.out_edges_from(v, 0) {
+                for (e, n) in g.out_edges_from(v) {
                     let w = g.edge_weight(e);
                     // The condition runs for every edge even when the
                     // destination is already marked; the bitmap only gates
@@ -274,67 +283,20 @@ where
                 }
             },
         );
-        let mut out = out.into_inner();
-        if UNIQUE {
-            // A dedup bit is only ever set right before its vertex is
-            // pushed into `out` (the `&&` short-circuits before `seen.set`
-            // on a panicking condition), so walking the partial output
-            // restores full bitmap clearness on the error path too.
-            for &v in &out {
-                scratch.seen.clear(v as usize);
-            }
-        }
-        if let Err(e) = run {
-            out.clear();
-            scratch.put_vec(out);
-            ctx.put_scratch(scratch);
-            return Err(e);
-        }
-        emit(ctx, f.len(), out.len(), &[]);
-        ctx.put_scratch(scratch);
-        return Ok(SparseFrontier::from_vec(out));
-    }
-
-    let result: Result<(), ExecError> = {
-        let AdvanceScratch {
-            offsets,
-            chunk_sums,
-            buffers,
-            seen,
-            ..
-        } = &mut *scratch;
-        buffers.ensure_workers(ctx.num_threads());
-        let seen = &*seen;
-        let view = buffers.view();
-        let hooks = ctx.chunk_hooks();
-        if P::IS_SYNCHRONIZED {
-            // Bulk-synchronous: edge-balanced division, barrier at the end
-            // of the parallel-for. Hooks fire at work-chunk boundaries; a
-            // captured panic drains the remaining chunks before surfacing.
-            try_for_each_edge_balanced_with(
-                ctx,
-                g,
-                f.as_slice(),
-                offsets,
-                chunk_sums,
-                hooks,
-                |tid, v, n, e| {
-                    let w = g.edge_weight(e);
-                    if condition(v, n, e, w) && (!UNIQUE || seen.set(n as usize)) {
-                        // SAFETY: `tid` is this worker's own id; the pool runs
-                        // each worker id on exactly one thread per region.
-                        unsafe { view.push(tid, n) }; // alloc-ok: worker buffer keeps its capacity; steady state is alloc-free (tests/zero_alloc.rs)
-                    }
-                },
-            )
-        } else {
+        (out.into_inner(), run, Vec::new()) // alloc-ok: Vec::new never allocates
+    } else {
+        let run = {
+            let AdvanceScratch { buffers, seen, .. } = &mut *scratch;
+            buffers.ensure_workers(threads);
+            let seen = &*seen;
+            let view = buffers.view();
             // Asynchronous: vertices drain through the work-queue engine;
             // no barrier other than final quiescence. The seed vec makes
             // this the dynamic-scheduling comparison path, not the BSP hot
             // loop.
             let seeds: Vec<VertexId> = f.iter().collect(); // alloc-ok: async seed vec
             try_run_async(ctx.pool(), seeds, hooks, |v: VertexId, pusher| {
-                for (e, n) in g.out_edges_from(v, 0) {
+                for (e, n) in g.out_edges_from(v) {
                     let w = g.edge_weight(e);
                     if condition(v, n, e, w) && (!UNIQUE || seen.set(n as usize)) {
                         // SAFETY: `pusher.worker()` is the engine worker's
@@ -344,32 +306,37 @@ where
                 }
             })
             .map(|_| ())
-        }
+        };
+        // Per-worker push distribution, read between the region and the
+        // drain (which empties the slots). Allocates only when a sink asked
+        // for detail.
+        let per_worker = if run.is_ok() && detail && ctx.obs().is_some() {
+            scratch.buffers.slot_lens()
+        } else {
+            Vec::new() // alloc-ok: Vec::new never allocates; detail collection is gated above
+        };
+        let mut out = scratch.take_vec();
+        scratch.buffers.drain_into(&mut out);
+        (out, run, per_worker)
     };
 
-    // Per-worker push distribution, read between the parallel region and
-    // the drain (which empties the slots). Allocates only when a sink asked
-    // for detail.
-    let per_worker = if result.is_ok() && detail && ctx.obs().is_some() {
-        scratch.buffers.slot_lens()
-    } else {
-        Vec::new() // alloc-ok: Vec::new never allocates; detail collection is gated above
-    };
-    // Drain and bitmap restore run on the error path too: whatever the
-    // partial expansion pushed is exactly the set of dedup bits it set (a
-    // worker that panics does so in `condition`, *before* `seen.set`), so
-    // draining into `out` and clearing by that walk restores clearness.
-    let mut out = scratch.take_vec();
-    scratch.buffers.drain_into(&mut out);
+    // Bitmap restore runs on the error path too: a dedup bit is only ever
+    // set right before its vertex is pushed (the `&&` short-circuits before
+    // `seen.set` on a panicking condition), so walking the partial output
+    // clears exactly the bits the expansion set, without re-zeroing all n.
     if UNIQUE {
-        // Restore bitmap clearness by walking the (sparse) output rather
-        // than re-zeroing all n bits.
         let seen = &scratch.seen;
-        let out_ref: &[VertexId] = &out;
-        ctx.pool()
-            .parallel_for(0..out_ref.len(), Schedule::Static, |i| {
-                seen.clear(out_ref[i] as usize);
-            });
+        if !P::IS_PARALLEL || threads == 1 {
+            for &v in &out {
+                seen.clear(v as usize);
+            }
+        } else {
+            let out_ref: &[VertexId] = &out;
+            ctx.pool()
+                .parallel_for(0..out_ref.len(), Schedule::Static, |i| {
+                    seen.clear(out_ref[i] as usize);
+                });
+        }
     }
     match result {
         Ok(()) => {
@@ -439,9 +406,9 @@ where
 /// idempotent, so no uniquify pass is ever needed; the natural output
 /// representation when the next frontier is expected to be large.
 ///
-/// Fallible like [`try_neighbors_expand`]: hooks at chunk boundaries (256
-/// vertices on the calling thread, edge-balanced chunks on the pool), a
-/// panicking condition captured as [`ExecError::WorkerPanic`], and on any
+/// Fallible like [`try_neighbors_expand`]: hooks at chunk boundaries
+/// (every 256 frontier vertices, on the calling thread under every policy),
+/// a panicking condition captured as [`ExecError::WorkerPanic`], and on any
 /// error the output bitmap goes back to the context's pool.
 pub fn try_expand_push_dense<P, G, W, F>(
     _policy: P,
@@ -473,22 +440,17 @@ where
             output.bits().set(n as usize);
         }
     };
-    let hooks = ctx.chunk_hooks();
-    let run = if !P::IS_PARALLEL || ctx.num_threads() == 1 {
-        let verts = f.as_slice();
-        try_sequential_for_with(
-            0..verts.len(),
-            Schedule::Dynamic(SERIAL_CHUNK),
-            hooks,
-            |_, i| {
-                for (e, n) in g.out_edges_from(verts[i], 0) {
-                    body(verts[i], n, e);
-                }
-            },
-        )
-    } else {
-        try_for_each_edge_balanced(ctx, g, f.as_slice(), hooks, |_tid, v, n, e| body(v, n, e))
-    };
+    let verts = f.as_slice();
+    let run = try_sequential_for_with(
+        0..verts.len(),
+        Schedule::Dynamic(SERIAL_CHUNK),
+        ctx.chunk_hooks(),
+        |_, i| {
+            for (e, n) in g.out_edges_from(verts[i]) {
+                body(verts[i], n, e);
+            }
+        },
+    );
     output.recount();
     if let Err(e) = run {
         ctx.recycle_dense_frontier(output);
@@ -539,7 +501,7 @@ where
     F: Fn(VertexId, VertexId, W) -> bool,
 {
     let (mut scans, mut admitted) = (0usize, false);
-    for (e, src) in g.in_edges_from(dst, 0) {
+    for (e, src) in g.in_edges_from(dst) {
         scans += 1;
         if input.contains(src) && condition(src, dst, g.in_edge_weight(e)) {
             admitted = true;
@@ -1021,7 +983,7 @@ mod tests {
         assert_eq!(out2.len(), 2);
     }
 
-    /// A 450-edge hub row (so edge-balanced chunks start mid-row), a ring
+    /// A 450-edge hub row (longer than one decoder refill run), a ring
     /// with chords out of the even vertices (so odd rows are empty), and
     /// position-dependent weights.
     fn hub_and_ring(n: usize) -> Graph<f32> {
@@ -1105,8 +1067,8 @@ mod tests {
         let reference = every_expansion(&Context::new(1), &g);
         assert!(reference.0[..6].iter().all(|set| !set.is_empty()));
         assert_eq!(reference.0[4], reference.0[5], "masked vs predicate pull");
-        // Threads = 1 runs the serial chunk loop, 4 the edge-balanced one
-        // (whose chunks start mid-row inside the hub).
+        // Threads = 1 and 4: the push loop is the same, the pull regions
+        // and the dedup clear reach the pool at 4.
         for threads in [1, 4] {
             let ctx = Context::new(threads);
             assert_eq!(every_expansion(&ctx, &g), reference, "raw, {threads}");

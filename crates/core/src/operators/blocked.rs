@@ -138,7 +138,7 @@ impl BlockedGather {
         P: ExecutionPolicy,
         G: OutAdjacency + Sync,
     {
-        Self::build::<P, _, _>(ctx, g.num_vertices(), cfg, |u| g.out_neighbors_from(u, 0))
+        Self::build::<P, _, _>(ctx, g.num_vertices(), cfg, |u| g.out_neighbors_from(u))
     }
 
     /// Builds the layout from the in-adjacency stream: entry `(u, v)` for
@@ -148,7 +148,7 @@ impl BlockedGather {
         P: ExecutionPolicy,
         G: InAdjacency + Sync,
     {
-        Self::build::<P, _, _>(ctx, g.num_vertices(), cfg, |u| g.in_neighbors_from(u, 0))
+        Self::build::<P, _, _>(ctx, g.num_vertices(), cfg, |u| g.in_neighbors_from(u))
     }
 
     /// `targets(u)` streams the destinations `u` contributes to — a slice
@@ -455,7 +455,7 @@ where
                 let w_lo = c * WORD_CHUNK;
                 let w_hi = ((c + 1) * WORD_CHUNK).min(words);
                 bits.for_each_set_in_words(w_lo, w_hi, &mut |src| {
-                    for d in g.out_neighbors_from(src as VertexId, 0) {
+                    for d in g.out_neighbors_from(src as VertexId) {
                         let cell = ((d as usize) >> bin_bits) * nchunks + c;
                         // SAFETY: column `c` of the count matrix is owned by
                         // this chunk invocation (see BlockedGather::build).
@@ -486,7 +486,7 @@ where
                 let w_lo = c * WORD_CHUNK;
                 let w_hi = ((c + 1) * WORD_CHUNK).min(words);
                 bits.for_each_set_in_words(w_lo, w_hi, &mut |src| {
-                    for (e, d) in g.out_edges_from(src as VertexId, 0) {
+                    for (e, d) in g.out_edges_from(src as VertexId) {
                         let cell = ((d as usize) >> bin_bits) * nchunks + c;
                         // SAFETY: column-disjoint cursors hand out unique
                         // entry slots (see BlockedGather::build), and the

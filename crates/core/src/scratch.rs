@@ -1,11 +1,10 @@
 //! Reusable scratch memory for the frontier pipeline.
 //!
-//! A steady-state BSP iteration (expand → collect → dedup) used to allocate
-//! on every superstep: a degree-offset vector in the load balancer, one
-//! `Vec` per worker in the collector, an O(n) bitmap in `uniquify`, and the
-//! output frontier itself. [`AdvanceScratch`] owns all four, grown on demand
-//! and never shrunk, so after warm-up the advance path touches the allocator
-//! zero times.
+//! A steady-state iteration (expand → collect → dedup) used to allocate on
+//! every superstep: one `Vec` per worker in the collector, an O(n) bitmap
+//! in `uniquify`, and the output frontier itself. [`AdvanceScratch`] owns
+//! all three, grown on demand and never shrunk, so after warm-up the
+//! advance path touches the allocator zero times.
 //!
 //! The scratch checks in and out of the [`crate::Context`] through a single
 //! [`SwapSlot`] — no lock, no allocation. If two algorithms on one context
@@ -37,10 +36,6 @@ const MAX_SPARE_NUMERIC: usize = 6;
 
 /// All reusable memory one advance/filter iteration needs.
 pub struct AdvanceScratch {
-    /// Degree prefix-sum of the input frontier (load balancer).
-    pub(crate) offsets: Vec<usize>,
-    /// Per-worker partial sums for the parallel scan.
-    pub(crate) chunk_sums: Vec<usize>,
     /// Lock-free per-worker output buffers.
     pub(crate) buffers: WorkerBuffers,
     /// Per-worker partial sums (the pull kernels' scanned in-edges).
@@ -70,11 +65,9 @@ impl AdvanceScratch {
     /// Empty scratch sized for `workers` worker threads.
     pub fn new(workers: usize) -> Self {
         AdvanceScratch {
-            offsets: Vec::new(),    // alloc-ok: Vec::new never allocates (cold constructor)
-            chunk_sums: Vec::new(), // alloc-ok: see above
             buffers: WorkerBuffers::new(workers),
             tallies: WorkerTallies {
-                slots: Vec::new(), // alloc-ok: see above
+                slots: Vec::new(), // alloc-ok: Vec::new never allocates (cold constructor)
             },
             seen: AtomicBitset::new(0),
             spare: Vec::new(),       // alloc-ok: see above
@@ -326,13 +319,14 @@ mod tests {
     fn slot_round_trips_the_same_allocation() {
         let slot = ScratchSlot::new();
         let mut s = slot.take(4);
-        s.offsets.reserve(1000);
-        let cap = s.offsets.capacity();
-        let addr = s.offsets.as_ptr();
+        let mut v = s.take_usize();
+        v.reserve(1000);
+        let (cap, addr) = (v.capacity(), v.as_ptr());
+        s.put_usize(v);
         slot.put(s);
-        let s2 = slot.take(4);
-        assert_eq!(s2.offsets.capacity(), cap);
-        assert_eq!(s2.offsets.as_ptr(), addr);
+        let v2 = slot.take(4).take_usize();
+        assert_eq!(v2.capacity(), cap);
+        assert_eq!(v2.as_ptr(), addr);
     }
 
     #[test]

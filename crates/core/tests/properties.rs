@@ -1,6 +1,6 @@
 //! Property-based tests of the operator layer: policy equivalence on
-//! arbitrary graphs and frontiers, exactly-once edge iteration under
-//! edge-balanced division, push/pull agreement.
+//! arbitrary graphs and frontiers, exactly-once edge iteration by the
+//! push, push/pull agreement.
 
 use essentials_core::operators::advance::{
     expand_pull_counted, neighbors_expand, try_expand_push_dense, PullConfig,
@@ -73,7 +73,7 @@ proptest! {
     }
 
     #[test]
-    fn edge_balanced_iterates_frontier_edges_exactly_once((g, frontier) in arb_graph_and_frontier()) {
+    fn push_iterates_frontier_edges_exactly_once((g, frontier) in arb_graph_and_frontier()) {
         let ctx = Context::new(3);
         // Deduplicate the frontier (duplicates would legitimately double
         // visit).
@@ -82,8 +82,8 @@ proptest! {
         fr.dedup();
         let hits: Vec<AtomicUsize> =
             (0..g.get_num_edges()).map(|_| AtomicUsize::new(0)).collect();
-        // The parallel push divides the frontier's edges with the
-        // edge balancer; the condition sees each (src, dst, e) it hands out.
+        // The push walks each frontier vertex's row once; the condition
+        // sees each (src, dst, e) exactly once.
         let f = SparseFrontier::from_vec(fr.clone());
         neighbors_expand(execution::par, &ctx, &g, &f, |src, dst, e, _| {
             assert!(g.out_edges(src).contains(&e));

@@ -7,7 +7,7 @@
 //!
 //! * **skewed, low-diameter** — [`rmat()`](rmat()) (Kronecker/Graph500-style) and
 //!   [`barabasi_albert()`](barabasi_albert()) power-law graphs: the regime where pull traversal,
-//!   edge-balanced scheduling, and direction optimization pay off;
+//!   dynamic scheduling, and direction optimization pay off;
 //! * **uniform, high-diameter** — [`grid`] meshes and [`regular`] families:
 //!   the road-network-like regime where push traversal and static
 //!   scheduling win and BSP pays one barrier per long iteration;

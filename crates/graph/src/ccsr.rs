@@ -25,25 +25,25 @@
 //! round-trip exactly.
 //!
 //! Two offset arrays index the stream: `edge_offsets` (the raw CSR row
-//! offsets, widened to `u64`) keep edge ids, degrees, and edge-balanced
-//! chunking identical to the uncompressed representation; `byte_offsets`
-//! locate each vertex's byte run. Edge *values* are not compressed — they
-//! stay a flat array in CSR edge order (`()` for unweighted graphs costs
-//! nothing), so the bytes/edge win is measured on topology, as in Ligra+.
+//! offsets, widened to `u64`) keep edge ids and degrees identical to the
+//! uncompressed representation; `byte_offsets` locate each vertex's byte
+//! run. Edge *values* are not compressed — they stay a flat array in CSR
+//! edge order (`()` for unweighted graphs costs nothing), so the bytes/edge
+//! win is measured on topology, as in Ligra+.
 //!
 //! **Decoding.** [`NeighborDecoder`] is an allocation-free sequential
-//! cursor over one vertex's run: the advance operators drive it one vertex
-//! at a time, and [`NeighborDecoder::skip_ahead`] lets an edge-balanced chunk
-//! start mid-row. It refills a word at a time: each value starts with one
-//! little-endian 8-byte load into a 64-bit accumulator, and a valid value
-//! (at most 42 bits) then decodes from the accumulator with one shift. The
-//! decoder holds the stream from its row's start to the stream's end, so a
-//! refill may read up to 7 bytes of the following rows — read ahead, never
-//! consumed by a valid row — and only the stream's last 7 bytes refill
-//! from a zero-padded copy. No byte sequence panics it, in any profile: a
-//! corrupt class above 33 (no `u32` delta reaches 34) decodes as class 33,
-//! reads past the end see zeros, and deltas add with wrapping, so corrupt
-//! bytes yield wrong ids, but exactly `degree` of them.
+//! cursor over one vertex's run, read from the row's start: the advance
+//! operators drive it one vertex at a time. It refills a word at a time:
+//! each value starts with one little-endian 8-byte load into a 64-bit
+//! accumulator, and a valid value (at most 42 bits) then decodes from the
+//! accumulator with one shift. The decoder holds the stream from its row's
+//! start to the stream's end, so a refill may read up to 7 bytes of the
+//! following rows — read ahead, never consumed by a valid row — and only
+//! the stream's last 7 bytes refill from a zero-padded copy. No byte
+//! sequence panics it, in any profile: a corrupt class above 33 (no `u32`
+//! delta reaches 34) decodes as class 33, reads past the end see zeros, and
+//! deltas add with wrapping, so corrupt bytes yield wrong ids, but exactly
+//! `degree` of them.
 //! Random access into a row is impossible by design, so the
 //! compressed types implement only the streaming adjacency traits
 //! ([`OutAdjacency`], [`InAdjacency`]) — the ones the advance family is
@@ -282,22 +282,6 @@ impl<'a> NeighborDecoder<'a> {
         self.nbits -= head + k;
         implied | mantissa
     }
-
-    /// Neighbors not yet decoded.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
-    /// Decodes and discards the next `k` neighbors — how an edge-balanced
-    /// chunk positions itself mid-row. Sequential by nature of the coding
-    /// (each delta needs its predecessor); still branch-cheap, no output.
-    #[inline]
-    pub fn skip_ahead(&mut self, k: usize) {
-        for _ in 0..k.min(self.remaining) {
-            self.next();
-        }
-    }
 }
 
 impl Iterator for NeighborDecoder<'_> {
@@ -463,8 +447,8 @@ impl<W: EdgeValue> OutAdjacency for Ccsr<W> {
         self.view().out_edges(v)
     }
     #[inline]
-    fn out_neighbors_from(&self, v: VertexId, skip: usize) -> NeighborDecoder<'_> {
-        self.view().decoder_from(v, skip)
+    fn out_neighbors_from(&self, v: VertexId) -> NeighborDecoder<'_> {
+        self.view().decoder_from(v)
     }
 }
 
@@ -558,17 +542,15 @@ impl<'a, W: EdgeValue> CcsrView<'a, W> {
         self.bytes.len()
     }
 
-    /// Decoder over `v`'s run, positioned `skip` neighbors in.
+    /// Decoder over `v`'s run.
     #[inline]
-    fn decoder_from(&self, v: VertexId, skip: usize) -> NeighborDecoder<'a> {
+    fn decoder_from(&self, v: VertexId) -> NeighborDecoder<'a> {
         let vi = v as usize;
         let lo = self.byte_offsets[vi] as usize;
         let deg = (self.edge_offsets[vi + 1] - self.edge_offsets[vi]) as usize;
         // The stream from the row on, not the row alone: refills read
         // ahead one word.
-        let mut d = NeighborDecoder::new(v, &self.bytes[lo..], deg);
-        d.skip_ahead(skip);
-        d
+        NeighborDecoder::new(v, &self.bytes[lo..], deg)
     }
 
     #[inline]
@@ -606,8 +588,8 @@ impl<W: EdgeValue> OutAdjacency for CcsrView<'_, W> {
         self.edge_offsets[vi] as EdgeId..self.edge_offsets[vi + 1] as EdgeId
     }
     #[inline]
-    fn out_neighbors_from(&self, v: VertexId, skip: usize) -> NeighborDecoder<'_> {
-        self.decoder_from(v, skip)
+    fn out_neighbors_from(&self, v: VertexId) -> NeighborDecoder<'_> {
+        self.decoder_from(v)
     }
 }
 
@@ -691,8 +673,8 @@ impl<W: EdgeValue> OutAdjacency for CompressedGraph<W> {
         self.out.out_edges(v)
     }
     #[inline]
-    fn out_neighbors_from(&self, v: VertexId, skip: usize) -> NeighborDecoder<'_> {
-        self.out.out_neighbors_from(v, skip)
+    fn out_neighbors_from(&self, v: VertexId) -> NeighborDecoder<'_> {
+        self.out.out_neighbors_from(v)
     }
 }
 
@@ -710,8 +692,8 @@ impl<W: EdgeValue> InAdjacency for CompressedGraph<W> {
         self.require_in().out_edges(v)
     }
     #[inline]
-    fn in_neighbors_from(&self, v: VertexId, skip: usize) -> NeighborDecoder<'_> {
-        self.require_in().out_neighbors_from(v, skip)
+    fn in_neighbors_from(&self, v: VertexId) -> NeighborDecoder<'_> {
+        self.require_in().out_neighbors_from(v)
     }
 }
 
@@ -754,11 +736,11 @@ impl<'a, W: EdgeValue> CompressedGraphView<'a, W> {
         Ok(CompressedGraphView { out, in_ })
     }
 
-    /// Streaming decoder over `v`'s destinations — `out_neighbors_from(v,
-    /// 0)` under the name the frozen benchmark's decode probe calls.
+    /// Streaming decoder over `v`'s destinations — `out_neighbors_from(v)`
+    /// under the name the frozen benchmark's decode probe calls.
     #[inline]
     pub fn out_decoder(&self, v: VertexId) -> NeighborDecoder<'a> {
-        self.out.decoder_from(v, 0)
+        self.out.decoder_from(v)
     }
 
     fn require_in(&self) -> &CcsrView<'a, W> {
@@ -791,8 +773,8 @@ impl<W: EdgeValue> OutAdjacency for CompressedGraphView<'_, W> {
         self.out.out_edges(v)
     }
     #[inline]
-    fn out_neighbors_from(&self, v: VertexId, skip: usize) -> NeighborDecoder<'_> {
-        self.out.decoder_from(v, skip)
+    fn out_neighbors_from(&self, v: VertexId) -> NeighborDecoder<'_> {
+        self.out.decoder_from(v)
     }
 }
 
@@ -813,8 +795,8 @@ impl<W: EdgeValue> InAdjacency for CompressedGraphView<'_, W> {
         self.require_in().out_edges(v)
     }
     #[inline]
-    fn in_neighbors_from(&self, v: VertexId, skip: usize) -> NeighborDecoder<'_> {
-        self.require_in().decoder_from(v, skip)
+    fn in_neighbors_from(&self, v: VertexId) -> NeighborDecoder<'_> {
+        self.require_in().decoder_from(v)
     }
 }
 
@@ -858,7 +840,7 @@ mod tests {
 
     fn decode_all<W: EdgeValue>(c: &Ccsr<W>) -> Vec<Vec<VertexId>> {
         (0..c.num_vertices() as VertexId)
-            .map(|v| c.out_neighbors_from(v, 0).collect())
+            .map(|v| c.out_neighbors_from(v).collect())
             .collect()
     }
 
@@ -871,7 +853,7 @@ mod tests {
         assert_eq!(c.num_edges(), 6);
         for v in 0..6u32 {
             let raw: Vec<VertexId> = csr.neighbors(v).to_vec();
-            let dec: Vec<VertexId> = c.out_neighbors_from(v, 0).collect();
+            let dec: Vec<VertexId> = c.out_neighbors_from(v).collect();
             assert_eq!(dec, raw, "vertex {v}");
             assert_eq!(c.out_edges(v), csr.edge_range(v));
         }
@@ -976,25 +958,6 @@ mod tests {
         }
     }
 
-    #[cfg_attr(miri, ignore = "spawns a thread pool")]
-    #[test]
-    fn skip_positions_mid_row() {
-        let neigh: Vec<VertexId> = vec![2, 3, 9, 10, 40, 41, 500];
-        let edges: Vec<(VertexId, VertexId)> = neigh.iter().map(|&d| (5, d)).collect();
-        let c = Ccsr::from_csr(&pool(), &csr_of(600, &edges));
-        for start in 0..=neigh.len() {
-            let mut d = c.out_neighbors_from(5, 0);
-            d.skip_ahead(start);
-            assert_eq!(d.remaining(), neigh.len() - start);
-            let rest: Vec<VertexId> = d.collect();
-            assert_eq!(rest, &neigh[start..], "skip_ahead({start})");
-        }
-        // Over-skip is a clean exhaustion, not a panic.
-        let mut d = c.out_neighbors_from(5, 0);
-        d.skip_ahead(neigh.len() + 10);
-        assert_eq!(d.next(), None);
-    }
-
     /// A view's sections over sorted `rows`, encoded by the row codec
     /// directly — no pool, so Miri runs the tests that use them.
     fn encoded_sections(rows: &[Vec<VertexId>]) -> (Vec<u64>, Vec<u64>, Vec<u8>) {
@@ -1009,17 +972,15 @@ mod tests {
         (edge_offsets, byte_offsets, bytes)
     }
 
-    /// Asserts that every row of a view over `rows`, decoded from every
-    /// skip, equals its raw slice; returns each row's coded byte length.
+    /// Asserts that every row of a view over `rows`, decoded from its
+    /// start, equals its raw slice; returns each row's coded byte length.
     fn assert_view_decodes(rows: &[Vec<VertexId>]) -> Vec<usize> {
         let (eo, bo, bytes) = encoded_sections(rows);
         let m = rows.iter().map(Vec::len).sum();
         let view = CcsrView::<()>::try_new(rows.len(), m, &eo, &bo, &bytes, &[]).expect("valid");
         for (v, row) in rows.iter().enumerate() {
-            for k in 0..=row.len() {
-                let dec: Vec<VertexId> = view.out_neighbors_from(v as VertexId, k).collect();
-                assert_eq!(dec, &row[k..], "vertex {v} from skip {k}");
-            }
+            let dec: Vec<VertexId> = view.out_neighbors_from(v as VertexId).collect();
+            assert_eq!(&dec, row, "vertex {v}");
         }
         bo.windows(2).map(|w| (w[1] - w[0]) as usize).collect()
     }
@@ -1058,9 +1019,9 @@ mod tests {
     }
 
     #[test]
-    fn skip_ahead_lands_on_rows_that_straddle_refills() {
+    fn rows_that_straddle_refills_decode() {
         // Values of 5 to 42 bits cross the 56-bit refill boundary at
-        // every offset; each skip lands where the raw slice says.
+        // every offset; each row decodes to its raw slice.
         let rows: Vec<Vec<VertexId>> = (0..6).map(|v| mixed_row(v * 7, 24 + v as usize)).collect();
         assert_view_decodes(&rows);
     }
@@ -1090,9 +1051,9 @@ mod tests {
         let cg = CompressedGraph::from_graph(&pool(), &g);
         use crate::traits::{InNeighbors, OutNeighbors};
         for v in 0..50u32 {
-            let out: Vec<VertexId> = cg.out_neighbors_from(v, 0).collect();
+            let out: Vec<VertexId> = cg.out_neighbors_from(v).collect();
             assert_eq!(out, g.out_neighbors(v));
-            let inn: Vec<VertexId> = cg.in_neighbors_from(v, 0).collect();
+            let inn: Vec<VertexId> = cg.in_neighbors_from(v).collect();
             assert_eq!(inn, g.in_neighbors(v));
         }
         let view = cg.view();
@@ -1123,7 +1084,7 @@ mod tests {
             let c = Ccsr::from_csr(&pool(), &csr);
             prop_assert_eq!(c.num_edges(), csr.num_edges());
             for v in 0..300u32 {
-                let dec: Vec<VertexId> = c.out_neighbors_from(v, 0).collect();
+                let dec: Vec<VertexId> = c.out_neighbors_from(v).collect();
                 prop_assert_eq!(dec.as_slice(), csr.neighbors(v));
             }
         }
@@ -1149,36 +1110,16 @@ mod tests {
         }
 
         /// Arbitrary bytes under an arbitrary degree: the decoder yields
-        /// exactly `degree` ids, `skip_ahead` included, and never panics —
-        /// a corrupt class, a read past the end or a wrapping delta decodes
-        /// to wrong ids, no more.
+        /// exactly `degree` ids and never panics — a corrupt class, a read
+        /// past the end or a wrapping delta decodes to wrong ids, no more.
         #[test]
         fn prop_arbitrary_bytes_never_panic(
             bytes in prop::collection::vec(0u8..=255, 0..64),
             degree in 0usize..80,
             v in 0u32..=VertexId::MAX,
-            k in 0usize..80,
         ) {
             let all: Vec<VertexId> = NeighborDecoder::new(v, &bytes, degree).collect();
             prop_assert_eq!(all.len(), degree);
-            let mut d = NeighborDecoder::new(v, &bytes, degree);
-            d.skip_ahead(k);
-            prop_assert_eq!(d.collect::<Vec<_>>(), &all[k.min(degree)..]);
-        }
-
-        /// `skip_ahead(k)` lands exactly where k `next()` calls would.
-        #[cfg_attr(miri, ignore = "spawns a thread pool")]
-        #[test]
-        fn prop_skip_equals_next(edges in prop::collection::vec((0u32..100, 0u32..100), 0..200), k in 0usize..32) {
-            let csr = csr_of(100, &edges);
-            let c = Ccsr::from_csr(&pool(), &csr);
-            for v in 0..100u32 {
-                let mut a = c.out_neighbors_from(v, 0);
-                a.skip_ahead(k);
-                let mut b = c.out_neighbors_from(v, 0);
-                for _ in 0..k { b.next(); }
-                prop_assert_eq!(a.collect::<Vec<_>>(), b.collect::<Vec<_>>());
-            }
         }
     }
 }

@@ -156,8 +156,8 @@ impl<W: EdgeValue> OutAdjacency for Graph<W> {
         self.csr.edge_range(v)
     }
     #[inline]
-    fn out_neighbors_from(&self, v: VertexId, skip: usize) -> Self::OutIter<'_> {
-        row_from(self.csr.neighbors(v), skip)
+    fn out_neighbors_from(&self, v: VertexId) -> Self::OutIter<'_> {
+        self.csr.neighbors(v).iter().copied()
     }
 }
 
@@ -175,16 +175,9 @@ impl<W: EdgeValue> InAdjacency for Graph<W> {
         self.require_csc().edge_range(v)
     }
     #[inline]
-    fn in_neighbors_from(&self, v: VertexId, skip: usize) -> Self::InIter<'_> {
-        row_from(self.require_csc().neighbors(v), skip)
+    fn in_neighbors_from(&self, v: VertexId) -> Self::InIter<'_> {
+        self.require_csc().neighbors(v).iter().copied()
     }
-}
-
-/// A row slice as a neighbor stream starting `skip` entries in (empty when
-/// `skip` runs past the row).
-#[inline]
-fn row_from(row: &[VertexId], skip: usize) -> Copied<slice::Iter<'_, VertexId>> {
-    row.get(skip..).unwrap_or_default().iter().copied()
 }
 
 impl<W: EdgeValue> OutWeights<W> for Graph<W> {

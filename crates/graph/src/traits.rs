@@ -13,7 +13,7 @@
 //! Two layers. The **adjacency** traits ([`OutAdjacency`], [`InAdjacency`],
 //! [`OutWeights`], [`InWeights`]) are what every representation offers: per
 //! vertex a degree, a contiguous edge-id range, and the neighbors as an
-//! ascending *stream* that can start mid-row — a slice walk on raw CSR, a
+//! ascending *stream* read from the row's start — a slice walk on raw CSR, a
 //! [`NeighborDecoder`](crate::NeighborDecoder) on compressed CSR — with
 //! weights looked up by edge id. The whole advance family is written against
 //! this layer. The **slice** traits ([`OutNeighbors`], [`InNeighbors`],
@@ -47,16 +47,13 @@ pub trait OutAdjacency: GraphBase {
     fn out_degree(&self, v: VertexId) -> usize;
     /// Edge-id range of `v`'s out-edges (ids in the primary CSR order).
     fn out_edges(&self, v: VertexId) -> Range<EdgeId>;
-    /// Destinations of `out_edges(v)` in edge order, starting `skip` entries
-    /// in — how an edge-balanced chunk positions itself mid-row. O(1) on
-    /// slices; a decoder decodes and discards the prefix. Skipping past the
-    /// row yields an empty stream.
-    fn out_neighbors_from(&self, v: VertexId, skip: usize) -> Self::OutIter<'_>;
+    /// Destinations of `out_edges(v)` in edge order: a slice walk on raw
+    /// columns, a decoder on compressed ones.
+    fn out_neighbors_from(&self, v: VertexId) -> Self::OutIter<'_>;
     /// [`Self::out_neighbors_from`] paired with each destination's edge id.
     #[inline]
-    fn out_edges_from(&self, v: VertexId, skip: usize) -> Zip<Range<EdgeId>, Self::OutIter<'_>> {
-        let row = self.out_edges(v);
-        ((row.start + skip).min(row.end)..row.end).zip(self.out_neighbors_from(v, skip))
+    fn out_edges_from(&self, v: VertexId) -> Zip<Range<EdgeId>, Self::OutIter<'_>> {
+        self.out_edges(v).zip(self.out_neighbors_from(v))
     }
 }
 
@@ -76,13 +73,12 @@ pub trait InAdjacency: GraphBase {
     fn in_degree(&self, v: VertexId) -> usize;
     /// Edge-id range of `v`'s in-edges (transpose CSR order).
     fn in_edges(&self, v: VertexId) -> Range<EdgeId>;
-    /// Sources of `in_edges(v)` in edge order, starting `skip` entries in.
-    fn in_neighbors_from(&self, v: VertexId, skip: usize) -> Self::InIter<'_>;
+    /// Sources of `in_edges(v)` in edge order.
+    fn in_neighbors_from(&self, v: VertexId) -> Self::InIter<'_>;
     /// [`Self::in_neighbors_from`] paired with each source's in-edge id.
     #[inline]
-    fn in_edges_from(&self, v: VertexId, skip: usize) -> Zip<Range<EdgeId>, Self::InIter<'_>> {
-        let row = self.in_edges(v);
-        ((row.start + skip).min(row.end)..row.end).zip(self.in_neighbors_from(v, skip))
+    fn in_edges_from(&self, v: VertexId) -> Zip<Range<EdgeId>, Self::InIter<'_>> {
+        self.in_edges(v).zip(self.in_neighbors_from(v))
     }
 }
 

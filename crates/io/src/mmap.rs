@@ -612,7 +612,7 @@ mod tests {
 
     fn adjacency<G: OutAdjacency>(g: &G) -> Vec<Vec<u32>> {
         (0..g.num_vertices() as u32)
-            .map(|v| g.out_neighbors_from(v, 0).collect())
+            .map(|v| g.out_neighbors_from(v).collect())
             .collect()
     }
 
@@ -643,8 +643,8 @@ mod tests {
         let view = back.view().unwrap();
         assert_eq!(adjacency(&view), adjacency(&cg.view()));
         for v in 0..6u32 {
-            let a: Vec<u32> = view.in_neighbors_from(v, 0).collect();
-            let b: Vec<u32> = cg.view().in_neighbors_from(v, 0).collect();
+            let a: Vec<u32> = view.in_neighbors_from(v).collect();
+            let b: Vec<u32> = cg.view().in_neighbors_from(v).collect();
             assert_eq!(a, b, "in-neighbors of {v}");
         }
     }

@@ -66,7 +66,6 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
 pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/core/src/operators/advance.rs",
     "crates/core/src/operators/blocked.rs",
-    "crates/core/src/load_balance.rs",
     "crates/core/src/scratch.rs",
     "crates/parallel/src/scan.rs",
     "crates/frontier/src/worker_buffers.rs",

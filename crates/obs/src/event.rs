@@ -93,8 +93,8 @@ pub struct AdvanceEvent<'a> {
     /// (`admitted - output_len` for `AdvanceUnique`; 0 elsewhere).
     pub dedup_hits: u64,
     /// Per-worker push counts for load-balance skew. Empty when the path
-    /// has no per-worker buffers (sequential, dense, pull) or the sink
-    /// declined detail.
+    /// has no per-worker buffers (every push but `ParNosync`'s, dense,
+    /// pull) or the sink declined detail.
     pub per_worker: &'a [usize],
 }
 

@@ -294,9 +294,9 @@ enum FaultAction {
 /// the plan before every chunk.
 ///
 /// Chunk numbering is schedule-specific (documented on
-/// `ThreadPool::try_parallel_for_with`); the BSP edge balancer runs its
-/// chunk loop under `Dynamic(1)`, so there a chunk id is the balancer's
-/// own chunk index — stable across thread counts.
+/// `ThreadPool::try_parallel_for_with`); the push expansion runs its
+/// frontier loop under `Dynamic(256)`, so there a chunk id is the index
+/// of a 256-vertex frontier slice — stable across thread counts.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     points: Vec<(u64, u64, FaultAction)>,

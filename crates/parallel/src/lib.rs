@@ -8,10 +8,10 @@
 //!
 //! * [`pool::ThreadPool`] — persistent workers executing OpenMP-style
 //!   *parallel regions*; the bulk-synchronous substrate.
-//! * [`schedule::Schedule`] — static / dynamic / guided loop scheduling,
+//! * [`schedule::Schedule`] — static / dynamic loop scheduling,
 //!   the load-balancing knob of §IV-C.
-//! * [`scan`] — parallel exclusive prefix sum; degree offsets for the
-//!   edge-balanced work division.
+//! * [`scan`] — parallel exclusive prefix sum; the compressed-graph
+//!   builder's byte offsets.
 //! * [`async_engine`] — a work-queue engine with quiescence-based
 //!   termination detection; the asynchronous substrate (the CPU equivalent
 //!   of the Atos-style GPU queue the paper cites).

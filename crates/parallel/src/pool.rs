@@ -356,9 +356,9 @@ impl ThreadPool {
     ///
     /// Chunk ids are schedule-specific: `Dynamic(g)` numbers chunks
     /// `(lo - range.start) / g` (stable across thread counts), `Static`
-    /// uses the worker id, `Guided` a claim ordinal. Sequential fallbacks
-    /// chunk by the dynamic grain (one chunk for `Static`) so `Dynamic`
-    /// fault coordinates stay meaningful at every thread count.
+    /// uses the worker id. Sequential fallbacks chunk by the dynamic grain
+    /// (one chunk for `Static`) so `Dynamic` fault coordinates stay
+    /// meaningful at every thread count.
     ///
     /// Each index counts as one unit of work; a loop whose indices stand
     /// for more (64-vertex words, edge chunks) states it through
@@ -490,38 +490,6 @@ impl ThreadPool {
                     })?;
                 }
             }
-            Schedule::Guided(min_grain) => {
-                let min_grain = min_grain.max(1);
-                let next = AtomicUsize::new(range.start);
-                let claims = AtomicUsize::new(0);
-                self.try_run(|tid| loop {
-                    if outcome.should_stop() {
-                        break;
-                    }
-                    let mut lo = next.load(Ordering::Relaxed);
-                    let hi = loop {
-                        if lo >= range.end {
-                            return;
-                        }
-                        let remaining = range.end - lo;
-                        let chunk = (remaining / (2 * n)).max(min_grain);
-                        let hi = (lo + chunk).min(range.end);
-                        match next.compare_exchange_weak(
-                            lo,
-                            hi,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        ) {
-                            Ok(_) => break hi,
-                            Err(seen) => lo = seen,
-                        }
-                    };
-                    let chunk = claims.fetch_add(1, Ordering::Relaxed);
-                    if !run_chunk(&outcome, &hooks, f, tid, chunk, lo, hi) {
-                        break;
-                    }
-                })?;
-            }
         }
         outcome.into_result()
     }
@@ -643,7 +611,7 @@ where
     F: Fn(usize, usize),
 {
     let grain = match schedule {
-        Schedule::Dynamic(g) | Schedule::Guided(g) => g.max(1),
+        Schedule::Dynamic(g) => g.max(1),
         Schedule::Static => range.len().max(1),
     };
     let outcome = RegionOutcome::default();
@@ -804,13 +772,7 @@ mod tests {
     #[test]
     fn parallel_for_covers_range_once_for_all_schedules() {
         let pool = ThreadPool::new(4);
-        for schedule in [
-            Schedule::Static,
-            Schedule::Dynamic(1),
-            Schedule::Dynamic(7),
-            Schedule::Guided(1),
-            Schedule::Guided(16),
-        ] {
+        for schedule in [Schedule::Static, Schedule::Dynamic(1), Schedule::Dynamic(7)] {
             let n = 10_001;
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             pool.parallel_for(0..n, schedule, |i| {

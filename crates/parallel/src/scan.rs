@@ -1,16 +1,15 @@
 //! Parallel exclusive prefix sum (scan).
 //!
-//! The edge-balanced load balancer (§IV-C) numbers the frontier's edges with
-//! a prefix sum over per-vertex degrees; on large frontiers that serial scan
-//! is itself a parallelism bottleneck. This module provides the classic
+//! The compressed-graph builder places each row's bytes with a prefix sum
+//! over per-vertex coded lengths; on large graphs that serial scan is
+//! itself a parallelism bottleneck. This module provides the classic
 //! two-pass chunked scan: workers scan disjoint chunks locally, a serial
 //! scan over the (≤ #workers) chunk totals produces per-chunk offsets, and a
 //! second pass shifts each chunk into place. Both passes write disjoint
 //! ranges, so the only synchronization is the two region barriers.
 //!
 //! The `_with` variant takes caller-owned output and chunk-sum buffers so a
-//! steady-state caller (the frontier pipeline's reusable scratch) performs
-//! no heap allocation.
+//! steady-state caller performs no heap allocation.
 
 use std::ops::Range;
 

@@ -4,7 +4,7 @@
 //! data parallelism and load balancing" in the operators. The schedule is
 //! the substrate-level half of that knob: how an iteration space is divided
 //! among workers. Operators choose a schedule per workload shape (uniform
-//! meshes → `Static`, skewed power-law frontiers → `Dynamic`/`Guided`);
+//! meshes → `Static`, skewed power-law frontiers → `Dynamic`);
 //! `benchmark/` times both (`parallel.for_{static,dynamic}_ns_per_item`).
 
 /// How a `parallel_for` iteration space is divided among workers.
@@ -16,10 +16,6 @@ pub enum Schedule {
     /// Workers repeatedly grab fixed-size chunks (the *grain*) from a shared
     /// counter. Balances skew at the cost of one atomic per chunk.
     Dynamic(usize),
-    /// Like `Dynamic` but the chunk size starts at `remaining / 2n` and
-    /// shrinks toward the given minimum grain, reducing atomics early and
-    /// balancing the tail.
-    Guided(usize),
 }
 
 impl Default for Schedule {
@@ -46,7 +42,7 @@ impl Schedule {
     pub fn runs_inline(&self, len: usize, work: usize) -> bool {
         let chunks = match self {
             Schedule::Static => len,
-            Schedule::Dynamic(g) | Schedule::Guided(g) => len.div_ceil((*g).max(1)),
+            Schedule::Dynamic(g) => len.div_ceil((*g).max(1)),
         };
         chunks < 2 || work < MIN_REGION_WORK
     }
@@ -55,7 +51,7 @@ impl Schedule {
     /// `threads` workers: aim for ~8 chunks per worker, clamped to [64, 8192].
     pub fn grain_hint(&self, len: usize, threads: usize) -> usize {
         match self {
-            Schedule::Dynamic(g) | Schedule::Guided(g) if *g > 0 => *g,
+            Schedule::Dynamic(g) if *g > 0 => *g,
             _ => (len / (threads * 8).max(1)).clamp(64, 8192),
         }
     }

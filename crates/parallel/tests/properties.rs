@@ -10,7 +10,6 @@ fn arb_schedule() -> impl Strategy<Value = Schedule> {
     prop_oneof![
         Just(Schedule::Static),
         (1usize..2000).prop_map(Schedule::Dynamic),
-        (1usize..500).prop_map(Schedule::Guided),
     ]
 }
 

@@ -120,14 +120,3 @@ fn parallel_for_with_huge_grain_and_tiny_range() {
     });
     assert_eq!(count.into_inner(), 3);
 }
-
-#[test]
-fn guided_schedule_on_pathological_range() {
-    // Range boundary exactly at a chunk edge, many threads.
-    let pool = ThreadPool::new(8);
-    let hits: Vec<AtomicUsize> = (0..4096).map(|_| AtomicUsize::new(0)).collect();
-    pool.parallel_for(0..4096, Schedule::Guided(1), |i| {
-        hits[i].fetch_add(1, Ordering::Relaxed);
-    });
-    assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-}

@@ -165,9 +165,8 @@ impl<W: EdgeValue> OutAdjacency for PartitionedGraph<W> {
         let (part, i) = self.locate(v);
         part.edge_base + part.offsets[i]..part.edge_base + part.offsets[i + 1]
     }
-    fn out_neighbors_from(&self, v: VertexId, skip: usize) -> Self::OutIter<'_> {
-        let row = self.out_neighbors(v);
-        row.get(skip..).unwrap_or_default().iter().copied()
+    fn out_neighbors_from(&self, v: VertexId) -> Self::OutIter<'_> {
+        self.out_neighbors(v).iter().copied()
     }
 }
 

@@ -3,7 +3,8 @@
 //! Attaches a `TeeSink` fanning out to a `CountersSink` (exact work
 //! totals, per-worker load-balance skew) and a `TraceSink` (every
 //! operator call and iteration span, in order) to the `Context`, runs BFS
-//! on the direction-optimizing plan and SSSP on the fixed-push plan, and
+//! on the direction-optimizing plan and SSSP on the fixed-push plan under
+//! the asynchronous policy (the push that spreads over workers), and
 //! renders what the sinks saw — including the push→pull switch decisions
 //! of the α/β heuristic.
 //!
@@ -57,7 +58,7 @@ fn main() {
     let r = bfs::bfs(execution::par, &ctx, &g, 0, DirectionPolicy::default());
     trace.mark("sssp");
     let push = DirectionPolicy::fixed(Direction::Push);
-    sssp::sssp(execution::par, &ctx, &wg, 0, push);
+    sssp::sssp(execution::par_nosync, &ctx, &wg, 0, push);
 
     // The trace knows *when* things happened: print the direction each BFS
     // iteration chose and what the β rule saw (the SSSP run after the mark
@@ -98,6 +99,8 @@ fn main() {
     println!("  edges admitted   {:>8}", t.edges_admitted);
     println!("  vertices pushed  {:>8}", t.vertices_pushed);
     println!("  dedup hits       {:>8}", t.dedup_hits);
+    // Only the asynchronous push fills per-worker buffers; the
+    // bulk-synchronous one runs on its caller and reports none.
     println!(
         "  per-worker pushes {:?} (skew {:.3})",
         t.per_worker_pushes,

@@ -401,8 +401,8 @@ fn budget_stops_are_thread_count_deterministic_for_bsp_runs() {
     }
 
     // Same for a fault-plan cancellation at an exact (iteration, chunk)
-    // coordinate: the BSP edge balancer numbers chunks identically at
-    // every thread count.
+    // coordinate: the push numbers its chunks by 256-vertex frontier
+    // slice at every thread count.
     let cancel_progress_at = |threads: usize| {
         let plan = Arc::new(FaultPlan::new().cancel_at(1, 0));
         let ctx = Context::new(threads).with_fault_plan(plan);
@@ -422,6 +422,76 @@ fn budget_stops_are_thread_count_deterministic_for_bsp_runs() {
             reference,
             "fault-cancel progress diverged at {t} threads"
         );
+    }
+}
+
+#[test]
+fn push_fault_coordinates_are_thread_count_stable() {
+    // A push chunk is a 256-vertex frontier slice at every thread count, so
+    // a fault at `(1, c)` with `c > 0` stops the push after the same
+    // condition calls at every width, not after a width-dependent share of
+    // the level's edges.
+    let g = sym(gen::rmat(12, 8, gen::RmatParams::default(), 3));
+    let level = bfs::bfs(execution::par, &Context::new(1), &g, 0, push()).level;
+    let level_one: SparseFrontier = (0..g.num_vertices() as VertexId)
+        .filter(|&v| level[v as usize] == 1)
+        .collect();
+    let chunk = 2;
+    assert!(
+        level_one.len() > 256 * (chunk + 1),
+        "level 1 holds {} vertices; the fault would land past the last chunk",
+        level_one.len()
+    );
+
+    let calls_at = |threads: usize| {
+        let plan = Arc::new(FaultPlan::new().cancel_at(1, chunk as u64));
+        plan.set_iteration(1);
+        let ctx = Context::new(threads).with_fault_plan(plan);
+        let calls = std::sync::Mutex::new(Vec::new());
+        let run = try_neighbors_expand(execution::par, &ctx, &g, &level_one, |s, d, _e, _w| {
+            calls.lock().unwrap().push((s, d));
+            level[d as usize] == 2
+        });
+        assert!(
+            matches!(
+                run,
+                Err(ExecError::Budget {
+                    reason: BudgetReason::Cancelled,
+                    ..
+                })
+            ),
+            "expected Budget(Cancelled) at {threads} threads, got {run:?}"
+        );
+        let mut calls = calls.into_inner().unwrap();
+        calls.sort_unstable();
+        calls
+    };
+    let reference = calls_at(1);
+    let slices = &level_one.as_slice()[..256 * chunk];
+    let want: usize = slices.iter().map(|&v| g.out_degree(v)).sum();
+    assert_eq!(reference.len(), want, "chunks before the fault ran whole");
+    for &t in &THREADS[1..] {
+        let got = calls_at(t);
+        assert_eq!(got.len(), reference.len(), "condition calls at {t} threads");
+        assert_eq!(got, reference, "condition calls at {t} threads");
+    }
+
+    // The same coordinate inside BFS: identical partial progress.
+    let progress_at = |threads: usize| {
+        let plan = Arc::new(FaultPlan::new().cancel_at(1, chunk as u64));
+        let ctx = Context::new(threads).with_fault_plan(plan);
+        match bfs::try_bfs(execution::par, &ctx, &g, 0, push()) {
+            Err(ExecError::Budget { reason, progress }) => {
+                assert_eq!(reason, BudgetReason::Cancelled);
+                progress
+            }
+            other => panic!("expected Budget(Cancelled), got {other:?}"),
+        }
+    };
+    let reference = progress_at(1);
+    assert_eq!(reference.iterations, 1);
+    for &t in &THREADS[1..] {
+        assert_eq!(progress_at(t), reference, "progress at {t} threads");
     }
 }
 

@@ -11,8 +11,9 @@
 //!   plan — out-edges of push iterations plus in-edges scanned by pull
 //!   iterations;
 //! * the fused dedup bitmap suppresses duplicates *before* they reach a
-//!   worker's buffer, so per-worker push tallies sum to exactly
-//!   `vertices_pushed`.
+//!   worker's buffer, so the asynchronous push's per-worker tallies sum to
+//!   exactly `vertices_pushed`; the bulk-synchronous push runs on its
+//!   caller and reports none.
 
 use std::sync::Arc;
 
@@ -115,25 +116,45 @@ fn sssp_and_cc_work_counts_are_the_sinks_edges_inspected_on_every_plan() {
     }
 }
 
+/// The bulk-synchronous push runs on its caller and pushes straight into
+/// the output, so it reports no per-worker distribution at any width.
+fn assert_bsp_push_reports_no_per_worker_tallies<F: Fn(&Context)>(run: F) {
+    for threads in [1, 2, 4] {
+        let (ctx, sink) = observed(threads);
+        run(&ctx);
+        let t = sink.snapshot();
+        assert!(t.vertices_pushed > 0, "{threads} threads");
+        assert_eq!(
+            t.per_worker_pushes.iter().sum::<u64>(),
+            0,
+            "{threads} threads"
+        );
+    }
+}
+
 #[test]
 fn per_worker_pushes_account_for_every_admitted_edge() {
     let g: Graph<()> = Graph::from_coo(&gen::rmat(9, 8, gen::RmatParams::default(), 5));
+    assert_bsp_push_reports_no_per_worker_tallies(|ctx| {
+        bfs::bfs(execution::par, ctx, &g, 0, push());
+    });
+
     let (ctx, sink) = observed(4);
-    let r = bfs::bfs(execution::par, &ctx, &g, 0, push());
+    let r = bfs::bfs(execution::par_nosync, &ctx, &g, 0, push());
     assert!(r.stats.iterations > 0);
 
     let t = sink.snapshot();
     let per_worker_total: u64 = t.per_worker_pushes.iter().sum();
     if ctx.pool().num_threads() > 1 {
-        // Parallel expansion: each admitted edge lands in exactly one
+        // Asynchronous expansion: each admitted edge lands in exactly one
         // worker's buffer before the drain. BFS's CAS condition admits each
         // vertex once, so there are no dedup hits to subtract.
         assert_eq!(t.dedup_hits, 0);
         assert_eq!(per_worker_total, t.vertices_pushed);
         assert_eq!(per_worker_total, t.edges_admitted);
     } else {
-        // The sequential fast path appends directly to the output and
-        // reports no per-worker distribution.
+        // On one worker the push runs the caller's loop and reports no
+        // per-worker distribution.
         assert_eq!(per_worker_total, 0);
     }
 }
@@ -145,9 +166,12 @@ fn unique_expand_tallies_are_post_dedup() {
     coo.symmetrize();
     coo.sort_and_dedup();
     let g: Graph<f32> = Graph::from_coo(&gen::hash_weights(&coo, 0.1, 2.0, 7));
+    assert_bsp_push_reports_no_per_worker_tallies(|ctx| {
+        sssp::sssp(execution::par, ctx, &g, 0, push());
+    });
 
     let (ctx, sink) = observed(4);
-    sssp::sssp(execution::par, &ctx, &g, 0, push());
+    sssp::sssp(execution::par_nosync, &ctx, &g, 0, push());
 
     let t = sink.snapshot();
     if ctx.pool().num_threads() > 1 {

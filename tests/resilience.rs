@@ -90,7 +90,8 @@ fn worker_panic_mid_advance_is_isolated_and_the_context_recovers() {
     let ctx = Context::new(4);
     let oracle = bfs::bfs_sequential(&g, 0).level;
 
-    // Panic inside chunk 0 of BFS iteration 1's edge-balanced advance.
+    // Panic inside chunk 0 (the first 256 frontier vertices) of BFS
+    // iteration 1's push.
     let plan = Arc::new(FaultPlan::new().panic_at(1, 0));
     let faulty = ctx.clone().with_fault_plan(plan);
     match bfs::try_bfs(execution::par, &faulty, &g, 0, push()) {
@@ -121,12 +122,12 @@ where
     let n = g.num_vertices();
     let all: SparseFrontier = (0..n as VertexId).collect();
     let mut reachable: Vec<VertexId> = (0..n as VertexId)
-        .flat_map(|v| g.out_neighbors_from(v, 0))
+        .flat_map(|v| g.out_neighbors_from(v))
         .collect();
     reachable.sort_unstable();
     reachable.dedup();
-    // Threads = 1 takes the hook-checked serial chunk loop, 4 the
-    // edge-balanced parallel one.
+    // The push is one hook-checked chunk loop at every width; at 4 threads
+    // the dedup-bit clear of a large enough output runs on the pool.
     for threads in [1, 4] {
         let ctx = Context::new(threads);
         let expand = |ctx: &Context, poison: Option<VertexId>| {

@@ -1,8 +1,8 @@
 //! Steady-state allocation audit for the frontier pipeline.
 //!
 //! After warm-up (scratch buffers grown, frontier pool primed), one full
-//! advance iteration — degree scan, edge-balanced expansion, lock-free
-//! collection, output assembly, frontier recycling — must touch the
+//! advance iteration — the push into a pooled output vector, the dedup-bit
+//! clear, lock-free per-worker collection, frontier recycling — must touch the
 //! allocator **zero** times, in every direction (sparse push, fused-dedup
 //! push, dense push, masked / predicate / blocked pull) and over every
 //! representation (raw CSR, byte-coded compressed, mmapped container): the
