@@ -24,15 +24,21 @@
 //! independent of the worker count. Results are therefore bit-identical
 //! across thread counts, unlike an atomic scatter.
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering};
+
 use essentials_frontier::DenseFrontier;
 use essentials_graph::{EdgeId, EdgeValue, InAdjacency, OutAdjacency, OutWeights, VertexId};
 use essentials_obs::{AdvanceEvent, OpKind};
+use essentials_parallel::atomics::as_atomic_u32;
 use essentials_parallel::{
-    try_sequential_for_with, ChunkHooks, ExecError, ExecutionPolicy, Schedule,
+    try_for_each_chunk_mut, ChunkHooks, ChunkSplit, ExecError, ExecutionPolicy, Schedule,
+    ThreadPool,
 };
 
 use crate::context::Context;
 use crate::operators::advance::PullConfig;
+use crate::operators::try_for_with;
 
 /// Sources per fixed layout chunk. One chunk of `f64` source values is
 /// 32 KiB — L1-resident — so the value-fill pass reads its random source
@@ -64,68 +70,158 @@ impl BlockedConfig {
     }
 }
 
-/// Shared-pointer shim for disjoint-index writes from a parallel region.
-struct SendPtr<T>(*mut T);
-impl<T> SendPtr<T> {
-    fn get(&self) -> *mut T {
-        self.0
+/// Where one source chunk pushes its entries on a pass of
+/// [`Bins::sort`]: its own row of the count matrix, holding per-bin counts
+/// on the count pass and per-bin cursors on the fill pass.
+struct BinSink<'a, const L: usize> {
+    row: &'a mut [usize],
+    bin_bits: u32,
+    /// The entry lanes on the fill pass; `None` on the count pass.
+    lanes: Option<&'a [&'a [AtomicU32]; L]>,
+}
+
+impl<const L: usize> BinSink<'_, L> {
+    /// Adds one entry; `entry[0]`, its destination, picks the bin.
+    #[inline]
+    fn emit(&mut self, entry: [u32; L]) {
+        let slot = &mut self.row[(entry[0] as usize) >> self.bin_bits];
+        if let Some(lanes) = self.lanes {
+            // Relaxed: the cursors hand every entry a slot of its own, and
+            // the fill loop's join publishes the stores to the flush.
+            for (lane, v) in lanes.iter().zip(entry) {
+                lane[*slot].store(v, Ordering::Relaxed);
+            }
+        }
+        *slot += 1;
     }
 }
-// SAFETY: only used to write disjoint indices from within a joined
-// parallel region; the underlying borrow outlives the region.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-/// Runs `f(chunk)` for every chunk in `0..nchunks` under `hooks` — on the
-/// pool when `parallel` ([`ThreadPool::try_for_each_chunk`], which claims
-/// from each worker's own even segment first and dispatches on the `work`
-/// the chunks hold — vertex slots or binned entries — not on their few
-/// number), in order on the calling thread otherwise. Every chunk runs
-/// exactly once; `f` must tolerate concurrent invocation on distinct
-/// chunks.
-///
-/// [`ThreadPool::try_for_each_chunk`]: essentials_parallel::ThreadPool::try_for_each_chunk
-fn for_each_chunk<F>(
-    ctx: &Context,
-    parallel: bool,
+/// Entries binned by destination: `L` parallel `u32` lanes (destination
+/// first) in bin-major, source-chunk-ascending order. `offsets[b *
+/// nchunks + c]` is where source chunk `c`'s entries for bin `b` start,
+/// and the last offset is the entry count. Every buffer is pooled.
+struct Bins<const L: usize> {
+    nbins: usize,
     nchunks: usize,
-    work: usize,
-    hooks: ChunkHooks<'_>,
-    f: F,
-) -> Result<(), ExecError>
-where
-    F: Fn(usize) + Sync,
-{
-    if parallel {
-        ctx.pool()
-            .try_for_each_chunk(nchunks, work, hooks, |_, c| f(c))
-    } else {
-        try_sequential_for_with(0..nchunks, Schedule::Dynamic(1), hooks, |_, c| f(c))
+    bin_bits: u32,
+    offsets: Vec<usize>,
+    lanes: [Vec<u32>; L],
+}
+
+impl<const L: usize> Bins<L> {
+    /// The counting sort both operators bin with. `stream(c, sink)` pushes
+    /// source chunk `c`'s entries in a fixed order; it runs twice — a count
+    /// pass, then, after a prefix over the counts, a fill pass at the
+    /// cursors — so every entry lands in a slot of its own. The count
+    /// matrix is chunk-major, so each pass hands chunk `c` its row as a
+    /// `&mut` window. The chunk loop dispatches on the `n` vertex slots
+    /// behind the chunks, under `hooks`; on an error every pooled buffer
+    /// goes back to the context.
+    fn sort<S>(
+        ctx: &Context,
+        pool: Option<&ThreadPool>,
+        (n, nchunks, bin_bits): (usize, usize, u32),
+        hooks: ChunkHooks<'_>,
+        stream: S,
+    ) -> Result<Self, ExecError>
+    where
+        S: Fn(usize, &mut BinSink<'_, L>) + Sync,
+    {
+        let nbins = n.div_ceil(1usize << bin_bits);
+        let cells = nbins * nchunks;
+        let mut s = ctx.take_scratch();
+        let mut counts = s.take_usize();
+        let mut bins = Bins {
+            nbins,
+            nchunks,
+            bin_bits,
+            offsets: s.take_usize(),
+            lanes: std::array::from_fn(|_| s.take_u32()),
+        };
+        ctx.put_scratch(s);
+        counts.resize(cells, 0); // alloc-ok: cold growth, pooled across runs
+        bins.offsets.resize(cells + 1, 0); // alloc-ok: cold growth, pooled across runs
+
+        // Chunk `c` streams its entries into its own row of the counts.
+        let pass = |counts: &mut [usize], lanes: Option<&[&[AtomicU32]; L]>| {
+            try_for_each_chunk_mut(pool, counts, ChunkSplit::Len(nbins), n, hooks, |c, row| {
+                stream(
+                    c,
+                    &mut BinSink {
+                        row,
+                        bin_bits,
+                        lanes,
+                    },
+                )
+            })
+        };
+        let passes = (|| {
+            pass(&mut counts, None)?;
+            // Bin-major exclusive scan over the chunk-major counts; each
+            // count becomes its cell's fill cursor.
+            let mut acc = 0usize;
+            for b in 0..nbins {
+                for c in 0..nchunks {
+                    bins.offsets[b * nchunks + c] = acc;
+                    acc += std::mem::replace(&mut counts[c * nbins + b], acc);
+                }
+            }
+            bins.offsets[cells] = acc;
+            for lane in &mut bins.lanes {
+                lane.resize(acc, 0); // alloc-ok: cold growth, pooled across runs
+            }
+            let lanes = bins.lanes.each_mut().map(|lane| as_atomic_u32(lane));
+            pass(&mut counts, Some(&lanes))
+        })();
+
+        let mut s = ctx.take_scratch();
+        s.put_usize(counts);
+        ctx.put_scratch(s);
+        match passes {
+            Ok(()) => Ok(bins),
+            Err(e) => {
+                bins.finish(ctx);
+                Err(e)
+            }
+        }
+    }
+
+    /// Number of binned entries.
+    fn len(&self) -> usize {
+        self.offsets[self.nbins * self.nchunks]
+    }
+
+    /// Bin `b`'s entries: one contiguous, source-ascending range.
+    fn bin(&self, b: usize) -> Range<usize> {
+        self.offsets[b * self.nchunks]..self.offsets[(b + 1) * self.nchunks]
+    }
+
+    /// Returns every pooled buffer to the context.
+    fn finish(self, ctx: &Context) {
+        let mut s = ctx.take_scratch();
+        s.put_usize(self.offsets);
+        for lane in self.lanes {
+            s.put_u32(lane);
+        }
+        ctx.put_scratch(s);
     }
 }
 
 /// A destination-binned edge layout for allocation-free blocked gathers.
 ///
 /// Construction runs a parallel counting sort of every edge `(u, v)` into
-/// bin-major, source-chunk-ascending segments: `dsts`/`srcs` hold the
-/// edge endpoints, `offsets[b * nchunks + c]` the start of bin `b`'s
-/// entries contributed by source chunk `c`. Each iteration then calls
-/// [`gather`](Self::gather), which never touches the graph again — it
-/// streams the fixed layout.
+/// bin-major, source-chunk-ascending segments of `(dst, src)` entries.
+/// Each iteration then calls [`gather`](Self::gather), which never touches
+/// the graph again — it streams the fixed layout.
 ///
 /// All buffers come from the context's scratch pools and return there via
 /// [`finish`](Self::finish), so a build-gather-finish cycle is
 /// allocation-free once the pools are warm.
 pub struct BlockedGather {
     n: usize,
-    m: usize,
-    nbins: usize,
-    nchunks: usize,
-    bin_bits: u32,
-    /// `nbins * nchunks + 1` exclusive prefix offsets into `dsts`/`srcs`.
-    offsets: Vec<usize>,
-    dsts: Vec<u32>,
-    srcs: Vec<u32>,
-    /// Per-iteration contribution values, `vals[k] = src_val(srcs[k])`.
+    /// Lanes `[dst, src]`.
+    bins: Bins<2>,
+    /// Per-iteration contribution values, `vals[k] = src_val(src[k])`.
     vals: Vec<f64>,
 }
 
@@ -159,119 +255,38 @@ impl BlockedGather {
         F: Fn(VertexId) -> I + Sync,
         I: Iterator<Item = VertexId>,
     {
-        let parallel = P::IS_PARALLEL && ctx.num_threads() > 1;
-        let bin_bits = cfg.clamped_bits();
-        let nbins = n.div_ceil(1usize << bin_bits);
-        let nchunks = n.div_ceil(SRC_CHUNK);
-        let cells = nbins * nchunks;
-
+        let shape = (n, n.div_ceil(SRC_CHUNK), cfg.clamped_bits());
+        let bins = Bins::sort(
+            ctx,
+            P::IS_PARALLEL.then(|| ctx.pool()),
+            shape,
+            ChunkHooks::none(),
+            |c, sink| {
+                for u in c * SRC_CHUNK..((c + 1) * SRC_CHUNK).min(n) {
+                    for d in targets(u as VertexId) {
+                        sink.emit([d, u as u32]);
+                    }
+                }
+            },
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
         let mut s = ctx.take_scratch();
-        let mut offsets = s.take_usize();
-        let mut cursors = s.take_usize();
-        let mut dsts = s.take_u32();
-        let mut srcs = s.take_u32();
         let vals = s.take_f64();
         ctx.put_scratch(s);
-
-        offsets.resize(cells + 1, 0); // alloc-ok: cold growth, pooled across runs
-        cursors.resize(cells, 0); // alloc-ok: cold growth, pooled across runs
-        cursors[..].fill(0);
-
-        // Count pass: cell (bin, chunk) counts edges from source chunk
-        // `chunk` into bin `bin`. Cells of one chunk column are written
-        // only by the worker running that chunk, so writes are disjoint
-        // and need no atomics.
-        {
-            let cptr = SendPtr(cursors.as_mut_ptr());
-            let cptr = &cptr;
-            let targets = &targets;
-            for_each_chunk(ctx, parallel, nchunks, n, ChunkHooks::none(), |c| {
-                let lo = c * SRC_CHUNK;
-                let hi = ((c + 1) * SRC_CHUNK).min(n);
-                for u in lo..hi {
-                    for d in targets(u as VertexId) {
-                        let cell = ((d as usize) >> bin_bits) * nchunks + c;
-                        // SAFETY: column `c` of the count matrix is owned
-                        // by this chunk invocation; `for_each_chunk` runs
-                        // each chunk exactly once.
-                        unsafe { *cptr.get().add(cell) += 1 };
-                    }
-                }
-            })
-            .unwrap_or_else(|e| panic!("{e}"));
-        }
-
-        // Exclusive prefix scan over the ~(nbins * nchunks) cells —
-        // trivially serial next to the two edge-order passes.
-        let mut acc = 0usize;
-        for i in 0..cells {
-            offsets[i] = acc;
-            acc += cursors[i];
-        }
-        offsets[cells] = acc;
-        let m = acc;
-
-        dsts.resize(m, 0); // alloc-ok: cold growth, pooled across runs
-        srcs.resize(m, 0); // alloc-ok: cold growth, pooled across runs
-
-        // Fill pass: same traversal, writing each edge at its cell cursor.
-        cursors.copy_from_slice(&offsets[..cells]);
-        {
-            let cptr = SendPtr(cursors.as_mut_ptr());
-            let dptr = SendPtr(dsts.as_mut_ptr());
-            let sptr = SendPtr(srcs.as_mut_ptr());
-            let (cptr, dptr, sptr) = (&cptr, &dptr, &sptr);
-            let targets = &targets;
-            for_each_chunk(ctx, parallel, nchunks, n, ChunkHooks::none(), |c| {
-                let lo = c * SRC_CHUNK;
-                let hi = ((c + 1) * SRC_CHUNK).min(n);
-                for u in lo..hi {
-                    for d in targets(u as VertexId) {
-                        let cell = ((d as usize) >> bin_bits) * nchunks + c;
-                        // SAFETY: the cell cursor (column-disjoint, see
-                        // count pass) hands out unique slots within this
-                        // cell's segment, so the entry writes are
-                        // unaliased across workers.
-                        unsafe {
-                            let k = *cptr.get().add(cell);
-                            *cptr.get().add(cell) = k + 1;
-                            *dptr.get().add(k) = d;
-                            *sptr.get().add(k) = u as u32;
-                        }
-                    }
-                }
-            })
-            .unwrap_or_else(|e| panic!("{e}"));
-        }
-
-        let mut s = ctx.take_scratch();
-        s.put_usize(cursors);
-        ctx.put_scratch(s);
-
-        BlockedGather {
-            n,
-            m,
-            nbins,
-            nchunks,
-            bin_bits,
-            offsets,
-            dsts,
-            srcs,
-            vals,
-        }
+        BlockedGather { n, bins, vals }
     }
 
     /// Number of binned edge entries (the edge count of the adjacency the
     /// layout was built over).
     pub fn num_entries(&self) -> usize {
-        self.m
+        self.bins.len()
     }
 
     /// One blocked gather iteration:
     /// `out[v] = finalize(v, Σ src_val(u) over layout entries (u, v))`.
     ///
     /// Two streaming passes: the *fill* writes `vals[k] =
-    /// src_val(srcs[k])` (each layout segment reads sources from one
+    /// src_val(src[k])` (each layout segment reads sources from one
     /// `SRC_CHUNK` window, so the random reads stay cache-resident),
     /// then the *flush* accumulates each bin's contiguous entries into
     /// its destination window and finalizes it. Every `out` slot is
@@ -298,56 +313,42 @@ impl BlockedGather {
         Z: Fn(usize, f64) -> f64 + Sync,
     {
         assert_eq!(out.len(), self.n, "gather output length must match layout");
-        let parallel = P::IS_PARALLEL && ctx.num_threads() > 1;
-        if self.vals.len() != self.m {
-            self.vals.resize(self.m, 0.0); // alloc-ok: first iteration only; pooled
+        let pool = P::IS_PARALLEL.then(|| ctx.pool());
+        let m = self.bins.len();
+        if self.vals.len() != m {
+            self.vals.resize(m, 0.0); // alloc-ok: first iteration only; pooled
         }
+        let [dsts, srcs] = &self.bins.lanes;
 
         // Fill pass: flat, embarrassingly parallel.
-        if parallel {
-            let vptr = SendPtr(self.vals.as_mut_ptr());
-            let vptr = &vptr;
-            let srcs = &self.srcs;
-            ctx.pool()
-                .parallel_for(0..self.m, Schedule::Dynamic(SRC_CHUNK), |k| {
-                    // SAFETY: k is visited exactly once (parallel_for
-                    // contract); the borrow outlives the joined loop.
-                    unsafe { *vptr.get().add(k) = src_val(srcs[k] as usize) };
-                });
-        } else {
-            for k in 0..self.m {
-                self.vals[k] = src_val(self.srcs[k] as usize);
-            }
-        }
+        let split = ChunkSplit::Len(SRC_CHUNK);
+        try_for_each_chunk_mut(
+            pool,
+            &mut self.vals,
+            split,
+            m,
+            ChunkHooks::none(),
+            |c, vals| {
+                for (val, &u) in vals.iter_mut().zip(&srcs[c * SRC_CHUNK..]) {
+                    *val = src_val(u as usize);
+                }
+            },
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
 
         // Flush pass: one bin = one disjoint destination window, entries
         // contiguous and source-ascending.
-        let bin_size = 1usize << self.bin_bits;
-        let optr = SendPtr(out.as_mut_ptr());
-        let optr = &optr;
-        let (n, nchunks) = (self.n, self.nchunks);
-        let (offsets, dsts, vals) = (&self.offsets, &self.dsts, &self.vals);
-        let finalize = &finalize;
-        for_each_chunk(ctx, parallel, self.nbins, self.m, ChunkHooks::none(), |b| {
+        let bin_size = 1usize << self.bins.bin_bits;
+        let (bins, vals) = (&self.bins, &self.vals);
+        let split = ChunkSplit::Len(bin_size);
+        try_for_each_chunk_mut(pool, out, split, m, ChunkHooks::none(), |b, window| {
             let v_lo = b * bin_size;
-            let v_hi = ((b + 1) * bin_size).min(n);
-            let k_lo = offsets[b * nchunks];
-            let k_hi = offsets[(b + 1) * nchunks];
-            // SAFETY: bin `b` exclusively owns destination slots
-            // `v_lo..v_hi`; every `dsts[k]` in the bin's entry range lies
-            // in that window by construction, so all writes through the
-            // shared pointer are disjoint across bins.
-            unsafe {
-                for v in v_lo..v_hi {
-                    *optr.get().add(v) = 0.0;
-                }
-                for k in k_lo..k_hi {
-                    *optr.get().add(dsts[k] as usize) += vals[k];
-                }
-                for v in v_lo..v_hi {
-                    let acc = *optr.get().add(v);
-                    *optr.get().add(v) = finalize(v, acc);
-                }
+            window.fill(0.0);
+            for k in bins.bin(b) {
+                window[dsts[k] as usize - v_lo] += vals[k];
+            }
+            for (j, slot) in window.iter_mut().enumerate() {
+                *slot = finalize(v_lo + j, *slot);
             }
         })
         .unwrap_or_else(|e| panic!("{e}"));
@@ -357,8 +358,8 @@ impl BlockedGather {
                 kind: OpKind::GatherBlocked,
                 policy: P::NAME,
                 frontier_in: self.n,
-                edges_inspected: self.m as u64,
-                admitted: self.m as u64,
+                edges_inspected: m as u64,
+                admitted: m as u64,
                 output_len: self.n,
                 dedup_hits: 0,
                 per_worker: &[],
@@ -369,10 +370,8 @@ impl BlockedGather {
     /// Returns every pooled buffer to the context's scratch pools so the
     /// next layout (or any numeric consumer) reuses the capacity.
     pub fn finish(self, ctx: &Context) {
+        self.bins.finish(ctx);
         let mut s = ctx.take_scratch();
-        s.put_usize(self.offsets);
-        s.put_u32(self.dsts);
-        s.put_u32(self.srcs);
         s.put_f64(self.vals);
         ctx.put_scratch(s);
     }
@@ -426,124 +425,56 @@ where
         g.num_edges() <= u32::MAX as usize,
         "try_expand_blocked_pull packs edge ids into u32 entries"
     );
-    let output = ctx.take_dense_frontier(n);
-    let parallel = P::IS_PARALLEL && ctx.num_threads() > 1;
-    let bin_bits = bcfg.clamped_bits();
-    let nbins = n.div_ceil(1usize << bin_bits);
-    let words = input.bits().num_words();
-    let nchunks = words.div_ceil(WORD_CHUNK);
-    let cells = nbins * nchunks;
-
-    let mut s = ctx.take_scratch();
-    let mut offsets = s.take_usize();
-    let mut cursors = s.take_usize();
-    let mut entries = s.take_u32();
-    ctx.put_scratch(s);
-
-    offsets.resize(cells + 1, 0); // alloc-ok: cold growth, pooled across calls
-    cursors.resize(cells, 0); // alloc-ok: cold growth, pooled across calls
-    cursors[..].fill(0);
     let bits = input.bits();
-    let hooks = ctx.chunk_hooks();
+    let words = bits.num_words();
 
-    let passes = (|| -> Result<usize, ExecError> {
-        // Count pass over active sources, chunked by bitmap words.
-        {
-            let cptr = SendPtr(cursors.as_mut_ptr());
-            let cptr = &cptr;
-            for_each_chunk(ctx, parallel, nchunks, n, hooks, |c| {
-                let w_lo = c * WORD_CHUNK;
-                let w_hi = ((c + 1) * WORD_CHUNK).min(words);
-                bits.for_each_set_in_words(w_lo, w_hi, &mut |src| {
-                    for d in g.out_neighbors_from(src as VertexId) {
-                        let cell = ((d as usize) >> bin_bits) * nchunks + c;
-                        // SAFETY: column `c` of the count matrix is owned by
-                        // this chunk invocation (see BlockedGather::build).
-                        unsafe { *cptr.get().add(cell) += 1 };
-                    }
-                });
-            })?;
-        }
-
-        let mut acc = 0usize;
-        for i in 0..cells {
-            offsets[i] = acc;
-            acc += cursors[i];
-        }
-        offsets[cells] = acc;
-        let m = acc;
-
-        // Fill pass: stride-3 entries (dst, src, edge) at the cell cursors.
-        // Edge ids advance with the stream position, so they are the CSR
-        // numbering on every representation.
-        entries.resize(3 * m, 0); // alloc-ok: cold growth, pooled across calls
-        cursors.copy_from_slice(&offsets[..cells]);
-        {
-            let cptr = SendPtr(cursors.as_mut_ptr());
-            let eptr = SendPtr(entries.as_mut_ptr());
-            let (cptr, eptr) = (&cptr, &eptr);
-            for_each_chunk(ctx, parallel, nchunks, n, hooks, |c| {
-                let w_lo = c * WORD_CHUNK;
-                let w_hi = ((c + 1) * WORD_CHUNK).min(words);
-                bits.for_each_set_in_words(w_lo, w_hi, &mut |src| {
-                    for (e, d) in g.out_edges_from(src as VertexId) {
-                        let cell = ((d as usize) >> bin_bits) * nchunks + c;
-                        // SAFETY: column-disjoint cursors hand out unique
-                        // entry slots (see BlockedGather::build), and the
-                        // count pass completed, so every slot is in bounds.
-                        unsafe {
-                            let k = *cptr.get().add(cell);
-                            *cptr.get().add(cell) = k + 1;
-                            let at = eptr.get().add(3 * k);
-                            *at = d;
-                            *at.add(1) = src as u32;
-                            *at.add(2) = e as u32;
-                        }
-                    }
-                });
-            })?;
-        }
-
-        // Flush: each bin probes candidates/output within one cache-resident
-        // destination window. `output` insertion is a bare atomic bit set,
-        // so cross-bin writes need no coordination; the cached count is
-        // settled by one `recount` after the flush.
-        let output = &output;
-        let (offsets, entries) = (&offsets, &entries);
-        let condition = &condition;
-        for_each_chunk(ctx, parallel, nbins, m, hooks, |b| {
-            for k in offsets[b * nchunks]..offsets[(b + 1) * nchunks] {
-                let dst = entries[3 * k];
-                if cfg.early_exit && output.contains(dst) {
-                    continue;
+    // Active sources' out-edges as `[dst, src, edge]` entries, chunked by
+    // bitmap words. Edge ids advance with the stream position, so they are
+    // the CSR numbering on every representation.
+    let shape = (n, words.div_ceil(WORD_CHUNK), bcfg.clamped_bits());
+    let bins = Bins::sort(
+        ctx,
+        P::IS_PARALLEL.then(|| ctx.pool()),
+        shape,
+        ctx.chunk_hooks(),
+        |c, sink| {
+            let w_hi = ((c + 1) * WORD_CHUNK).min(words);
+            bits.for_each_set_in_words(c * WORD_CHUNK, w_hi, &mut |src| {
+                for (e, d) in g.out_edges_from(src as VertexId) {
+                    sink.emit([d, src as u32, e as u32]);
                 }
-                if !candidates.contains(dst) {
-                    continue;
-                }
-                let src = entries[3 * k + 1];
-                let e = entries[3 * k + 2] as EdgeId;
-                if condition(src, dst, g.edge_weight(e)) {
-                    output.bits().set(dst as usize);
-                }
+            });
+        },
+    )?;
+    let m = bins.len();
+
+    // Flush: each bin probes candidates/output within one cache-resident
+    // destination window. `output` insertion is a bare atomic bit set, so
+    // cross-bin writes need no coordination; the cached count is settled
+    // by one `recount` after the flush.
+    let output = ctx.take_dense_frontier(n);
+    let [dsts, srcs, edges] = &bins.lanes;
+    let flushed = try_for_with::<P, _>(ctx, 0..bins.nbins, Schedule::Dynamic(1), m, |_, b| {
+        for k in bins.bin(b) {
+            let dst = dsts[k];
+            if cfg.early_exit && output.contains(dst) {
+                continue;
             }
-        })?;
-        output.recount();
-        Ok(m)
-    })();
-
-    let mut s = ctx.take_scratch();
-    s.put_usize(offsets);
-    s.put_usize(cursors);
-    s.put_u32(entries);
-    ctx.put_scratch(s);
-
-    let m = match passes {
-        Ok(m) => m,
-        Err(e) => {
-            ctx.recycle_dense_frontier(output);
-            return Err(e);
+            if !candidates.contains(dst) {
+                continue;
+            }
+            if condition(srcs[k], dst, g.edge_weight(edges[k] as EdgeId)) {
+                output.bits().set(dst as usize);
+            }
         }
-    };
+    });
+    bins.finish(ctx);
+    if let Err(e) = flushed {
+        ctx.recycle_dense_frontier(output);
+        return Err(e);
+    }
+    output.recount();
+
     if let Some(sink) = ctx.obs() {
         let out_len = output.len();
         sink.on_advance(&AdvanceEvent {

@@ -8,7 +8,9 @@
 use essentials_frontier::SparseFrontier;
 use essentials_graph::VertexId;
 use essentials_obs::{ComputeEvent, OpKind};
-use essentials_parallel::{ExecError, ExecutionPolicy, Schedule};
+use essentials_parallel::{
+    try_for_each_chunk_mut, ChunkHooks, ChunkSplit, ExecError, ExecutionPolicy, Schedule,
+};
 
 use crate::context::Context;
 use crate::operators::try_for_with;
@@ -83,88 +85,45 @@ where
 }
 
 /// Builds a `Vec<T>` of length `n` where slot `i` holds `f(i)`, computed in
-/// parallel. Each slot is written exactly once by exactly one worker.
-pub fn fill_indexed<P, T, F>(_policy: P, ctx: &Context, n: usize, f: F) -> Vec<T>
+/// parallel through [`fill_indexed_into`].
+pub fn fill_indexed<P, T, F>(policy: P, ctx: &Context, n: usize, f: F) -> Vec<T>
 where
     P: ExecutionPolicy,
-    T: Send + Sync,
+    T: Default + Clone + Send,
     F: Fn(usize) -> T + Sync,
 {
-    if !P::IS_PARALLEL || ctx.num_threads() == 1 {
-        let out = (0..n).map(f).collect();
-        emit(ctx, OpKind::FillIndexed, P::NAME, n);
-        return out;
-    }
-    let mut out: Vec<std::mem::MaybeUninit<T>> = Vec::with_capacity(n);
-    // SAFETY: MaybeUninit requires no initialization; length is set to the
-    // capacity we just reserved, and every slot is written exactly once
-    // below before the transmute.
-    #[allow(clippy::uninit_vec)]
-    unsafe {
-        out.set_len(n);
-    }
-    struct SendPtr<T>(*mut std::mem::MaybeUninit<T>);
-    impl<T> SendPtr<T> {
-        fn get(&self) -> *mut std::mem::MaybeUninit<T> {
-            self.0
-        }
-    }
-    // SAFETY: the pointer is only used to write disjoint indices from the
-    // parallel loop; the Vec outlives the loop (parallel_for joins).
-    unsafe impl<T: Send> Sync for SendPtr<T> {}
-    let ptr = SendPtr(out.as_mut_ptr());
-    let ptr = &ptr;
-    ctx.pool().parallel_for(0..n, Schedule::Dynamic(512), |i| {
-        // SAFETY: i is visited exactly once across all workers
-        // (parallel_for contract), so this write is unaliased.
-        unsafe {
-            (*ptr.get().add(i)).write(f(i));
-        }
-    });
-    emit(ctx, OpKind::FillIndexed, P::NAME, n);
-    // SAFETY: all n slots are initialized; MaybeUninit<T> and T have the
-    // same layout.
-    unsafe { std::mem::transmute::<Vec<std::mem::MaybeUninit<T>>, Vec<T>>(out) }
+    let mut out = vec![T::default(); n];
+    fill_indexed_into(policy, ctx, &mut out, f);
+    out
 }
 
-/// In-place sibling of [`fill_indexed`]: overwrites slot `i` of `out` with
-/// `f(i)`, computed in parallel. This is the zero-allocation path the
+/// Overwrites slot `i` of `out` with `f(i)`, computed in parallel: each
+/// 512-slot window is one chunk of the chunk loop
+/// ([`try_for_each_chunk_mut`]). This is the zero-allocation path the
 /// fixpoint algorithms use to refill a pooled buffer each iteration
 /// instead of collecting a fresh `Vec` (DESIGN.md §12).
 pub fn fill_indexed_into<P, T, F>(_policy: P, ctx: &Context, out: &mut [T], f: F)
 where
     P: ExecutionPolicy,
-    T: Send + Sync,
+    T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    const GRAIN: usize = 512;
     let n = out.len();
-    if !P::IS_PARALLEL || ctx.num_threads() == 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i);
-        }
-        emit(ctx, OpKind::FillIndexed, P::NAME, n);
-        return;
-    }
-    struct SendPtr<T>(*mut T);
-    impl<T> SendPtr<T> {
-        fn get(&self) -> *mut T {
-            self.0
-        }
-    }
-    // SAFETY: the pointer is only used to write disjoint indices from the
-    // parallel loop; the borrow of `out` outlives the loop (parallel_for
-    // joins before this function returns).
-    unsafe impl<T: Send> Sync for SendPtr<T> {}
-    let ptr = SendPtr(out.as_mut_ptr());
-    let ptr = &ptr;
-    ctx.pool().parallel_for(0..n, Schedule::Dynamic(512), |i| {
-        // SAFETY: i is visited exactly once across all workers
-        // (parallel_for contract), so this write is unaliased; the slot is
-        // initialized, so the overwritten value drops normally.
-        unsafe {
-            *ptr.get().add(i) = f(i);
-        }
-    });
+    let split = ChunkSplit::Len(GRAIN);
+    try_for_each_chunk_mut(
+        P::IS_PARALLEL.then(|| ctx.pool()),
+        out,
+        split,
+        n,
+        ChunkHooks::none(),
+        |c, window| {
+            for (j, slot) in window.iter_mut().enumerate() {
+                *slot = f(c * GRAIN + j);
+            }
+        },
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     emit(ctx, OpKind::FillIndexed, P::NAME, n);
 }
 

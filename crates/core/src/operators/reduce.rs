@@ -1,8 +1,8 @@
 //! Reduction operators over vertex ranges.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use essentials_parallel::{ExecutionPolicy, Schedule};
+use essentials_parallel::{
+    try_for_each_chunk_mut, ChunkHooks, ChunkSplit, ExecutionPolicy, Schedule,
+};
 
 use crate::context::Context;
 
@@ -52,14 +52,15 @@ where
 }
 
 /// Sum of `map(i)` over `0..n`, deterministically: the parallel path cuts
-/// `0..n` into fixed chunks, each claimed chunk writes its partial into a
-/// per-chunk slot, and the partials are combined **in chunk order** after
-/// the join. The association therefore depends only on `n` — never on
-/// thread count, chunk-claim order, or merge arrival — so repeated runs
-/// and different pool widths produce bit-identical sums. The differential
-/// suite leans on this: compressed pull PageRank must reproduce raw ranks
-/// bit-for-bit, and the dangling-mass and residual terms computed here
-/// feed every vertex's base each iteration.
+/// `0..n` into fixed chunks, the chunk loop ([`try_for_each_chunk_mut`])
+/// writes each chunk's partial into its own slot, and the partials are
+/// combined **in chunk order** after the join. The association therefore
+/// depends only on `n` — never on thread count, chunk-claim order, or merge
+/// arrival — so repeated runs and different pool widths produce
+/// bit-identical sums. The differential suite leans on this: compressed
+/// pull PageRank must reproduce raw ranks bit-for-bit, and the
+/// dangling-mass and residual terms computed here feed every vertex's base
+/// each iteration.
 ///
 /// The partial table is a fixed stack array (the chunk grain grows with
 /// `n` so the table never overflows), keeping the fixpoint algorithms'
@@ -82,39 +83,25 @@ where
         }
         return acc;
     }
-    let nchunks = n.div_ceil(grain);
     let mut partials = [0.0f64; MAX_CHUNKS];
-    struct SendPtr(*mut f64);
-    impl SendPtr {
-        fn get(&self) -> *mut f64 {
-            self.0
-        }
-    }
-    // SAFETY: the pointer is only used to write disjoint chunk slots from
-    // the workers; the array outlives the loop (`run` joins before the
-    // combine below reads it).
-    unsafe impl Sync for SendPtr {}
-    let ptr = SendPtr(partials.as_mut_ptr());
-    let ptr = &ptr;
-    let next = AtomicUsize::new(0);
-    ctx.pool().run(|_tid| loop {
-        let chunk = next.fetch_add(1, Ordering::Relaxed);
-        if chunk >= nchunks {
-            break;
-        }
-        let lo = chunk * grain;
-        let hi = (lo + grain).min(n);
-        let mut local = 0.0;
-        for i in lo..hi {
-            local += map(i);
-        }
-        // SAFETY: `chunk` came from the shared counter, so exactly one
-        // worker writes this slot.
-        unsafe {
-            *ptr.get().add(chunk) = local;
-        }
-    });
-    partials[..nchunks].iter().sum()
+    let partials = &mut partials[..n.div_ceil(grain)];
+    let split = ChunkSplit::Len(1);
+    try_for_each_chunk_mut(
+        Some(ctx.pool()),
+        partials,
+        split,
+        n,
+        ChunkHooks::none(),
+        |c, slot| {
+            let mut local = 0.0;
+            for i in c * grain..((c + 1) * grain).min(n) {
+                local += map(i);
+            }
+            slot[0] = local;
+        },
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
+    partials.iter().sum()
 }
 
 #[cfg(test)]

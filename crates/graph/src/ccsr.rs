@@ -51,7 +51,9 @@
 
 use std::ops::Range;
 
-use essentials_parallel::{parallel_scan_with, Schedule, ThreadPool};
+use essentials_parallel::{
+    parallel_scan_with, try_for_each_chunk_mut, ChunkHooks, ChunkSplit, ThreadPool,
+};
 
 use crate::csr::Csr;
 use crate::traits::{GraphBase, InAdjacency, InWeights, OutAdjacency, OutWeights};
@@ -316,13 +318,6 @@ impl ExactSizeIterator for NeighborDecoder<'_> {}
 // Owned compressed CSR
 // ---------------------------------------------------------------------------
 
-/// Shared-pointer shim for the encoder's disjoint per-row byte writes.
-struct SendBytes(*mut u8);
-// SAFETY: only used to write each vertex's disjoint `byte_offsets[v] ..
-// byte_offsets[v+1]` run from within a joined parallel region; the
-// underlying `Vec<u8>` borrow outlives the region.
-unsafe impl Sync for SendBytes {}
-
 /// Owned byte-coded compressed CSR.
 ///
 /// Built from a raw [`Csr`] by [`Ccsr::from_csr`] (parallel: per-vertex
@@ -353,10 +348,10 @@ impl<W: EdgeValue> Ccsr<W> {
         let n = csr.num_vertices();
         let m = csr.num_edges();
 
-        // Exclusive scan over per-vertex encoded sizes. The value closure
-        // re-derives a row's length on each of the scan's two passes —
-        // cheaper than materializing a sizes array for the typical short
-        // row, and the second pass is what validates sortedness everywhere.
+        // Exclusive scan over per-vertex encoded sizes. The scan evaluates
+        // each row's length exactly once — cheaper than materializing a
+        // sizes array for the typical short row — and that one evaluation
+        // is where `row_encoded_len` asserts every row is sorted.
         let mut offsets_usize: Vec<usize> = Vec::new();
         let mut chunk_sums: Vec<usize> = Vec::new();
         let total = parallel_scan_with(
@@ -367,22 +362,29 @@ impl<W: EdgeValue> Ccsr<W> {
             &mut chunk_sums,
         );
 
-        // Disjoint parallel fill: vertex v owns bytes[offsets[v]..offsets[v+1]].
+        // Disjoint parallel fill: chunk c encodes rows `c·ROWS ..` into the
+        // byte window their offsets bound, splitting it row by row.
+        const ROWS: usize = 1024;
+        let offsets = &offsets_usize;
+        let bounds: Vec<usize> = (0..=n.div_ceil(ROWS))
+            .map(|c| offsets[(c * ROWS).min(n)])
+            .collect();
         let mut bytes = vec![0u8; total];
-        if n > 0 {
-            let ptr = SendBytes(bytes.as_mut_ptr());
-            let ptr = &ptr;
-            let offsets_ref: &[usize] = &offsets_usize;
-            pool.parallel_for(0..n, Schedule::Dynamic(1024), |v| {
-                let lo = offsets_ref[v];
-                let hi = offsets_ref[v + 1];
-                // SAFETY: rows are disjoint byte ranges by construction of
-                // the exclusive scan; each index v runs exactly once, and
-                // the parallel_for joins before `bytes` is used again.
-                let run = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(lo), hi - lo) };
-                encode_row(v as VertexId, csr.neighbors(v as VertexId), run);
-            });
-        }
+        try_for_each_chunk_mut(
+            Some(pool),
+            &mut bytes,
+            ChunkSplit::Bounds(&bounds),
+            n,
+            ChunkHooks::none(),
+            |c, mut window| {
+                for v in c * ROWS..((c + 1) * ROWS).min(n) {
+                    let (row, rest) = window.split_at_mut(offsets[v + 1] - offsets[v]);
+                    encode_row(v as VertexId, csr.neighbors(v as VertexId), row);
+                    window = rest;
+                }
+            },
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
 
         Ccsr {
             n,

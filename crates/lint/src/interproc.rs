@@ -11,7 +11,7 @@
 //! |       | sleep) reachable from a worker chunk body (`// block-ok:`)     |
 //!
 //! Reachability is seeded from the *calls inside* worker closures — the
-//! chunk bodies handed to `parallel_for`/`for_each_chunk` — and follows
+//! chunk bodies handed to `parallel_for`/`try_for_each_chunk_mut` — and follows
 //! resolved edges only. Unresolved edges (trait dispatch, ambiguous names)
 //! do not extend reach; that under-approximation is exactly why the
 //! unresolved-edge count is a first-class output of the run.

@@ -6,7 +6,7 @@
 //! facts the call-graph rules need: function items (with the impl/trait type
 //! they hang off), call sites (free, path, and method calls — turbofish
 //! included), worker-closure extents (the chunk bodies passed to
-//! `parallel_for`/`for_each_chunk`), atomic operation sites resolved to
+//! `parallel_for`/`try_for_each_chunk_mut`), atomic operation sites resolved to
 //! *fields*, lease acquire/release sites, and blocking-call sites.
 //!
 //! It is deliberately not a full Rust parser. Known unsoundness is
@@ -172,8 +172,8 @@ pub const WORKER_LOOPS: &[&str] = &[
     "try_parallel_for_with",
     "try_sequential_for_with",
     "try_for_each_chunk",
+    "try_for_each_chunk_mut",
     "try_for_with",
-    "for_each_chunk",
 ];
 
 /// Blocking calls that must never be reachable from a worker chunk body

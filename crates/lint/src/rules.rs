@@ -37,25 +37,16 @@ use crate::model::FileModel;
 /// from the *allowlist* (test harnesses legitimately implement e.g.
 /// `GlobalAlloc`), but never from the `SAFETY:` comment rule.
 pub const UNSAFE_ALLOWLIST: &[&str] = &[
-    // The threading substrate: lifetime-erased regions, disjoint-write scan.
+    // The threading substrate: lifetime-erased regions, and the chunk
+    // loop's disjoint `&mut` windows — the one disjoint-write split every
+    // other crate builds on.
     "crates/parallel/src/",
     // Lock-free per-worker collection buffers.
     "crates/frontier/src/worker_buffers.rs",
-    // The AtomicPtr scratch slot and its generic substrate.
-    "crates/core/src/scratch.rs",
+    // The generic AtomicPtr slot substrate under the scratch exchanger.
     "crates/core/src/slot.rs",
-    // The advance/compute operators that drive the buffers.
+    // The advance operators that drive the buffers.
     "crates/core/src/operators/advance.rs",
-    "crates/core/src/operators/compute.rs",
-    // The propagation-blocked gather: column-disjoint counting-sort writes
-    // and per-bin flush windows over pooled buffers (DESIGN.md §12).
-    "crates/core/src/operators/blocked.rs",
-    // Deterministic sum: disjoint per-chunk partial-slot writes combined
-    // in chunk order after the join.
-    "crates/core/src/operators/reduce.rs",
-    // Compressed adjacency: the parallel encoder's disjoint byte-range
-    // writes (DESIGN.md §14).
-    "crates/graph/src/ccsr.rs",
     // The mmap loader: read-only page mappings reinterpreted as the
     // aligned sections a CcsrView borrows (DESIGN.md §14).
     "crates/io/src/mmap.rs",

@@ -7,7 +7,9 @@
 //! CPU-parallel machinery those policies dispatch to:
 //!
 //! * [`pool::ThreadPool`] — persistent workers executing OpenMP-style
-//!   *parallel regions*; the bulk-synchronous substrate.
+//!   *parallel regions*; the bulk-synchronous substrate. Its chunk loop,
+//!   [`pool::try_for_each_chunk_mut`], hands each chunk an exclusive
+//!   window of a caller's buffer (fills, per-chunk partials, scans).
 //! * [`schedule::Schedule`] — static / dynamic loop scheduling,
 //!   the load-balancing knob of §IV-C.
 //! * [`scan`] — parallel exclusive prefix sum; the compressed-graph
@@ -40,6 +42,8 @@ pub use exec::{
     Progress, RequestFault, RequestFaultPlan, RunBudget,
 };
 pub use policy::{execution, ExecutionPolicy, Par, ParNosync, Seq};
-pub use pool::{try_sequential_for_with, RegionCounts, ThreadPool};
+pub use pool::{
+    try_for_each_chunk_mut, try_sequential_for_with, ChunkSplit, RegionCounts, ThreadPool,
+};
 pub use scan::{parallel_scan, parallel_scan_with, serial_scan};
 pub use schedule::Schedule;

@@ -4,7 +4,10 @@
 //! `#pragma omp parallel`); the caller of a region runs worker id 0, as
 //! OpenMP's master thread does. Data-parallel loops ([`ThreadPool::parallel_for`])
 //! and reductions are built on top by handing each worker id a slice of
-//! the iteration space according to a [`Schedule`].
+//! the iteration space according to a [`Schedule`]. A loop that writes a
+//! caller's buffer goes through [`try_for_each_chunk_mut`], which hands
+//! each chunk an exclusive `&mut` window of it: the one place the
+//! workspace splits a buffer for disjoint parallel writes.
 //!
 //! Workers park on a condition variable between regions, so an idle pool
 //! costs nothing. A region's shares 1.. go to whichever threads claim them
@@ -496,8 +499,14 @@ impl ThreadPool {
 
     /// Parallel reduction: maps every index through `map`, combining results
     /// with `combine` starting from `identity` (which must be a true
-    /// identity for `combine`, and `combine` associative, for deterministic
-    /// totals up to reordering).
+    /// identity for `combine`, and `combine` associative).
+    ///
+    /// `range` is cut into chunks of the schedule's grain (`Static`: one
+    /// chunk per worker); each chunk folds into its own partial slot, and
+    /// the partials are combined in chunk order after the join. The
+    /// association depends only on the range and the schedule, so a
+    /// combine that is associative but not commutative gives one result at
+    /// every pool width.
     pub fn parallel_reduce<T, M, C>(
         &self,
         range: Range<usize>,
@@ -511,44 +520,139 @@ impl ThreadPool {
         M: Fn(usize) -> T + Sync,
         C: Fn(T, T) -> T + Sync + Send,
     {
-        let len = range.end.saturating_sub(range.start);
-        if len == 0 {
-            return identity;
-        }
-        let grain = schedule.grain_hint(len, self.num_threads);
+        let len = range.len();
+        let grain = match schedule {
+            Schedule::Dynamic(g) => g.max(1),
+            Schedule::Static => len.div_ceil(self.num_threads).max(1),
+        };
         if self.num_threads == 1 || Schedule::Dynamic(grain).runs_inline(len, len) {
-            let mut acc = identity;
-            for i in range {
-                acc = combine(acc, map(i));
+            return range.fold(identity, |acc, i| combine(acc, map(i)));
+        }
+        let mut partials = vec![identity.clone(); len.div_ceil(grain)];
+        try_for_each_chunk_mut(
+            Some(self),
+            &mut partials,
+            ChunkSplit::Len(1),
+            len,
+            ChunkHooks::none(),
+            |c, slot| {
+                let lo = range.start + c * grain;
+                let chunk = lo..(lo + grain).min(range.end);
+                let acc = identity.clone(); // alloc-ok: heap only when T owns heap
+                slot[0] = chunk.fold(acc, |acc, i| combine(acc, map(i)));
+            },
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        partials.into_iter().fold(identity, combine)
+    }
+}
+
+/// How [`try_for_each_chunk_mut`] cuts its buffer into chunk windows.
+/// Windows are contiguous, in chunk order, and never overlap.
+#[derive(Debug, Clone, Copy)]
+pub enum ChunkSplit<'a> {
+    /// Chunk `c` owns `[c·len, (c+1)·len)`; the last window ends at the
+    /// buffer's end. A length of 0 counts as 1.
+    Len(usize),
+    /// Chunk `c` owns `[bounds[c], bounds[c+1])`, so the table holds one
+    /// more entry than there are chunks. It must never decrease and must
+    /// end within the buffer.
+    Bounds(&'a [usize]),
+}
+
+impl ChunkSplit<'_> {
+    /// The number of chunks over a buffer of `len` items, after checking a
+    /// boundary table against it.
+    fn chunks(&self, len: usize) -> Result<usize, ExecError> {
+        match *self {
+            ChunkSplit::Len(l) => Ok(len.div_ceil(l.max(1))),
+            ChunkSplit::Bounds(b) => {
+                if b.windows(2).any(|w| w[0] > w[1]) || b.last().is_some_and(|&end| end > len) {
+                    return Err(ExecError::InvalidInput {
+                        detail: format!("chunk bounds must not decrease or pass {len}"),
+                    });
+                }
+                Ok(b.len().saturating_sub(1))
             }
-            return acc;
         }
-        let partials: Mutex<Vec<T>> = Mutex::new(Vec::with_capacity(self.num_threads));
-        {
-            let identity = &identity;
-            let map = &map;
-            let combine = &combine;
-            let next = AtomicUsize::new(range.start);
-            self.run(|_| {
-                let mut local = identity.clone();
-                let mut did_work = false;
-                loop {
-                    let lo = next.fetch_add(grain, Ordering::Relaxed);
-                    if lo >= range.end {
-                        break;
-                    }
-                    did_work = true;
-                    let hi = (lo + grain).min(range.end);
-                    for i in lo..hi {
-                        local = combine(local, map(i));
-                    }
-                }
-                if did_work {
-                    partials.lock().push(local);
-                }
-            });
+    }
+
+    /// Chunk `c`'s window over a buffer of `len` items.
+    #[inline]
+    fn window(&self, c: usize, len: usize) -> Range<usize> {
+        match *self {
+            ChunkSplit::Len(l) => {
+                let l = l.max(1);
+                c * l..((c + 1) * l).min(len)
+            }
+            ChunkSplit::Bounds(b) => b[c]..b[c + 1],
         }
-        partials.into_inner().into_iter().fold(identity, combine)
+    }
+}
+
+/// The buffer of a [`try_for_each_chunk_mut`] call, shared with the chunks
+/// that each carve their own window out of it.
+struct SharedMut<T>(*mut T);
+
+impl<T> SharedMut<T> {
+    /// A method, not a field read, so closures capture the whole wrapper
+    /// (and its `Sync`) rather than the bare pointer.
+    #[inline]
+    fn ptr(&self) -> *mut T {
+        self.0
+    }
+}
+
+// SAFETY: the pointer is only turned into the disjoint chunk windows of
+// `try_for_each_chunk_mut` (see the SAFETY note there); handing a window
+// to another thread moves `&mut [T]` access, which `T: Send` permits.
+unsafe impl<T: Send> Sync for SharedMut<T> {}
+
+/// The data-parallel loop that writes a caller's buffer: runs `f(c,
+/// window)` once for every chunk `c`, where `window` is chunk `c`'s
+/// exclusive `&mut` sub-slice of `data` as `split` cuts it. Per-chunk
+/// results go the same way: a slot table cut by `ChunkSplit::Len(1)`.
+///
+/// With a pool this is [`ThreadPool::try_for_each_chunk`] over the chunk
+/// ids, the chunks holding `work` units: one dispatch rule
+/// ([`Schedule::runs_inline`]), one chunk numbering, the same hooks,
+/// per-chunk panic capture and busy-pool path as every other loop. With
+/// `None` the chunks run in order on the calling thread, which is what a
+/// sequential policy runs, under the same hooks and capture.
+///
+/// A `Bounds` table that decreases or ends past `data` is rejected as
+/// [`ExecError::InvalidInput`] before any chunk runs.
+pub fn try_for_each_chunk_mut<T, F>(
+    pool: Option<&ThreadPool>,
+    data: &mut [T],
+    split: ChunkSplit<'_>,
+    work: usize,
+    hooks: ChunkHooks<'_>,
+    f: F,
+) -> Result<(), ExecError>
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let len = data.len();
+    let nchunks = split.chunks(len)?;
+    let base = SharedMut(data.as_mut_ptr());
+    let body = |_: usize, c: usize| {
+        let w = split.window(c, len);
+        // SAFETY: `chunks` checked that every window lies in `data` (a
+        // `Len` window is clamped to `len`; a `Bounds` table never
+        // decreases and ends within `len`), and consecutive windows of a
+        // non-decreasing table never overlap. Both loops below run each
+        // chunk id in `0..nchunks` at most once and return only after
+        // every chunk has finished, while `data` stays mutably borrowed
+        // for the whole call — so each window is the only access to its
+        // items while it lives.
+        let window = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(w.start), w.len()) };
+        f(c, window);
+    };
+    match pool {
+        Some(pool) => pool.try_for_each_chunk(nchunks, work, hooks, body),
+        None => try_sequential_for_with(0..nchunks, Schedule::Dynamic(1), hooks, body),
     }
 }
 
@@ -1032,6 +1136,73 @@ mod tests {
                     assert_eq!(h.load(Ordering::Relaxed), expected, "index {i}");
                 }
             }
+        }
+    }
+
+    // The chunk loop's own tests run on a 1-wide pool or on the calling
+    // thread, so they spawn no thread and Miri can check its one unsafe
+    // split (`cargo miri test -p essentials-parallel --lib chunk_mut`).
+
+    /// Runs the chunk loop over `len` unwritten slots; every chunk records
+    /// its id and one more write in each slot of its window. Chunk 1
+    /// panics when `fail` is set.
+    fn chunk_mut_marks(
+        pool: Option<&ThreadPool>,
+        len: usize,
+        split: ChunkSplit<'_>,
+        fail: bool,
+    ) -> (Vec<(usize, usize)>, Result<(), ExecError>) {
+        let mut data = vec![(usize::MAX, 0usize); len];
+        let r = try_for_each_chunk_mut(pool, &mut data, split, len, ChunkHooks::none(), |c, w| {
+            assert!(!(fail && c == 1), "chunk {c} down");
+            for slot in w.iter_mut() {
+                *slot = (c, slot.1 + 1);
+            }
+        });
+        (data, r)
+    }
+
+    #[test]
+    fn chunk_mut_windows_tile_the_buffer_once() {
+        let one = ThreadPool::new(1);
+        for pool in [Some(&one), None] {
+            for (len, l) in [(0, 4), (10, 4), (12, 4), (7, 0)] {
+                let (got, r) = chunk_mut_marks(pool, len, ChunkSplit::Len(l), false);
+                let want: Vec<_> = (0..len).map(|i| (i / l.max(1), 1)).collect();
+                assert_eq!(
+                    (got, r.is_ok()),
+                    (want, true),
+                    "len {len}, chunk length {l}"
+                );
+            }
+            // Empty windows are chunks too, and a table may stop short of
+            // the buffer's end.
+            let (got, r) = chunk_mut_marks(pool, 7, ChunkSplit::Bounds(&[1, 3, 3, 5]), false);
+            let x = (usize::MAX, 0);
+            assert_eq!(got, [x, (0, 1), (0, 1), (2, 1), (2, 1), x, x]);
+            assert!(r.is_ok());
+        }
+    }
+
+    #[test]
+    fn chunk_mut_rejects_bad_tables_and_reports_panics() {
+        let one = ThreadPool::new(1);
+        for pool in [Some(&one), None] {
+            for bounds in [&[0, 4, 2, 6][..], &[0, 4, 9]] {
+                let (got, r) = chunk_mut_marks(pool, 8, ChunkSplit::Bounds(bounds), false);
+                assert!(matches!(r, Err(ExecError::InvalidInput { .. })), "{r:?}");
+                assert!(got.iter().all(|s| s.1 == 0), "a chunk ran before the check");
+            }
+            let (got, r) = chunk_mut_marks(pool, 9, ChunkSplit::Len(3), true);
+            match r {
+                Err(ExecError::WorkerPanic { payload, chunk }) => {
+                    assert!(payload.contains("chunk 1 down"), "payload: {payload}");
+                    assert_eq!(chunk, 1);
+                }
+                other => panic!("expected WorkerPanic, got {other:?}"),
+            }
+            let writes: Vec<usize> = got.iter().map(|s| s.1).collect();
+            assert_eq!(writes, [1, 1, 1, 0, 0, 0, 1, 1, 1]);
         }
     }
 

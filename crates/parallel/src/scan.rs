@@ -3,75 +3,29 @@
 //! The compressed-graph builder places each row's bytes with a prefix sum
 //! over per-vertex coded lengths; on large graphs that serial scan is
 //! itself a parallelism bottleneck. This module provides the classic
-//! two-pass chunked scan: workers scan disjoint chunks locally, a serial
-//! scan over the (≤ #workers) chunk totals produces per-chunk offsets, and a
-//! second pass shifts each chunk into place. Both passes write disjoint
-//! ranges, so the only synchronization is the two region barriers.
+//! two-pass chunked scan on the chunk loop ([`try_for_each_chunk_mut`]):
+//! each chunk writes the inclusive scan of its own window, a serial scan
+//! over the (one per worker) chunk totals gives each chunk its offset, and
+//! a second pass shifts every window into its exclusive place. Both
+//! passes write disjoint windows, so the only synchronization is the two
+//! region joins.
 //!
 //! The `_with` variant takes caller-owned output and chunk-sum buffers so a
 //! steady-state caller performs no heap allocation.
 
-use std::ops::Range;
-
-use crate::pool::ThreadPool;
-
-/// Below this element count the serial scan wins (two barriers cost more
-/// than the memory pass they save).
-const SEQUENTIAL_CUTOFF: usize = 8 * 1024;
-
-/// Shares a mutable slice across pool workers writing disjoint ranges.
-struct DisjointWrites<'a, T>(*mut T, std::marker::PhantomData<&'a mut [T]>);
-
-// SAFETY: callers hand each worker a non-overlapping index range (asserted
-// by construction in the passes below), so concurrent writes never alias.
-unsafe impl<T: Send> Sync for DisjointWrites<'_, T> {}
-
-impl<'a, T> DisjointWrites<'a, T> {
-    fn new(slice: &'a mut [T]) -> Self {
-        DisjointWrites(slice.as_mut_ptr(), std::marker::PhantomData)
-    }
-
-    /// # Safety
-    ///
-    /// `i` must be in bounds of the original slice and not written
-    /// concurrently by another worker.
-    #[inline]
-    unsafe fn write(&self, i: usize, v: T) {
-        // SAFETY: caller upholds the `# Safety` contract above (in-bounds,
-        // unaliased write).
-        unsafe { self.0.add(i).write(v) };
-    }
-
-    /// # Safety
-    ///
-    /// `i` must be in bounds and not written concurrently.
-    #[inline]
-    unsafe fn read(&self, i: usize) -> T
-    where
-        T: Copy,
-    {
-        // SAFETY: caller upholds the `# Safety` contract above (in-bounds,
-        // no concurrent writer).
-        unsafe { self.0.add(i).read() }
-    }
-}
-
-/// The contiguous chunk of `0..n` owned by worker `tid` out of `workers`.
-#[inline]
-fn chunk_of(n: usize, workers: usize, tid: usize) -> Range<usize> {
-    let chunk = n.div_ceil(workers);
-    let lo = (tid * chunk).min(n);
-    let hi = ((tid + 1) * chunk).min(n);
-    lo..hi
-}
+use crate::exec::ChunkHooks;
+use crate::pool::{try_for_each_chunk_mut, ChunkSplit, ThreadPool};
+use crate::schedule::Schedule;
 
 /// Exclusive prefix sum of `value(0), …, value(n-1)` into `out`, reusing
 /// caller-owned buffers.
 ///
 /// On return `out` has length `n + 1` with `out[i] = Σ value(j) for j < i`
 /// and `out[n]` the grand total (also the return value). `chunk_sums` is
-/// scratch for the per-worker totals; both buffers are grown on demand and
-/// never shrunk, so repeated calls at steady state allocate nothing.
+/// scratch for the per-chunk offsets; both buffers are grown on demand and
+/// never shrunk, so repeated calls at steady state allocate nothing. A
+/// scan the dispatch rule ([`Schedule::runs_inline`]) keeps on its caller
+/// is one serial pass.
 ///
 /// `value` is evaluated exactly once per index.
 pub fn parallel_scan_with<F>(
@@ -85,8 +39,10 @@ where
     F: Fn(usize) -> usize + Sync,
 {
     out.resize(n + 1, 0);
-    let workers = pool.num_threads();
-    if workers == 1 || n < SEQUENTIAL_CUTOFF {
+    // One chunk per worker: the scan's cost is its two memory passes, so
+    // more chunks would only add claims.
+    let len = n.div_ceil(pool.num_threads()).max(1);
+    if Schedule::Dynamic(len).runs_inline(n, n) {
         let mut acc = 0usize;
         for (i, slot) in out.iter_mut().enumerate().take(n) {
             *slot = acc;
@@ -95,45 +51,49 @@ where
         out[n] = acc;
         return acc;
     }
-
-    chunk_sums.resize(workers, 0);
-    // Pass 1: each worker writes the local exclusive scan of its chunk into
-    // `out` and its chunk total into `chunk_sums`.
-    {
-        let out_w = DisjointWrites::new(&mut out[..n]);
-        let sums_w = DisjointWrites::new(chunk_sums.as_mut_slice());
-        pool.run(|tid| {
+    let split = ChunkSplit::Len(len);
+    // Pass 1: each chunk's inclusive scan, so its last slot is its total.
+    try_for_each_chunk_mut(
+        Some(pool),
+        &mut out[..n],
+        split,
+        n,
+        ChunkHooks::none(),
+        |c, window| {
             let mut acc = 0usize;
-            for i in chunk_of(n, workers, tid) {
-                // SAFETY: chunks are disjoint per tid; sums slot is tid's own.
-                unsafe { out_w.write(i, acc) };
-                acc += value(i);
+            for (j, slot) in window.iter_mut().enumerate() {
+                acc += value(c * len + j);
+                *slot = acc;
             }
-            // SAFETY: slot `tid` of `chunk_sums` is owned by this worker.
-            unsafe { sums_w.write(tid, acc) };
-        });
-    }
-    // Serial exclusive scan over the ≤ #workers chunk totals.
+        },
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
+    // Serial exclusive scan over the chunk totals.
+    chunk_sums.resize(n.div_ceil(len), 0);
     let mut total = 0usize;
-    for s in chunk_sums.iter_mut() {
-        let c = *s;
-        *s = total;
-        total += c;
+    for (sum, window) in chunk_sums.iter_mut().zip(out[..n].chunks(len)) {
+        *sum = total;
+        total += window[window.len() - 1];
     }
-    // Pass 2: shift each chunk by its offset.
-    {
-        let out_w = DisjointWrites::new(&mut out[..n]);
-        let sums = &*chunk_sums;
-        pool.run(|tid| {
-            let base = sums[tid];
-            if base != 0 {
-                for i in chunk_of(n, workers, tid) {
-                    // SAFETY: same disjoint chunk as pass 1.
-                    unsafe { out_w.write(i, out_w.read(i) + base) };
-                }
+    // Pass 2: slot j of chunk c becomes the chunk's offset plus slot
+    // j - 1's inclusive sum.
+    let sums = &*chunk_sums;
+    try_for_each_chunk_mut(
+        Some(pool),
+        &mut out[..n],
+        split,
+        n,
+        ChunkHooks::none(),
+        |c, window| {
+            let mut prev = sums[c];
+            for slot in window {
+                let inclusive = *slot;
+                *slot = prev;
+                prev = sums[c] + inclusive;
             }
-        });
-    }
+        },
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     out[n] = total;
     total
 }

@@ -46,15 +46,6 @@ impl Schedule {
         };
         chunks < 2 || work < MIN_REGION_WORK
     }
-
-    /// A reasonable dynamic grain for reductions over `len` items on
-    /// `threads` workers: aim for ~8 chunks per worker, clamped to [64, 8192].
-    pub fn grain_hint(&self, len: usize, threads: usize) -> usize {
-        match self {
-            Schedule::Dynamic(g) if *g > 0 => *g,
-            _ => (len / (threads * 8).max(1)).clamp(64, 8192),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -80,13 +71,5 @@ mod tests {
         assert!(!Schedule::Dynamic(10_000).runs_inline(10_001, 10_001));
         assert!(Schedule::Dynamic(1).runs_inline(1, 1 << 30));
         assert!(!Schedule::Dynamic(1).runs_inline(2, MIN_REGION_WORK));
-    }
-
-    #[test]
-    fn grain_hint_clamps() {
-        let s = Schedule::Static;
-        assert_eq!(s.grain_hint(10, 4), 64);
-        assert_eq!(s.grain_hint(10_000_000, 1), 8192);
-        assert_eq!(Schedule::Dynamic(100).grain_hint(1_000_000, 4), 100);
     }
 }
